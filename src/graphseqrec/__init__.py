@@ -20,9 +20,10 @@ from .evaluation import (MetricsReport, SpectrumReport, hr_ndcg,
                          popularity_ranks, rank_target, spectrum)
 from .graph import (SubgraphPerturbation, TransitionGraph, accumulate,
                     build_transition_graph, extract_subgraph, normalize_finalize)
-from .model import Model, ModelConfig
+from .config import ModelConfig, TrainConfig
+from .model import Model
 from .optim import Adam, GradientNaN
-from .training import (TrainConfig, TrainResult, evaluate_model, next_item_loss,
-                       seq_cl_loss, total_loss, train, variant_config)
+from .training import (TrainResult, evaluate_model, next_item_loss, seq_cl_loss,
+                       total_loss, train, variant_config)
 
 __version__ = "0.1.0"

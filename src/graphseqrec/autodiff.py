@@ -16,7 +16,7 @@ per-axis size-1 expansion, scalars); anything else raises
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -160,11 +157,6 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ same archive; moments use an ``opt.`` name prefix.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Dict
 
@@ -43,29 +44,40 @@ def save_archive(path, arrays: Dict[str, np.ndarray]) -> None:
 
 
 def load_archive(path) -> Dict[str, np.ndarray]:
+    """Read an archive; any damage raises CheckpointError naming the file and
+    the byte offset where reading failed."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob:
         raise CheckpointError(f"empty checkpoint file: {path}")
     if blob[0] != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {blob[0]} (expected {VERSION})")
+        raise CheckpointError(
+            f"unsupported checkpoint version {blob[0]} in {path} (expected {VERSION})")
     offset = 1
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal offset
+        if offset + size > len(blob):
+            raise CheckpointError(
+                f"truncated checkpoint {path}: {what} needs {size} bytes at byte "
+                f"{offset}, {len(blob) - offset} left")
+        chunk = blob[offset:offset + size]
+        offset += size
+        return chunk
+
+    (count,) = struct.unpack("<I", take(4, "record count"))
     out: Dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        dims = struct.unpack_from(f"<{ndim}I", blob, offset) if ndim else ()
-        offset += 4 * ndim
-        size = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).astype(np.float64)
-        offset += 8 * size
-        out[name] = arr.reshape(dims)
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        start = offset
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"bad record name in checkpoint {path} at byte {start}") from None
+        (ndim,) = struct.unpack("<B", take(1, f"'{name}' ndim"))
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"'{name}' dims"))
+        payload = take(8 * math.prod(dims), f"'{name}' payload")
+        out[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
     if offset != len(blob):
         raise CheckpointError(f"trailing bytes in checkpoint: {path}")
     return out

@@ -11,15 +11,15 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import config as cfgmod
-from .config import ConfigError
+from .config import ConfigError, TrainConfig
 from .data import (ingest, leave_one_out, synth_generate, write_interactions)
 from .evaluation import spectrum, write_spectrum_csv
-from .graph import build_transition_graph
+from .graph import train_graph
 from .model import Model
 from .training import (LAMBDA1_GRID, ENCODER_LAYER_GRID, evaluate_model, train)
 
@@ -42,34 +42,30 @@ def _collect_overrides(args: argparse.Namespace) -> Dict[str, object]:
     return {key: getattr(args, key) for key in cfgmod.SCHEMA if getattr(args, key, None) is not None}
 
 
-def _resolve_outdir(resolved: Dict[str, object], command: str) -> str:
-    outdir = str(resolved["outdir"])
-    if not outdir:
+def _resolve_outdir(cfg: TrainConfig, command: str) -> Tuple[TrainConfig, str]:
+    if not cfg.outdir:
         root = os.environ.get(OUTPUT_ROOT_ENV, "")
         if not root:
             raise UsageError(f"--outdir is required (or set {OUTPUT_ROOT_ENV})")
-        outdir = os.path.join(root, command)
-        resolved["outdir"] = outdir
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
+        cfg = replace(cfg, outdir=os.path.join(root, command))
+    os.makedirs(cfg.outdir, exist_ok=True)
+    return cfg, cfg.outdir
 
 
-def _load_dataset(resolved: Dict[str, object]):
-    path = str(resolved["dataset"])
-    if not path:
+def _load_dataset(cfg: TrainConfig):
+    if not cfg.dataset:
         raise UsageError("--dataset is required")
-    if not os.path.exists(path):
-        raise UsageError(f"--dataset: no such file: {path}")
-    sequences = ingest(path, int(resolved["min_count"]), cfgmod.delimiter_char(resolved))
+    if not os.path.exists(cfg.dataset):
+        raise UsageError(f"--dataset: no such file: {cfg.dataset}")
+    sequences = ingest(cfg.dataset, cfg.min_count, cfgmod.delimiter_char(cfg))
     return leave_one_out(sequences)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    resolved = cfgmod.resolve(args.config, _collect_overrides(args))
-    outdir = _resolve_outdir(resolved, "train")
-    dataset = _load_dataset(resolved)
-    cfg = cfgmod.to_train_config(resolved)
-    cfgmod.write_resolved(os.path.join(outdir, "config.resolved"), resolved)
+    cfg, outdir = _resolve_outdir(cfgmod.resolve(args.config, _collect_overrides(args)), "train")
+    dataset = _load_dataset(cfg)
+    cfg.validate()
+    cfgmod.write_resolved(os.path.join(outdir, "config.resolved"), cfg)
     result = train(cfg, dataset)
     with open(os.path.join(outdir, "metrics.log"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(result.history) + "\n")
@@ -79,7 +75,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     result.model.save(os.path.join(outdir, "checkpoint.best"))
     result.model.save(os.path.join(outdir, "checkpoint.final"),
                       extra=result.optimizer.state_arrays())
-    if resolved["spectrum"]:
+    if cfg.spectrum:
         report = spectrum(result.model.params["item_emb"].data[1:])
         write_spectrum_csv(report, os.path.join(outdir, "spectrum.csv"))
     for line in result.history[-2:]:
@@ -89,17 +85,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    resolved = cfgmod.resolve(args.config, _collect_overrides(args))
+    cfg = cfgmod.resolve(args.config, _collect_overrides(args))
     if not args.checkpoint:
         raise UsageError("--checkpoint is required")
     if not os.path.exists(args.checkpoint):
         raise UsageError(f"--checkpoint: no such file: {args.checkpoint}")
-    dataset = _load_dataset(resolved)
-    cfg = cfgmod.to_train_config(resolved)
-    from .data import ItemSequence
-    graph = build_transition_graph(
-        [ItemSequence(u.user_id, u.train) for u in dataset.users],
-        cfg.window, dataset.num_items, cfg.degree_mode)
+    dataset = _load_dataset(cfg)
+    cfg.validate()
+    graph = train_graph(dataset, cfg.window, cfg.degree_mode)
     rng = np.random.default_rng([cfg.seed, 0])
     model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph, rng)
     model.load(args.checkpoint)
@@ -123,14 +116,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_build_graph(args: argparse.Namespace) -> int:
-    resolved = cfgmod.resolve(args.config, _collect_overrides(args))
+    cfg = cfgmod.resolve(args.config, _collect_overrides(args))
     if not args.out:
         raise UsageError("--out is required")
-    dataset = _load_dataset(resolved)
-    from .data import ItemSequence
-    graph = build_transition_graph(
-        [ItemSequence(u.user_id, u.train) for u in dataset.users],
-        int(resolved["window"]), dataset.num_items, str(resolved["degree_mode"]))
+    graph = train_graph(_load_dataset(cfg), cfg.window, cfg.degree_mode)
     graph.dump(args.out)
     print(f"graph with {graph.nnz} entries written to {args.out}")
     return 0
@@ -144,22 +133,20 @@ def _parse_grid(text: str, kind) -> List:
 
 
 def cmd_gridsearch(args: argparse.Namespace) -> int:
-    resolved = cfgmod.resolve(args.config, _collect_overrides(args))
-    outdir = _resolve_outdir(resolved, "gridsearch")
-    dataset = _load_dataset(resolved)
-    base = cfgmod.to_train_config(resolved)
+    base, outdir = _resolve_outdir(cfgmod.resolve(args.config, _collect_overrides(args)),
+                                   "gridsearch")
+    dataset = _load_dataset(base)
+    base.validate()
     lambda1_grid = _parse_grid(args.lambda1_grid, float) if args.lambda1_grid else list(LAMBDA1_GRID)
     layers_grid = _parse_grid(args.layers_grid, int) if args.layers_grid else list(ENCODER_LAYER_GRID)
     rows = []
     failures = 0
     for lam in lambda1_grid:
         for layers in layers_grid:
-            cell = replace(base, lambda1=lam, encoder_layers=layers)
             cell_dir = os.path.join(outdir, f"cell-lambda1_{lam}-layers_{layers}")
+            cell = replace(base, lambda1=lam, encoder_layers=layers, outdir=cell_dir)
             os.makedirs(cell_dir, exist_ok=True)
-            cell_resolved = dict(resolved)
-            cell_resolved.update(lambda1=lam, encoder_layers=layers, outdir=cell_dir)
-            cfgmod.write_resolved(os.path.join(cell_dir, "config.resolved"), cell_resolved)
+            cfgmod.write_resolved(os.path.join(cell_dir, "config.resolved"), cell)
             try:
                 result = train(cell, dataset)
             except Exception as exc:  # keep scanning the rest of the grid

@@ -1,16 +1,15 @@
 """Flat key=value run configuration.
 
-One schema drives everything: config-file parsing, CLI flag generation,
-default documentation, and the resolved snapshot written next to every run.
-Unknown keys are rejected; command-line flags override file values.
+``TrainConfig`` declares every run key once.  Its fields, in order, drive
+config-file parsing, CLI flag generation, default documentation, and the
+resolved snapshot written next to every run: each field's annotation picks
+its parser and its metadata carries its help text.  ``ModelConfig`` is the
+same configuration sized to a dataset.  Unknown keys are rejected;
+command-line flags override file values.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional
-
-from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -26,6 +25,85 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _key(default, doc: str):
+    return field(default=default, metadata={"help": doc})
+
+
+@dataclass
+class TrainConfig:
+    # data
+    dataset: str = _key("", "path to the interaction log")
+    delimiter: str = _key("tab", "field delimiter in the log: tab or comma")
+    min_count: int = _key(5, "core filter: minimum interactions per user and item")
+    outdir: str = _key("", "output directory for run artifacts")
+    # model
+    dim: int = _key(64, "embedding width")
+    max_len: int = _key(50, "maximum sequence length (left-padded)")
+    heads: int = _key(2, "attention heads")
+    encoder_layers: int = _key(2, "Transformer layers")
+    dropout: float = _key(0.2, "dropout rate")
+    gcn_layers: int = _key(2, "graph propagation layers")
+    alpha: float = _key(0.05, "strength of the learned graph refinement")
+    rank: int = _key(32, "rank of the refinement factors")
+    window: int = _key(2, "co-occurrence window for graph construction")
+    degree_mode: str = _key("weighted", "graph degree definition: weighted or count")
+    literal_layer_avg: bool = _key(True, "divide the layer sum by L (true) or L+1 (false)")
+    # training
+    batch_size: int = _key(256, "training batch size")
+    lr: float = _key(1e-3, "Adam learning rate")
+    beta1: float = _key(0.9, "Adam first-moment decay")
+    beta2: float = _key(0.999, "Adam second-moment decay")
+    eps: float = _key(1e-8, "Adam epsilon")
+    lambda1: float = _key(0.1, "weight of the graph contrastive loss")
+    lambda2: float = _key(0.1, "weight of the sequence contrastive loss")
+    tau: float = _key(0.2, "contrastive temperature")
+    max_epochs: int = _key(1000, "maximum training epochs")
+    patience: int = _key(40, "early stopping patience (validation NDCG@20)")
+    seed: int = _key(0, "random seed")
+    crop_ratio: float = _key(0.6, "crop augmentation keep ratio")
+    mask_ratio: float = _key(0.3, "mask augmentation ratio")
+    reorder_ratio: float = _key(0.6, "reorder augmentation span ratio")
+    gce_batch_mode: str = _key("targets", "rows coupled by the graph loss: targets or unique")
+    exclude_history: bool = _key(True, "exclude seen items when ranking")
+    # toggles
+    enable_agcl: bool = _key(True, "enable the adaptive collaborative learner")
+    enable_pge: bool = _key(True, "enable the personalized graph encoding")
+    pge_graph: str = _key("refined", "graph read by subgraph extraction: original or refined")
+    fusion_ablation: bool = _key(False, "replace the graph encoding with "
+                                        "representation-level fusion")
+    # reporting
+    spectrum: bool = _key(False, "write the embedding spectrum CSV after training")
+
+    def validate(self) -> None:
+        if self.lr <= 0 or self.tau <= 0:
+            raise ValueError("learning rate and temperature must be positive")
+        if self.lambda1 < 0 or self.lambda2 < 0 or self.alpha < 0:
+            raise ValueError("loss weights and alpha must be >= 0")
+        if not 0 <= self.dropout < 1:
+            raise ValueError("dropout must be in [0, 1)")
+        if self.patience >= self.max_epochs:
+            raise ValueError(f"patience ({self.patience}) must be < max_epochs ({self.max_epochs})")
+        if self.gce_batch_mode not in ("targets", "unique"):
+            raise ValueError(f"gce_batch_mode must be 'targets' or 'unique', got {self.gce_batch_mode!r}")
+
+    def model_config(self, num_items: int, num_users: int) -> "ModelConfig":
+        keys = {f.name: getattr(self, f.name) for f in fields(TrainConfig)}
+        return ModelConfig(num_items=num_items, num_users=num_users, **keys)
+
+
+@dataclass
+class ModelConfig(TrainConfig):
+    """A run configuration sized to a dataset's item and user counts."""
+    num_items: int = field(kw_only=True)
+    num_users: int = field(kw_only=True)
+
+    def __post_init__(self):
+        if self.pge_graph not in ("original", "refined"):
+            raise ValueError(f"pge_graph must be 'original' or 'refined', got {self.pge_graph!r}")
+        if self.dim % self.heads != 0:
+            raise ValueError(f"dim {self.dim} must be divisible by heads {self.heads}")
+
+
 @dataclass(frozen=True)
 class Field:
     default: object
@@ -33,64 +111,10 @@ class Field:
     help: str
 
 
+_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
+
 SCHEMA: Dict[str, Field] = {
-    # data
-    "dataset": Field("", str, "path to the interaction log"),
-    "delimiter": Field("tab", str, "field delimiter in the log: tab or comma"),
-    "min_count": Field(5, int, "core filter: minimum interactions per user and item"),
-    "outdir": Field("", str, "output directory for run artifacts"),
-    # model
-    "dim": Field(64, int, "embedding width"),
-    "max_len": Field(50, int, "maximum sequence length (left-padded)"),
-    "heads": Field(2, int, "attention heads"),
-    "encoder_layers": Field(2, int, "Transformer layers"),
-    "dropout": Field(0.2, float, "dropout rate"),
-    "gcn_layers": Field(2, int, "graph propagation layers"),
-    "alpha": Field(0.05, float, "strength of the learned graph refinement"),
-    "rank": Field(32, int, "rank of the refinement factors"),
-    "window": Field(2, int, "co-occurrence window for graph construction"),
-    "degree_mode": Field("weighted", str, "graph degree definition: weighted or count"),
-    "literal_layer_avg": Field(True, _parse_bool,
-                               "divide the layer sum by L (true) or L+1 (false)"),
-    # training
-    "batch_size": Field(256, int, "training batch size"),
-    "lr": Field(1e-3, float, "Adam learning rate"),
-    "beta1": Field(0.9, float, "Adam first-moment decay"),
-    "beta2": Field(0.999, float, "Adam second-moment decay"),
-    "eps": Field(1e-8, float, "Adam epsilon"),
-    "lambda1": Field(0.1, float, "weight of the graph contrastive loss"),
-    "lambda2": Field(0.1, float, "weight of the sequence contrastive loss"),
-    "tau": Field(0.2, float, "contrastive temperature"),
-    "max_epochs": Field(1000, int, "maximum training epochs"),
-    "patience": Field(40, int, "early stopping patience (validation NDCG@20)"),
-    "seed": Field(0, int, "random seed"),
-    "crop_ratio": Field(0.6, float, "crop augmentation keep ratio"),
-    "mask_ratio": Field(0.3, float, "mask augmentation ratio"),
-    "reorder_ratio": Field(0.6, float, "reorder augmentation span ratio"),
-    "gce_batch_mode": Field("targets", str,
-                            "rows coupled by the graph loss: targets or unique"),
-    "exclude_history": Field(True, _parse_bool, "exclude seen items when ranking"),
-    # toggles
-    "enable_agcl": Field(True, _parse_bool, "enable the adaptive collaborative learner"),
-    "enable_pge": Field(True, _parse_bool, "enable the personalized graph encoding"),
-    "pge_graph": Field("refined", str, "graph read by subgraph extraction: original or refined"),
-    "fusion_ablation": Field(False, _parse_bool,
-                             "replace the graph encoding with representation-level fusion"),
-    # reporting
-    "spectrum": Field(False, _parse_bool, "write the embedding spectrum CSV after training"),
-}
-
-TRAIN_CONFIG_KEYS = {
-    "dim", "max_len", "batch_size", "lr", "beta1", "beta2", "eps", "gcn_layers",
-    "alpha", "rank", "heads", "encoder_layers", "dropout", "lambda1", "lambda2",
-    "tau", "max_epochs", "patience", "seed", "window", "degree_mode", "crop_ratio",
-    "mask_ratio", "reorder_ratio", "gce_batch_mode", "exclude_history",
-    "enable_agcl", "enable_pge", "pge_graph", "literal_layer_avg", "fusion_ablation",
-}
-
-
-def defaults() -> Dict[str, object]:
-    return {key: f.default for key, f in SCHEMA.items()}
+    f.name: Field(f.default, _PARSERS[f.type], f.metadata["help"]) for f in fields(TrainConfig)}
 
 
 def parse_config_file(path) -> Dict[str, object]:
@@ -113,46 +137,36 @@ def parse_config_file(path) -> Dict[str, object]:
     return out
 
 
-def resolve(file_path: Optional[str], overrides: Dict[str, object]) -> Dict[str, object]:
+def resolve(file_path: Optional[str], overrides: Dict[str, object]) -> TrainConfig:
     """defaults < config file < explicit overrides."""
-    resolved = defaults()
-    if file_path:
-        resolved.update(parse_config_file(file_path))
+    values = parse_config_file(file_path) if file_path else {}
     for key, value in overrides.items():
         if value is None:
             continue
         if key not in SCHEMA:
             raise ConfigError(f"unknown configuration key {key!r}")
-        resolved[key] = SCHEMA[key].parse(value) if isinstance(value, str) else value
-    return resolved
+        values[key] = SCHEMA[key].parse(value) if isinstance(value, str) else value
+    return TrainConfig(**values)
 
 
-def format_resolved(resolved: Dict[str, object]) -> str:
+def format_resolved(cfg: TrainConfig) -> str:
     lines = []
     for key in SCHEMA:
-        value = resolved[key]
+        value = getattr(cfg, key)
         if isinstance(value, bool):
             value = "true" if value else "false"
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
-def write_resolved(path, resolved: Dict[str, object]) -> None:
+def write_resolved(path, cfg: TrainConfig) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_resolved(resolved))
+        fh.write(format_resolved(cfg))
 
 
-def to_train_config(resolved: Dict[str, object]) -> TrainConfig:
-    kwargs = {key: resolved[key] for key in TRAIN_CONFIG_KEYS}
-    cfg = TrainConfig(**kwargs)
-    cfg.validate()
-    return cfg
-
-
-def delimiter_char(resolved: Dict[str, object]) -> str:
-    name = str(resolved["delimiter"])
-    if name == "tab":
+def delimiter_char(cfg: TrainConfig) -> str:
+    if cfg.delimiter == "tab":
         return "\t"
-    if name == "comma":
+    if cfg.delimiter == "comma":
         return ","
-    raise ConfigError(f"delimiter must be 'tab' or 'comma', got {name!r}")
+    raise ConfigError(f"delimiter must be 'tab' or 'comma', got {cfg.delimiter!r}")

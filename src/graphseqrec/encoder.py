@@ -9,36 +9,23 @@ item-item subgraph; the same matrix is added at every layer and head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import ModelConfig
 
 
-@dataclass
-class EncoderConfig:
-    num_items: int
-    num_users: int
-    dim: int = 64
-    max_len: int = 50
-    heads: int = 2
-    layers: int = 2
-    dropout: float = 0.2
-    ln_eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.dim % self.heads != 0:
-            raise ValueError(f"dim {self.dim} must be divisible by heads {self.heads}")
+LN_EPS = 1e-8  # variance floor of every layer norm
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     return np.clip(rng.normal(0.0, std, size=shape), -2.0 * std, 2.0 * std)
 
 
-def init_encoder_params(rng: np.random.Generator, cfg: EncoderConfig) -> Dict[str, Tensor]:
+def init_encoder_params(rng: np.random.Generator, cfg: ModelConfig) -> Dict[str, Tensor]:
     """Embeddings plus per-layer attention/FFN/layer-norm weights.
 
     The padding row of the item table starts at zero and is kept there by
@@ -50,7 +37,7 @@ def init_encoder_params(rng: np.random.Generator, cfg: EncoderConfig) -> Dict[st
     item[0] = 0.0
     params["item_emb"] = Tensor(item, requires_grad=True)
     params["pos_emb"] = Tensor(trunc_normal(rng, (cfg.max_len, d)), requires_grad=True)
-    for layer in range(cfg.layers):
+    for layer in range(cfg.encoder_layers):
         p = f"layer{layer}."
         for name in ("query", "key", "value", "out"):
             params[p + f"attn_{name}_w"] = Tensor(trunc_normal(rng, (d, d)), requires_grad=True)
@@ -67,7 +54,7 @@ def init_encoder_params(rng: np.random.Generator, cfg: EncoderConfig) -> Dict[st
     return params
 
 
-def init_pge_params(rng: np.random.Generator, cfg: EncoderConfig,
+def init_pge_params(rng: np.random.Generator, cfg: ModelConfig,
                     zero_projection: bool = False) -> Dict[str, Tensor]:
     """User embeddings and the two-layer scalar projection.
 
@@ -111,7 +98,7 @@ def attention_mask(seqs: np.ndarray) -> np.ndarray:
     return mask | eye[None, :, :]
 
 
-def encode(params: Dict[str, Tensor], cfg: EncoderConfig, seqs: np.ndarray,
+def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
            rel_pe: Optional[Tensor] = None,
            rng: Optional[np.random.Generator] = None) -> Tensor:
     """Hidden states (B, N, d) for a batch of padded id sequences.
@@ -133,9 +120,9 @@ def encode(params: Dict[str, Tensor], cfg: EncoderConfig, seqs: np.ndarray,
 
     h = ad.add(ad.gather(params["item_emb"], seqs), params["pos_emb"])
     h = ad.dropout(h, cfg.dropout, rng)
-    for layer in range(cfg.layers):
+    for layer in range(cfg.encoder_layers):
         p = f"layer{layer}."
-        a = ad.layer_norm(h, params[p + "ln1_g"], params[p + "ln1_b"], cfg.ln_eps)
+        a = ad.layer_norm(h, params[p + "ln1_g"], params[p + "ln1_b"], LN_EPS)
         q = ad.add(ad.matmul(a, params[p + "attn_query_w"]), params[p + "attn_query_b"])
         k = ad.add(ad.matmul(a, params[p + "attn_key_w"]), params[p + "attn_key_b"])
         v = ad.add(ad.matmul(a, params[p + "attn_value_w"]), params[p + "attn_value_b"])
@@ -151,11 +138,11 @@ def encode(params: Dict[str, Tensor], cfg: EncoderConfig, seqs: np.ndarray,
         merged = head_outs[0] if cfg.heads == 1 else ad.concat_cols(head_outs)
         attended = ad.add(ad.matmul(merged, params[p + "attn_out_w"]), params[p + "attn_out_b"])
         h = ad.add(h, ad.dropout(attended, cfg.dropout, rng))
-        f = ad.layer_norm(h, params[p + "ln2_g"], params[p + "ln2_b"], cfg.ln_eps)
+        f = ad.layer_norm(h, params[p + "ln2_g"], params[p + "ln2_b"], LN_EPS)
         f = ad.relu(ad.add(ad.matmul(f, params[p + "ffn_w1"]), params[p + "ffn_b1"]))
         f = ad.add(ad.matmul(f, params[p + "ffn_w2"]), params[p + "ffn_b2"])
         h = ad.add(h, ad.dropout(f, cfg.dropout, rng))
-    return ad.layer_norm(h, params["ln_final_g"], params["ln_final_b"], cfg.ln_eps)
+    return ad.layer_norm(h, params["ln_final_g"], params["ln_final_b"], LN_EPS)
 
 
 def last_real_position(seqs: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import ShapeMismatch, Tensor, _accumulate, _node
-from .data import ItemSequence
+from .data import ItemSequence, SplitDataset
 
 
 @dataclass
@@ -150,6 +150,13 @@ def build_transition_graph(sequences: Sequence[ItemSequence], window: int = 2,
                            num_items: Optional[int] = None,
                            degree_mode: str = "weighted") -> TransitionGraph:
     return normalize_finalize(accumulate(sequences, window, num_items), degree_mode)
+
+
+def train_graph(dataset: SplitDataset, window: int = 2,
+                degree_mode: str = "weighted") -> TransitionGraph:
+    """Graph over the training portions only, so held-out targets never leak in."""
+    return build_transition_graph([ItemSequence(u.user_id, u.train) for u in dataset.users],
+                                  window, dataset.num_items, degree_mode)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ training loop and the evaluator share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -14,30 +13,8 @@ from . import autodiff as ad
 from . import collab, encoder
 from .autodiff import Tensor
 from .checkpoint import load_archive, save_archive
+from .config import ModelConfig
 from .graph import TransitionGraph, extract_subgraph_batch
-
-
-@dataclass
-class ModelConfig:
-    num_items: int
-    num_users: int
-    dim: int = 64
-    max_len: int = 50
-    heads: int = 2
-    encoder_layers: int = 2
-    dropout: float = 0.2
-    gcn_layers: int = 2
-    alpha: float = 0.05
-    rank: int = 32
-    literal_layer_avg: bool = True
-    enable_agcl: bool = True
-    enable_pge: bool = True
-    pge_graph: str = "refined"
-    fusion_ablation: bool = False
-
-    def __post_init__(self):
-        if self.pge_graph not in ("original", "refined"):
-            raise ValueError(f"pge_graph must be 'original' or 'refined', got {self.pge_graph!r}")
 
 
 # parameter rows that must stay zero (padding slots)
@@ -49,13 +26,9 @@ class Model:
                  rng: np.random.Generator, zero_pge_projection: bool = False):
         self.cfg = cfg
         self.graph = graph
-        self.enc_cfg = encoder.EncoderConfig(
-            num_items=cfg.num_items, num_users=cfg.num_users, dim=cfg.dim,
-            max_len=cfg.max_len, heads=cfg.heads, layers=cfg.encoder_layers,
-            dropout=cfg.dropout)
         self.params: Dict[str, Tensor] = {}
-        self.params.update(encoder.init_encoder_params(rng, self.enc_cfg))
-        self.params.update(encoder.init_pge_params(rng, self.enc_cfg, zero_pge_projection))
+        self.params.update(encoder.init_encoder_params(rng, cfg))
+        self.params.update(encoder.init_pge_params(rng, cfg, zero_pge_projection))
         factors = collab.init_factors(rng, cfg.num_items + 1, cfg.rank, cfg.alpha)
         self.params["pert_left"] = factors.left
         self.params["pert_right"] = factors.right
@@ -93,7 +66,7 @@ class Model:
         rel_pe = None
         if self.cfg.enable_pge and not self.cfg.fusion_ablation:
             rel_pe = encoder.pge_encoding(self.params, user_ids, self.subgraphs(seqs))
-        return encoder.encode(self.params, self.enc_cfg, seqs, rel_pe, rng)
+        return encoder.encode(self.params, self.cfg, seqs, rel_pe, rng)
 
     def hidden_states(self, seqs: np.ndarray, user_ids: np.ndarray,
                       rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -134,9 +107,6 @@ class Model:
             t.grad = None
 
     # ------------------------------------------------------------ persistence
-    def parameter_arrays(self) -> Dict[str, np.ndarray]:
-        return {name: t.data for name, t in self.params.items()}
-
     def save(self, path, extra: Optional[Dict[str, np.ndarray]] = None) -> None:
         arrays = {name: t.data.copy() for name, t in self.params.items()}
         if extra:

@@ -15,7 +15,8 @@ from .autodiff import Tensor
 
 
 class GradientNaN(RuntimeError):
-    """A parameter gradient contained NaN; the step was aborted untouched."""
+    """A parameter gradient was not finite (NaN or inf); the step was aborted
+    untouched."""
 
 
 class Adam:
@@ -29,18 +30,16 @@ class Adam:
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
     def step(self) -> None:
         """One in-place update; missing grads count as zero.
 
-        NaN in any gradient aborts before touching any parameter or buffer.
+        A NaN or inf in any gradient aborts before touching any parameter or
+        buffer.
         """
         for name, p in self.params.items():
-            if p.grad is not None and np.isnan(p.grad).any():
-                raise GradientNaN(f"NaN gradient in parameter '{name}'")
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                bad = p.grad[~np.isfinite(p.grad)].flat[0]
+                raise GradientNaN(f"non-finite gradient ({bad}) in parameter '{name}'")
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1 ** t

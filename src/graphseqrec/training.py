@@ -18,72 +18,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .collab import batch_rows, gce_loss
+from .config import TrainConfig
 from .data import (AugmentConfig, ItemSequence, SplitDataset, augment_pair,
                    eligible_negatives, pad_sequence)
 from .encoder import user_repr
 from .evaluation import MetricsReport, eval_input_sequences, rank_from_scores
-from .graph import TransitionGraph, build_transition_graph
-from .model import Model, ModelConfig
+from .graph import (TransitionGraph, build_transition_graph,  # noqa: F401 (re-export)
+                    train_graph)
+from .model import Model
 from .optim import Adam
 
 LAMBDA1_GRID = (0.05, 0.1, 0.2, 0.4)
 ENCODER_LAYER_GRID = (1, 2, 3)
-
-
-@dataclass
-class TrainConfig:
-    dim: int = 64
-    max_len: int = 50
-    batch_size: int = 256
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    gcn_layers: int = 2
-    alpha: float = 0.05
-    rank: int = 32
-    heads: int = 2
-    encoder_layers: int = 2
-    dropout: float = 0.2
-    lambda1: float = 0.1
-    lambda2: float = 0.1
-    tau: float = 0.2
-    max_epochs: int = 1000
-    patience: int = 40
-    seed: int = 0
-    window: int = 2
-    degree_mode: str = "weighted"
-    crop_ratio: float = 0.6
-    mask_ratio: float = 0.3
-    reorder_ratio: float = 0.6
-    gce_batch_mode: str = "targets"
-    exclude_history: bool = True
-    enable_agcl: bool = True
-    enable_pge: bool = True
-    pge_graph: str = "refined"
-    literal_layer_avg: bool = True
-    fusion_ablation: bool = False
-
-    def validate(self) -> None:
-        if self.lr <= 0 or self.tau <= 0:
-            raise ValueError("learning rate and temperature must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.alpha < 0:
-            raise ValueError("loss weights and alpha must be >= 0")
-        if not 0 <= self.dropout < 1:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.patience >= self.max_epochs:
-            raise ValueError(f"patience ({self.patience}) must be < max_epochs ({self.max_epochs})")
-        if self.gce_batch_mode not in ("targets", "unique"):
-            raise ValueError(f"gce_batch_mode must be 'targets' or 'unique', got {self.gce_batch_mode!r}")
-
-    def model_config(self, num_items: int, num_users: int) -> ModelConfig:
-        return ModelConfig(
-            num_items=num_items, num_users=num_users, dim=self.dim,
-            max_len=self.max_len, heads=self.heads, encoder_layers=self.encoder_layers,
-            dropout=self.dropout, gcn_layers=self.gcn_layers, alpha=self.alpha,
-            rank=self.rank, literal_layer_avg=self.literal_layer_avg,
-            enable_agcl=self.enable_agcl, enable_pge=self.enable_pge,
-            pge_graph=self.pge_graph, fusion_ablation=self.fusion_ablation)
 
 
 def variant_config(cfg: TrainConfig, variant: str) -> TrainConfig:
@@ -292,10 +238,8 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
     restored before the final test evaluation.
     """
     cfg.validate()
-    train_sequences = [ItemSequence(u.user_id, u.train) for u in dataset.users]
     if graph is None:
-        graph = build_transition_graph(train_sequences, cfg.window,
-                                       dataset.num_items, cfg.degree_mode)
+        graph = train_graph(dataset, cfg.window, cfg.degree_mode)
     rng_init = np.random.default_rng([cfg.seed, 0])
     model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph, rng_init)
     optimizer = Adam(model.params, cfg.lr, (cfg.beta1, cfg.beta2), cfg.eps)
@@ -320,8 +264,8 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
             rng_drop_views = _epoch_rng(cfg.seed, 5, epoch, b) if cfg.dropout > 0 else None
             model.zero_grads()
             values = train_step(model, batch, cfg, rng_drop, rng_drop_views)
-            if np.isnan(values["total"]):
-                raise RuntimeError(f"NaN loss at epoch {epoch}, batch {b}")
+            if not np.isfinite(values["total"]):
+                raise RuntimeError(f"non-finite loss {values['total']} at epoch {epoch}, batch {b}")
             model.drop_padding_grads()
             optimizer.step()
             for key in sums:

@@ -1,0 +1,75 @@
+from dataclasses import fields
+
+import pytest
+
+from graphseqrec import config as cfgmod
+from graphseqrec.config import ModelConfig, TrainConfig
+
+# the empty-string defaults are spelled out so no trailing space hides in a block
+DEFAULT_RESOLVED = "dataset = \n" + """\
+delimiter = tab
+min_count = 5
+""" + "outdir = \n" + """\
+dim = 64
+max_len = 50
+heads = 2
+encoder_layers = 2
+dropout = 0.2
+gcn_layers = 2
+alpha = 0.05
+rank = 32
+window = 2
+degree_mode = weighted
+literal_layer_avg = true
+batch_size = 256
+lr = 0.001
+beta1 = 0.9
+beta2 = 0.999
+eps = 1e-08
+lambda1 = 0.1
+lambda2 = 0.1
+tau = 0.2
+max_epochs = 1000
+patience = 40
+seed = 0
+crop_ratio = 0.6
+mask_ratio = 0.3
+reorder_ratio = 0.6
+gce_batch_mode = targets
+exclude_history = true
+enable_agcl = true
+enable_pge = true
+pge_graph = refined
+fusion_ablation = false
+spectrum = false
+"""
+
+
+def test_default_resolved_text_is_pinned():
+    # key order, defaults and bool spelling of the resolved snapshot
+    assert cfgmod.format_resolved(TrainConfig()) == DEFAULT_RESOLVED
+
+
+def test_model_config_carries_every_field():
+    # every value differs from its default, so a field left uncopied shows
+    values = {}
+    for i, f in enumerate(fields(TrainConfig)):
+        if f.type is bool:
+            values[f.name] = not f.default
+        elif f.type is str:
+            values[f.name] = f"{f.name}-{i}"
+        else:
+            values[f.name] = f.type(100 + i)
+    # values that pass the sized config's own checks
+    values.update(pge_graph="original", dim=120, heads=4)
+    cfg = TrainConfig(**values)
+    sized = cfg.model_config(7, 9)
+    assert isinstance(sized, ModelConfig)
+    assert (sized.num_items, sized.num_users) == (7, 9)
+    for name, value in values.items():
+        assert getattr(sized, name) == value, name
+
+
+def test_sized_config_rejects_dim_not_divisible_by_heads():
+    with pytest.raises(ValueError, match="dim 7 must be divisible by heads 2"):
+        TrainConfig(dim=7, heads=2).model_config(5, 5)

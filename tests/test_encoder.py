@@ -4,13 +4,14 @@ import pytest
 from graphseqrec import autodiff as ad
 from graphseqrec import encoder as enc
 from graphseqrec.autodiff import Tensor
+from graphseqrec.config import ModelConfig
 
 from conftest import check_grads
 
 
 def make_params(rng, num_items=9, num_users=4, dim=4, max_len=5, heads=2, layers=2):
-    cfg = enc.EncoderConfig(num_items=num_items, num_users=num_users, dim=dim,
-                            max_len=max_len, heads=heads, layers=layers, dropout=0.0)
+    cfg = ModelConfig(num_items=num_items, num_users=num_users, dim=dim,
+                      max_len=max_len, heads=heads, encoder_layers=layers, dropout=0.0)
     params = enc.init_encoder_params(rng, cfg)
     params.update(enc.init_pge_params(rng, cfg))
     return cfg, params

@@ -52,14 +52,15 @@ class TestAdam:
         assert all(b < a for a, b in zip(gaps[2:settled], gaps[3:settled + 1]))
         assert gaps[-1] < 0.2 and gaps[0] > 2.5
 
-    def test_nan_grad_aborts_naming_parameter(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_grad_aborts_naming_parameter(self, bad):
         w = Tensor(np.zeros(2), requires_grad=True)
         u = Tensor(np.zeros(2), requires_grad=True)
         opt = Adam({"w": w, "bad_one": u})
         w.grad = np.zeros(2)
-        u.grad = np.array([0.0, np.nan])
+        u.grad = np.array([0.0, bad])
         before = w.data.copy()
-        with pytest.raises(GradientNaN, match="bad_one"):
+        with pytest.raises(GradientNaN, match=rf"\({bad}\) in parameter 'bad_one'"):
             opt.step()
         np.testing.assert_array_equal(w.data, before)
         assert opt.step_count == 0
@@ -120,3 +121,12 @@ class TestCheckpointArchive:
         np.testing.assert_array_equal(fresh.m["w"], opt.m["w"])
         np.testing.assert_array_equal(fresh.v["w"], opt.v["w"])
         assert fresh.step_count == 1
+
+    def test_every_truncation_raises_checkpoint_error(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_archive(path, {"vector": np.arange(3.0), "matrix": np.ones((2, 2))})
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="ckpt.bin"):
+                load_archive(path)
