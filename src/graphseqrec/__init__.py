@@ -15,9 +15,9 @@ from .collab import (GraphRepresentations, PerturbationFactors, batch_rows,
                      propagate_original, propagate_refined)
 from .data import (AugmentConfig, Interaction, ItemSequence, SplitDataset,
                    augment, augment_pair, build_sequences, ingest,
-                   leave_one_out, pad_sequence, sample_negative, synth_generate)
+                   leave_one_out, pad_sequence, synth_generate)
 from .evaluation import (MetricsReport, SpectrumReport, hr_ndcg,
-                         popularity_ranks, rank_target, spectrum)
+                         popularity_ranks, spectrum)
 from .graph import (SubgraphPerturbation, TransitionGraph, accumulate,
                     build_transition_graph, extract_subgraph, normalize_finalize)
 from .config import ModelConfig, TrainConfig

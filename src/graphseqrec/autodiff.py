@@ -55,36 +55,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeMismatch(f"item() needs a single element, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
-
-    # operator sugar; scalars mean python numbers
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(other) if isinstance(other, Tensor) else -other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self):
-        return total_sum(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, op={self.op}, requires_grad={self.requires_grad})"
 
@@ -267,15 +237,6 @@ def tanh(a: Tensor) -> Tensor:
     return _node(data, (a,), back, "tanh")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    data = _sigmoid(a.data)
-
-    def back(g, a=a, data=data):
-        _accumulate(a, g * data * (1.0 - data))
-
-    return _node(data, (a,), back, "sigmoid")
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -293,24 +254,6 @@ def softplus(a: Tensor) -> Tensor:
         _accumulate(a, g * _sigmoid(a.data))
 
     return _node(data, (a,), back, "softplus")
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def back(g, a=a):
-        _accumulate(a, g / a.data)
-
-    return _node(data, (a,), back, "log")
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def back(g, a=a, data=data):
-        _accumulate(a, g * data)
-
-    return _node(data, (a,), back, "exp")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ def save_archive(path, arrays: Dict[str, np.ndarray]) -> None:
         fh.write(bytes([VERSION]))
         fh.write(struct.pack("<I", len(arrays)))
         for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+            arr = np.asarray(arrays[name], dtype="<f8")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)

@@ -28,7 +28,6 @@ class PerturbationFactors:
     left: Tensor
     right: Tensor
     strength: float
-    rank: int
 
 
 def init_factors(rng: np.random.Generator, num_nodes: int, rank: int,
@@ -45,7 +44,7 @@ def init_factors(rng: np.random.Generator, num_nodes: int, rank: int,
     right[0] = 0.0
     return PerturbationFactors(Tensor(left, requires_grad=True),
                                Tensor(right, requires_grad=True),
-                               float(strength), rank)
+                               float(strength))
 
 
 def _propagate(graph: TransitionGraph, emb: Tensor, layers: int,
@@ -92,7 +91,6 @@ class GraphRepresentations:
     """Original and refined propagation outputs from one shared input."""
     original: Tensor
     refined: Tensor
-    layers: int
 
 
 def graph_representations(graph: TransitionGraph, emb: Tensor,
@@ -100,7 +98,7 @@ def graph_representations(graph: TransitionGraph, emb: Tensor,
                           literal_layer_avg: bool = True) -> GraphRepresentations:
     original = propagate_original(graph, emb, layers, literal_layer_avg)
     refined = propagate_refined(graph, emb, factors, layers, literal_layer_avg)
-    return GraphRepresentations(original, refined, layers)
+    return GraphRepresentations(original, refined)
 
 
 def batch_rows(reps: GraphRepresentations, item_ids) -> Tuple[Tensor, Tensor]:
@@ -120,16 +118,26 @@ def gce_loss(original_batch: Tensor, refined_batch: Tensor, tau: float) -> Tenso
     Each anchor's positive is its own refined row; every refined row in the
     batch is a candidate.  The critic is cosine similarity at temperature tau.
     """
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
     if original_batch.shape != refined_batch.shape or original_batch.ndim != 2:
         raise ad.ShapeMismatch(
             f"gce_loss: batches must share a 2D shape, got {list(original_batch.shape)} "
             f"and {list(refined_batch.shape)}")
-    sims = ad.mul(ad.matmul(ad.unit_rows(original_batch),
-                            ad.transpose(ad.unit_rows(refined_batch))), 1.0 / tau)
-    return ad.add(ad.total_sum(ad.logsumexp_rows(sims)),
-                  ad.neg(ad.total_sum(ad.diagonal(sims))))
+    return info_nce(cosine_logits(original_batch, refined_batch, tau))
+
+
+def cosine_logits(anchors: Tensor, candidates: Tensor, tau: float) -> Tensor:
+    """Cosine similarity of every anchor row to every candidate row, over tau."""
+    if tau <= 0.0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    return ad.mul(ad.matmul(ad.unit_rows(anchors), ad.transpose(ad.unit_rows(candidates))),
+                  1.0 / tau)
+
+
+def info_nce(logits: Tensor) -> Tensor:
+    """In-batch InfoNCE summed over rows: row i's positive is column i and
+    every other column is a negative."""
+    return ad.add(ad.total_sum(ad.logsumexp_rows(logits)),
+                  ad.neg(ad.total_sum(ad.diagonal(logits))))
 
 
 def detached_perturbation(graph: TransitionGraph,

@@ -63,14 +63,11 @@ class TrainConfig:
     crop_ratio: float = _key(0.6, "crop augmentation keep ratio")
     mask_ratio: float = _key(0.3, "mask augmentation ratio")
     reorder_ratio: float = _key(0.6, "reorder augmentation span ratio")
-    gce_batch_mode: str = _key("targets", "rows coupled by the graph loss: targets or unique")
     exclude_history: bool = _key(True, "exclude seen items when ranking")
     # toggles
     enable_agcl: bool = _key(True, "enable the adaptive collaborative learner")
     enable_pge: bool = _key(True, "enable the personalized graph encoding")
     pge_graph: str = _key("refined", "graph read by subgraph extraction: original or refined")
-    fusion_ablation: bool = _key(False, "replace the graph encoding with "
-                                        "representation-level fusion")
     # reporting
     spectrum: bool = _key(False, "write the embedding spectrum CSV after training")
 
@@ -83,8 +80,6 @@ class TrainConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.patience >= self.max_epochs:
             raise ValueError(f"patience ({self.patience}) must be < max_epochs ({self.max_epochs})")
-        if self.gce_batch_mode not in ("targets", "unique"):
-            raise ValueError(f"gce_batch_mode must be 'targets' or 'unique', got {self.gce_batch_mode!r}")
 
     def model_config(self, num_items: int, num_users: int) -> "ModelConfig":
         keys = {f.name: getattr(self, f.name) for f in fields(TrainConfig)}

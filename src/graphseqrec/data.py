@@ -142,18 +142,6 @@ def leave_one_out(sequences: Sequence[ItemSequence]) -> SplitDataset:
     return SplitDataset(users, num_items_of(sequences))
 
 
-def sample_negative(items: Sequence[int], num_items: int, rng: np.random.Generator) -> int:
-    """Uniform draw over items absent from the given sequence."""
-    present = set(items)
-    eligible = num_items - len(present - {0})
-    if eligible <= 0:
-        raise ValueError("no item outside the sequence to sample")
-    while True:
-        candidate = int(rng.integers(1, num_items + 1))
-        if candidate not in present:
-            return candidate
-
-
 def eligible_negatives(items: Sequence[int], num_items: int) -> np.ndarray:
     present = np.zeros(num_items + 1, dtype=bool)
     present[np.asarray(list(items), dtype=np.int64)] = True

@@ -54,24 +54,16 @@ def init_encoder_params(rng: np.random.Generator, cfg: ModelConfig) -> Dict[str,
     return params
 
 
-def init_pge_params(rng: np.random.Generator, cfg: ModelConfig,
-                    zero_projection: bool = False) -> Dict[str, Tensor]:
-    """User embeddings and the two-layer scalar projection.
-
-    With zero_projection the gate output is exactly 0 for every user, which
-    makes the encoder's outputs identical to running without the encoding.
-    """
+def init_pge_params(rng: np.random.Generator, cfg: ModelConfig) -> Dict[str, Tensor]:
+    """User embeddings and the two-layer scalar projection."""
     d = cfg.dim
-    params = {
+    return {
         "user_emb": Tensor(trunc_normal(rng, (cfg.num_users, d)), requires_grad=True),
         "pge_w1": Tensor(trunc_normal(rng, (d, d)), requires_grad=True),
         "pge_b1": Tensor(np.zeros(d), requires_grad=True),
         "pge_w2": Tensor(trunc_normal(rng, (d, 1)), requires_grad=True),
         "pge_b2": Tensor(np.zeros(1), requires_grad=True),
     }
-    if zero_projection:
-        params["pge_w2"] = Tensor(np.zeros((d, 1)), requires_grad=True)
-    return params
 
 
 def pge_gate(params: Dict[str, Tensor], user_ids) -> Tensor:

@@ -17,13 +17,6 @@ from .data import SplitDataset
 METRIC_CUTOFFS = (5, 10, 20)
 
 
-def rank_target(user_vec: np.ndarray, item_emb: np.ndarray, history: Iterable[int],
-                target: int, exclude_history: bool = True) -> int:
-    """1-based rank of the target among all real items by dot-product score."""
-    scores = item_emb[1:] @ np.asarray(user_vec, dtype=np.float64)
-    return rank_from_scores(scores, history, target, exclude_history)
-
-
 def rank_from_scores(scores: np.ndarray, history: Iterable[int], target: int,
                      exclude_history: bool = True) -> int:
     """Rank helper shared by the model scorer and the popularity baseline.

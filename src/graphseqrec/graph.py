@@ -130,7 +130,9 @@ def normalize_finalize(acc: DirectedAccumulator, degree_mode: str = "weighted",
     n = acc.num_nodes
     rows, cols, vals = [], [], []
     for (i, j), w in acc.weights.items():
-        assert deg[i] > 0.0 and deg[j] > 0.0, "entry with zero-degree endpoint"
+        if not (deg[i] > 0.0 and deg[j] > 0.0):
+            raise ValueError(f"edge ({i}, {j}) has an endpoint with non-positive "
+                             f"{degree_mode} degree")
         vals.append((1.0 / deg[i] + 1.0 / deg[j]) * w)
         rows.append(i)
         cols.append(j)

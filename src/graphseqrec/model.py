@@ -23,25 +23,20 @@ PADDED_ROW_PARAMS = ("item_emb", "pert_left", "pert_right")
 
 class Model:
     def __init__(self, cfg: ModelConfig, graph: TransitionGraph,
-                 rng: np.random.Generator, zero_pge_projection: bool = False):
+                 rng: np.random.Generator):
         self.cfg = cfg
         self.graph = graph
         self.params: Dict[str, Tensor] = {}
         self.params.update(encoder.init_encoder_params(rng, cfg))
-        self.params.update(encoder.init_pge_params(rng, cfg, zero_pge_projection))
+        self.params.update(encoder.init_pge_params(rng, cfg))
         factors = collab.init_factors(rng, cfg.num_items + 1, cfg.rank, cfg.alpha)
         self.params["pert_left"] = factors.left
         self.params["pert_right"] = factors.right
-        if cfg.fusion_ablation:
-            self.params["fusion_w"] = Tensor(
-                encoder.trunc_normal(rng, (2 * cfg.dim, cfg.dim)), requires_grad=True)
-            self.params["fusion_b"] = Tensor(np.zeros(cfg.dim), requires_grad=True)
 
     @property
     def factors(self) -> collab.PerturbationFactors:
         return collab.PerturbationFactors(self.params["pert_left"],
-                                          self.params["pert_right"],
-                                          self.cfg.alpha, self.cfg.rank)
+                                          self.params["pert_right"], self.cfg.alpha)
 
     # ----------------------------------------------------------------- graph
     def graph_representations(self) -> collab.GraphRepresentations:
@@ -61,34 +56,14 @@ class Model:
         return extract_subgraph_batch(self.graph, seqs, pert)
 
     # --------------------------------------------------------------- encoder
-    def encode_batch(self, seqs: np.ndarray, user_ids: np.ndarray,
-                     rng: Optional[np.random.Generator] = None) -> Tensor:
-        rel_pe = None
-        if self.cfg.enable_pge and not self.cfg.fusion_ablation:
-            rel_pe = encoder.pge_encoding(self.params, user_ids, self.subgraphs(seqs))
-        return encoder.encode(self.params, self.cfg, seqs, rel_pe, rng)
-
     def hidden_states(self, seqs: np.ndarray, user_ids: np.ndarray,
                       rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Per-position states used for scoring; applies the fusion ablation
-        (graph/sequence representation mixing) when that variant is on."""
-        hidden = self.encode_batch(seqs, user_ids, rng)
-        if not self.cfg.fusion_ablation:
-            return hidden
-        reps = self.graph_representations()
-        pooled = self._pooled_graph_rows(reps.refined, seqs)
-        b, n = seqs.shape
-        tiled = ad.add(Tensor(np.zeros((b, n, self.cfg.dim))), pooled)
-        mixed = ad.concat_cols([hidden, tiled])
-        return ad.tanh(ad.add(ad.matmul(mixed, self.params["fusion_w"]),
-                              self.params["fusion_b"]))
-
-    def _pooled_graph_rows(self, reps: Tensor, seqs: np.ndarray) -> Tensor:
-        rows = ad.gather(reps, seqs)
-        real = (seqs > 0).astype(np.float64)
-        weights = real / np.maximum(real.sum(axis=1, keepdims=True), 1.0)
-        pooled = ad.sum_axis(ad.mul(rows, Tensor(weights[:, :, None])), axis=1, keepdims=True)
-        return pooled
+        """Per-position states used for scoring; the per-user graph encoding
+        enters the attention logits when it is enabled."""
+        rel_pe = None
+        if self.cfg.enable_pge:
+            rel_pe = encoder.pge_encoding(self.params, user_ids, self.subgraphs(seqs))
+        return encoder.encode(self.params, self.cfg, seqs, rel_pe, rng)
 
     def user_reprs(self, seqs: np.ndarray, user_ids: np.ndarray,
                    rng: Optional[np.random.Generator] = None) -> Tensor:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .collab import batch_rows, gce_loss
+from .collab import batch_rows, cosine_logits, gce_loss, info_nce
 from .config import TrainConfig
 from .data import (AugmentConfig, ItemSequence, SplitDataset, augment_pair,
                    eligible_negatives, pad_sequence)
@@ -72,13 +72,8 @@ def seq_cl_loss(view1: Tensor, view2: Tensor, tau: float) -> Tensor:
     Anchors in one view score against all candidates in the other view with
     a cosine critic; the two directions are averaged.
     """
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    sims = ad.mul(ad.matmul(ad.unit_rows(view1), ad.transpose(ad.unit_rows(view2))), 1.0 / tau)
-    sims_t = ad.transpose(sims)
-    fwd = ad.add(ad.total_sum(ad.logsumexp_rows(sims)), ad.neg(ad.total_sum(ad.diagonal(sims))))
-    bwd = ad.add(ad.total_sum(ad.logsumexp_rows(sims_t)), ad.neg(ad.total_sum(ad.diagonal(sims_t))))
-    return ad.mul(ad.add(fwd, bwd), 0.5)
+    sims = cosine_logits(view1, view2, tau)
+    return ad.mul(ad.add(info_nce(sims), info_nce(ad.transpose(sims))), 0.5)
 
 
 def total_loss(rec: Tensor, gce: Optional[Tensor] = None, seq: Optional[Tensor] = None,
@@ -111,8 +106,7 @@ class Batch:
 def assemble_batch(users: Sequence, num_items: int, max_len: int,
                    rng_negatives: np.random.Generator,
                    rng_augment: Optional[np.random.Generator],
-                   aug_cfg: AugmentConfig,
-                   gce_batch_mode: str = "targets") -> Batch:
+                   aug_cfg: AugmentConfig) -> Batch:
     n = max_len
     b = len(users)
     seqs = np.zeros((b, n), dtype=np.int64)
@@ -142,8 +136,6 @@ def assemble_batch(users: Sequence, num_items: int, max_len: int,
             v1, v2 = augment_pair(seq, aug_cfg, rng_augment)
             view1[row] = pad_sequence(v1.items, n)
             view2[row] = pad_sequence(v2.items, n)
-    if gce_batch_mode == "unique":
-        gce_items = np.unique(seqs[seqs > 0])
     return Batch(user_ids, seqs, targets, negatives, step_mask, gce_items, view1, view2)
 
 
@@ -189,7 +181,6 @@ class TrainResult:
     history: List[str] = field(default_factory=list)
     timing: List[str] = field(default_factory=list)
     model: Optional[Model] = None
-    graph: Optional[TransitionGraph] = None
     valid_report: Optional[MetricsReport] = None
     test_report: Optional[MetricsReport] = None
     optimizer: Optional[Adam] = None
@@ -245,7 +236,7 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
     optimizer = Adam(model.params, cfg.lr, (cfg.beta1, cfg.beta2), cfg.eps)
     aug_cfg = AugmentConfig(cfg.crop_ratio, cfg.mask_ratio, cfg.reorder_ratio)
     state = TrainState()
-    result = TrainResult(state, model=model, graph=graph)
+    result = TrainResult(state, model=model)
     best_snapshot = model.snapshot()
     num_users = len(dataset.users)
     for epoch in range(1, cfg.max_epochs + 1):
@@ -259,7 +250,7 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
                 users, dataset.num_items, cfg.max_len,
                 _epoch_rng(cfg.seed, 2, epoch, b),
                 _epoch_rng(cfg.seed, 3, epoch, b) if cfg.lambda2 != 0.0 else None,
-                aug_cfg, cfg.gce_batch_mode)
+                aug_cfg)
             rng_drop = _epoch_rng(cfg.seed, 4, epoch, b) if cfg.dropout > 0 else None
             rng_drop_views = _epoch_rng(cfg.seed, 5, epoch, b) if cfg.dropout > 0 else None
             model.zero_grads()

@@ -185,7 +185,7 @@ def toy_setup():
                   np.random.default_rng(5))
     batch = assemble_batch(dataset.users[:b], dataset.num_items, n,
                            np.random.default_rng(1), np.random.default_rng(2),
-                           AugmentConfig(), "targets")
+                           AugmentConfig())
     return model, batch, cfg
 
 
@@ -280,11 +280,12 @@ def test_criterion_6_toggle_bit_equivalence():
     users = np.arange(6)
 
     zeroed = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph,
-                   np.random.default_rng(1), zero_pge_projection=True)
+                   np.random.default_rng(1))
+    zeroed.params["pge_w2"].data[:] = 0.0
     disabled = Model(replace(cfg, enable_pge=False).model_config(
         dataset.num_items, dataset.num_users), graph, np.random.default_rng(1))
-    pge_ok = (zeroed.encode_batch(seqs, users).data.tobytes()
-              == disabled.encode_batch(seqs, users).data.tobytes())
+    pge_ok = (zeroed.hidden_states(seqs, users).data.tobytes()
+              == disabled.hidden_states(seqs, users).data.tobytes())
 
     emb = Tensor(np.vstack([np.zeros(4), rng.standard_normal((dataset.num_items, 4))]))
     factors = collab.init_factors(rng, dataset.num_items + 1, 2, strength=0.0)

@@ -116,10 +116,7 @@ class TestElementwiseGradients:
     def test_unary_ops(self, rng):
         specs = [
             (ad.tanh, rng.standard_normal((3, 4))),
-            (ad.sigmoid, rng.standard_normal((3, 4))),
             (ad.softplus, rng.standard_normal((3, 4)) * 3),
-            (ad.exp, rng.standard_normal((3, 4))),
-            (ad.log, rng.uniform(0.5, 2.0, (3, 4))),
             (ad.neg, rng.standard_normal((3, 4))),
         ]
         for op, data in specs:

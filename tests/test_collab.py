@@ -114,7 +114,7 @@ class TestPropagateRefined:
         base = collab.propagate_original(graph, emb, layers=1).data
         one = collab.propagate_refined(graph, emb, factors, layers=1).data - base
         scaled = collab.PerturbationFactors(
-            Tensor(3.0 * factors.left.data), Tensor(3.0 * factors.right.data), 1.0, 2)
+            Tensor(3.0 * factors.left.data), Tensor(3.0 * factors.right.data), 1.0)
         nine = collab.propagate_refined(graph, emb, scaled, layers=1).data - base
         np.testing.assert_allclose(nine, 9.0 * one, rtol=1e-9)
 

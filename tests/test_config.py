@@ -35,12 +35,10 @@ seed = 0
 crop_ratio = 0.6
 mask_ratio = 0.3
 reorder_ratio = 0.6
-gce_batch_mode = targets
 exclude_history = true
 enable_agcl = true
 enable_pge = true
 pge_graph = refined
-fusion_ablation = false
 spectrum = false
 """
 

@@ -5,6 +5,7 @@ from scipy import stats
 from graphseqrec import data as dp
 from graphseqrec.data import (AugmentConfig, EmptyDataset, Interaction,
                               ItemSequence, ParseError, SequenceTooShort)
+from graphseqrec.training import assemble_batch
 
 
 def make_log(rows):
@@ -128,28 +129,39 @@ class TestLeaveOneOut:
 
 
 class TestSampleNegative:
+    """Negatives as training draws them: ``assemble_batch`` samples uniformly
+    from ``eligible_negatives`` at every real prediction step."""
+
+    def negatives(self, train, num_items, rng, users=1, max_len=None):
+        split = [dp.UserSplit(u, list(train), 0, 0) for u in range(users)]
+        batch = assemble_batch(split, num_items, max_len or len(train), rng, None,
+                               AugmentConfig())
+        return batch.negatives[batch.step_mask > 0]
+
     def test_forced_choice(self, rng):
-        for _ in range(20):
-            assert dp.sample_negative([1], num_items=2, rng=rng) == 2
+        drawn = self.negatives([1, 1, 1], num_items=2, rng=rng, users=20)
+        assert drawn.size == 40 and (drawn == 2).all()
 
     def test_never_in_sequence(self, rng):
         items = [3, 5, 8, 13]
-        for _ in range(500):
-            assert dp.sample_negative(items, num_items=20, rng=rng) not in items
+        drawn = self.negatives(items * 3, num_items=20, rng=rng, users=50)
+        assert drawn.size == 550
+        assert not np.isin(drawn, items).any()
 
     def test_uniform_over_eligible_items(self):
         rng = np.random.default_rng(7)
         items = [2, 4, 6]
         eligible = dp.eligible_negatives(items, num_items=10)
         assert sorted(eligible) == [1, 3, 5, 7, 8, 9, 10]
-        draws = np.array([dp.sample_negative(items, 10, rng) for _ in range(100_000)])
+        draws = self.negatives(items * 334, 10, rng, users=100)
+        assert draws.size == 100_100
         counts = np.array([(draws == e).sum() for e in eligible])
         result = stats.chisquare(counts)
         assert result.pvalue > 0.01
 
     def test_no_eligible_item_is_error(self, rng):
-        with pytest.raises(ValueError, match="no item"):
-            dp.sample_negative([1, 2], num_items=2, rng=rng)
+        with pytest.raises(ValueError, match="user 42: no eligible negative item"):
+            assemble_batch([dp.UserSplit(42, [1, 2], 0, 0)], 2, 2, rng, None, AugmentConfig())
 
 
 class TestAugment:

@@ -71,7 +71,8 @@ class TestEncode:
 
     def test_zeroed_projection_equals_disabled_pge(self, rng):
         cfg, params = make_params(rng)
-        params.update(enc.init_pge_params(rng, cfg, zero_projection=True))
+        params.update(enc.init_pge_params(rng, cfg))
+        params["pge_w2"].data[:] = 0.0
         seqs = np.array([[0, 1, 2, 3, 4], [0, 0, 5, 6, 7]])
         subgraphs = rng.standard_normal((2, 5, 5))
         rel_pe = enc.pge_encoding(params, np.array([0, 1]), subgraphs)

@@ -18,7 +18,7 @@ class TestRankTarget:
     def test_unique_max_is_rank_one(self, rng):
         emb = np.zeros((6, 3))
         emb[3] = [1.0, 1.0, 1.0]
-        assert ev.rank_target(np.ones(3), emb, history=set(), target=3) == 1
+        assert ev.rank_from_scores(emb[1:] @ np.ones(3), history=set(), target=3) == 1
 
     def test_all_ties_largest_id_ranks_last(self):
         scores = np.zeros(7)

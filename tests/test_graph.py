@@ -120,6 +120,12 @@ class TestNormalizeFinalize:
         assert weighted[1, 2] != counted[1, 2]
         np.testing.assert_allclose(counted[1, 2], (1 / 2 + 1 / 2) * 1.0)
 
+    def test_zero_degree_endpoint_names_the_edge(self):
+        acc = gr.DirectedAccumulator(4)
+        acc.add(1, 2, 0.0)
+        with pytest.raises(ValueError, match=r"edge \(1, 2\)"):
+            gr.normalize_finalize(acc)
+
     def test_dump_format_sorted(self, tmp_path):
         graph = gr.build_transition_graph([ItemSequence(0, [2, 1])], window=1, num_items=2)
         path = tmp_path / "graph.tsv"

@@ -33,11 +33,11 @@ class TestToggles:
     def test_disabled_pge_equals_zeroed_projection(self, setup):
         seqs, graph = setup
         padded, users = batch_from(seqs)
-        zeroed = Model(config(enable_pge=True), graph,
-                       np.random.default_rng(3), zero_pge_projection=True)
+        zeroed = Model(config(enable_pge=True), graph, np.random.default_rng(3))
+        zeroed.params["pge_w2"].data[:] = 0.0
         disabled = Model(config(enable_pge=False), graph, np.random.default_rng(3))
-        a = zeroed.encode_batch(padded, users).data
-        b = disabled.encode_batch(padded, users).data
+        a = zeroed.hidden_states(padded, users).data
+        b = disabled.hidden_states(padded, users).data
         assert a.tobytes() == b.tobytes()
 
     def test_pge_graph_choice_changes_subgraphs(self, setup):
@@ -63,13 +63,13 @@ class TestPersistence:
         seqs, graph = setup
         padded, users = batch_from(seqs)
         model = Model(config(), graph, np.random.default_rng(4))
-        before = model.encode_batch(padded, users).data.copy()
+        before = model.hidden_states(padded, users).data.copy()
         path = tmp_path / "model.ckpt"
         model.save(path)
         other = Model(config(), graph, np.random.default_rng(99))
         leftovers = other.load(path)
         assert leftovers == {}
-        after = other.encode_batch(padded, users).data
+        after = other.hidden_states(padded, users).data
         np.testing.assert_array_equal(before, after)
 
     def test_shape_mismatch_names_parameter_and_shapes(self, setup, tmp_path):

@@ -122,6 +122,19 @@ class TestCheckpointArchive:
         np.testing.assert_array_equal(fresh.v["w"], opt.v["w"])
         assert fresh.step_count == 1
 
+    def test_zero_d_array_keeps_its_shape(self, tmp_path):
+        path = tmp_path / "scalar.bin"
+        save_archive(path, {"s": np.asarray(2.0)})
+        loaded = load_archive(path)["s"]
+        assert loaded.shape == () and loaded == 2.0
+
+    def test_optimizer_reads_step_stored_as_one_element_vector(self):
+        # archives written before 0-d records kept their shape hold opt.step as (1,)
+        fresh = Adam({"w": Tensor(np.zeros(2), requires_grad=True)})
+        fresh.load_state_arrays({"opt.m.w": np.ones(2), "opt.v.w": np.ones(2),
+                                 "opt.step": np.array([7.0])})
+        assert fresh.step_count == 7
+
     def test_every_truncation_raises_checkpoint_error(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_archive(path, {"vector": np.arange(3.0), "matrix": np.ones((2, 2))})

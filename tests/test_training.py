@@ -142,7 +142,7 @@ class TestToggleIsolation:
         batch = assemble_batch(users, dataset.num_items, cfg.max_len,
                                np.random.default_rng(11),
                                np.random.default_rng(12) if cfg.lambda2 else None,
-                               tr.AugmentConfig(), cfg.gce_batch_mode)
+                               tr.AugmentConfig())
         model.zero_grads()
         return train_step(model, batch, cfg, None, None)
 
@@ -263,13 +263,3 @@ class TestTrainLoop:
         shuffled = tr.SplitDataset(list(reversed(dataset.users)), dataset.num_items)
         reordered = evaluate_model(result.model, shuffled, "test", batch_size=16)
         assert reordered.hr == small.hr and reordered.ndcg == small.ndcg
-
-
-class TestFusionAblation:
-    def test_fusion_variant_trains_and_differs(self):
-        dataset = tiny_dataset()
-        base = train(tiny_config(max_epochs=1, patience=0), dataset)
-        fused = train(tiny_config(max_epochs=1, patience=0, fusion_ablation=True), dataset)
-        assert "fusion_w" in fused.model.params
-        assert "fusion_w" not in base.model.params
-        assert fused.history != base.history
