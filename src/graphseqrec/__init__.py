@@ -19,7 +19,7 @@ from .data import (AugmentConfig, Interaction, ItemSequence, SplitDataset,
 from .evaluation import (MetricsReport, SpectrumReport, hr_ndcg,
                          popularity_ranks, spectrum)
 from .graph import (SubgraphPerturbation, TransitionGraph, accumulate,
-                    build_transition_graph, extract_subgraph, normalize_finalize)
+                    build_transition_graph, normalize_finalize)
 from .config import ModelConfig, TrainConfig
 from .model import Model
 from .optim import Adam, GradientNaN

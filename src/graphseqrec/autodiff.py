@@ -77,9 +77,16 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
+    if g.shape != t.shape:
+        raise ShapeMismatch(f"{t.op}: gradient of shape {list(g.shape)} for a tensor "
+                            f"of shape {list(t.shape)}")
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # an owned copy in the tensor's layout: g may be a view of another
+        # node's gradient, and the grad is later added to in place
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -264,7 +271,7 @@ def total_sum(a: Tensor) -> Tensor:
     data = a.data.sum()
 
     def back(g, a=a):
-        _accumulate(a, np.broadcast_to(g, a.shape).copy() if a.shape else np.asarray(g))
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _node(np.asarray(data), (a,), back, "sum")
 
@@ -275,7 +282,7 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def back(g, a=a, axis=axis, keepdims=keepdims):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _node(data, (a,), back, "sum_axis")
 

@@ -1,5 +1,5 @@
 """Global item-transition graph: windowed accumulation, normalization,
-sparse propagation, and per-sequence subgraph extraction.
+sparse propagation, and batched per-sequence subgraph extraction.
 
 The graph lives on an (num_items + 1)-node index space; row/column 0 is the
 padding slot and never carries an edge.  Construction is two-phase: a
@@ -66,12 +66,21 @@ def accumulate(sequences: Sequence[ItemSequence], window: int = 2,
 
 
 class TransitionGraph:
-    """Finalized sparse item-item graph (symmetric, unit self-loops)."""
+    """Finalized sparse item-item graph (symmetric, unit self-loops).
+
+    ``keys`` holds ``row * num_nodes + col`` for every stored entry, strictly
+    increasing and aligned with ``matrix.data``, so a batch of (row, col)
+    weights is one ``searchsorted``.
+    """
 
     def __init__(self, matrix: sp.csr_matrix, seen_items: Iterable[int]):
+        matrix = matrix.tocsr()
+        matrix.sum_duplicates()  # sorted and duplicate-free, so the keys are too
         self.matrix = matrix
         self.num_nodes = matrix.shape[0]
         self.seen_items = frozenset(int(i) for i in seen_items)
+        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(matrix.indptr))
+        self.keys = rows * self.num_nodes + matrix.indices
         self._transposed: Optional[sp.csr_matrix] = None
 
     @property
@@ -103,10 +112,6 @@ class TransitionGraph:
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def submatrix(self, ids: np.ndarray) -> np.ndarray:
-        """Dense block of weights between the given node ids."""
-        return self.matrix[ids][:, ids].toarray()
 
     def entries(self) -> List[Tuple[int, int, float]]:
         coo = self.matrix.tocoo()
@@ -143,9 +148,7 @@ def normalize_finalize(acc: DirectedAccumulator, degree_mode: str = "weighted",
         loops = sp.csr_matrix(
             (np.full(loop_ids.size, self_loop), (loop_ids, loop_ids)), shape=(n, n))
         symmetric = symmetric + loops
-    symmetric.sum_duplicates()
-    symmetric.sort_indices()
-    return TransitionGraph(symmetric.tocsr(), acc.seen_items)
+    return TransitionGraph(symmetric, acc.seen_items)
 
 
 def build_transition_graph(sequences: Sequence[ItemSequence], window: int = 2,
@@ -174,29 +177,38 @@ class SubgraphPerturbation:
     strength: float
 
 
-def extract_subgraph(graph: TransitionGraph, padded_seq: np.ndarray,
-                     perturbation: Optional[SubgraphPerturbation] = None) -> np.ndarray:
-    """Dense position-aligned weight block for one padded sequence.
-
-    Entry (p, q) is the (possibly refined) graph weight between the items at
-    positions p and q; rows/columns at padding positions are zero.
-    """
-    padded_seq = np.asarray(padded_seq, dtype=np.int64)
-    n = padded_seq.shape[0]
-    out = np.zeros((n, n), dtype=np.float64)
-    real = padded_seq > 0
-    if not real.any():
-        return out
-    ids = padded_seq[real]
-    block = graph.submatrix(ids)
-    if perturbation is not None and perturbation.strength != 0.0:
-        block = block + perturbation.strength * (
-            perturbation.left[ids] @ perturbation.right[ids].T)
-    out[np.ix_(real, real)] = block
-    return out
-
-
 def extract_subgraph_batch(graph: TransitionGraph, seqs: np.ndarray,
                            perturbation: Optional[SubgraphPerturbation] = None) -> np.ndarray:
+    """Dense position-aligned weight blocks, one (N, N) block per padded row.
+
+    Entry (b, p, q) is the (possibly refined) graph weight between the items
+    at positions p and q of row b; entries at padding positions are zero.
+    All B*N*N pairs are read with one search in the graph's sorted keys.
+    """
     seqs = np.asarray(seqs, dtype=np.int64)
-    return np.stack([extract_subgraph(graph, row, perturbation) for row in seqs])
+    if seqs.size and seqs.max() >= graph.num_nodes:
+        # an id past the end would alias another row's key
+        raise IndexError(f"item id {seqs.max()} is out of range for a graph "
+                         f"with {graph.num_nodes} nodes")
+    real = seqs > 0
+    pairs = real[:, :, None] & real[:, None, :]
+    out = np.zeros(pairs.shape, dtype=np.float64)
+    if graph.nnz:
+        query = seqs[:, :, None] * graph.num_nodes + seqs[:, None, :]
+        pos = np.minimum(np.searchsorted(graph.keys, query), graph.nnz - 1)
+        hit = pairs & (graph.keys[pos] == query)
+        out[hit] = graph.matrix.data[pos[hit]]
+    if perturbation is not None and perturbation.strength != 0.0:
+        # one (k x k) product per real-item count k, the shape of a single
+        # sequence's product: BLAS rounding depends on the shape, so a block
+        # does not change with the padding width or the rest of the batch
+        counts = real.sum(axis=1)
+        low_rank = np.zeros(pairs.shape, dtype=np.float64)
+        for k in np.unique(counts[counts > 0]):
+            rows = np.flatnonzero(counts == k)
+            slots = np.nonzero(real[rows])[1].reshape(rows.size, k)
+            ids = seqs[rows[:, None], slots]
+            low_rank[rows[:, None, None], slots[:, :, None], slots[:, None, :]] = (
+                perturbation.left[ids] @ perturbation.right[ids].transpose(0, 2, 1))
+        out[pairs] += perturbation.strength * low_rank[pairs]
+    return out

@@ -14,7 +14,7 @@ from . import collab, encoder
 from .autodiff import Tensor
 from .checkpoint import load_archive, save_archive
 from .config import ModelConfig
-from .graph import TransitionGraph, extract_subgraph_batch
+from .graph import SubgraphPerturbation, TransitionGraph, extract_subgraph_batch
 
 
 # parameter rows that must stay zero (padding slots)
@@ -44,30 +44,50 @@ class Model:
                                             self.factors, self.cfg.gcn_layers,
                                             self.cfg.literal_layer_avg)
 
-    def subgraphs(self, seqs: np.ndarray) -> np.ndarray:
+    @property
+    def _reads_refined(self) -> bool:
+        return (self.cfg.enable_pge and self.cfg.pge_graph == "refined"
+                and self.cfg.alpha != 0.0)
+
+    def subgraph_perturbation(self) -> Optional[SubgraphPerturbation]:
+        """Detached refinement snapshot for the subgraph reads of one forward
+        pass, or None when those reads use the base graph (or none happen).
+
+        Take one per train step or evaluation: it is stale once the
+        optimizer moves the factors.
+        """
+        if self._reads_refined:
+            return collab.detached_perturbation(self.graph, self.factors)
+        return None
+
+    def subgraphs(self, seqs: np.ndarray,
+                  perturbation: Optional[SubgraphPerturbation]) -> np.ndarray:
         """Per-sequence dense weight blocks for the relative encoding.
 
         Reads the refined graph when configured; that read is detached, so
         the factors stay trained by the collaborative loss alone.
         """
-        pert = None
-        if self.cfg.pge_graph == "refined" and self.cfg.alpha != 0.0:
-            pert = collab.detached_perturbation(self.graph, self.factors)
-        return extract_subgraph_batch(self.graph, seqs, pert)
+        if (perturbation is not None) != self._reads_refined:
+            raise ValueError("subgraphs: pass this model's subgraph_perturbation() "
+                             f"(pge_graph={self.cfg.pge_graph!r}, alpha={self.cfg.alpha})")
+        return extract_subgraph_batch(self.graph, seqs, perturbation)
 
     # --------------------------------------------------------------- encoder
     def hidden_states(self, seqs: np.ndarray, user_ids: np.ndarray,
+                      perturbation: Optional[SubgraphPerturbation],
                       rng: Optional[np.random.Generator] = None) -> Tensor:
         """Per-position states used for scoring; the per-user graph encoding
         enters the attention logits when it is enabled."""
         rel_pe = None
         if self.cfg.enable_pge:
-            rel_pe = encoder.pge_encoding(self.params, user_ids, self.subgraphs(seqs))
+            rel_pe = encoder.pge_encoding(self.params, user_ids,
+                                          self.subgraphs(seqs, perturbation))
         return encoder.encode(self.params, self.cfg, seqs, rel_pe, rng)
 
     def user_reprs(self, seqs: np.ndarray, user_ids: np.ndarray,
+                   perturbation: Optional[SubgraphPerturbation],
                    rng: Optional[np.random.Generator] = None) -> Tensor:
-        return encoder.user_repr(self.hidden_states(seqs, user_ids, rng), seqs)
+        return encoder.user_repr(self.hidden_states(seqs, user_ids, perturbation, rng), seqs)
 
     # ------------------------------------------------------------- training
     def drop_padding_grads(self) -> None:

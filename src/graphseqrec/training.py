@@ -149,6 +149,7 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
     """Full-ranking metrics for one split; deterministic (no dropout)."""
     rows = eval_input_sequences(dataset, split)
     item_emb = model.params["item_emb"].data
+    perturbation = model.subgraph_perturbation()
     ranks: List[int] = []
     n = model.cfg.max_len
     for start in range(0, len(rows), batch_size):
@@ -156,7 +157,7 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
         seqs = np.stack([pad_sequence(inp, n) for inp, _, _ in chunk])
         user_ids = np.asarray(
             [u.user_id for u in dataset.users[start:start + batch_size]], dtype=np.int64)
-        reprs = model.user_reprs(seqs, user_ids).data
+        reprs = model.user_reprs(seqs, user_ids, perturbation).data
         scores = reprs @ item_emb[1:].T
         for i, (_, target, history) in enumerate(chunk):
             ranks.append(rank_from_scores(scores[i], history, target, exclude_history))
@@ -195,7 +196,8 @@ def train_step(model: Model, batch: Batch, cfg: TrainConfig,
                rng_dropout_views: Optional[np.random.Generator]) -> Dict[str, float]:
     """Forward all enabled loss terms, backprop, and report their values."""
     lambda1 = cfg.lambda1 if cfg.enable_agcl else 0.0
-    hidden = model.hidden_states(batch.seqs, batch.user_ids, rng_dropout)
+    perturbation = model.subgraph_perturbation()
+    hidden = model.hidden_states(batch.seqs, batch.user_ids, perturbation, rng_dropout)
     rec = next_item_loss(hidden, model.params["item_emb"], batch.targets,
                          batch.negatives, batch.step_mask)
     gce = None
@@ -205,8 +207,8 @@ def train_step(model: Model, batch: Batch, cfg: TrainConfig,
         gce = gce_loss(orig_rows, ref_rows, cfg.tau)
     seq = None
     if cfg.lambda2 != 0.0 and batch.view1 is not None:
-        h1 = model.hidden_states(batch.view1, batch.user_ids, rng_dropout_views)
-        h2 = model.hidden_states(batch.view2, batch.user_ids, rng_dropout_views)
+        h1 = model.hidden_states(batch.view1, batch.user_ids, perturbation, rng_dropout_views)
+        h2 = model.hidden_states(batch.view2, batch.user_ids, perturbation, rng_dropout_views)
         z1 = user_repr(h1, batch.view1)
         z2 = user_repr(h2, batch.view2)
         seq = seq_cl_loss(z1, z2, cfg.tau)

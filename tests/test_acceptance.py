@@ -194,7 +194,7 @@ def test_criterion_4_gradient_suite():
     start = time.perf_counter()
 
     def loss_rec():
-        hidden = model.hidden_states(batch.seqs, batch.user_ids)
+        hidden = model.hidden_states(batch.seqs, batch.user_ids, model.subgraph_perturbation())
         return next_item_loss(hidden, model.params["item_emb"], batch.targets,
                               batch.negatives, batch.step_mask)
 
@@ -205,8 +205,9 @@ def test_criterion_4_gradient_suite():
 
     def loss_seq():
         from graphseqrec.encoder import user_repr
-        h1 = model.hidden_states(batch.view1, batch.user_ids)
-        h2 = model.hidden_states(batch.view2, batch.user_ids)
+        pert = model.subgraph_perturbation()
+        h1 = model.hidden_states(batch.view1, batch.user_ids, pert)
+        h2 = model.hidden_states(batch.view2, batch.user_ids, pert)
         return seq_cl_loss(user_repr(h1, batch.view1), user_repr(h2, batch.view2),
                            cfg.tau)
 
@@ -284,8 +285,8 @@ def test_criterion_6_toggle_bit_equivalence():
     zeroed.params["pge_w2"].data[:] = 0.0
     disabled = Model(replace(cfg, enable_pge=False).model_config(
         dataset.num_items, dataset.num_users), graph, np.random.default_rng(1))
-    pge_ok = (zeroed.hidden_states(seqs, users).data.tobytes()
-              == disabled.hidden_states(seqs, users).data.tobytes())
+    pge_ok = (zeroed.hidden_states(seqs, users, zeroed.subgraph_perturbation()).data.tobytes()
+              == disabled.hidden_states(seqs, users, None).data.tobytes())
 
     emb = Tensor(np.vstack([np.zeros(4), rng.standard_normal((dataset.num_items, 4))]))
     factors = collab.init_factors(rng, dataset.num_items + 1, 2, strength=0.0)

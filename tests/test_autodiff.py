@@ -100,6 +100,19 @@ class TestBackward:
         ad.backward(loss)
         assert float(x.grad) == 6.0
 
+    def test_first_gradient_is_an_owned_copy(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        g = np.arange(6.0).reshape(3, 2)
+        ad._accumulate(x, g.T)  # a view, as transpose's backward passes
+        g[:] = -1.0
+        ad._accumulate(x, np.ones((2, 3)))
+        np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(3, 2).T + 1.0)
+
+    def test_gradient_of_another_shape_rejected(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        with pytest.raises(ShapeMismatch, match=r"gradient of shape \[3\].*\[2, 3\]"):
+            ad._accumulate(x, np.ones(3))
+
     def test_determinism_same_seed_bitwise(self):
         def run():
             r = np.random.default_rng(7)

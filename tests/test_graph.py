@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphseqrec import autodiff as ad
 from graphseqrec import graph as gr
@@ -166,20 +167,39 @@ class TestSpmv:
             graph.spmv(Tensor(np.zeros((5, 2))))
 
 
+def per_row_reference(graph, seqs, perturbation=None):
+    """The per-row extraction the batched lookup replaced, kept as its oracle."""
+    out = np.zeros(seqs.shape + seqs.shape[1:])
+    for b, row in enumerate(seqs):
+        real = row > 0
+        if not real.any():
+            continue
+        ids = row[real]
+        block = graph.matrix[ids][:, ids].toarray()
+        if perturbation is not None and perturbation.strength != 0.0:
+            block = block + perturbation.strength * (
+                perturbation.left[ids] @ perturbation.right[ids].T)
+        out[b][np.ix_(real, real)] = block
+    return out
+
+
 class TestExtractSubgraph:
     def build(self, rng, num_items=10):
         return gr.build_transition_graph(random_sequences(rng, 20, num_items),
                                          window=2, num_items=num_items)
 
+    def one_row(self, graph, padded, perturbation=None):
+        return gr.extract_subgraph_batch(graph, np.asarray(padded)[None], perturbation)[0]
+
     def test_all_padding_gives_zero_matrix(self, rng):
         graph = self.build(rng)
-        out = gr.extract_subgraph(graph, np.zeros(6, dtype=np.int64))
+        out = self.one_row(graph, np.zeros(6, dtype=np.int64))
         np.testing.assert_array_equal(out, np.zeros((6, 6)))
 
     def test_repeated_item_fills_diagonal_weight(self, rng):
         graph = self.build(rng)
         padded = np.array([0, 0, 3, 3, 3])
-        out = gr.extract_subgraph(graph, padded)
+        out = self.one_row(graph, padded)
         expected = graph.dense()[3, 3]
         assert (out[2:, 2:] == expected).all()
         assert (out[:2] == 0).all() and (out[:, :2] == 0).all()
@@ -191,7 +211,7 @@ class TestExtractSubgraph:
             padded = np.zeros(8, dtype=np.int64)
             real = int(rng.integers(1, 9))
             padded[8 - real:] = rng.integers(1, 11, real)
-            out = gr.extract_subgraph(graph, padded)
+            out = self.one_row(graph, padded)
             for p in range(8):
                 for q in range(8):
                     want = dense[padded[p], padded[q]] if padded[p] and padded[q] else 0.0
@@ -203,7 +223,7 @@ class TestExtractSubgraph:
         right = rng.standard_normal((11, 3))
         pert = gr.SubgraphPerturbation(left, right, 0.25)
         padded = np.array([0, 2, 5, 9])
-        out = gr.extract_subgraph(graph, padded, pert)
+        out = self.one_row(graph, padded, pert)
         dense = graph.dense()
         for p in range(1, 4):
             for q in range(1, 4):
@@ -216,5 +236,53 @@ class TestExtractSubgraph:
         seqs = np.array([[0, 1, 2], [3, 3, 0]])
         # trailing padding does not occur in training layouts but must still zero out
         batch = gr.extract_subgraph_batch(graph, seqs)
-        np.testing.assert_array_equal(batch[0], gr.extract_subgraph(graph, seqs[0]))
-        np.testing.assert_array_equal(batch[1], gr.extract_subgraph(graph, seqs[1]))
+        np.testing.assert_array_equal(batch[0], self.one_row(graph, seqs[0]))
+        np.testing.assert_array_equal(batch[1], self.one_row(graph, seqs[1]))
+
+    @pytest.mark.parametrize("strength", [0.0, 0.05, 2.5])
+    def test_bitwise_equal_to_per_row_reference(self, rng, strength):
+        # items 13..16 never occur in a sequence, so they have no edges at all
+        graph = gr.build_transition_graph(random_sequences(rng, 30, 12), window=3,
+                                          num_items=16)
+        # a non-zero padding row checks that padding positions are masked; at
+        # rank 32 a product of another shape than the per-row one rounds apart
+        pert = gr.SubgraphPerturbation(50 * rng.standard_normal((17, 32)),
+                                       50 * rng.standard_normal((17, 32)), strength)
+        for _ in range(20):
+            seqs = rng.integers(1, 17, (int(rng.integers(1, 12)), 9))
+            seqs[rng.random(seqs.shape) < 0.3] = 0   # padding anywhere, trailing too
+            seqs[0] = 0                              # an all-padding row
+            seqs[-1, :4] = seqs[-1, 4]               # duplicates
+            np.testing.assert_array_equal(gr.extract_subgraph_batch(graph, seqs, pert),
+                                          per_row_reference(graph, seqs, pert))
+            np.testing.assert_array_equal(gr.extract_subgraph_batch(graph, seqs),
+                                          per_row_reference(graph, seqs))
+
+    def test_out_of_range_id_rejected(self, rng):
+        graph = self.build(rng)
+        with pytest.raises(IndexError, match="item id 11 is out of range"):
+            gr.extract_subgraph_batch(graph, np.array([[0, 3, 11]]))
+
+    def test_empty_graph_reads_zero_base_weights(self, rng):
+        graph = gr.TransitionGraph(sp.csr_matrix((6, 6)), [])
+        seqs = np.array([[0, 1, 5], [2, 2, 0]])
+        np.testing.assert_array_equal(gr.extract_subgraph_batch(graph, seqs),
+                                      np.zeros((2, 3, 3)))
+        pert = gr.SubgraphPerturbation(rng.standard_normal((6, 2)),
+                                       rng.standard_normal((6, 2)), 0.5)
+        np.testing.assert_array_equal(gr.extract_subgraph_batch(graph, seqs, pert),
+                                      per_row_reference(graph, seqs, pert))
+
+    def test_unsorted_duplicated_csr_is_canonicalized(self):
+        # row 1 holds column 3 twice and out of order, row 2 holds (2, 0); the
+        # (0, 0) entry must still read as zero at padding positions
+        matrix = sp.csr_matrix((np.array([9.0, 1.0, 2.0, 4.0, 7.0]),
+                                np.array([0, 3, 1, 3, 0]), np.array([0, 1, 4, 5, 5])),
+                               shape=(4, 4))
+        graph = gr.TransitionGraph(matrix, [1, 2, 3])
+        assert (np.diff(graph.keys) > 0).all()
+        seqs = np.array([[0, 1, 3, 2, 1]])
+        want = np.zeros((1, 5, 5))
+        want[0, 1, 1] = want[0, 4, 4] = want[0, 1, 4] = want[0, 4, 1] = 2.0
+        want[0, 1, 2] = want[0, 4, 2] = 5.0
+        np.testing.assert_array_equal(gr.extract_subgraph_batch(graph, seqs), want)

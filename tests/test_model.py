@@ -36,8 +36,8 @@ class TestToggles:
         zeroed = Model(config(enable_pge=True), graph, np.random.default_rng(3))
         zeroed.params["pge_w2"].data[:] = 0.0
         disabled = Model(config(enable_pge=False), graph, np.random.default_rng(3))
-        a = zeroed.hidden_states(padded, users).data
-        b = disabled.hidden_states(padded, users).data
+        a = zeroed.hidden_states(padded, users, zeroed.subgraph_perturbation()).data
+        b = disabled.hidden_states(padded, users, None).data
         assert a.tobytes() == b.tobytes()
 
     def test_pge_graph_choice_changes_subgraphs(self, setup):
@@ -47,11 +47,13 @@ class TestToggles:
                         np.random.default_rng(3))
         original = Model(config(pge_graph="original", alpha=0.5), graph,
                          np.random.default_rng(3))
-        assert not np.array_equal(refined.subgraphs(padded), original.subgraphs(padded))
-        np.testing.assert_array_equal(
-            original.subgraphs(padded),
-            Model(config(pge_graph="refined", alpha=0.0), graph,
-                  np.random.default_rng(3)).subgraphs(padded))
+        unrefined = Model(config(pge_graph="refined", alpha=0.0), graph,
+                          np.random.default_rng(3))
+        blocks = {name: model.subgraphs(padded, model.subgraph_perturbation())
+                  for name, model in (("refined", refined), ("original", original),
+                                      ("unrefined", unrefined))}
+        assert not np.array_equal(blocks["refined"], blocks["original"])
+        np.testing.assert_array_equal(blocks["original"], blocks["unrefined"])
 
     def test_invalid_pge_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -63,13 +65,13 @@ class TestPersistence:
         seqs, graph = setup
         padded, users = batch_from(seqs)
         model = Model(config(), graph, np.random.default_rng(4))
-        before = model.hidden_states(padded, users).data.copy()
+        before = model.hidden_states(padded, users, model.subgraph_perturbation()).data.copy()
         path = tmp_path / "model.ckpt"
         model.save(path)
         other = Model(config(), graph, np.random.default_rng(99))
         leftovers = other.load(path)
         assert leftovers == {}
-        after = other.hidden_states(padded, users).data
+        after = other.hidden_states(padded, users, other.subgraph_perturbation()).data
         np.testing.assert_array_equal(before, after)
 
     def test_shape_mismatch_names_parameter_and_shapes(self, setup, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphseqrec import autodiff as ad
+from graphseqrec import collab
 from graphseqrec import training as tr
 from graphseqrec.autodiff import DegenerateRow, Tensor
 from graphseqrec.data import build_sequences, leave_one_out, synth_generate
@@ -193,6 +194,46 @@ class TestToggleIsolation:
         model.cfg.enable_agcl = True
         self.compute_losses(model, dataset, cfg_on)
         assert np.abs(model.params["pert_left"].grad).max() > 0.0
+
+
+class TestPerturbationSnapshot:
+    """The detached refinement snapshot is taken once per forward pass of the
+    model, not once per subgraph read."""
+
+    def test_one_snapshot_per_train_step_and_per_evaluation(self, monkeypatch):
+        dataset = tiny_dataset()
+        cfg = tiny_config(batch_size=8, pge_graph="refined")
+        graph = tr.train_graph(dataset, cfg.window)
+        model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph,
+                      np.random.default_rng(5))
+        calls = []
+        original = collab.detached_perturbation
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(collab, "detached_perturbation", counted)
+        batch = assemble_batch(dataset.users[:cfg.batch_size], dataset.num_items,
+                               cfg.max_len, np.random.default_rng(11),
+                               np.random.default_rng(12), tr.AugmentConfig())
+        train_step(model, batch, cfg, None, None)
+        assert len(calls) == 1  # main sequence and both augmented views
+        evaluate_model(model, dataset, "valid", batch_size=cfg.batch_size)
+        assert len(calls) == 2  # five evaluation chunks
+
+    def test_subgraphs_reject_a_missing_or_unneeded_snapshot(self):
+        dataset = tiny_dataset()
+        seqs = np.zeros((2, 8), dtype=np.int64)
+        graph = tr.train_graph(dataset)
+        refined = Model(tiny_config(pge_graph="refined").model_config(
+            dataset.num_items, dataset.num_users), graph, np.random.default_rng(5))
+        original = Model(tiny_config(pge_graph="original").model_config(
+            dataset.num_items, dataset.num_users), graph, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="pge_graph='refined'"):
+            refined.subgraphs(seqs, None)
+        with pytest.raises(ValueError, match="pge_graph='original'"):
+            original.subgraphs(seqs, refined.subgraph_perturbation())
 
 
 class TestTrainLoop:
