@@ -3,7 +3,10 @@
 Every derived :class:`Tensor` records its parents and a closure that applies
 the chain rule, so :func:`backward` can walk the graph once in reverse
 topological order and accumulate ``grad`` into every leaf that was created
-with ``requires_grad=True``.
+with ``requires_grad=True``.  The walk consumes the graph: each interior
+node drops its gradient, closure and parents as soon as its closure has run,
+so gradients are kept on leaves only and a second ``backward`` through the
+same nodes raises :class:`GraphConsumed`.
 
 The op set is deliberately small: exactly what dot-product attention,
 layer-normalized feed-forward stacks, graph propagation, and the
@@ -29,12 +32,16 @@ class DegenerateRow(ValueError):
     """A row violates an operation precondition (fully masked, zero norm)."""
 
 
+class GraphConsumed(RuntimeError):
+    """``backward`` reached a node whose tape an earlier ``backward`` consumed."""
+
+
 class Tensor:
     """A dense float64 array plus an optional gradient accumulator.
 
     Leaves are built directly (``Tensor(data, requires_grad=...)``); interior
     nodes are produced by the ops in this module and carry the tape record
-    (parents + backward closure) used by :func:`backward`.
+    (parents + backward closure) used, and then dropped, by :func:`backward`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
@@ -111,7 +118,12 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` of every requires_grad leaf reachable from ``loss``.
 
     ``loss`` must be a scalar (shape ``()``).  The recorded graph is walked
-    exactly once per node, in reverse topological order.
+    exactly once per node, in reverse topological order, and consumed as it
+    goes: once a node's closure has run, every consumer of that node has
+    already run, so the node drops its ``grad``, closure and parents, and its
+    output and saved arrays can be freed while the walk goes on.  Gradients are
+    kept on leaves only.  A node consumed by an earlier call raises
+    :class:`GraphConsumed` before any gradient is touched.
     """
     if loss.shape != ():
         raise ShapeMismatch(f"backward expects a scalar loss, got shape {list(loss.shape)}")
@@ -125,15 +137,23 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node.requires_grad and node.op != "leaf" and node._backward is None:
+            raise GraphConsumed(f"backward: node '{node.op}' was consumed by an earlier backward")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones((), dtype=np.float64)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._backward = None
+        node._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +506,10 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tenso
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0 or rng is None:
         return x
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    data = x.data * keep
+    keep = rng.random(x.shape) >= rate  # boolean: 1 byte per entry on the tape
+    data = x.data * (keep / (1.0 - rate))
 
-    def back(g, x=x, keep=keep):
-        _accumulate(x, g * keep)
+    def back(g, x=x, keep=keep, rate=rate):
+        _accumulate(x, g * (keep / (1.0 - rate)))
 
     return _node(data, (x,), back, "dropout")

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from graphseqrec import autodiff as ad
-from graphseqrec.autodiff import DegenerateRow, ShapeMismatch, Tensor
+from graphseqrec.autodiff import DegenerateRow, GraphConsumed, ShapeMismatch, Tensor
 
 from conftest import check_grads
 
@@ -123,6 +125,58 @@ class TestBackward:
             return loss.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()
+
+    def test_second_backward_on_the_same_loss_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = ad.total_sum(ad.mul(x, 2.0))
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+        with pytest.raises(GraphConsumed, match="'sum'"):
+            ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))  # untouched
+
+    def test_new_loss_through_a_consumed_node_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = ad.mul(x, 2.0)
+        ad.backward(ad.total_sum(y))
+        with pytest.raises(GraphConsumed, match="'mul'"):
+            ad.backward(ad.total_sum(ad.tanh(y)))
+
+    def test_leaf_grad_sums_over_separate_passes(self):
+        w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        ad.backward(ad.total_sum(ad.mul(w, 3.0)))
+        ad.backward(ad.total_sum(ad.mul(w, w)))
+        np.testing.assert_array_equal(w.grad, 3.0 + 2.0 * w.data)
+
+    def test_no_interior_node_keeps_a_grad(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        h = ad.matmul(x, w)
+        a = ad.tanh(h)
+        loss = ad.total_sum(ad.mul(a, a))
+        ad.backward(loss)
+        assert [t.grad for t in (h, a, loss)] == [None, None, None]
+        assert x.grad is not None and w.grad is not None
+
+    def test_peak_memory_does_not_grow_with_depth(self):
+        # 30 elementwise nodes on a 200x1000 leaf: holding one gradient per
+        # node would need ~30 arrays at the peak; consuming the tape as it is
+        # walked needs a few (the node's gradient, a temporary, its parent's)
+        x = Tensor(np.random.default_rng(3).standard_normal((200, 1000)), requires_grad=True)
+        y = x
+        for _ in range(10):
+            y = ad.tanh(ad.add(ad.mul(y, 0.5), 0.1))
+        loss = ad.total_sum(y)
+        del y
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (peak - before) / x.data.nbytes
+        assert arrays <= 6.0, f"backward peaked at {arrays:.1f} arrays above its start"
 
 
 class TestElementwiseGradients:
@@ -265,6 +319,18 @@ class TestStructuredOps:
         x = Tensor(np.random.default_rng(0).standard_normal((4, 4)), requires_grad=True)
         check_grads(lambda: ad.total_sum(
             ad.dropout(x, 0.5, np.random.default_rng(99))), {"x": x}, rtol=1e-6)
+
+    def test_dropout_matches_the_float_mask_bitwise(self, rng):
+        x = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
+        w = rng.standard_normal((5, 7))
+        drawn = np.random.default_rng(41)
+        out = ad.dropout(x, 0.3, drawn)
+        ad.backward(ad.total_sum(ad.mul(out, Tensor(w))))
+        reference = np.random.default_rng(41)
+        keep = (reference.random(x.shape) >= 0.3) / (1.0 - 0.3)
+        assert out.data.tobytes() == (x.data * keep).tobytes()
+        assert x.grad.tobytes() == (w * keep).tobytes()
+        assert drawn.random() == reference.random()  # same draws consumed
 
     def test_sum_axis_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
