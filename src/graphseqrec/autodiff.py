@@ -8,6 +8,11 @@ node drops its gradient, closure and parents as soon as its closure has run,
 so gradients are kept on leaves only and a second ``backward`` through the
 same nodes raises :class:`GraphConsumed`.
 
+Inside a :func:`no_grad` block nothing is recorded: every op still computes
+the same values, but its output keeps no parents and no closure and does not
+require a gradient, so a forward that is only read (evaluation) builds no
+tape.  ``backward`` on such an output raises :class:`NotRecorded`.
+
 The op set is deliberately small: exactly what dot-product attention,
 layer-normalized feed-forward stacks, graph propagation, and the
 contrastive / binary-cross-entropy losses in this package need.
@@ -19,7 +24,8 @@ per-axis size-1 expansion, scalars); anything else raises
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +40,26 @@ class DegenerateRow(ValueError):
 
 class GraphConsumed(RuntimeError):
     """``backward`` reached a node whose tape an earlier ``backward`` consumed."""
+
+
+class NotRecorded(RuntimeError):
+    """``backward`` was called on an output that no recorded op produced."""
+
+
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape for the ops run inside the block; the previous state
+    comes back on exit, also when the block raises."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -70,7 +96,7 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     out.op = op
     if out.requires_grad:
         out._parents = tuple(parents)
@@ -123,10 +149,15 @@ def backward(loss: Tensor) -> None:
     already run, so the node drops its ``grad``, closure and parents, and its
     output and saved arrays can be freed while the walk goes on.  Gradients are
     kept on leaves only.  A node consumed by an earlier call raises
-    :class:`GraphConsumed` before any gradient is touched.
+    :class:`GraphConsumed` before any gradient is touched; a ``loss`` that
+    requires no gradient (built from constants or under :func:`no_grad`)
+    raises :class:`NotRecorded`.
     """
     if loss.shape != ():
         raise ShapeMismatch(f"backward expects a scalar loss, got shape {list(loss.shape)}")
+    if not loss.requires_grad:
+        raise NotRecorded(f"backward: output '{loss.op}' requires no gradient; "
+                          "no recorded op produced it")
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]

@@ -9,13 +9,18 @@ Layout (all integers little-endian):
                   row-major float64 payload
 
 Records are written in sorted name order so identical contents produce
-identical bytes.  Model parameters and optimizer moment buffers share the
-same archive; moments use an ``opt.`` name prefix.
+identical bytes.  Record names are unique.  Model parameters and optimizer
+moment buffers share the same archive; moments use an ``opt.`` name prefix.
+
+A save writes a sibling temporary file and renames it over the destination
+only once it is complete, so a failed save leaves the previous archive as it
+was.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from typing import Dict
 
@@ -29,18 +34,25 @@ class CheckpointError(ValueError):
 
 
 def save_archive(path, arrays: Dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(bytes([VERSION]))
-        fh.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.asarray(arrays[name], dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(arr.tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes([VERSION]))
+            fh.write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                arr = np.asarray(arrays[name], dtype="<f8")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_archive(path) -> Dict[str, np.ndarray]:
@@ -74,6 +86,9 @@ def load_archive(path) -> Dict[str, np.ndarray]:
             name = take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"bad record name in checkpoint {path} at byte {start}") from None
+        if name in out:
+            raise CheckpointError(
+                f"duplicate record '{name}' in checkpoint {path} at byte {start}")
         (ndim,) = struct.unpack("<B", take(1, f"'{name}' ndim"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"'{name}' dims"))
         payload = take(8 * math.prod(dims), f"'{name}' payload")

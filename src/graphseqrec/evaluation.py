@@ -8,35 +8,57 @@ with a smaller item id, so reported ranks never flatter the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import chain
+from typing import Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .data import SplitDataset
 
 METRIC_CUTOFFS = (5, 10, 20)
+RANK_CHUNK = 256  # rows per ranked score block in the popularity baseline
 
 
-def rank_from_scores(scores: np.ndarray, history: Iterable[int], target: int,
-                     exclude_history: bool = True) -> int:
-    """Rank helper shared by the model scorer and the popularity baseline.
+def rank_from_scores(scores: np.ndarray, histories: Sequence[Collection[int]],
+                     targets: Sequence[int], exclude_history: bool = True) -> np.ndarray:
+    """Rank of each row's target in a (B, V) score block; shared by the model
+    scorer and the popularity baseline.
 
-    ``scores[i]`` scores item id i+1.  Ties break by ascending item id, so
-    the target is ranked below every equal-scoring smaller id.
+    ``scores[b, i]`` scores item id i+1 for row b.  With ``exclude_history``
+    the items of ``histories[b]`` are not candidates in row b (padding ids
+    are ignored).  Ties break by ascending item id, so the target is ranked
+    below every equal-scoring smaller id.
     """
-    num_items = scores.shape[0]
-    candidate = np.ones(num_items, dtype=bool)
+    if scores.ndim != 2:
+        raise ValueError(f"rank_from_scores needs a (B, V) block, got shape {list(scores.shape)}")
+    rows, num_items = scores.shape
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (rows,):
+        raise ValueError(f"{targets.size} targets for {rows} score rows")
+    if rows and (targets.min() < 1 or targets.max() > num_items):
+        bad = targets[(targets < 1) | (targets > num_items)][0]
+        raise ValueError(f"target item {bad} is outside 1..{num_items}")
+    mask = np.ones(scores.shape, dtype=bool)
     if exclude_history:
-        hist = np.asarray([h for h in history if h > 0], dtype=np.int64)
-        if hist.size:
-            candidate[hist - 1] = False
-    if not candidate[target - 1]:
-        raise ValueError(f"target item {target} is excluded by the history")
-    target_score = scores[target - 1]
-    ids = np.arange(1, num_items + 1)
-    higher = candidate & (scores > target_score)
-    tied_lower = candidate & (scores == target_score) & (ids < target)
-    return 1 + int(higher.sum()) + int(tied_lower.sum())
+        hist_rows = np.repeat(np.arange(rows), [len(h) for h in histories])
+        hist_items = np.fromiter(chain.from_iterable(histories), dtype=np.int64,
+                                 count=hist_rows.size)
+        kept = hist_items > 0
+        mask[hist_rows[kept], hist_items[kept] - 1] = False
+    by_row = np.arange(rows)
+    excluded = ~mask[by_row, targets - 1]
+    if excluded.any():
+        raise ValueError(f"target item {targets[excluded][0]} is excluded by the history")
+    target_score = scores[by_row, targets - 1][:, None]
+    beaten = np.greater(scores, target_score)
+    beaten &= mask
+    higher = np.count_nonzero(beaten, axis=1)
+    tied_lower = np.equal(scores, target_score, out=beaten)
+    tied_lower &= mask
+    # the candidate mask is spent: reuse its buffer for "smaller item id"
+    smaller_id = np.less(np.arange(1, num_items + 1), targets[:, None], out=mask)
+    tied_lower &= smaller_id
+    return 1 + higher + np.count_nonzero(tied_lower, axis=1)
 
 
 def hr_ndcg(ranks: Sequence[int], k: int) -> tuple:
@@ -105,10 +127,15 @@ def popularity_ranks(dataset: SplitDataset, split: str,
     for user in dataset.users:
         for item in user.train:
             counts[item - 1] += 1.0
+    rows = eval_input_sequences(dataset, split)
     ranks = []
-    for inp, target, history in eval_input_sequences(dataset, split):
-        ranks.append(rank_from_scores(counts, history, target, exclude_history))
-    return ranks
+    for start in range(0, len(rows), RANK_CHUNK):
+        chunk = rows[start:start + RANK_CHUNK]
+        ranks.append(rank_from_scores(
+            np.broadcast_to(counts, (len(chunk), counts.size)),
+            [history for _, _, history in chunk], [target for _, target, _ in chunk],
+            exclude_history))
+    return np.concatenate(ranks).tolist()
 
 
 @dataclass

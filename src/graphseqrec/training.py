@@ -146,22 +146,24 @@ def assemble_batch(users: Sequence, num_items: int, max_len: int,
 def evaluate_model(model: Model, dataset: SplitDataset, split: str,
                    batch_size: int = 256, exclude_history: bool = True,
                    keep_ranks: bool = False) -> MetricsReport:
-    """Full-ranking metrics for one split; deterministic (no dropout)."""
+    """Full-ranking metrics for one split; deterministic (no dropout) and
+    tape-free (the forward runs under ``no_grad``)."""
     rows = eval_input_sequences(dataset, split)
     item_emb = model.params["item_emb"].data
     perturbation = model.subgraph_perturbation()
-    ranks: List[int] = []
+    ranks: List[np.ndarray] = []
     n = model.cfg.max_len
     for start in range(0, len(rows), batch_size):
         chunk = rows[start:start + batch_size]
         seqs = np.stack([pad_sequence(inp, n) for inp, _, _ in chunk])
         user_ids = np.asarray(
             [u.user_id for u in dataset.users[start:start + batch_size]], dtype=np.int64)
-        reprs = model.user_reprs(seqs, user_ids, perturbation).data
+        with ad.no_grad():
+            reprs = model.user_reprs(seqs, user_ids, perturbation).data
         scores = reprs @ item_emb[1:].T
-        for i, (_, target, history) in enumerate(chunk):
-            ranks.append(rank_from_scores(scores[i], history, target, exclude_history))
-    return MetricsReport.from_ranks(ranks, keep_ranks)
+        ranks.append(rank_from_scores(scores, [history for _, _, history in chunk],
+                                      [target for _, target, _ in chunk], exclude_history))
+    return MetricsReport.from_ranks(np.concatenate(ranks), keep_ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from graphseqrec import autodiff as ad
-from graphseqrec.autodiff import DegenerateRow, GraphConsumed, ShapeMismatch, Tensor
+from graphseqrec.autodiff import (DegenerateRow, GraphConsumed, NotRecorded, ShapeMismatch,
+                                  Tensor)
 
 from conftest import check_grads
 
@@ -177,6 +178,50 @@ class TestBackward:
             tracemalloc.stop()
         arrays = (peak - before) / x.data.nbytes
         assert arrays <= 6.0, f"backward peaked at {arrays:.1f} arrays above its start"
+
+
+class TestNoGrad:
+    def test_backward_on_a_constant_output_raises(self):
+        with pytest.raises(NotRecorded, match="'sum'"):
+            ad.backward(ad.total_sum(ad.mul(Tensor(np.ones(3)), 2.0)))
+
+    def test_backward_on_a_no_grad_output_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with ad.no_grad():
+            loss = ad.total_sum(ad.tanh(ad.mul(x, 2.0)))
+        assert not loss.requires_grad and loss._parents == () and loss._backward is None
+        with pytest.raises(NotRecorded, match="'sum'"):
+            ad.backward(loss)
+        assert x.grad is None
+
+    def test_values_match_the_recorded_forward_bitwise(self, rng):
+        x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+
+        def forward():
+            return ad.softmax_rows(ad.tanh(ad.matmul(x, w))).data.tobytes()
+
+        recorded = forward()
+        with ad.no_grad():
+            assert forward() == recorded
+
+    def test_recording_restored_after_an_exception(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(DegenerateRow):
+            with ad.no_grad():
+                ad.unit_rows(Tensor(np.zeros((1, 3))))
+        loss = ad.total_sum(ad.mul(x, 2.0))
+        assert loss.requires_grad
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+    def test_nesting_restores_the_outer_state(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not ad.mul(x, 2.0).requires_grad
+            assert not ad.mul(x, 2.0).requires_grad  # still off after the inner block
+        assert ad.mul(x, 2.0).requires_grad
 
 
 class TestElementwiseGradients:

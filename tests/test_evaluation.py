@@ -14,15 +14,27 @@ def sort_oracle(scores, history, target, exclude_history=True):
     return 1 + next(i for i, (item, _) in enumerate(ordered) if item == target)
 
 
+def rank_one(scores, history, target, exclude_history=True):
+    """The batched ranker on a one-row block."""
+    ranks = ev.rank_from_scores(np.asarray(scores)[None, :], [history], [target],
+                                exclude_history)
+    assert ranks.shape == (1,)
+    return int(ranks[0])
+
+
 class TestRankTarget:
     def test_unique_max_is_rank_one(self, rng):
         emb = np.zeros((6, 3))
         emb[3] = [1.0, 1.0, 1.0]
-        assert ev.rank_from_scores(emb[1:] @ np.ones(3), history=set(), target=3) == 1
+        assert rank_one(emb[1:] @ np.ones(3), history=set(), target=3) == 1
 
     def test_all_ties_largest_id_ranks_last(self):
         scores = np.zeros(7)
-        assert ev.rank_from_scores(scores, set(), target=7) == 7
+        assert rank_one(scores, set(), target=7) == 7
+        # every target of an all-tied block ranks at its own id
+        np.testing.assert_array_equal(
+            ev.rank_from_scores(np.zeros((7, 7)), [set()] * 7, np.arange(1, 8)),
+            np.arange(1, 8))
 
     def test_matches_sort_oracle(self, rng):
         for _ in range(50):
@@ -31,12 +43,15 @@ class TestRankTarget:
             history = {int(v) for v in rng.integers(1, 31, 6)}
             target = int(rng.integers(1, 31))
             history.discard(target)
-            got = ev.rank_from_scores(scores, history, target)
+            got = rank_one(scores, history, target)
             assert got == sort_oracle(scores, history, target)
 
     def test_excluded_target_is_error(self):
         with pytest.raises(ValueError, match="target item 2"):
-            ev.rank_from_scores(np.zeros(4), {2}, target=2)
+            rank_one(np.zeros(4), {2}, target=2)
+        # in a block, the error names the first row's excluded target
+        with pytest.raises(ValueError, match="target item 3 is excluded"):
+            ev.rank_from_scores(np.zeros((3, 4)), [{1}, {3}, {4}], [2, 3, 4])
 
     def test_history_exclusion_only_helps(self, rng):
         # removing candidates that score below the target never changes rank
@@ -44,9 +59,39 @@ class TestRankTarget:
             scores = rng.standard_normal(20)
             target = int(np.argmax(scores)) + 1
             weak = {int(i) + 1 for i in rng.integers(0, 20, 4)} - {target}
-            with_hist = ev.rank_from_scores(scores, weak, target)
-            without = ev.rank_from_scores(scores, set(), target, exclude_history=False)
+            with_hist = rank_one(scores, weak, target)
+            without = rank_one(scores, set(), target, exclude_history=False)
             assert with_hist == without == 1
+
+    @pytest.mark.parametrize("exclude_history", [True, False])
+    def test_block_matches_sort_oracle_row_by_row(self, rng, exclude_history):
+        rows, items = 50, 30
+        scores = rng.standard_normal((rows, items))
+        # ties inside rows, and whole rows copied from others
+        for b in range(rows):
+            scores[b, rng.integers(0, items, 6)] = scores[b, rng.integers(0, items)]
+        scores[10] = scores[3]
+        scores[20] = 0.0
+        targets = rng.integers(1, items + 1, rows)
+        histories = []
+        for b in range(rows):
+            history = {int(v) for v in rng.integers(0, items + 1, int(rng.integers(0, 12)))}
+            history.discard(int(targets[b]))
+            histories.append(history)  # may hold the padding id 0, which is ignored
+        got = ev.rank_from_scores(scores, histories, targets, exclude_history)
+        assert got.shape == (rows,)
+        for b in range(rows):
+            want = sort_oracle(scores[b], histories[b] - {0}, int(targets[b]),
+                               exclude_history)
+            assert got[b] == want, b
+
+    def test_out_of_range_target_and_shape_errors(self):
+        with pytest.raises(ValueError, match="target item 5 is outside 1..4"):
+            ev.rank_from_scores(np.zeros((2, 4)), [set(), set()], [1, 5])
+        with pytest.raises(ValueError, match="2 targets for 3 score rows"):
+            ev.rank_from_scores(np.zeros((3, 4)), [set()] * 3, [1, 2])
+        with pytest.raises(ValueError, match=r"\(B, V\) block"):
+            ev.rank_from_scores(np.zeros(4), [set()], [1])
 
 
 class TestHrNdcg:

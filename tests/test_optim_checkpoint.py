@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,27 @@ class TestCheckpointArchive:
             path.write_bytes(blob[:cut])
             with pytest.raises(CheckpointError, match="ckpt.bin"):
                 load_archive(path)
+
+    def test_duplicate_record_name_raises(self, tmp_path):
+        def record(name, value):
+            return (struct.pack("<H", len(name)) + name.encode() + struct.pack("<BI", 1, 1)
+                    + struct.pack("<d", value))
+
+        path = tmp_path / "dup.bin"
+        path.write_bytes(bytes([1]) + struct.pack("<I", 2) + record("w", 1.0) + record("w", 2.0))
+        # the second 'w' name starts after the header (5), the first record (16) and its length (2)
+        with pytest.raises(CheckpointError, match=r"duplicate record 'w' in checkpoint .*dup\.bin at byte 23"):
+            load_archive(path)
+
+    def test_failed_save_leaves_the_previous_archive(self, tmp_path):
+        path = tmp_path / "checkpoint.best"
+        save_archive(path, {"a": np.arange(3.0), "b": np.ones(2)})
+        before = path.read_bytes()
+        # 'a' is written before 'b' fails to become float64
+        with pytest.raises((TypeError, ValueError)):
+            save_archive(path, {"a": np.zeros(1000), "b": np.array(["not a number"])})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.best"]
+        save_archive(path, {"a": np.zeros(2)})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.best"]
+        np.testing.assert_array_equal(load_archive(path)["a"], np.zeros(2))

@@ -236,6 +236,31 @@ class TestPerturbationSnapshot:
             original.subgraphs(seqs, refined.subgraph_perturbation())
 
 
+class TestTapeFreeEvaluation:
+    def test_evaluation_records_no_node(self, monkeypatch):
+        dataset = tiny_dataset()
+        cfg = tiny_config(batch_size=8, pge_graph="refined")
+        model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
+                      tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
+        recorded = []
+        original = ad._node
+
+        def spy(data, parents, backward_fn, op):
+            out = original(data, parents, backward_fn, op)
+            if out.requires_grad or out._parents or out._backward is not None:
+                recorded.append(op)
+            return out
+
+        monkeypatch.setattr(ad, "_node", spy)
+        evaluate_model(model, dataset, "valid", batch_size=cfg.batch_size)
+        assert recorded == []
+        # the spy sees the ops: the same forward outside evaluation records
+        seqs = np.zeros((2, cfg.max_len), dtype=np.int64)
+        seqs[:, -1] = 1
+        model.user_reprs(seqs, np.arange(2), model.subgraph_perturbation())
+        assert recorded
+
+
 class TestTrainLoop:
     def test_patience_zero_stops_at_first_non_improvement(self):
         dataset = tiny_dataset()
