@@ -8,6 +8,14 @@ node drops its gradient, closure and parents as soon as its closure has run,
 so gradients are kept on leaves only and a second ``backward`` through the
 same nodes raises :class:`GraphConsumed`.
 
+Gradient ownership: a tensor's ``grad`` is its own array, added to in place.
+On first touch, a gradient array that a backward closure has just built is
+adopted as it is; a view (a transpose, a broadcast, a slice of a
+concatenation, or the node's own incoming gradient) is copied first.  Ops
+reuse their own temporaries in place, in the same operation order as the
+plain expressions, but never write into an input, an output another node may
+read, or the incoming gradient.
+
 Inside a :func:`no_grad` block nothing is recorded: every op still computes
 the same values, but its output keeps no parents and no closure and does not
 require a gradient, so a forward that is only read (evaluation) builds no
@@ -15,7 +23,8 @@ tape.  ``backward`` on such an output raises :class:`NotRecorded`.
 
 The op set is deliberately small: exactly what dot-product attention,
 layer-normalized feed-forward stacks, graph propagation, and the
-contrastive / binary-cross-entropy losses in this package need.
+contrastive / binary-cross-entropy losses in this package need.  Every
+affine projection ``x @ w + b`` is one :func:`linear` node.
 Broadcasting is kept narrow (same shape, bias-style trailing axes,
 per-axis size-1 expansion, scalars); anything else raises
 :class:`ShapeMismatch` naming both shapes.  All storage is row-major
@@ -107,19 +116,23 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.  ``fresh`` means the calling closure just
+    built ``g`` and keeps no other reference to it, so on first touch it can
+    be adopted when laid out like the tensor (C-contiguous float64); anything
+    else is copied into an owned array in the tensor's layout."""
     if not t.requires_grad:
         return
     if g.shape != t.shape:
         raise ShapeMismatch(f"{t.op}: gradient of shape {list(g.shape)} for a tensor "
                             f"of shape {list(t.shape)}")
-    if t.grad is None:
-        # an owned copy in the tensor's layout: g may be a view of another
-        # node's gradient, and the grad is later added to in place
+    if t.grad is not None:
+        t.grad += g
+    elif fresh and g.dtype == t.data.dtype and g.flags.c_contiguous and t.data.flags.c_contiguous:
+        t.grad = g
+    else:
         t.grad = np.empty_like(t.data)
         t.grad[...] = g
-    else:
-        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -203,15 +216,16 @@ def add(a: Tensor, b) -> Tensor:
     data = a.data + b.data
 
     def back(g, a=a, b=b):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        # a reduced gradient is a new array; an unreduced one is a view of g
+        _accumulate(a, _unbroadcast(g, a.shape), fresh=a.shape != g.shape)
+        _accumulate(b, _unbroadcast(g, b.shape), fresh=b.shape != g.shape)
 
     return _node(data, (a, b), back, "add")
 
 
 def neg(a: Tensor) -> Tensor:
     def back(g, a=a):
-        _accumulate(a, -g)
+        _accumulate(a, -g, fresh=True)
 
     return _node(-a.data, (a,), back, "neg")
 
@@ -222,15 +236,15 @@ def mul(a: Tensor, b) -> Tensor:
         data = a.data * c
 
         def back_const(g, a=a, c=c):
-            _accumulate(a, g * c)
+            _accumulate(a, g * c, fresh=True)
 
         return _node(data, (a,), back_const, "mul")
     _check_broadcast(a.shape, b.shape, "mul")
     data = a.data * b.data
 
     def back(g, a=a, b=b):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+        _accumulate(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _node(data, (a, b), back, "mul")
 
@@ -249,16 +263,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g, a=a, b=b):
         if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2), fresh=True)
         if b.requires_grad:
             if b.ndim == 2 and a.ndim > 2:
                 k = a.shape[-1]
                 n = g.shape[-1]
-                _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+                _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
             else:
-                _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+                _accumulate(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
 
     return _node(data, (a, b), back, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine projection ``x @ w + b`` as one node: ``x`` is (..., k), ``w`` is
+    (k, n) and ``b`` is (n,)."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeMismatch(f"linear: {list(x.shape)} x {list(w.shape)} + {list(b.shape)} "
+                            "do not align")
+    data = x.data @ w.data
+    data += b.data
+
+    def back(g, x=x, w=w, b=b):
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), fresh=True)
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T, fresh=True)
+        if w.requires_grad:
+            k, n = w.shape
+            _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
+
+    return _node(data, (x, w, b), back, "linear")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -281,7 +316,7 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def back(g, a=a, data=data):
-        _accumulate(a, g * (data > 0.0))
+        _accumulate(a, g * (data > 0.0), fresh=True)
 
     return _node(data, (a,), back, "relu")
 
@@ -290,7 +325,7 @@ def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
     def back(g, a=a, data=data):
-        _accumulate(a, g * (1.0 - data * data))
+        _accumulate(a, g * (1.0 - data * data), fresh=True)
 
     return _node(data, (a,), back, "tanh")
 
@@ -309,7 +344,7 @@ def softplus(a: Tensor) -> Tensor:
     data = np.logaddexp(0.0, a.data)
 
     def back(g, a=a):
-        _accumulate(a, g * _sigmoid(a.data))
+        _accumulate(a, g * _sigmoid(a.data), fresh=True)
 
     return _node(data, (a,), back, "softplus")
 
@@ -351,8 +386,9 @@ def softmax_rows(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     """Row-wise softmax over the last axis.
 
     ``mask`` is a boolean array of the same shape; masked entries produce
-    exact zeros and each row must keep at least one unmasked entry.
-    Stabilized by subtracting the row max over unmasked entries.
+    exact zeros (they are exponentiated as -inf, whatever their logit) and
+    each row must keep at least one unmasked entry.  Stabilized by
+    subtracting the row max over unmasked entries.
     """
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -361,17 +397,19 @@ def softmax_rows(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         alive = mask.any(axis=-1)
         if not alive.all():
             raise DegenerateRow(f"softmax_rows: fully masked row at index {_first_bad_row(~alive)}")
-        shifted = np.where(mask, x.data, -np.inf)
-        rowmax = shifted.max(axis=-1, keepdims=True)
-        e = np.exp(x.data - rowmax) * mask
+        data = np.where(mask, x.data, -np.inf)
+        data -= data.max(axis=-1, keepdims=True)
     else:
-        rowmax = x.data.max(axis=-1, keepdims=True)
-        e = np.exp(x.data - rowmax)
-    data = e / e.sum(axis=-1, keepdims=True)
+        data = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
 
     def back(g, x=x, data=data):
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        _accumulate(x, data * (g - inner))
+        gx = g * data
+        inner = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        gx *= data
+        _accumulate(x, gx, fresh=True)
 
     return _node(data, (x,), back, "softmax_rows")
 
@@ -384,7 +422,7 @@ def logsumexp_rows(x: Tensor) -> Tensor:
     data = (rowmax + np.log(s)).squeeze(-1)
 
     def back(g, x=x, e=e, s=s):
-        _accumulate(x, np.expand_dims(g, -1) * (e / s))
+        _accumulate(x, np.expand_dims(g, -1) * (e / s), fresh=True)
 
     return _node(data, (x,), back, "logsumexp_rows")
 
@@ -399,7 +437,7 @@ def unit_rows(x: Tensor) -> Tensor:
 
     def back(g, x=x, data=data, norms=norms):
         inner = (g * data).sum(axis=-1, keepdims=True)
-        _accumulate(x, (g - data * inner) / norms)
+        _accumulate(x, (g - data * inner) / norms, fresh=True)
 
     return _node(data, (x,), back, "unit_rows")
 
@@ -412,7 +450,7 @@ def diagonal(x: Tensor) -> Tensor:
     def back(g, x=x):
         gx = np.zeros_like(x.data)
         np.fill_diagonal(gx, g)
-        _accumulate(x, gx)
+        _accumulate(x, gx, fresh=True)
 
     return _node(data, (x,), back, "diagonal")
 
@@ -424,7 +462,9 @@ def diagonal(x: Tensor) -> Tensor:
 def gather(table: Tensor, ids) -> Tensor:
     """Row lookup: output shape is ids.shape + (row_width,).
 
-    The backward pass scatter-adds, so only gathered rows receive gradient.
+    The backward pass sums the output gradient per distinct id into a
+    compact block (in the order the ids appear) and adds that block into the
+    gathered rows only; rows that were not gathered are left untouched.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2:
@@ -434,9 +474,15 @@ def gather(table: Tensor, ids) -> Tensor:
     data = table.data[ids]
 
     def back(g, table=table, ids=ids):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.ravel(), g.reshape(-1, table.shape[1]))
-        _accumulate(table, gt)
+        uniq, inverse = np.unique(ids.ravel(), return_inverse=True)
+        block = np.zeros((uniq.size, table.shape[1]))
+        np.add.at(block, inverse, g.reshape(-1, table.shape[1]))
+        if table.grad is None:
+            gt = np.zeros_like(table.data)
+            gt[uniq] = block
+            _accumulate(table, gt, fresh=True)
+        else:
+            table.grad[uniq] += block
 
     return _node(data, (table,), back, "gather")
 
@@ -452,7 +498,7 @@ def select_positions(x: Tensor, positions) -> Tensor:
     def back(g, x=x, positions=positions, batch=batch):
         gx = np.zeros_like(x.data)
         gx[batch, positions] = g
-        _accumulate(x, gx)
+        _accumulate(x, gx, fresh=True)
 
     return _node(data, (x,), back, "select_positions")
 
@@ -463,7 +509,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     def back(g, x=x, start=start, stop=stop):
         gx = np.zeros_like(x.data)
         gx[..., start:stop] = g
-        _accumulate(x, gx)
+        _accumulate(x, gx, fresh=True)
 
     return _node(data, (x,), back, "slice_cols")
 
@@ -500,7 +546,7 @@ def per_sample_scale(scalars: Tensor, mats: np.ndarray) -> Tensor:
 
     def back(g, scalars=scalars, mats=mats):
         axes = tuple(range(1, mats.ndim))
-        _accumulate(scalars, (g * mats).sum(axis=axes).reshape(-1, 1))
+        _accumulate(scalars, (g * mats).sum(axis=axes).reshape(-1, 1), fresh=True)
 
     return _node(data, (scalars,), back, "per_sample_scale")
 
@@ -510,23 +556,34 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     width = x.shape[-1]
     if gain.shape != (width,) or bias.shape != (width,):
         raise ShapeMismatch(f"layer_norm: gain/bias must be [{width}], got {list(gain.shape)} and {list(bias.shape)}")
+    # two buffers: the centered input, scaled in place into xhat, and the
+    # squares, overwritten by the output
     mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    data = xhat * xhat
+    var = data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = xhat * gain.data + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def back(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv, width=width):
+        scratch = g * xhat
         if gain.requires_grad:
-            _accumulate(gain, (g * xhat).reshape(-1, width).sum(axis=0))
+            _accumulate(gain, scratch.reshape(-1, width).sum(axis=0), fresh=True)
         if bias.requires_grad:
-            _accumulate(bias, g.reshape(-1, width).sum(axis=0))
+            _accumulate(bias, g.reshape(-1, width).sum(axis=0), fresh=True)
         if x.requires_grad:
+            # inv * ((gh - m1) - xhat * m2), one operation at a time
             gh = g * gain.data
             m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * (gh - m1 - xhat * m2))
+            np.multiply(gh, xhat, out=scratch)
+            m2 = scratch.mean(axis=-1, keepdims=True)
+            gh -= m1
+            np.multiply(xhat, m2, out=scratch)
+            gh -= scratch
+            gh *= inv
+            _accumulate(x, gh, fresh=True)
 
     return _node(data, (x, gain, bias), back, "layer_norm")
 
@@ -537,10 +594,14 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tenso
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0 or rng is None:
         return x
-    keep = rng.random(x.shape) >= rate  # boolean: 1 byte per entry on the tape
-    data = x.data * (keep / (1.0 - rate))
+    data = rng.random(x.shape)
+    keep = data >= rate  # boolean: 1 byte per entry on the tape
+    np.divide(keep, 1.0 - rate, out=data)
+    data *= x.data
 
     def back(g, x=x, keep=keep, rate=rate):
-        _accumulate(x, g * (keep / (1.0 - rate)))
+        gx = keep / (1.0 - rate)
+        gx *= g
+        _accumulate(x, gx, fresh=True)
 
     return _node(data, (x,), back, "dropout")

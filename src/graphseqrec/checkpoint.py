@@ -14,7 +14,8 @@ moment buffers share the same archive; moments use an ``opt.`` name prefix.
 
 A save writes a sibling temporary file and renames it over the destination
 only once it is complete, so a failed save leaves the previous archive as it
-was.
+was.  Every text artifact of a run is written the same way, through
+:func:`atomic_open`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import Dict
+from contextlib import contextmanager
+from typing import Dict, IO, Iterator
 
 import numpy as np
 
@@ -33,26 +35,35 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_archive(path, arrays: Dict[str, np.ndarray]) -> None:
+@contextmanager
+def atomic_open(path, mode: str = "w") -> Iterator[IO]:
+    """Write ``path`` through a sibling temporary file (utf-8 in text mode)
+    that replaces it only when the block completes; if the block raises, the
+    temporary file is removed and ``path`` is left as it was."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(bytes([VERSION]))
-            fh.write(struct.pack("<I", len(arrays)))
-            for name in sorted(arrays):
-                arr = np.asarray(arrays[name], dtype="<f8")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<I", dim))
-                fh.write(arr.tobytes())
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def save_archive(path, arrays: Dict[str, np.ndarray]) -> None:
+    with atomic_open(path, "wb") as fh:
+        fh.write(bytes([VERSION]))
+        fh.write(struct.pack("<I", len(arrays)))
+        for name in sorted(arrays):
+            arr = np.asarray(arrays[name], dtype="<f8")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            for dim in arr.shape:
+                fh.write(struct.pack("<I", dim))
+            fh.write(arr.tobytes())
 
 
 def load_archive(path) -> Dict[str, np.ndarray]:

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import config as cfgmod
+from .checkpoint import atomic_open
 from .config import ConfigError, TrainConfig
 from .data import (ingest, leave_one_out, synth_generate, write_interactions)
 from .evaluation import spectrum, write_spectrum_csv
@@ -67,9 +68,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg.validate()
     cfgmod.write_resolved(os.path.join(outdir, "config.resolved"), cfg)
     result = train(cfg, dataset)
-    with open(os.path.join(outdir, "metrics.log"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(outdir, "metrics.log")) as fh:
         fh.write("\n".join(result.history) + "\n")
-    with open(os.path.join(outdir, "timing.log"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(outdir, "timing.log")) as fh:
         fh.write("\n".join(result.timing) + "\n")
     # the model holds the restored best parameters at this point
     result.model.save(os.path.join(outdir, "checkpoint.best"))
@@ -153,14 +154,14 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
                 print(f"cell lambda1={lam} layers={layers} failed: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            with open(os.path.join(cell_dir, "metrics.log"), "w", encoding="utf-8") as fh:
+            with atomic_open(os.path.join(cell_dir, "metrics.log")) as fh:
                 fh.write("\n".join(result.history) + "\n")
             result.model.save(os.path.join(cell_dir, "checkpoint.best"))
             rows.append((lam, layers, result.state.best_val_ndcg20,
                          result.test_report.hr[20], result.test_report.ndcg[20]))
     rows.sort(key=lambda r: -r[2])
     summary = os.path.join(outdir, "grid_summary.tsv")
-    with open(summary, "w", encoding="utf-8") as fh:
+    with atomic_open(summary) as fh:
         fh.write("lambda1\tencoder_layers\tval_ndcg@20\ttest_hr@20\ttest_ndcg@20\n")
         for lam, layers, val, hr20, ndcg20 in rows:
             fh.write(f"{lam}\t{layers}\t{val:.6f}\t{hr20:.6f}\t{ndcg20:.6f}\n")

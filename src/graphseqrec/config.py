@@ -11,6 +11,8 @@ command-line flags override file values.
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional
 
+from .checkpoint import atomic_open
+
 
 class ConfigError(ValueError):
     pass
@@ -155,7 +157,7 @@ def format_resolved(cfg: TrainConfig) -> str:
 
 
 def write_resolved(path, cfg: TrainConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(format_resolved(cfg))
 
 

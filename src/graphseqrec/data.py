@@ -14,6 +14,8 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
+from .checkpoint import atomic_open
+
 
 class ParseError(ValueError):
     pass
@@ -80,7 +82,7 @@ def parse_interactions(path, delimiter: str = "\t") -> List[Interaction]:
 
 
 def write_interactions(path, interactions: Iterable[Interaction], delimiter: str = "\t") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for it in interactions:
             fh.write(f"{it.user_id}{delimiter}{it.item_id}{delimiter}{it.timestamp}\n")
 

@@ -69,8 +69,8 @@ def init_pge_params(rng: np.random.Generator, cfg: ModelConfig) -> Dict[str, Ten
 def pge_gate(params: Dict[str, Tensor], user_ids) -> Tensor:
     """Per-user scalar weight on global information: MLP(user embedding)."""
     s = ad.gather(params["user_emb"], np.asarray(user_ids, dtype=np.int64))
-    hidden = ad.tanh(ad.add(ad.matmul(s, params["pge_w1"]), params["pge_b1"]))
-    return ad.add(ad.matmul(hidden, params["pge_w2"]), params["pge_b2"])
+    hidden = ad.tanh(ad.linear(s, params["pge_w1"], params["pge_b1"]))
+    return ad.linear(hidden, params["pge_w2"], params["pge_b2"])
 
 
 def pge_encoding(params: Dict[str, Tensor], user_ids, subgraphs: np.ndarray) -> Tensor:
@@ -115,9 +115,9 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
     for layer in range(cfg.encoder_layers):
         p = f"layer{layer}."
         a = ad.layer_norm(h, params[p + "ln1_g"], params[p + "ln1_b"], LN_EPS)
-        q = ad.add(ad.matmul(a, params[p + "attn_query_w"]), params[p + "attn_query_b"])
-        k = ad.add(ad.matmul(a, params[p + "attn_key_w"]), params[p + "attn_key_b"])
-        v = ad.add(ad.matmul(a, params[p + "attn_value_w"]), params[p + "attn_value_b"])
+        q = ad.linear(a, params[p + "attn_query_w"], params[p + "attn_query_b"])
+        k = ad.linear(a, params[p + "attn_key_w"], params[p + "attn_key_b"])
+        v = ad.linear(a, params[p + "attn_value_w"], params[p + "attn_value_b"])
         head_outs = []
         for i in range(cfg.heads):
             lo, hi = i * dh, (i + 1) * dh
@@ -128,11 +128,11 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
             weights = ad.softmax_rows(logits, mask)
             head_outs.append(ad.matmul(weights, ad.slice_cols(v, lo, hi)))
         merged = head_outs[0] if cfg.heads == 1 else ad.concat_cols(head_outs)
-        attended = ad.add(ad.matmul(merged, params[p + "attn_out_w"]), params[p + "attn_out_b"])
+        attended = ad.linear(merged, params[p + "attn_out_w"], params[p + "attn_out_b"])
         h = ad.add(h, ad.dropout(attended, cfg.dropout, rng))
         f = ad.layer_norm(h, params[p + "ln2_g"], params[p + "ln2_b"], LN_EPS)
-        f = ad.relu(ad.add(ad.matmul(f, params[p + "ffn_w1"]), params[p + "ffn_b1"]))
-        f = ad.add(ad.matmul(f, params[p + "ffn_w2"]), params[p + "ffn_b2"])
+        f = ad.relu(ad.linear(f, params[p + "ffn_w1"], params[p + "ffn_b1"]))
+        f = ad.linear(f, params[p + "ffn_w2"], params[p + "ffn_b2"])
         h = ad.add(h, ad.dropout(f, cfg.dropout, rng))
     return ad.layer_norm(h, params["ln_final_g"], params["ln_final_b"], LN_EPS)
 

@@ -13,6 +13,7 @@ from typing import Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .data import SplitDataset
 
 METRIC_CUTOFFS = (5, 10, 20)
@@ -166,10 +167,10 @@ def spectrum(embeddings: np.ndarray) -> SpectrumReport:
 
 def write_spectrum_csv(report: SpectrumReport, path) -> None:
     """CSV of per-item coordinates plus a sidecar singular-value file."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("item_id,x,y\n")
         for idx, (x, y) in enumerate(report.coords, start=1):
             fh.write(f"{idx},{x:.10g},{y:.10g}\n")
-    with open(f"{path}.singvals", "w", encoding="utf-8") as fh:
+    with atomic_open(f"{path}.singvals") as fh:
         for value in report.singular_values:
             fh.write(f"{value:.10g}\n")

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import ShapeMismatch, Tensor, _accumulate, _node
+from .checkpoint import atomic_open
 from .data import ItemSequence, SplitDataset
 
 
@@ -102,7 +103,7 @@ class TransitionGraph:
         mat_t = self._transpose()
 
         def back(g, x=x, mat_t=mat_t):
-            _accumulate(x, mat_t @ g)
+            _accumulate(x, mat_t @ g, fresh=True)
 
         return _node(data, (x,), back, "spmv")
 
@@ -120,7 +121,7 @@ class TransitionGraph:
 
     def dump(self, path) -> None:
         """Text dump, one 'i<TAB>j<TAB>weight' line per entry in sorted order."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for i, j, w in self.entries():
                 fh.write(f"{i}\t{j}\t{w:.17g}\n")
 

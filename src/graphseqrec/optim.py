@@ -48,11 +48,23 @@ class Adam:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
+            # two scratch buffers, one operation per line, in the order of
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and the step
+            # lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            step = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += step
+            np.multiply(g, g, out=step)
+            step *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            v += step
+            np.divide(m, bias1, out=step)
+            step *= self.lr
+            denom = np.divide(v, bias2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data -= step
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Moment buffers and step counter, named for the checkpoint archive."""

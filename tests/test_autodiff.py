@@ -79,6 +79,17 @@ class TestSoftmaxRows:
         check_grads(lambda: ad.total_sum(ad.mul(ad.softmax_rows(x, mask), Tensor(w))),
                     {"x": x})
 
+    def test_masked_logit_far_above_the_row_max_stays_zero(self):
+        # exp(1000 - 1) overflows; masked entries must still be exact zeros
+        x = Tensor([[0.0, 1000.0, 1.0]], requires_grad=True)
+        mask = np.array([[True, False, True]])
+        with np.errstate(all="raise"):
+            out = ad.softmax_rows(x, mask)
+            ad.backward(ad.total_sum(ad.mul(out, Tensor([[1.0, 5.0, 2.0]]))))
+        e = np.exp(np.array([0.0, 1.0]) - 1.0)
+        assert out.data.tobytes() == np.array([[e[0] / e.sum(), 0.0, e[1] / e.sum()]]).tobytes()
+        assert np.isfinite(x.grad).all() and x.grad[0, 1] == 0.0
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -110,6 +121,20 @@ class TestBackward:
         g[:] = -1.0
         ad._accumulate(x, np.ones((2, 3)))
         np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(3, 2).T + 1.0)
+
+    def test_fresh_gradient_is_adopted_only_when_laid_out_like_the_tensor(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        fresh = np.ones((2, 3))
+        ad._accumulate(x, fresh, fresh=True)
+        assert x.grad is fresh
+        y = Tensor(np.zeros((2, 3)), requires_grad=True)
+        transposed = np.ones((3, 2)).T  # fresh, but not C-contiguous
+        ad._accumulate(y, transposed, fresh=True)
+        assert y.grad is not transposed and y.grad.flags.c_contiguous
+        z = Tensor(np.zeros(3), requires_grad=True)
+        ints = np.arange(3)  # fresh, but not float64
+        ad._accumulate(z, ints, fresh=True)
+        assert z.grad.dtype == np.float64
 
     def test_gradient_of_another_shape_rejected(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
@@ -388,3 +413,145 @@ class TestStructuredOps:
         w = rng.standard_normal((2, 4, 3))
         check_grads(lambda: ad.total_sum(ad.mul(ad.transpose(x), Tensor(w))),
                     {"x": x}, rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the allocation-lean ops against the formulas they replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def weighted_loss(out, upstream):
+    """sum(out * upstream): the gradient that reaches ``out`` is ``upstream``."""
+    return ad.total_sum(ad.mul(out, Tensor(upstream)))
+
+
+def leaves(*arrays):
+    return [Tensor(a.copy(), requires_grad=True) for a in arrays]
+
+
+def layer_norm_reference(x, gain, bias, eps, g):
+    width = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    out = xhat * gain + bias
+    d_gain = (g * xhat).reshape(-1, width).sum(axis=0)
+    d_bias = g.reshape(-1, width).sum(axis=0)
+    gh = g * gain
+    m1 = gh.mean(axis=-1, keepdims=True)
+    m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+    d_x = inv * (gh - m1 - xhat * m2)
+    return out, d_x, d_gain, d_bias
+
+
+def softmax_rows_reference(x, mask, g):
+    if mask is not None:
+        rowmax = np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(x - rowmax) * mask
+    else:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+    inner = (g * out).sum(axis=-1, keepdims=True)
+    return out, out * (g - inner)
+
+
+def gather_backward_reference(num_rows, ids, g):
+    """The dense scatter: a zero table plus np.add.at over every id."""
+    gt = np.zeros((num_rows, g.shape[-1]))
+    np.add.at(gt, np.asarray(ids).ravel(), g.reshape(-1, g.shape[-1]))
+    return gt
+
+
+def layer_norm_peak_arrays(x, gain, bias):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.layer_norm(x, gain, bias, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    return (peak - before) / x.data.nbytes
+
+
+class TestBitwiseAgainstOldFormulas:
+    @pytest.mark.parametrize("x_shape", [(7, 5), (4, 6, 5)])
+    def test_linear_equals_matmul_plus_add(self, rng, x_shape):
+        x0, w0, b0 = rng.standard_normal(x_shape), rng.standard_normal((5, 3)), rng.standard_normal(3)
+        upstream = rng.standard_normal(x_shape[:-1] + (3,))
+        x, w, b = leaves(x0, w0, b0)
+        out = ad.linear(x, w, b)
+        ad.backward(weighted_loss(out, upstream))
+        rx, rw, rb = leaves(x0, w0, b0)
+        ref = ad.add(ad.matmul(rx, rw), rb)
+        ad.backward(weighted_loss(ref, upstream))
+        assert out.op == "linear"
+        assert out.data.tobytes() == ref.data.tobytes()
+        for got, want in ((x, rx), (w, rw), (b, rb)):
+            assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_linear_shape_error_names_the_shapes(self):
+        with pytest.raises(ShapeMismatch, match=r"linear: \[2, 3\] x \[3, 4\] \+ \[3\]"):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
+
+    def test_layer_norm_forward_and_backward(self, rng):
+        x0 = rng.standard_normal((6, 5, 8)) * 3.0 + 1.0
+        g0, b0 = rng.uniform(0.5, 1.5, 8), rng.standard_normal(8)
+        upstream = rng.standard_normal((6, 5, 8))
+        x, gain, bias = leaves(x0, g0, b0)
+        out = ad.layer_norm(x, gain, bias, 1e-8)
+        ad.backward(weighted_loss(out, upstream))
+        want = layer_norm_reference(x0, g0, b0, 1e-8, upstream)
+        for got, ref in zip((out.data, x.grad, gain.grad, bias.grad), want):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_softmax_rows_forward_and_backward(self, rng, masked):
+        x0 = rng.standard_normal((3, 4, 6)) * 4.0
+        mask = rng.random((3, 4, 6)) < 0.6 if masked else None
+        if masked:
+            mask[..., 0] = True
+        upstream = rng.standard_normal((3, 4, 6))
+        (x,) = leaves(x0)
+        out = ad.softmax_rows(x, mask)
+        ad.backward(weighted_loss(out, upstream))
+        want_out, want_dx = softmax_rows_reference(x0, mask, upstream)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert x.grad.tobytes() == want_dx.tobytes()
+
+    def test_gather_equals_the_dense_scatter(self, rng):
+        ids_a = np.array([[3, 1, 3, 3], [0, 3, 5, 1]])
+        ids_b = np.array([1, 1, 7, 3])
+        u_a, u_b = rng.standard_normal((2, 4, 4)), rng.standard_normal((4, 4))
+        (table,) = leaves(rng.standard_normal((9, 4)))
+        loss = ad.add(weighted_loss(ad.gather(table, ids_a), u_a),
+                      weighted_loss(ad.gather(table, ids_b), u_b))
+        ad.backward(loss)
+        want = gather_backward_reference(9, ids_a, u_a) + gather_backward_reference(9, ids_b, u_b)
+        assert table.grad.tobytes() == want.tobytes()
+
+    def test_gather_leaves_untouched_rows_alone(self, rng):
+        # a gradient already on the table, with -0.0 in rows no id touches:
+        # the dense scatter added +0.0 there and flipped them to +0.0
+        ids = np.array([2, 4, 2])
+        upstream = rng.standard_normal((3, 3))
+        (table,) = leaves(rng.standard_normal((6, 3)))
+        earlier = rng.standard_normal((6, 3))
+        earlier[[0, 5]] = -0.0
+        table.grad = earlier.copy()
+        ad.backward(weighted_loss(ad.gather(table, ids), upstream))
+        dense = earlier + gather_backward_reference(6, ids, upstream)
+        touched = [2, 4]
+        untouched = [0, 1, 3, 5]
+        assert table.grad[touched].tobytes() == dense[touched].tobytes()
+        assert table.grad[untouched].tobytes() == earlier[untouched].tobytes()
+        assert np.signbit(table.grad[[0, 5]]).all() and not np.signbit(dense[[0, 5]]).any()
+
+    def test_layer_norm_forward_peak_memory(self, rng):
+        x = Tensor(rng.standard_normal((256, 20, 32)), requires_grad=True)
+        gain, bias = leaves(np.ones(32), np.zeros(32))
+        layer_norm_peak_arrays(x, gain, bias)  # warm the allocator
+        arrays = layer_norm_peak_arrays(x, gain, bias)
+        # the output and the saved xhat; every other temporary is reused
+        assert arrays <= 2.5, f"layer_norm forward peaked at {arrays:.2f} input-sized arrays"

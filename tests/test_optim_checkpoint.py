@@ -1,11 +1,42 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphseqrec.autodiff import Tensor
-from graphseqrec.checkpoint import CheckpointError, load_archive, save_archive
+from graphseqrec.checkpoint import CheckpointError, atomic_open, load_archive, save_archive
+from graphseqrec.evaluation import SpectrumReport, write_spectrum_csv
 from graphseqrec.optim import Adam, GradientNaN
+
+
+def adam_reference(params, grads_per_step, lr, b1, b2, eps):
+    """The update as one expression per line, as the optimizer first wrote it."""
+    params = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        bias1 = 1.0 - b1 ** t
+        bias2 = 1.0 - b2 ** t
+        for name, p in params.items():
+            g = grads[name] if grads[name] is not None else np.zeros_like(p)
+            m[name] *= b1
+            m[name] += (1.0 - b1) * g
+            v[name] *= b2
+            v[name] += (1.0 - b2) * (g * g)
+            p -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
+    return params, m, v
+
+
+def adam_step_peak_tables(opt, table):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / table.data.nbytes
 
 
 class TestAdam:
@@ -77,6 +108,57 @@ class TestAdam:
         opt.step()
         assert opt.m["w"][0] > m_after_one[0]
         assert opt.step_count == 2
+
+
+    def test_bitwise_equal_to_the_one_expression_update(self, rng):
+        start = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3),
+                 "idle": rng.standard_normal(2)}
+        params = {name: Tensor(value.copy(), requires_grad=True) for name, value in start.items()}
+        opt = Adam(params, lr=0.01, betas=(0.8, 0.99), eps=1e-6)
+        grads_per_step = []
+        for _ in range(5):
+            grads = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3) * 1e-4,
+                     "idle": None}  # 'idle' never receives a gradient
+            for name, g in grads.items():
+                params[name].grad = g
+            opt.step()
+            grads_per_step.append(grads)
+        want_p, want_m, want_v = adam_reference(start, grads_per_step, 0.01, 0.8, 0.99, 1e-6)
+        for name in start:
+            assert params[name].data.tobytes() == want_p[name].tobytes()
+            assert opt.m[name].tobytes() == want_m[name].tobytes()
+            assert opt.v[name].tobytes() == want_v[name].tobytes()
+
+    def test_step_peak_memory(self, rng):
+        table = Tensor(rng.standard_normal((17300, 32)), requires_grad=True)
+        opt = Adam({"table": table}, lr=1e-3)
+        for _ in range(2):  # the second step is the measured one
+            table.grad = rng.standard_normal((17300, 32))
+            tables = adam_step_peak_tables(opt, table)
+        # two scratch buffers, whatever the number of operations
+        assert tables <= 2.5, f"Adam.step peaked at {tables:.2f} parameter-sized arrays"
+
+
+class TestAtomicText:
+    def test_failure_inside_the_block_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "metrics.log"
+        path.write_bytes(b"epoch=1 old\n")
+        with pytest.raises(RuntimeError, match="disk full"):
+            with atomic_open(path) as fh:
+                fh.write("epoch=1 new\n" * 1000)
+                raise RuntimeError("disk full")
+        assert path.read_bytes() == b"epoch=1 old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.log"]
+
+    def test_spectrum_write_failing_midway_keeps_the_previous_files(self, tmp_path):
+        path = tmp_path / "spectrum.csv"
+        write_spectrum_csv(SpectrumReport(np.array([2.0, 1.0]), np.ones((3, 2))), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # the third coordinate row cannot be formatted as a number
+        coords = np.array([[1.0, 2.0], [3.0, 4.0], ["x", "y"]], dtype=object)
+        with pytest.raises((TypeError, ValueError)):
+            write_spectrum_csv(SpectrumReport(np.array([5.0, 4.0]), coords), path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestCheckpointArchive:
