@@ -10,22 +10,24 @@ same nodes raises :class:`GraphConsumed`.
 
 Gradient ownership: a tensor's ``grad`` is its own array, added to in place.
 On first touch, a gradient array that a backward closure has just built is
-adopted as it is; a view (a transpose, a broadcast, a slice of a
-concatenation, or the node's own incoming gradient) is copied first.  Ops
-reuse their own temporaries in place, in the same operation order as the
-plain expressions, but never write into an input, an output another node may
-read, or the incoming gradient.
+adopted as it is; a view (a transpose or a broadcast) is copied first, and so
+is the node's own incoming gradient, except that :func:`add` hands it to its
+second operand once the first has read it.  Ops reuse their own temporaries
+in place, in the same operation order as the plain expressions, but never
+write into an input, an output another node may read, or the incoming
+gradient.
 
 Inside a :func:`no_grad` block nothing is recorded: every op still computes
 the same values, but its output keeps no parents and no closure and does not
 require a gradient, so a forward that is only read (evaluation) builds no
 tape.  ``backward`` on such an output raises :class:`NotRecorded`.
 
-The op set is deliberately small: exactly what dot-product attention,
+The op set is deliberately small: exactly what multi-head attention,
 layer-normalized feed-forward stacks, graph propagation, and the
 contrastive / binary-cross-entropy losses in this package need.  Every
-affine projection ``x @ w + b`` is one :func:`linear` node.
-Broadcasting is kept narrow (same shape, bias-style trailing axes,
+affine projection ``x @ w + b`` is one :func:`linear` node, and all heads of
+one attention layer, masked row softmax included, are one :func:`attention`
+node.  Broadcasting is kept narrow (same shape, bias-style trailing axes,
 per-axis size-1 expansion, scalars); anything else raises
 :class:`ShapeMismatch` naming both shapes.  All storage is row-major
 64-bit, which keeps finite-difference checks meaningful.
@@ -216,9 +218,11 @@ def add(a: Tensor, b) -> Tensor:
     data = a.data + b.data
 
     def back(g, a=a, b=b):
-        # a reduced gradient is a new array; an unreduced one is a view of g
+        # a reduced gradient is a new array; an unreduced one is a view of g,
+        # which this node drops once both operands have read it, so b, the
+        # last reader, may adopt it
         _accumulate(a, _unbroadcast(g, a.shape), fresh=a.shape != g.shape)
-        _accumulate(b, _unbroadcast(g, b.shape), fresh=b.shape != g.shape)
+        _accumulate(b, _unbroadcast(g, b.shape), fresh=True)
 
     return _node(data, (a, b), back, "add")
 
@@ -382,38 +386,6 @@ def _first_bad_row(bad: np.ndarray) -> tuple:
     return tuple(int(v) for v in idx[0])
 
 
-def softmax_rows(x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Row-wise softmax over the last axis.
-
-    ``mask`` is a boolean array of the same shape; masked entries produce
-    exact zeros (they are exponentiated as -inf, whatever their logit) and
-    each row must keep at least one unmasked entry.  Stabilized by
-    subtracting the row max over unmasked entries.
-    """
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeMismatch(f"softmax_rows: mask shape {list(mask.shape)} != input shape {list(x.shape)}")
-        alive = mask.any(axis=-1)
-        if not alive.all():
-            raise DegenerateRow(f"softmax_rows: fully masked row at index {_first_bad_row(~alive)}")
-        data = np.where(mask, x.data, -np.inf)
-        data -= data.max(axis=-1, keepdims=True)
-    else:
-        data = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(data, out=data)
-    data /= data.sum(axis=-1, keepdims=True)
-
-    def back(g, x=x, data=data):
-        gx = g * data
-        inner = gx.sum(axis=-1, keepdims=True)
-        np.subtract(g, inner, out=gx)
-        gx *= data
-        _accumulate(x, gx, fresh=True)
-
-    return _node(data, (x,), back, "softmax_rows")
-
-
 def logsumexp_rows(x: Tensor) -> Tensor:
     """log(sum(exp(row))) per row over the last axis, stabilized."""
     rowmax = x.data.max(axis=-1, keepdims=True)
@@ -503,35 +475,80 @@ def select_positions(x: Tensor, positions) -> Tensor:
     return _node(data, (x,), back, "select_positions")
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    data = x.data[..., start:stop].copy()
-
-    def back(g, x=x, start=start, stop=stop):
-        gx = np.zeros_like(x.data)
-        gx[..., start:stop] = g
-        _accumulate(x, gx, fresh=True)
-
-    return _node(data, (x,), back, "slice_cols")
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeMismatch("concat_cols needs at least one tensor")
-    widths = [p.shape[-1] for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=-1)
-
-    def back(g, parts=tuple(parts), widths=widths):
-        offset = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, g[..., offset:offset + w])
-            offset += w
-
-    return _node(data, parts, back, "concat_cols")
-
-
 # ---------------------------------------------------------------------------
 # structured ops for attention and regularization
 # ---------------------------------------------------------------------------
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, scale: float,
+              rel_pe: Optional[Tensor] = None) -> Tensor:
+    """Multi-head scaled dot-product attention of one layer as one node.
+
+    ``q``, ``k`` and ``v`` are (B, N, d); head ``i`` reads their column block
+    ``[i * dh, (i + 1) * dh)`` with ``dh = d // heads``.  Per head the logits
+    ``qh @ khᵀ * scale`` plus the optional (B, N, N) ``rel_pe`` go through a
+    row softmax over the keys: ``mask`` is a boolean (B, N, N) array, masked
+    entries get exact zero weight (they are exponentiated as -inf, whatever
+    their logit), each row must keep at least one unmasked entry, and the row
+    max over unmasked entries is subtracted first.  Head ``i`` writes
+    ``weights @ vh`` into the same column block of the (B, N, d) output.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeMismatch(f"attention: q {list(q.shape)}, k {list(k.shape)} and "
+                            f"v {list(v.shape)} must share one (B, N, d) shape")
+    b, n, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeMismatch(f"attention: width {d} does not split into {heads} heads")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (b, n, n):
+        raise ShapeMismatch(f"attention: mask shape {list(mask.shape)} != logits shape {[b, n, n]}")
+    if rel_pe is not None and rel_pe.shape != (b, n, n):
+        raise ShapeMismatch(f"attention: rel_pe shape {list(rel_pe.shape)} != logits shape "
+                            f"{[b, n, n]}")
+    alive = mask.any(axis=-1)
+    if not alive.all():
+        raise DegenerateRow(f"attention: fully masked row at index {_first_bad_row(~alive)}")
+    hidden = ~mask
+    dh = d // heads
+    blocks = [slice(i * dh, (i + 1) * dh) for i in range(heads)]
+    data = np.empty_like(q.data)
+    weights = []
+    for cols in blocks:
+        # the logits buffer becomes the softmax weights in place
+        w = q.data[..., cols] @ np.swapaxes(k.data[..., cols], -1, -2)
+        w *= scale
+        if rel_pe is not None:
+            w += rel_pe.data
+        np.copyto(w, -np.inf, where=hidden)
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        np.matmul(w, v.data[..., cols], out=data[..., cols])
+        weights.append(w)
+
+    def back(g, q=q, k=k, v=v, rel_pe=rel_pe, weights=weights, blocks=blocks, scale=scale):
+        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for cols, w in zip(blocks, weights):
+            gh = g[..., cols]
+            qh, kh = q.data[..., cols], k.data[..., cols]
+            np.matmul(np.swapaxes(w, -1, -2), gh, out=gv[..., cols])
+            # softmax backward: gx = w * (gw - sum(gw * w)), into gw's buffer
+            gw = gh @ np.swapaxes(v.data[..., cols], -1, -2)
+            scratch = gw * w
+            inner = scratch.sum(axis=-1, keepdims=True)
+            gw -= inner
+            gw *= w
+            gs = np.multiply(gw, scale, out=scratch)
+            if rel_pe is not None:
+                _accumulate(rel_pe, gw, fresh=True)
+            np.matmul(gs, kh, out=gq[..., cols])
+            gk[..., cols] = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+        _accumulate(q, gq, fresh=True)
+        _accumulate(k, gk, fresh=True)
+        _accumulate(v, gv, fresh=True)
+
+    parents = (q, k, v) if rel_pe is None else (q, k, v, rel_pe)
+    return _node(data, parents, back, "attention")
+
 
 def per_sample_scale(scalars: Tensor, mats: np.ndarray) -> Tensor:
     """out[b] = scalars[b] * mats[b] for a constant stack of matrices.

@@ -80,6 +80,14 @@ class TrainConfig:
             raise ValueError("loss weights and alpha must be >= 0")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
+        if not 0 < self.crop_ratio <= 1:
+            raise ValueError(f"crop_ratio must be in (0, 1], got {self.crop_ratio}")
+        if not 0 <= self.mask_ratio < 1:
+            raise ValueError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
+        if not 0 <= self.reorder_ratio <= 1:
+            raise ValueError(f"reorder_ratio must be in [0, 1], got {self.reorder_ratio}")
         if self.patience >= self.max_epochs:
             raise ValueError(f"patience ({self.patience}) must be < max_epochs ({self.max_epochs})")
 

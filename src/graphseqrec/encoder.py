@@ -5,6 +5,11 @@ Sequences are left-padded with item id 0, so the most recent item always
 sits at the last position.  The per-user encoding is a single learned
 scalar gate (an MLP projection of the user embedding) times the sequence's
 item-item subgraph; the same matrix is added at every layer and head.
+
+Each layer is layer norm, the query/key/value projections (one
+``autodiff.linear`` node each), all heads' attention as one
+``autodiff.attention`` node, the output projection, and a ReLU feed-forward
+block, with dropout and a residual add around both halves.
 """
 
 from __future__ import annotations
@@ -105,9 +110,7 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
     if not (seqs > 0).any(axis=1).all():
         bad = int(np.flatnonzero(~(seqs > 0).any(axis=1))[0])
         raise ValueError(f"encode: all-padding sequence at batch position {bad}")
-    d = cfg.dim
-    dh = d // cfg.heads
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / np.sqrt(cfg.dim // cfg.heads)
     mask = attention_mask(seqs)
 
     h = ad.add(ad.gather(params["item_emb"], seqs), params["pos_emb"])
@@ -118,16 +121,7 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
         q = ad.linear(a, params[p + "attn_query_w"], params[p + "attn_query_b"])
         k = ad.linear(a, params[p + "attn_key_w"], params[p + "attn_key_b"])
         v = ad.linear(a, params[p + "attn_value_w"], params[p + "attn_value_b"])
-        head_outs = []
-        for i in range(cfg.heads):
-            lo, hi = i * dh, (i + 1) * dh
-            logits = ad.mul(ad.matmul(ad.slice_cols(q, lo, hi),
-                                      ad.transpose(ad.slice_cols(k, lo, hi))), scale)
-            if rel_pe is not None:
-                logits = ad.add(logits, rel_pe)
-            weights = ad.softmax_rows(logits, mask)
-            head_outs.append(ad.matmul(weights, ad.slice_cols(v, lo, hi)))
-        merged = head_outs[0] if cfg.heads == 1 else ad.concat_cols(head_outs)
+        merged = ad.attention(q, k, v, mask, cfg.heads, scale, rel_pe)
         attended = ad.linear(merged, params[p + "attn_out_w"], params[p + "attn_out_b"])
         h = ad.add(h, ad.dropout(attended, cfg.dropout, rng))
         f = ad.layer_norm(h, params[p + "ln2_g"], params[p + "ln2_b"], LN_EPS)

@@ -6,6 +6,7 @@ import pytest
 from graphseqrec import autodiff as ad
 from graphseqrec.autodiff import (DegenerateRow, GraphConsumed, NotRecorded, ShapeMismatch,
                                   Tensor)
+from graphseqrec.encoder import attention_mask
 
 from conftest import check_grads
 
@@ -40,55 +41,78 @@ class TestMatmul:
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
 
+def row_softmax(x, mask=None):
+    """The masked row softmax inside :func:`ad.attention`, read on its own.
+
+    With zero queries and keys, scale 1 and ``x`` (B, N, N) passed as
+    ``rel_pe``, the logits are ``x`` exactly; identity values make the output
+    the softmax weights, and ``x.grad`` is the softmax backward of the
+    gradient that reaches the output.  No mask means every entry is visible.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    b, n, _ = x.shape
+    zeros = Tensor(np.zeros((b, n, n)))
+    eye = Tensor(np.broadcast_to(np.eye(n), (b, n, n)).copy())
+    mask = np.ones((b, n, n), dtype=bool) if mask is None else mask
+    return ad.attention(zeros, zeros, eye, mask, 1, 1.0, x)
+
+
 class TestSoftmaxRows:
+    """The masked row softmax of the attention node."""
+
     def test_uniform_row(self):
-        out = ad.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+        out = row_softmax(np.zeros((1, 3, 3)))
+        np.testing.assert_allclose(out.data, np.full((1, 3, 3), 1 / 3), atol=1e-15)
 
     def test_large_logit_no_overflow(self):
-        out = ad.softmax_rows(Tensor([[1000.0, 0.0]]))
+        out = row_softmax(np.array([[[1000.0, 0.0], [0.0, 1000.0]]]))
         assert np.isfinite(out.data).all()
-        np.testing.assert_allclose(out.data[0, 0], 1.0)
-        assert out.data[0, 1] < 1e-300
+        np.testing.assert_allclose(out.data[0, 0, 0], 1.0)
+        assert out.data[0, 0, 1] < 1e-300
 
     def test_single_unmasked_entry_is_one(self):
-        mask = np.array([[False, True, False]])
-        out = ad.softmax_rows(Tensor([[5.0, -77.0, 2.0]]), mask)
-        np.testing.assert_array_equal(out.data, [[0.0, 1.0, 0.0]])
+        mask = np.array([[[False, True, False], [True, True, True], [True, True, True]]])
+        out = row_softmax(np.array([[[5.0, -77.0, 2.0], [0.0] * 3, [0.0] * 3]]), mask)
+        np.testing.assert_array_equal(out.data[0, 0], [0.0, 1.0, 0.0])
 
     def test_fully_masked_row_raises(self):
-        mask = np.array([[True, True], [False, False]])
-        with pytest.raises(DegenerateRow, match=r"\(1,\)"):
-            ad.softmax_rows(Tensor(np.zeros((2, 2))), mask)
+        mask = np.ones((2, 3, 3), dtype=bool)
+        mask[1, 2] = False
+        with pytest.raises(DegenerateRow, match=r"attention: fully masked row at index \(1, 2\)"):
+            row_softmax(np.zeros((2, 3, 3)), mask)
 
     def test_row_stochastic_under_random_masks(self, rng):
         for _ in range(20):
-            x = Tensor(rng.standard_normal((4, 6)) * 5)
-            mask = rng.random((4, 6)) < 0.6
-            mask[:, 0] = True  # keep every row alive
-            out = ad.softmax_rows(x, mask).data
+            x = rng.standard_normal((2, 6, 6)) * 5
+            mask = rng.random((2, 6, 6)) < 0.6
+            mask[..., 0] = True  # keep every row alive
+            out = row_softmax(x, mask).data
             np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
             assert (out[~mask] == 0.0).all()
             assert (out >= 0.0).all()
 
     def test_gradient(self, rng):
-        x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        mask = rng.random((3, 5)) < 0.7
-        mask[:, 2] = True
-        w = rng.standard_normal((3, 5))
-        check_grads(lambda: ad.total_sum(ad.mul(ad.softmax_rows(x, mask), Tensor(w))),
+        x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
+        mask = rng.random((2, 5, 5)) < 0.7
+        mask[..., 2] = True
+        w = rng.standard_normal((2, 5, 5))
+        check_grads(lambda: ad.total_sum(ad.mul(row_softmax(x, mask), Tensor(w))),
                     {"x": x})
 
     def test_masked_logit_far_above_the_row_max_stays_zero(self):
         # exp(1000 - 1) overflows; masked entries must still be exact zeros
-        x = Tensor([[0.0, 1000.0, 1.0]], requires_grad=True)
-        mask = np.array([[True, False, True]])
+        x = Tensor(np.zeros((1, 3, 3)), requires_grad=True)
+        x.data[0, 0] = [0.0, 1000.0, 1.0]
+        mask = np.ones((1, 3, 3), dtype=bool)
+        mask[0, 0, 1] = False
+        upstream = np.zeros((1, 3, 3))
+        upstream[0, 0] = [1.0, 5.0, 2.0]
         with np.errstate(all="raise"):
-            out = ad.softmax_rows(x, mask)
-            ad.backward(ad.total_sum(ad.mul(out, Tensor([[1.0, 5.0, 2.0]]))))
+            out = row_softmax(x, mask)
+            ad.backward(ad.total_sum(ad.mul(out, Tensor(upstream))))
         e = np.exp(np.array([0.0, 1.0]) - 1.0)
-        assert out.data.tobytes() == np.array([[e[0] / e.sum(), 0.0, e[1] / e.sum()]]).tobytes()
-        assert np.isfinite(x.grad).all() and x.grad[0, 1] == 0.0
+        assert out.data[0, 0].tobytes() == np.array([e[0] / e.sum(), 0.0, e[1] / e.sum()]).tobytes()
+        assert np.isfinite(x.grad).all() and x.grad[0, 0, 1] == 0.0
 
 
 class TestBackward:
@@ -113,6 +137,18 @@ class TestBackward:
         loss = ad.total_sum(ad.add(y, y))  # d/dx (3x + 3x) = 6
         ad.backward(loss)
         assert float(x.grad) == 6.0
+
+    def test_add_hands_its_gradient_to_the_second_operand(self, rng):
+        a, b = leaves(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
+        out = ad.add(a, b)
+        seen = []
+        closure = out._backward
+        out._backward = lambda g: (seen.append(g), closure(g))
+        upstream = rng.standard_normal((2, 3))
+        ad.backward(weighted_loss(out, upstream))
+        assert a.grad.tobytes() == b.grad.tobytes() == upstream.tobytes()
+        assert np.shares_memory(b.grad, seen[0])  # adopted, not copied
+        assert not np.shares_memory(a.grad, seen[0])
 
     def test_first_gradient_is_an_owned_copy(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
@@ -224,7 +260,7 @@ class TestNoGrad:
         w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
 
         def forward():
-            return ad.softmax_rows(ad.tanh(ad.matmul(x, w))).data.tobytes()
+            return ad.logsumexp_rows(ad.tanh(ad.matmul(x, w))).data.tobytes()
 
         recorded = forward()
         with ad.no_grad():
@@ -345,14 +381,36 @@ class TestIndexingOps:
         np.testing.assert_array_equal(out.data[1], x.data[1, 0])
         check_grads(lambda: ad.total_sum(ad.select_positions(x, pos)), {"x": x}, rtol=1e-6)
 
-    def test_slice_and_concat_roundtrip(self, rng):
-        x = Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True)
-        left = ad.slice_cols(x, 0, 3)
-        right = ad.slice_cols(x, 3, 6)
-        out = ad.concat_cols([left, right])
-        np.testing.assert_array_equal(out.data, x.data)
-        check_grads(lambda: ad.total_sum(ad.mul(ad.concat_cols(
-            [ad.slice_cols(x, 0, 3), ad.slice_cols(x, 3, 6)]), 2.0)), {"x": x}, rtol=1e-6)
+
+class TestAttention:
+    def test_gradient_vs_finite_differences(self, rng):
+        seqs = np.array([[0, 2, 3, 1], [4, 1, 2, 6]])
+        mask = attention_mask(seqs)
+        q, k, v = (Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True) for _ in range(3))
+        rel_pe = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
+        w = rng.standard_normal((2, 4, 6))
+        check_grads(lambda: ad.total_sum(ad.mul(ad.attention(q, k, v, mask, 2, 0.5, rel_pe),
+                                                Tensor(w))),
+                    {"q": q, "k": k, "v": v, "rel_pe": rel_pe}, rtol=1e-6)
+
+    def test_fully_masked_row_names_its_index(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        mask = np.ones((2, 3, 3), dtype=bool)
+        mask[1, 0] = False
+        with pytest.raises(DegenerateRow, match=r"\(1, 0\)"):
+            ad.attention(x, x, x, mask, 2, 1.0)
+
+    def test_shape_errors_name_both_shapes(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        mask = np.ones((2, 3, 3), dtype=bool)
+        with pytest.raises(ShapeMismatch, match=r"q \[2, 3, 4\], k \[2, 5, 4\]"):
+            ad.attention(x, Tensor(np.zeros((2, 5, 4))), x, mask, 2, 1.0)
+        with pytest.raises(ShapeMismatch, match=r"mask shape \[2, 3, 4\] != logits shape \[2, 3, 3\]"):
+            ad.attention(x, x, x, np.ones((2, 3, 4), dtype=bool), 2, 1.0)
+        with pytest.raises(ShapeMismatch, match=r"rel_pe shape \[3, 3\] != logits shape \[2, 3, 3\]"):
+            ad.attention(x, x, x, mask, 2, 1.0, Tensor(np.zeros((3, 3))))
+        with pytest.raises(ShapeMismatch, match="width 4 does not split into 3 heads"):
+            ad.attention(x, x, x, mask, 3, 1.0)
 
 
 class TestStructuredOps:
@@ -456,6 +514,34 @@ def softmax_rows_reference(x, mask, g):
     return out, out * (g - inner)
 
 
+def attention_reference(q, k, v, mask, heads, scale, rel_pe, g):
+    """The per-head chain in plain numpy: copied column blocks, logits,
+    masked softmax, weighted values and concatenation, then each head's
+    backward; ``rel_pe``'s gradient sums the heads in ascending order."""
+    dh = q.shape[-1] // heads
+    outs = []
+    grads = [np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)]
+    d_rel = None
+    for i in range(heads):
+        cols = slice(i * dh, (i + 1) * dh)
+        qh, kh, vh, gh = (a[..., cols].copy() for a in (q, k, v, g))
+        logits = (qh @ np.swapaxes(kh, -1, -2)) * scale
+        if rel_pe is not None:
+            logits = logits + rel_pe
+        logits = np.where(mask, logits, -np.inf)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        outs.append(w @ vh)
+        gw = gh @ np.swapaxes(vh, -1, -2)
+        gx = (gw - (gw * w).sum(axis=-1, keepdims=True)) * w
+        gs = gx * scale
+        grads[0][..., cols] = gs @ kh
+        grads[1][..., cols] = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+        grads[2][..., cols] = np.swapaxes(w, -1, -2) @ gh
+        d_rel = gx if d_rel is None else d_rel + gx
+    return np.concatenate(outs, axis=-1), grads, d_rel
+
+
 def gather_backward_reference(num_rows, ids, g):
     """The dense scatter: a zero table plus np.add.at over every id."""
     gt = np.zeros((num_rows, g.shape[-1]))
@@ -508,17 +594,40 @@ class TestBitwiseAgainstOldFormulas:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_softmax_rows_forward_and_backward(self, rng, masked):
-        x0 = rng.standard_normal((3, 4, 6)) * 4.0
-        mask = rng.random((3, 4, 6)) < 0.6 if masked else None
+        x0 = rng.standard_normal((3, 6, 6)) * 4.0
+        mask = rng.random((3, 6, 6)) < 0.6 if masked else None
         if masked:
             mask[..., 0] = True
-        upstream = rng.standard_normal((3, 4, 6))
+        upstream = rng.standard_normal((3, 6, 6))
         (x,) = leaves(x0)
-        out = ad.softmax_rows(x, mask)
+        out = row_softmax(x, mask)
         ad.backward(weighted_loss(out, upstream))
         want_out, want_dx = softmax_rows_reference(x0, mask, upstream)
         assert out.data.tobytes() == want_out.tobytes()
         assert x.grad.tobytes() == want_dx.tobytes()
+
+    # four heads make rel_pe's sum order visible: ((a + b) + c) + d
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("with_rel_pe", [False, True])
+    def test_attention_forward_and_backward(self, rng, heads, with_rel_pe):
+        seqs = np.array([[0, 0, 3, 1, 4, 2], [5, 1, 2, 6, 3, 7], [0, 0, 0, 0, 0, 9]])
+        mask = attention_mask(seqs)  # padded rows see only themselves
+        q0, k0, v0 = (rng.standard_normal((3, 6, 8)) for _ in range(3))
+        rel0 = rng.standard_normal((3, 6, 6)) if with_rel_pe else None
+        upstream = rng.standard_normal((3, 6, 8))
+        scale = 1.0 / np.sqrt(8 // heads)
+        q, k, v = leaves(q0, k0, v0)
+        rel_pe = Tensor(rel0.copy(), requires_grad=True) if with_rel_pe else None
+        out = ad.attention(q, k, v, mask, heads, scale, rel_pe)
+        ad.backward(weighted_loss(out, upstream))
+        want_out, want_grads, want_rel = attention_reference(
+            q0, k0, v0, mask, heads, scale, rel0, upstream)
+        assert out.op == "attention"
+        assert out.data.tobytes() == want_out.tobytes()
+        for got, want in zip((q.grad, k.grad, v.grad), want_grads):
+            assert got.tobytes() == want.tobytes()
+        if with_rel_pe:
+            assert rel_pe.grad.tobytes() == want_rel.tobytes()
 
     def test_gather_equals_the_dense_scatter(self, rng):
         ids_a = np.array([[3, 1, 3, 3], [0, 3, 5, 1]])

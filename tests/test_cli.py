@@ -108,6 +108,22 @@ class TestTrain:
         assert code == 2
         assert "no_such_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--heads", "0"), ("--heads", "-2"), ("--mask-ratio", "1.0"), ("--mask-ratio", "1.5"),
+        ("--crop-ratio", "0"), ("--crop-ratio", "1.5"), ("--reorder-ratio", "-0.1"),
+        ("--reorder-ratio", "1.5"),
+    ])
+    def test_out_of_range_key_rejected_before_training(self, synth_log, tmp_path, capsys,
+                                                       flag, value):
+        outdir = tmp_path / "run"
+        code = main(["train", "--dataset", synth_log, "--outdir", str(outdir)]
+                    + FAST_FLAGS + [flag, value])
+        assert code == 1
+        key = flag[2:].replace("-", "_")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and f"got {float(value):g}" in err
+        assert not (outdir / "config.resolved").exists()
+
     def test_flag_overrides_config_file(self, synth_log, tmp_path):
         cfg = tmp_path / "base.cfg"
         cfg.write_text("seed = 1\ndim = 8\nmax_len = 8\nrank = 2\nencoder_layers = 1\n"

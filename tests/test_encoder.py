@@ -32,9 +32,10 @@ class TestAttentionMask:
         seqs = np.array([[0, 0, 0, 7]])
         mask = enc.attention_mask(seqs)[0]
         np.testing.assert_array_equal(mask[3], [False, False, False, True])
-        weights = ad.softmax_rows(Tensor(rng.standard_normal((1, 4, 4))),
-                                  mask[None]).data
-        assert weights[0, 3, 3] == 1.0
+        # with identity values the attention output is its weights
+        q, k = (Tensor(rng.standard_normal((1, 4, 4))) for _ in range(2))
+        weights = ad.attention(q, k, Tensor(np.eye(4)[None]), mask[None], 1, 1.0).data
+        assert weights[0, 3].tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 class TestEncode:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,43 @@ class TestTapeFreeEvaluation:
         seqs[:, -1] = 1
         model.user_reprs(seqs, np.arange(2), model.subgraph_perturbation())
         assert recorded
+
+
+class TestTrainStepTape:
+    def tape_ops(self, heads, monkeypatch):
+        """Op counts of one train step's loss graph, walked before backward."""
+        dataset = tiny_dataset()
+        cfg = tiny_config(batch_size=8, heads=heads, encoder_layers=2)
+        model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
+                      tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
+        batch = assemble_batch(dataset.users[:cfg.batch_size], dataset.num_items,
+                               cfg.max_len, np.random.default_rng(11),
+                               np.random.default_rng(12), tr.AugmentConfig())
+        ops = Counter()
+        original = ad.backward
+
+        def spy(loss):
+            seen, stack = set(), [loss]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    ops[node.op] += 1
+                    stack.extend(node._parents)
+            original(loss)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "backward", spy)
+            train_step(model, batch, cfg, None, None)
+        return ops
+
+    def test_one_attention_node_per_layer_and_encode(self, monkeypatch):
+        one_head = self.tape_ops(1, monkeypatch)
+        two_heads = self.tape_ops(2, monkeypatch)
+        # 2 layers x 3 encodes: the sequence and its two augmented views
+        assert two_heads["attention"] == 2 * 3
+        # no op is recorded per head
+        assert two_heads == one_head
 
 
 class TestTrainLoop:
