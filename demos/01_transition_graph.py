@@ -4,14 +4,17 @@ Building the global item-transition graph
 
 Every user's history contributes fractional co-occurrence weight to a
 shared item-item graph: a pair of items at offset k inside the sliding
-window adds 1/k to the directed edge between them.  The finalized graph
-is degree-normalized, symmetric, and carries a unit self-loop on every
-item that appears anywhere.
+window adds 1/k to the directed edge between them.  ``build_transition_graph``
+then scales each edge by the reciprocal degrees of its endpoints, adds the
+transpose, and puts a unit self-loop on every item that appears anywhere.
 """
+
+import os
+import tempfile
 
 import numpy as np
 
-from graphseqrec import ItemSequence, accumulate, normalize_finalize
+from graphseqrec import ItemSequence, build_transition_graph
 
 # Three tiny histories.  Items 1..5; the window is 2, so consecutive
 # pairs add 1 and skip-one pairs add 1/2.
@@ -21,29 +24,33 @@ sequences = [
     ItemSequence(2, [5]),
 ]
 
-directed = accumulate(sequences, window=2)
-print("directed accumulation (item_i -> item_j : weight):")
-for (i, j), w in sorted(directed.weights.items()):
-    print(f"  {i} -> {j} : {w}")
-
-# 1 -> 2 and 2 -> 3 appear as consecutive pairs; 1 -> 3 only at offset 2.
-assert directed.weights[(2, 3)] == 2.0  # once in each of two sequences
-assert directed.weights[(1, 3)] == 0.5
-
-graph = normalize_finalize(directed)
+graph = build_transition_graph(sequences, window=2)
 dense = graph.dense()
 
-print("\nfinalized graph (zero row/column 0 is the padding slot):")
+print("finalized graph (zero row/column 0 is the padding slot):")
 with np.printoptions(precision=3, suppress=True):
     print(dense)
+
+# Directed weights: 1 -> 2 once, 2 -> 3 once in each of two sequences, 3 -> 4
+# once, and the offset-2 pairs 1 -> 3 and 2 -> 4 at 1/2 each.  Each item's
+# weighted degree sums the weights of its edges in both directions.
+weights = {(1, 2): 1.0, (2, 3): 2.0, (3, 4): 1.0, (1, 3): 0.5, (2, 4): 0.5}
+deg = {1: 1.5, 2: 3.5, 3: 3.5, 4: 1.5}
+for (i, j), w in weights.items():
+    want = (1 / deg[i] + 1 / deg[j]) * w
+    print(f"  {i} -> {j} : weight {w}, normalized {want:.4f}")
+    assert np.isclose(dense[i, j], want)
 
 # Symmetry and self-loops are structural guarantees.
 assert (dense == dense.T).all()
 assert dense[5, 5] == 1.0  # item 5 never co-occurred but still gets a loop
+assert dense[1, 4] == 0.0  # offset 3 lies outside the window
 
 # The text dump round-trips through plain tab-separated triples.
-graph.dump("/tmp/transition_graph.tsv")
-print("\nfirst dump lines:")
-with open("/tmp/transition_graph.tsv") as fh:
-    for line in list(fh)[:5]:
-        print(" ", line.rstrip())
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "transition_graph.tsv")
+    graph.dump(path)
+    print("\nfirst dump lines:")
+    with open(path) as fh:
+        for line in list(fh)[:5]:
+            print(" ", line.rstrip())

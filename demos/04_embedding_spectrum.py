@@ -6,7 +6,7 @@ If item embeddings collapse into a low-dimensional subspace, their
 singular values decay sharply.  The graph-contrastive term pushes toward
 a flatter spectrum.  This script trains a model with and without that
 term and compares the singular-value tails, then writes the 2D
-projection CSV for plotting.
+projection CSV for plotting into the working directory.
 """
 
 import numpy as np
@@ -33,6 +33,6 @@ for label, result in (("with graph loss", with_graph_loss), ("lambda1 = 0", with
           f"sigma_{k}/sigma_1={tail:.4f}")
 
 report = spectrum(with_graph_loss.model.params["item_emb"].data[1:])
-write_spectrum_csv(report, "/tmp/item_spectrum.csv")
-print("projection written to /tmp/item_spectrum.csv "
-      "(+ singular values in /tmp/item_spectrum.csv.singvals)")
+write_spectrum_csv(report, "item_spectrum.csv")
+print("projection written to item_spectrum.csv "
+      "(+ singular values in item_spectrum.csv.singvals)")

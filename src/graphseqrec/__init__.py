@@ -18,8 +18,7 @@ from .data import (AugmentConfig, Interaction, ItemSequence, SplitDataset,
                    leave_one_out, pad_sequence, synth_generate)
 from .evaluation import (MetricsReport, SpectrumReport, hr_ndcg,
                          popularity_ranks, spectrum)
-from .graph import (SubgraphPerturbation, TransitionGraph, accumulate,
-                    build_transition_graph, normalize_finalize)
+from .graph import SubgraphPerturbation, TransitionGraph, build_transition_graph
 from .config import ModelConfig, TrainConfig
 from .model import Model
 from .optim import Adam, GradientNaN

@@ -147,6 +147,6 @@ def detached_perturbation(graph: TransitionGraph,
     Values only; subgraph extraction is a stop-gradient read of the refined
     graph, so the factors learn through gce_loss alone.
     """
-    return SubgraphPerturbation(graph.apply(factors.left.data),
-                                graph.apply(factors.right.data),
+    return SubgraphPerturbation(graph.matrix @ factors.left.data,
+                                graph.matrix @ factors.right.data,
                                 factors.strength)

@@ -8,6 +8,7 @@ same configuration sized to a dataset.  Unknown keys are rejected;
 command-line flags override file values.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional
 
@@ -74,20 +75,30 @@ class TrainConfig:
     spectrum: bool = _key(False, "write the embedding spectrum CSV after training")
 
     def validate(self) -> None:
-        if self.lr <= 0 or self.tau <= 0:
-            raise ValueError("learning rate and temperature must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.alpha < 0:
-            raise ValueError("loss weights and alpha must be >= 0")
-        if not 0 <= self.dropout < 1:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.heads < 1:
-            raise ValueError(f"heads must be >= 1, got {self.heads}")
+        """Reject out-of-range keys, naming the key, before any work or artifact."""
+        def bad(key, rule):
+            raise ValueError(f"{key} must be {rule}, got {getattr(self, key)}")
+
+        for f in fields(TrainConfig):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                bad(f.name, "finite")
+        for key in ("dim", "max_len", "heads", "encoder_layers", "gcn_layers", "rank",
+                    "window", "batch_size"):
+            if getattr(self, key) < 1:
+                bad(key, ">= 1")
+        for key in ("lr", "eps", "tau"):
+            if getattr(self, key) <= 0:
+                bad(key, "> 0")
+        for key in ("alpha", "lambda1", "lambda2"):
+            if getattr(self, key) < 0:
+                bad(key, ">= 0")
+        for key in ("dropout", "beta1", "beta2", "mask_ratio"):
+            if not 0 <= getattr(self, key) < 1:
+                bad(key, "in [0, 1)")
         if not 0 < self.crop_ratio <= 1:
-            raise ValueError(f"crop_ratio must be in (0, 1], got {self.crop_ratio}")
-        if not 0 <= self.mask_ratio < 1:
-            raise ValueError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
+            bad("crop_ratio", "in (0, 1]")
         if not 0 <= self.reorder_ratio <= 1:
-            raise ValueError(f"reorder_ratio must be in [0, 1], got {self.reorder_ratio}")
+            bad("reorder_ratio", "in [0, 1]")
         if self.patience >= self.max_epochs:
             raise ValueError(f"patience ({self.patience}) must be < max_epochs ({self.max_epochs})")
 

@@ -1,17 +1,17 @@
-"""Global item-transition graph: windowed accumulation, normalization,
-sparse propagation, and batched per-sequence subgraph extraction.
+"""Global item-transition graph: windowed construction, sparse propagation,
+and batched per-sequence subgraph extraction.
 
 The graph lives on an (num_items + 1)-node index space; row/column 0 is the
-padding slot and never carries an edge.  Construction is two-phase: a
-directed accumulator collects fractional co-occurrence weights, then
-``normalize_finalize`` produces the immutable symmetric matrix with unit
-self-loops that the rest of the package propagates over.
+padding slot and never carries an edge.  ``build_transition_graph`` makes
+the whole graph in one pass of array operations: windowed 1/offset pair
+weights, degree normalization, the transpose and unit self-loops, giving the
+immutable symmetric matrix that the rest of the package propagates over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,51 +19,6 @@ import scipy.sparse as sp
 from .autodiff import ShapeMismatch, Tensor, _accumulate, _node
 from .checkpoint import atomic_open
 from .data import ItemSequence, SplitDataset
-
-
-@dataclass
-class DirectedAccumulator:
-    """Intermediate directed graph built by windowed pair accumulation."""
-    num_nodes: int
-    weights: Dict[Tuple[int, int], float] = field(default_factory=dict)
-    seen_items: set = field(default_factory=set)
-
-    def add(self, i: int, j: int, w: float) -> None:
-        key = (i, j)
-        self.weights[key] = self.weights.get(key, 0.0) + w
-
-    def degrees(self, mode: str = "weighted") -> np.ndarray:
-        """Per-node degree in the directed graph, counting out plus in edges.
-
-        ``weighted`` sums edge weights; ``count`` counts incident edges.
-        """
-        deg = np.zeros(self.num_nodes, dtype=np.float64)
-        for (i, j), w in self.weights.items():
-            inc = w if mode == "weighted" else 1.0
-            deg[i] += inc
-            deg[j] += inc
-        return deg
-
-
-def accumulate(sequences: Sequence[ItemSequence], window: int = 2,
-               num_items: Optional[int] = None) -> DirectedAccumulator:
-    """Windowed transition weights: each pair at offset k within the window
-    contributes 1/k to the directed edge (earlier item, later item)."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if num_items is None:
-        num_items = max((max(s.items) for s in sequences if s.items), default=0)
-    acc = DirectedAccumulator(num_items + 1)
-    for seq in sequences:
-        items = seq.items
-        acc.seen_items.update(items)
-        for i, src in enumerate(items):
-            for k in range(1, window + 1):
-                if i + k >= len(items):
-                    break
-                acc.add(src, items[i + k], 1.0 / k)
-    acc.seen_items.discard(0)
-    return acc
 
 
 class TransitionGraph:
@@ -74,24 +29,17 @@ class TransitionGraph:
     weights is one ``searchsorted``.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, seen_items: Iterable[int]):
+    def __init__(self, matrix: sp.csr_matrix):
         matrix = matrix.tocsr()
         matrix.sum_duplicates()  # sorted and duplicate-free, so the keys are too
         self.matrix = matrix
         self.num_nodes = matrix.shape[0]
-        self.seen_items = frozenset(int(i) for i in seen_items)
         rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(matrix.indptr))
         self.keys = rows * self.num_nodes + matrix.indices
-        self._transposed: Optional[sp.csr_matrix] = None
 
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
-
-    def _transpose(self) -> sp.csr_matrix:
-        if self._transposed is None:
-            self._transposed = self.matrix.T.tocsr()
-        return self._transposed
 
     def spmv(self, x: Tensor) -> Tensor:
         """Sparse matrix times dense tensor; differentiable in x only
@@ -99,63 +47,68 @@ class TransitionGraph:
         if x.ndim != 2 or x.shape[0] != self.num_nodes:
             raise ShapeMismatch(
                 f"spmv: graph is [{self.num_nodes}x{self.num_nodes}], operand is {list(x.shape)}")
-        data = self.matrix @ x.data
-        mat_t = self._transpose()
 
-        def back(g, x=x, mat_t=mat_t):
-            _accumulate(x, mat_t @ g, fresh=True)
+        def back(g, x=x, matrix=self.matrix):
+            _accumulate(x, matrix.T @ g, fresh=True)
 
-        return _node(data, (x,), back, "spmv")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Plain (non-differentiable) product with a dense array."""
-        return self.matrix @ np.asarray(x, dtype=np.float64)
+        return _node(self.matrix @ x.data, (x,), back, "spmv")
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def entries(self) -> List[Tuple[int, int, float]]:
-        coo = self.matrix.tocoo()
-        triples = sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-        return [(int(i), int(j), float(w)) for i, j, w in triples]
-
     def dump(self, path) -> None:
         """Text dump, one 'i<TAB>j<TAB>weight' line per entry in sorted order."""
+        rows, cols = np.divmod(self.keys, self.num_nodes)
         with atomic_open(path) as fh:
-            for i, j, w in self.entries():
+            for i, j, w in zip(rows.tolist(), cols.tolist(), self.matrix.data.tolist()):
                 fh.write(f"{i}\t{j}\t{w:.17g}\n")
-
-
-def normalize_finalize(acc: DirectedAccumulator, degree_mode: str = "weighted",
-                       self_loop: float = 1.0) -> TransitionGraph:
-    """Scale each directed entry by (1/deg(i) + 1/deg(j)), symmetrize by
-    adding the transpose, then add a self-loop to every interacted item."""
-    if degree_mode not in ("weighted", "count"):
-        raise ValueError(f"degree_mode must be 'weighted' or 'count', got {degree_mode!r}")
-    deg = acc.degrees(degree_mode)
-    n = acc.num_nodes
-    rows, cols, vals = [], [], []
-    for (i, j), w in acc.weights.items():
-        if not (deg[i] > 0.0 and deg[j] > 0.0):
-            raise ValueError(f"edge ({i}, {j}) has an endpoint with non-positive "
-                             f"{degree_mode} degree")
-        vals.append((1.0 / deg[i] + 1.0 / deg[j]) * w)
-        rows.append(i)
-        cols.append(j)
-    directed = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    symmetric = directed + directed.T
-    if acc.seen_items:
-        loop_ids = np.fromiter(sorted(acc.seen_items), dtype=np.int64)
-        loops = sp.csr_matrix(
-            (np.full(loop_ids.size, self_loop), (loop_ids, loop_ids)), shape=(n, n))
-        symmetric = symmetric + loops
-    return TransitionGraph(symmetric, acc.seen_items)
 
 
 def build_transition_graph(sequences: Sequence[ItemSequence], window: int = 2,
                            num_items: Optional[int] = None,
                            degree_mode: str = "weighted") -> TransitionGraph:
-    return normalize_finalize(accumulate(sequences, window, num_items), degree_mode)
+    """Each pair at offset k <= window adds 1/k to the directed edge (earlier,
+    later); entry (i, j) is then scaled by 1/deg(i) + 1/deg(j), the transpose
+    is added, and every item that occurs gets a unit self-loop.
+
+    Float sums run in a fixed order, so the bits do not depend on the layout:
+    an edge's weight sums its pairs by position, then offset, and the degrees
+    sum the edges in order of first occurrence, both endpoints in turn.
+    """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if degree_mode not in ("weighted", "count"):
+        raise ValueError(f"degree_mode must be 'weighted' or 'count', got {degree_mode!r}")
+    items = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [np.asarray(s.items, dtype=np.int64) for s in sequences])
+    if num_items is None:
+        num_items = int(items.max(initial=0))
+    bad = items[(items < 1) | (items > num_items)]
+    if bad.size:
+        raise ValueError(f"item id {bad[0]} is outside 1..{num_items}")
+    n = num_items + 1
+    owner = np.repeat(np.arange(len(sequences)),
+                      np.array([len(s.items) for s in sequences], dtype=np.int64))
+    same = np.zeros((items.size, window), dtype=bool)
+    for k in range(1, window + 1):
+        same[:-k, k - 1] = owner[:-k] == owner[k:]
+    pos, offset = np.nonzero(same)  # by position, then offset
+    offset += 1
+    keys, first, inverse = np.unique(items[pos] * n + items[pos + offset],
+                                     return_index=True, return_inverse=True)
+    weights = np.zeros(keys.size)
+    np.add.at(weights, inverse, 1.0 / offset)
+    src, dst = np.divmod(keys, n)
+    increments = weights if degree_mode == "weighted" else np.ones(keys.size)
+    order = np.argsort(first, kind="stable")
+    deg = np.zeros(n)
+    np.add.at(deg, np.stack([src[order], dst[order]], axis=1).ravel(),
+              np.repeat(increments[order], 2))
+    directed = sp.csr_matrix(((1.0 / deg[src] + 1.0 / deg[dst]) * weights, (src, dst)),
+                             shape=(n, n))
+    loops = np.unique(items)
+    return TransitionGraph(directed + directed.T
+                           + sp.csr_matrix((np.ones(loops.size), (loops, loops)), shape=(n, n)))
 
 
 def train_graph(dataset: SplitDataset, window: int = 2,

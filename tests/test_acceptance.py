@@ -124,7 +124,7 @@ def random_sparse_graph(num_nodes, avg_degree, rng):
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(num_nodes, num_nodes))
     mat = mat + mat.T
     mat = mat + sp.eye(num_nodes, format="csr")
-    return TransitionGraph(mat.tocsr(), range(1, num_nodes))
+    return TransitionGraph(mat.tocsr())
 
 
 def test_criterion_3_linear_path_scaling():

@@ -112,6 +112,14 @@ class TestTrain:
         ("--heads", "0"), ("--heads", "-2"), ("--mask-ratio", "1.0"), ("--mask-ratio", "1.5"),
         ("--crop-ratio", "0"), ("--crop-ratio", "1.5"), ("--reorder-ratio", "-0.1"),
         ("--reorder-ratio", "1.5"),
+        ("--batch-size", "0"), ("--dim", "0"), ("--max-len", "0"), ("--encoder-layers", "0"),
+        ("--window", "0"), ("--rank", "0"), ("--gcn-layers", "0"),
+        ("--dropout", "nan"), ("--alpha", "inf"), ("--lr", "nan"), ("--beta1", "inf"),
+        ("--beta2", "nan"), ("--eps", "inf"), ("--lambda1", "inf"), ("--lambda2", "nan"),
+        ("--tau", "inf"), ("--crop-ratio", "nan"), ("--mask-ratio", "inf"),
+        ("--reorder-ratio", "nan"),
+        ("--beta1", "1.5"), ("--beta1", "-0.1"), ("--beta2", "1.0"), ("--eps", "-1"),
+        ("--eps", "0"),
     ])
     def test_out_of_range_key_rejected_before_training(self, synth_log, tmp_path, capsys,
                                                        flag, value):

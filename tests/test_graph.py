@@ -24,14 +24,16 @@ def brute_force_weights(sequences, window):
     return weights
 
 
-def brute_force_normalized(sequences, window, num_items):
-    """Scripted normalization: scale by reciprocal weighted degrees, add the
-    transpose, then unit self-loops on every interacted item."""
+def brute_force_normalized(sequences, window, num_items, degree_mode="weighted"):
+    """Scripted normalization: scale by reciprocal degrees (summed weights, or
+    edge counts), add the transpose, then unit self-loops on every interacted
+    item."""
     weights = brute_force_weights(sequences, window)
     deg = np.zeros(num_items + 1)
     for (i, j), w in weights.items():
-        deg[i] += w
-        deg[j] += w
+        inc = w if degree_mode == "weighted" else 1.0
+        deg[i] += inc
+        deg[j] += inc
     dense = np.zeros((num_items + 1, num_items + 1))
     for (i, j), w in weights.items():
         dense[i, j] = (1.0 / deg[i] + 1.0 / deg[j]) * w
@@ -50,42 +52,54 @@ def random_sequences(rng, count, num_items, min_len=1, max_len=12):
 
 
 class TestAccumulate:
+    """The windowed 1/k pair weights, read off the finalized graph."""
+
     def test_window_offsets_weight_by_reciprocal_distance(self):
-        acc = gr.accumulate([ItemSequence(0, [1, 2, 3])], window=2)
-        assert acc.weights[(1, 2)] == 1.0
-        assert acc.weights[(2, 3)] == 1.0
-        assert acc.weights[(1, 3)] == 0.5
+        # [1, 2, 3] at window 2: (1,2) and (2,3) weigh 1, (1,3) weighs 1/2, so
+        # the weighted degrees are 1.5, 2, 1.5
+        dense = gr.build_transition_graph([ItemSequence(0, [1, 2, 3])], window=2).dense()
+        assert dense[1, 2] == (1 / 1.5 + 1 / 2) * 1.0
+        assert dense[2, 3] == (1 / 2 + 1 / 1.5) * 1.0
+        assert dense[1, 3] == (1 / 1.5 + 1 / 1.5) * 0.5
 
     def test_single_item_sequence_adds_nothing(self):
-        acc = gr.accumulate([ItemSequence(0, [4])], window=2, num_items=5)
-        assert acc.weights == {}
-        assert acc.seen_items == {4}
+        graph = gr.build_transition_graph([ItemSequence(0, [4])], window=2, num_items=5)
+        want = np.zeros((6, 6))
+        want[4, 4] = 1.0
+        np.testing.assert_array_equal(graph.dense(), want)
 
     def test_matches_pair_enumeration_oracle(self, rng):
         seqs = random_sequences(rng, 50, 20)
-        acc = gr.accumulate(seqs, window=2)
-        assert acc.weights == brute_force_weights(seqs, 2)
+        np.testing.assert_array_equal(gr.build_transition_graph(seqs, window=2).dense(),
+                                      brute_force_normalized(seqs, 2, 20))
 
     def test_wider_window(self, rng):
         seqs = random_sequences(rng, 10, 8)
-        acc = gr.accumulate(seqs, window=4)
-        oracle = brute_force_weights(seqs, 4)
-        assert set(acc.weights) == set(oracle)
-        for key, w in oracle.items():
-            assert abs(acc.weights[key] - w) < 1e-12
+        np.testing.assert_array_equal(
+            gr.build_transition_graph(seqs, window=4, num_items=8).dense(),
+            brute_force_normalized(seqs, 4, 8))
 
     def test_order_insensitive_across_sequences(self, rng):
         seqs = random_sequences(rng, 25, 10)
-        forward = gr.accumulate(seqs, window=2, num_items=10)
-        backward = gr.accumulate(list(reversed(seqs)), window=2, num_items=10)
-        assert forward.weights == backward.weights
+        forward = gr.build_transition_graph(seqs, window=2, num_items=10)
+        backward = gr.build_transition_graph(list(reversed(seqs)), window=2, num_items=10)
+        np.testing.assert_array_equal(forward.keys, backward.keys)
+        assert forward.matrix.data.tobytes() == backward.matrix.data.tobytes()
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            gr.accumulate([], window=0)
+        with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+            gr.build_transition_graph([], window=0)
+
+    @pytest.mark.parametrize("ids,bad", [([0, 2, 3], 0), ([1, -1], -1), ([1, 5], 5)],
+                             ids=["padding", "negative", "past-end"])
+    def test_item_id_outside_catalog_rejected(self, ids, bad):
+        with pytest.raises(ValueError, match=rf"item id {bad} is outside 1\.\.3"):
+            gr.build_transition_graph([ItemSequence(0, ids)], window=2, num_items=3)
 
 
 class TestNormalizeFinalize:
+    """Degree normalization, symmetry, self-loops and the text dump."""
+
     def test_hand_evaluated_two_item_sequence(self):
         graph = gr.build_transition_graph([ItemSequence(0, [1, 2])], window=2, num_items=2)
         dense = graph.dense()
@@ -94,8 +108,8 @@ class TestNormalizeFinalize:
         assert dense[0].sum() == 0.0 and dense[:, 0].sum() == 0.0
 
     def test_no_sequences_no_entries(self):
-        graph = gr.normalize_finalize(gr.accumulate([], window=2, num_items=4))
-        assert graph.nnz == 0
+        graph = gr.build_transition_graph([], window=2, num_items=4)
+        assert graph.nnz == 0 and graph.num_nodes == 5
 
     def test_unseen_items_get_no_self_loop(self):
         graph = gr.build_transition_graph([ItemSequence(0, [1, 2])], window=2, num_items=9)
@@ -108,10 +122,13 @@ class TestNormalizeFinalize:
             dense = gr.build_transition_graph(seqs, window=2, num_items=12).dense()
             np.testing.assert_array_equal(dense, dense.T)
 
-    def test_matches_scripted_normalization_oracle(self, rng):
+    @pytest.mark.parametrize("degree_mode", ["weighted", "count"])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_matches_scripted_normalization_oracle(self, rng, window, degree_mode):
         seqs = random_sequences(rng, 30, 15)
-        dense = gr.build_transition_graph(seqs, window=2, num_items=15).dense()
-        np.testing.assert_allclose(dense, brute_force_normalized(seqs, 2, 15), atol=1e-12)
+        dense = gr.build_transition_graph(seqs, window, 15, degree_mode).dense()
+        np.testing.assert_array_equal(dense,
+                                      brute_force_normalized(seqs, window, 15, degree_mode))
 
     def test_count_degree_mode(self):
         # [1,2,3]: weighted deg(1)=1.5 vs edge-count deg(1)=2
@@ -120,12 +137,6 @@ class TestNormalizeFinalize:
         counted = gr.build_transition_graph(seqs, 2, 3, degree_mode="count").dense()
         assert weighted[1, 2] != counted[1, 2]
         np.testing.assert_allclose(counted[1, 2], (1 / 2 + 1 / 2) * 1.0)
-
-    def test_zero_degree_endpoint_names_the_edge(self):
-        acc = gr.DirectedAccumulator(4)
-        acc.add(1, 2, 0.0)
-        with pytest.raises(ValueError, match=r"edge \(1, 2\)"):
-            gr.normalize_finalize(acc)
 
     def test_dump_format_sorted(self, tmp_path):
         graph = gr.build_transition_graph([ItemSequence(0, [2, 1])], window=1, num_items=2)
@@ -157,6 +168,15 @@ class TestSpmv:
     def test_gradient_matches_finite_differences(self, rng):
         seqs = random_sequences(rng, 10, 6)
         graph = gr.build_transition_graph(seqs, window=2, num_items=6)
+        x = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        w = rng.standard_normal((7, 3))
+        check_grads(lambda: ad.total_sum(ad.mul(graph.spmv(x), Tensor(w))), {"x": x})
+
+    def test_asymmetric_gradient_matches_finite_differences(self, rng):
+        # a symmetric graph hides a backward that forgets the transpose
+        matrix = sp.random(7, 7, density=0.4, random_state=5, format="csr")
+        assert (matrix != matrix.T).nnz
+        graph = gr.TransitionGraph(matrix)
         x = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
         w = rng.standard_normal((7, 3))
         check_grads(lambda: ad.total_sum(ad.mul(graph.spmv(x), Tensor(w))), {"x": x})
@@ -264,7 +284,7 @@ class TestExtractSubgraph:
             gr.extract_subgraph_batch(graph, np.array([[0, 3, 11]]))
 
     def test_empty_graph_reads_zero_base_weights(self, rng):
-        graph = gr.TransitionGraph(sp.csr_matrix((6, 6)), [])
+        graph = gr.TransitionGraph(sp.csr_matrix((6, 6)))
         seqs = np.array([[0, 1, 5], [2, 2, 0]])
         np.testing.assert_array_equal(gr.extract_subgraph_batch(graph, seqs),
                                       np.zeros((2, 3, 3)))
@@ -279,7 +299,7 @@ class TestExtractSubgraph:
         matrix = sp.csr_matrix((np.array([9.0, 1.0, 2.0, 4.0, 7.0]),
                                 np.array([0, 3, 1, 3, 0]), np.array([0, 1, 4, 5, 5])),
                                shape=(4, 4))
-        graph = gr.TransitionGraph(matrix, [1, 2, 3])
+        graph = gr.TransitionGraph(matrix)
         assert (np.diff(graph.keys) > 0).all()
         seqs = np.array([[0, 1, 3, 2, 1]])
         want = np.zeros((1, 5, 5))
