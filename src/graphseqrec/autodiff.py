@@ -27,10 +27,12 @@ layer-normalized feed-forward stacks, graph propagation, and the
 contrastive / binary-cross-entropy losses in this package need.  Every
 affine projection ``x @ w + b`` is one :func:`linear` node, and all heads of
 one attention layer, masked row softmax included, are one :func:`attention`
-node.  Broadcasting is kept narrow (same shape, bias-style trailing axes,
-per-axis size-1 expansion, scalars); anything else raises
-:class:`ShapeMismatch` naming both shapes.  All storage is row-major
-64-bit, which keeps finite-difference checks meaningful.
+node.  Each loss term is one node too: :func:`sampled_bce` for next-item
+prediction, :func:`cosine_info_nce` for both contrastive terms.  Broadcasting
+is kept narrow (same shape, bias-style trailing axes, per-axis size-1
+expansion, scalars); anything else raises :class:`ShapeMismatch` naming both
+shapes.  All storage is row-major 64-bit, which keeps finite-difference
+checks meaningful.
 """
 
 from __future__ import annotations
@@ -227,13 +229,6 @@ def add(a: Tensor, b) -> Tensor:
     return _node(data, (a, b), back, "add")
 
 
-def neg(a: Tensor) -> Tensor:
-    def back(g, a=a):
-        _accumulate(a, -g, fresh=True)
-
-    return _node(-a.data, (a,), back, "neg")
-
-
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         c = float(b)
@@ -334,25 +329,6 @@ def tanh(a: Tensor) -> Tensor:
     return _node(data, (a,), back, "tanh")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), overflow-safe; the gradient is sigmoid(x)."""
-    data = np.logaddexp(0.0, a.data)
-
-    def back(g, a=a):
-        _accumulate(a, g * _sigmoid(a.data), fresh=True)
-
-    return _node(data, (a,), back, "softplus")
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -364,67 +340,6 @@ def total_sum(a: Tensor) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _node(np.asarray(data), (a,), back, "sum")
-
-
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def back(g, a=a, axis=axis, keepdims=keepdims):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape))
-
-    return _node(data, (a,), back, "sum_axis")
-
-
-# ---------------------------------------------------------------------------
-# row-structured ops (last axis treated as the row)
-# ---------------------------------------------------------------------------
-
-def _first_bad_row(bad: np.ndarray) -> tuple:
-    idx = np.argwhere(bad)
-    return tuple(int(v) for v in idx[0])
-
-
-def logsumexp_rows(x: Tensor) -> Tensor:
-    """log(sum(exp(row))) per row over the last axis, stabilized."""
-    rowmax = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - rowmax)
-    s = e.sum(axis=-1, keepdims=True)
-    data = (rowmax + np.log(s)).squeeze(-1)
-
-    def back(g, x=x, e=e, s=s):
-        _accumulate(x, np.expand_dims(g, -1) * (e / s), fresh=True)
-
-    return _node(data, (x,), back, "logsumexp_rows")
-
-
-def unit_rows(x: Tensor) -> Tensor:
-    """Scale each row (last axis) to unit L2 norm; zero-norm rows are an error."""
-    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
-    bad = norms[..., 0] == 0.0
-    if bad.any():
-        raise DegenerateRow(f"unit_rows: zero-norm row at index {_first_bad_row(bad)}")
-    data = x.data / norms
-
-    def back(g, x=x, data=data, norms=norms):
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        _accumulate(x, (g - data * inner) / norms, fresh=True)
-
-    return _node(data, (x,), back, "unit_rows")
-
-
-def diagonal(x: Tensor) -> Tensor:
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ShapeMismatch(f"diagonal needs a square 2D tensor, got shape {list(x.shape)}")
-    data = np.diagonal(x.data).copy()
-
-    def back(g, x=x):
-        gx = np.zeros_like(x.data)
-        np.fill_diagonal(gx, g)
-        _accumulate(x, gx, fresh=True)
-
-    return _node(data, (x,), back, "diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +421,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, scale: float,
                             f"{[b, n, n]}")
     alive = mask.any(axis=-1)
     if not alive.all():
-        raise DegenerateRow(f"attention: fully masked row at index {_first_bad_row(~alive)}")
+        raise DegenerateRow("attention: fully masked row at index "
+                            f"{tuple(np.argwhere(~alive)[0].tolist())}")
     hidden = ~mask
     dh = d // heads
     blocks = [slice(i * dh, (i + 1) * dh) for i in range(heads)]
@@ -622,3 +538,102 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tenso
         _accumulate(x, gx, fresh=True)
 
     return _node(data, (x,), back, "dropout")
+
+
+# ---------------------------------------------------------------------------
+# loss terms, one node each
+# ---------------------------------------------------------------------------
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sampled_bce(hidden: Tensor, positive: Tensor, negative: Tensor, step_mask) -> Tensor:
+    """``sum(step_mask * (softplus(-h·pos) + softplus(h·neg)))`` for (..., d)
+    inputs of one shape, dot products over the last axis.  softplus is the
+    overflow-safe log(1 + exp(x)); its gradient is sigmoid(x)."""
+    mask = np.asarray(step_mask, dtype=np.float64)
+    if not hidden.shape == positive.shape == negative.shape or mask.shape != hidden.shape[:-1]:
+        raise ShapeMismatch(f"sampled_bce: hidden {list(hidden.shape)}, positive {list(positive.shape)}, "
+                            f"negative {list(negative.shape)} and step_mask {list(mask.shape)} do not align")
+    neg_pos = -(hidden.data * positive.data).sum(axis=-1)
+    neg_logit = (hidden.data * negative.data).sum(axis=-1)
+    per_step = (np.logaddexp(0.0, neg_pos) + np.logaddexp(0.0, neg_logit)) * mask
+
+    def back(g, hidden=hidden, positive=positive, negative=negative, mask=mask):
+        g_step = g * mask
+        g_pos = -(g_step * _sigmoid(neg_pos))[..., None]
+        g_neg = (g_step * _sigmoid(neg_logit))[..., None]
+        _accumulate(hidden, g_pos * positive.data, fresh=True)
+        _accumulate(hidden, g_neg * negative.data, fresh=True)
+        _accumulate(positive, g_pos * hidden.data, fresh=True)
+        _accumulate(negative, g_neg * hidden.data, fresh=True)
+
+    return _node(np.asarray(per_step.sum()), (hidden, positive, negative), back, "sampled_bce")
+
+
+def _unit_rows(x: np.ndarray, name: str) -> tuple:
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    bad = norms[..., 0] == 0.0
+    if bad.any():
+        raise DegenerateRow(f"cosine_info_nce: zero-norm {name} row at index "
+                            f"{tuple(np.argwhere(bad)[0].tolist())}")
+    return x / norms, norms
+
+
+def _unit_rows_backward(g: np.ndarray, unit: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    return (g - unit * (g * unit).sum(axis=-1, keepdims=True)) / norms
+
+
+def _info_nce_rows(logits: np.ndarray) -> tuple:
+    """``sum_i logsumexp(logits[i]) - logits[i, i]``, and the row softmax."""
+    rowmax = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - rowmax)
+    s = e.sum(axis=-1, keepdims=True)
+    e /= s
+    return (rowmax + np.log(s)).squeeze(-1).sum() + -np.diagonal(logits).sum(), e
+
+
+def _softmax_minus_eye(softmax: np.ndarray, g) -> np.ndarray:
+    """The gradient ``g * (softmax - I)`` of :func:`_info_nce_rows`, in place."""
+    softmax *= g
+    np.fill_diagonal(softmax, np.diagonal(softmax) + -g)
+    return softmax
+
+
+def cosine_info_nce(anchors: Tensor, candidates: Tensor, tau: float,
+                    symmetric: bool = False) -> Tensor:
+    """In-batch InfoNCE over the logits ``unit(anchors) @ unit(candidates)ᵀ / tau``
+    of two (B, d) inputs, summed over rows: row i's positive is column i.
+    ``symmetric`` averages it with the same loss on the transposed logits."""
+    if anchors.ndim != 2 or candidates.shape != anchors.shape:
+        raise ShapeMismatch(f"cosine_info_nce: anchors {list(anchors.shape)} and candidates "
+                            f"{list(candidates.shape)} must share one (B, d) shape")
+    if tau <= 0.0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    ua, norms_a = _unit_rows(anchors.data, "anchor")
+    uc, norms_c = _unit_rows(candidates.data, "candidate")
+    logits = ua @ uc.T
+    logits *= 1.0 / tau
+    value, softmax = _info_nce_rows(logits)
+    if symmetric:
+        value_t, softmax_t = _info_nce_rows(logits.T)
+        value = (value + value_t) * 0.5
+
+    def back(g, anchors=anchors, candidates=candidates):
+        g = g * 0.5 if symmetric else g
+        gl = _softmax_minus_eye(softmax, g)
+        if symmetric:  # summed as (lse + diag) + swap(lse_t + diag_t)
+            gl += _softmax_minus_eye(softmax_t, g).T
+        gl *= 1.0 / tau
+        _accumulate(anchors, _unit_rows_backward(gl @ uc, ua, norms_a), fresh=True)
+        # ((uaᵀ) @ gl)ᵀ, copied row-major; glᵀ @ ua rounds differently
+        gc = np.ascontiguousarray((ua.T @ gl).T)
+        _accumulate(candidates, _unit_rows_backward(gc, uc, norms_c), fresh=True)
+
+    return _node(np.asarray(value), (anchors, candidates), back, "cosine_info_nce")

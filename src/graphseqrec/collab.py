@@ -118,26 +118,7 @@ def gce_loss(original_batch: Tensor, refined_batch: Tensor, tau: float) -> Tenso
     Each anchor's positive is its own refined row; every refined row in the
     batch is a candidate.  The critic is cosine similarity at temperature tau.
     """
-    if original_batch.shape != refined_batch.shape or original_batch.ndim != 2:
-        raise ad.ShapeMismatch(
-            f"gce_loss: batches must share a 2D shape, got {list(original_batch.shape)} "
-            f"and {list(refined_batch.shape)}")
-    return info_nce(cosine_logits(original_batch, refined_batch, tau))
-
-
-def cosine_logits(anchors: Tensor, candidates: Tensor, tau: float) -> Tensor:
-    """Cosine similarity of every anchor row to every candidate row, over tau."""
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    return ad.mul(ad.matmul(ad.unit_rows(anchors), ad.transpose(ad.unit_rows(candidates))),
-                  1.0 / tau)
-
-
-def info_nce(logits: Tensor) -> Tensor:
-    """In-batch InfoNCE summed over rows: row i's positive is column i and
-    every other column is a negative."""
-    return ad.add(ad.total_sum(ad.logsumexp_rows(logits)),
-                  ad.neg(ad.total_sum(ad.diagonal(logits))))
+    return ad.cosine_info_nce(original_batch, refined_batch, tau)
 
 
 def detached_perturbation(graph: TransitionGraph,

@@ -83,9 +83,11 @@ class TrainConfig:
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 bad(f.name, "finite")
         for key in ("dim", "max_len", "heads", "encoder_layers", "gcn_layers", "rank",
-                    "window", "batch_size"):
+                    "window", "batch_size", "max_epochs"):
             if getattr(self, key) < 1:
                 bad(key, ">= 1")
+        if self.patience < 0:
+            bad("patience", ">= 0")
         for key in ("lr", "eps", "tau"):
             if getattr(self, key) <= 0:
                 bad(key, "> 0")

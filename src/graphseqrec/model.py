@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import collab, encoder
 from .autodiff import Tensor
-from .checkpoint import load_archive, save_archive
+from .checkpoint import CheckpointError, load_archive, save_archive
 from .config import ModelConfig
 from .graph import SubgraphPerturbation, TransitionGraph, extract_subgraph_batch
 
@@ -109,8 +109,12 @@ class Model:
         save_archive(path, arrays)
 
     def load(self, path) -> Dict[str, np.ndarray]:
-        """Load parameters in place; returns leftover (non-parameter) arrays."""
+        """Load parameters in place; returns the optimizer (``opt.``) records.
+        A record this model has no parameter for is an error, not dropped."""
         arrays = load_archive(path)
+        for name in arrays:
+            if name not in self.params and not name.startswith("opt."):
+                raise CheckpointError(f"{path}: record '{name}' is not a parameter of this model")
         for name, t in self.params.items():
             if name not in arrays:
                 raise KeyError(f"checkpoint is missing parameter '{name}'")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .collab import batch_rows, cosine_logits, gce_loss, info_nce
+from .collab import batch_rows, gce_loss
 from .config import TrainConfig
 from .data import (AugmentConfig, ItemSequence, SplitDataset, augment_pair,
                    eligible_negatives, pad_sequence)
@@ -58,12 +58,8 @@ def next_item_loss(hidden: Tensor, item_emb: Tensor, targets: np.ndarray,
     ``targets[b, p]`` is the item that follows position p; ``step_mask`` is 1
     where both the position and its successor are real items.
     """
-    tgt = ad.gather(item_emb, targets)
-    neg = ad.gather(item_emb, negatives)
-    pos_logit = ad.sum_axis(ad.mul(hidden, tgt), axis=2)
-    neg_logit = ad.sum_axis(ad.mul(hidden, neg), axis=2)
-    per_step = ad.add(ad.softplus(ad.neg(pos_logit)), ad.softplus(neg_logit))
-    return ad.total_sum(ad.mul(per_step, Tensor(step_mask)))
+    return ad.sampled_bce(hidden, ad.gather(item_emb, targets), ad.gather(item_emb, negatives),
+                          step_mask)
 
 
 def seq_cl_loss(view1: Tensor, view2: Tensor, tau: float) -> Tensor:
@@ -72,8 +68,7 @@ def seq_cl_loss(view1: Tensor, view2: Tensor, tau: float) -> Tensor:
     Anchors in one view score against all candidates in the other view with
     a cosine critic; the two directions are averaged.
     """
-    sims = cosine_logits(view1, view2, tau)
-    return ad.mul(ad.add(info_nce(sims), info_nce(ad.transpose(sims))), 0.5)
+    return ad.cosine_info_nce(view1, view2, tau, symmetric=True)
 
 
 def total_loss(rec: Tensor, gce: Optional[Tensor] = None, seq: Optional[Tensor] = None,

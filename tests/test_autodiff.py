@@ -260,7 +260,8 @@ class TestNoGrad:
         w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
 
         def forward():
-            return ad.logsumexp_rows(ad.tanh(ad.matmul(x, w))).data.tobytes()
+            h = ad.matmul(x, w)
+            return ad.cosine_info_nce(ad.tanh(h), h, 0.5, symmetric=True).data.tobytes()
 
         recorded = forward()
         with ad.no_grad():
@@ -270,7 +271,7 @@ class TestNoGrad:
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(DegenerateRow):
             with ad.no_grad():
-                ad.unit_rows(Tensor(np.zeros((1, 3))))
+                ad.cosine_info_nce(Tensor(np.zeros((1, 3))), Tensor(np.ones((1, 3))), 1.0)
         loss = ad.total_sum(ad.mul(x, 2.0))
         assert loss.requires_grad
         ad.backward(loss)
@@ -287,16 +288,10 @@ class TestNoGrad:
 
 class TestElementwiseGradients:
     def test_unary_ops(self, rng):
-        specs = [
-            (ad.tanh, rng.standard_normal((3, 4))),
-            (ad.softplus, rng.standard_normal((3, 4)) * 3),
-            (ad.neg, rng.standard_normal((3, 4))),
-        ]
-        for op, data in specs:
-            x = Tensor(data, requires_grad=True)
-            w = rng.standard_normal(data.shape)
-            check_grads(lambda op=op, x=x, w=w: ad.total_sum(ad.mul(op(x), Tensor(w))),
-                        {"x": x})
+        # softplus and negation live inside sampled_bce: test_sum_axis_gradient
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = rng.standard_normal((3, 4))
+        check_grads(lambda: ad.total_sum(ad.mul(ad.tanh(x), Tensor(w))), {"x": x})
 
     def test_relu_away_from_kink(self, rng):
         data = rng.uniform(0.05, 1.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
@@ -321,39 +316,70 @@ class TestElementwiseGradients:
             ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
 
-class TestRowOps:
-    def test_logsumexp_matches_naive(self, rng):
-        x = rng.standard_normal((4, 6)) * 10
-        out = ad.logsumexp_rows(Tensor(x)).data
-        np.testing.assert_allclose(out, np.log(np.exp(x).sum(axis=-1)), rtol=1e-12)
+def unit(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
-    def test_logsumexp_single_element_exact(self):
-        x = Tensor([[3.7]])
-        assert float(ad.logsumexp_rows(x).data[0]) == 3.7
+
+class TestRowOps:
+    """The row ops inside :func:`ad.cosine_info_nce`: the row logsumexp, the
+    unit rows and the diagonal of its logits, read through the node."""
+
+    def test_logsumexp_matches_naive(self, rng):
+        a, c = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+        tau = 0.03  # logits up to +-33
+        logits = unit(a) @ unit(c).T / tau
+        naive = [np.log(np.exp(x).sum(axis=-1)).sum() - np.trace(x) for x in (logits, logits.T)]
+        one_way = float(ad.cosine_info_nce(Tensor(a), Tensor(c), tau).data)
+        both = float(ad.cosine_info_nce(Tensor(a), Tensor(c), tau, symmetric=True).data)
+        np.testing.assert_allclose(one_way, naive[0], rtol=1e-12)
+        np.testing.assert_allclose(both, (naive[0] + naive[1]) / 2, rtol=1e-12)
+
+    def test_logsumexp_single_element_exact(self, rng):
+        # a one-entry row's logsumexp is that entry exactly, so the loss is 0
+        a, c = Tensor(rng.standard_normal((1, 5))), Tensor(rng.standard_normal((1, 5)))
+        for symmetric in (False, True):
+            assert float(ad.cosine_info_nce(a, c, 0.3, symmetric).data) == 0.0
 
     def test_logsumexp_gradient(self, rng):
-        x = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        check_grads(lambda: ad.total_sum(ad.logsumexp_rows(x)), {"x": x})
+        a = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        c = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        for symmetric in (False, True):
+            check_grads(lambda: ad.cosine_info_nce(a, c, 0.4, symmetric), {"a": a, "c": c})
 
     def test_unit_rows_normalizes(self, rng):
-        x = Tensor(rng.standard_normal((5, 3)))
-        norms = np.linalg.norm(ad.unit_rows(x).data, axis=-1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+        a, c = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        base = float(ad.cosine_info_nce(Tensor(a), Tensor(c), 0.2).data)
+        scaled = float(ad.cosine_info_nce(Tensor(a * rng.uniform(0.1, 9.0, (5, 1))),
+                                          Tensor(c * rng.uniform(0.1, 9.0, (5, 1))), 0.2).data)
+        np.testing.assert_allclose(scaled, base, rtol=1e-12)
 
     def test_unit_rows_zero_row_raises(self):
         data = np.ones((3, 2))
         data[1] = 0.0
-        with pytest.raises(DegenerateRow, match=r"\(1,\)"):
-            ad.unit_rows(Tensor(data))
+        with pytest.raises(DegenerateRow, match=r"zero-norm anchor row at index \(1,\)"):
+            ad.cosine_info_nce(Tensor(data), Tensor(np.ones((3, 2))), 1.0)
+        with pytest.raises(DegenerateRow, match=r"zero-norm candidate row at index \(1,\)"):
+            ad.cosine_info_nce(Tensor(np.ones((3, 2))), Tensor(data), 1.0)
 
     def test_unit_rows_gradient(self, rng):
-        x = Tensor(rng.uniform(0.5, 1.5, (4, 3)), requires_grad=True)
-        w = rng.standard_normal((4, 3))
-        check_grads(lambda: ad.total_sum(ad.mul(ad.unit_rows(x), Tensor(w))), {"x": x})
+        a = Tensor(rng.uniform(0.5, 1.5, (4, 3)) * [[1.0], [4.0], [0.2], [2.0]],
+                   requires_grad=True)
+        c = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        check_grads(lambda: ad.cosine_info_nce(a, c, 0.5), {"a": a, "c": c})
+        # the loss ignores row scale, so each row's gradient is orthogonal to it
+        np.testing.assert_allclose((a.data * a.grad).sum(axis=-1), 0.0, atol=1e-12)
 
     def test_diagonal_gradient(self, rng):
-        x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        check_grads(lambda: ad.total_sum(ad.diagonal(x)), {"x": x}, rtol=1e-6)
+        # identical views: the diagonal holds every row's largest logit
+        a = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        c = Tensor(a.data.copy(), requires_grad=True)
+        for symmetric in (False, True):
+            check_grads(lambda: ad.cosine_info_nce(a, c, 0.5, symmetric), {"a": a, "c": c})
+            # one row: the diagonal's gradient cancels the logsumexp's exactly
+            one = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
+            ad.backward(ad.cosine_info_nce(one, Tensor(rng.standard_normal((1, 4))), 0.5,
+                                           symmetric))
+            assert not one.grad.any()
 
 
 class TestIndexingOps:
@@ -461,10 +487,14 @@ class TestStructuredOps:
         assert drawn.random() == reference.random()  # same draws consumed
 
     def test_sum_axis_gradient(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        w = rng.standard_normal((2, 4))
-        check_grads(lambda: ad.total_sum(ad.mul(ad.sum_axis(x, axis=1), Tensor(w))),
-                    {"x": x}, rtol=1e-6)
+        # sampled_bce: last-axis sums into logits, the negated positive
+        # logit and softplus on both sides of zero (logits up to ~+-10)
+        hidden, positive, negative = leaves(*(rng.standard_normal((2, 3, 4)) * 1.6
+                                              for _ in range(3)))
+        mask = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        check_grads(lambda: ad.sampled_bce(hidden, positive, negative, mask),
+                    {"hidden": hidden, "positive": positive, "negative": negative})
+        assert not positive.grad[0, 1].any() and not negative.grad[1, 2].any()
 
     def test_transpose_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
@@ -549,6 +579,80 @@ def gather_backward_reference(num_rows, ids, g):
     return gt
 
 
+def sigmoid_reference(x):
+    with np.errstate(over="ignore"):
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+
+def sampled_bce_reference(hidden, positive, negative, mask, g):
+    """The deleted chain of ``next_item_loss`` and its backward: mul and
+    sum_axis into logits, neg, softplus, add, mul by the mask, total_sum."""
+    pos_logit = (hidden * positive).sum(axis=2)
+    neg_logit = (hidden * negative).sum(axis=2)
+    per_step = np.logaddexp(0.0, -pos_logit) + np.logaddexp(0.0, neg_logit)
+    value = np.asarray((per_step * mask).sum())
+    g_step = np.full(mask.shape, g) * mask
+    g_pos = np.broadcast_to(-(g_step * sigmoid_reference(-pos_logit))[..., None], hidden.shape)
+    g_neg = np.broadcast_to((g_step * sigmoid_reference(neg_logit))[..., None], hidden.shape)
+    d_hidden = g_pos * positive + g_neg * negative
+    return value, d_hidden, g_pos * hidden, g_neg * hidden
+
+
+def info_nce_reference(logits, g):
+    """The deleted ``info_nce(logits)``: total_sum(logsumexp_rows) plus
+    neg(total_sum(diagonal)), and the gradient ``g`` sends to ``logits``."""
+    rowmax = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - rowmax)
+    s = e.sum(axis=-1, keepdims=True)
+    value = (np.asarray((rowmax + np.log(s)).squeeze(-1).sum())
+             + -np.asarray(np.diagonal(logits).copy().sum()))
+    n = logits.shape[0]
+    return value, np.full((n, 1), g) * (e / s) + np.diag(np.full(n, -g))
+
+
+def cosine_info_nce_reference(anchors, candidates, tau, symmetric, g):
+    """The deleted ``cosine_logits`` (unit_rows, transpose, matmul, mul by
+    1/tau) under ``info_nce``, or, symmetric, the mean of ``info_nce`` on the
+    logits and on their transpose; forward and backward."""
+    norms_a = np.linalg.norm(anchors, axis=-1, keepdims=True)
+    norms_c = np.linalg.norm(candidates, axis=-1, keepdims=True)
+    ua, uc = anchors / norms_a, candidates / norms_c
+    logits = (ua @ np.swapaxes(uc, -1, -2)) * (1.0 / tau)
+    if symmetric:
+        h = g * 0.5
+        value, d_logits = info_nce_reference(logits, h)
+        value_t, d_logits_t = info_nce_reference(np.swapaxes(logits, -1, -2), h)
+        value = (value + value_t) * 0.5
+        # logsumexp and diagonal first, then the transposed direction
+        d_logits = d_logits + np.swapaxes(d_logits_t, -1, -2)
+    else:
+        value, d_logits = info_nce_reference(logits, g)
+    d_logits = d_logits * (1.0 / tau)
+    d_ua = d_logits @ uc
+    d_uc = np.swapaxes(np.swapaxes(ua, -1, -2) @ d_logits, -1, -2).copy()
+
+    def unit_rows_backward(grad, unit, norms):
+        return (grad - unit * (grad * unit).sum(axis=-1, keepdims=True)) / norms
+
+    return value, unit_rows_backward(d_ua, ua, norms_a), unit_rows_backward(d_uc, uc, norms_c)
+
+
+def info_nce_case(rng, case):
+    """(anchors, candidates, tau) for one named bitwise case."""
+    # "ragged" is a 500-user epoch's last batch at batch size 256: at that
+    # size OpenBLAS rounds glᵀ @ ua unlike ((uaᵀ) @ gl)ᵀ, on 1 or 2 threads
+    b, d, tau = {"random": (8, 16, 0.2), "wide": (40, 64, 0.2), "ragged": (244, 64, 0.2),
+                 "saturated": (12, 6, 0.02), "batch_of_one": (1, 5, 0.2),
+                 "identical_views": (9, 7, 0.1)}[case]
+    anchors = rng.standard_normal((b, d))
+    candidates = rng.standard_normal((b, d))
+    if case == "identical_views":
+        candidates = anchors.copy()
+    if case == "saturated":  # cosines of exactly +-1: logits of +-50
+        candidates = anchors[rng.permutation(b)] * rng.choice([-2.0, 3.0], (b, 1))
+    return anchors, candidates, tau
+
+
 def layer_norm_peak_arrays(x, gain, bias):
     tracemalloc.start()
     try:
@@ -628,6 +732,51 @@ class TestBitwiseAgainstOldFormulas:
             assert got.tobytes() == want.tobytes()
         if with_rel_pe:
             assert rel_pe.grad.tobytes() == want_rel.tobytes()
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("case", ["random", "wide", "ragged", "saturated", "batch_of_one",
+                                      "identical_views"])
+    def test_cosine_info_nce_forward_and_backward(self, rng, case, symmetric):
+        for g in (1.0, 0.05, -1.7):
+            a0, c0, tau = info_nce_case(rng, case)
+            a, c = leaves(a0, c0)
+            out = ad.cosine_info_nce(a, c, tau, symmetric)
+            ad.backward(ad.mul(out, g))
+            want = cosine_info_nce_reference(a0, c0, tau, symmetric, g)
+            assert out.op == "cosine_info_nce"
+            for got, ref in zip((out.data, a.grad, c.grad), want):
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    @pytest.mark.parametrize("case", ["random", "saturated", "batch_of_one", "zero_mask_steps"])
+    def test_sampled_bce_forward_and_backward(self, rng, case):
+        b, n, d = (1, 6, 5) if case == "batch_of_one" else (4, 7, 9)
+        h0, p0, n0 = (rng.standard_normal((b, n, d)) for _ in range(3))
+        mask = (rng.random((b, n)) < 0.7).astype(np.float64)
+        if case == "saturated":  # h·pos = +-50 and h·neg = +-50
+            h0 = np.zeros((b, n, d))
+            h0[..., 0] = 1.0
+            p0[..., 0] = rng.choice([-50.0, 50.0], (b, n))
+            n0[..., 0] = rng.choice([-50.0, 50.0], (b, n))
+        if case == "zero_mask_steps":
+            mask[1] = 0.0
+            mask[:, :3] = 0.0
+        for g in (1.0, -0.3):
+            hidden, positive, negative = leaves(h0, p0, n0)
+            out = ad.sampled_bce(hidden, positive, negative, mask)
+            ad.backward(ad.mul(out, g))
+            want = sampled_bce_reference(h0, p0, n0, mask, g)
+            assert out.op == "sampled_bce"
+            for got, ref in zip((out.data, hidden.grad, positive.grad, negative.grad), want):
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    def test_loss_node_shape_errors_name_the_shapes(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeMismatch, match=r"negative \[2, 3, 5\] and step_mask \[2, 3\]"):
+            ad.sampled_bce(x, x, Tensor(np.zeros((2, 3, 5))), np.ones((2, 3)))
+        with pytest.raises(ShapeMismatch, match=r"step_mask \[3, 2\] do not align"):
+            ad.sampled_bce(x, x, x, np.ones((3, 2)))
+        with pytest.raises(ShapeMismatch, match=r"anchors \[2, 4\] and candidates \[3, 4\]"):
+            ad.cosine_info_nce(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), 1.0)
 
     def test_gather_equals_the_dense_scatter(self, rng):
         ids_a = np.array([[3, 1, 3, 3], [0, 3, 5, 1]])

@@ -119,7 +119,7 @@ class TestTrain:
         ("--tau", "inf"), ("--crop-ratio", "nan"), ("--mask-ratio", "inf"),
         ("--reorder-ratio", "nan"),
         ("--beta1", "1.5"), ("--beta1", "-0.1"), ("--beta2", "1.0"), ("--eps", "-1"),
-        ("--eps", "0"),
+        ("--eps", "0"), ("--max-epochs", "0"), ("--max-epochs", "-3"), ("--patience", "-1"),
     ])
     def test_out_of_range_key_rejected_before_training(self, synth_log, tmp_path, capsys,
                                                        flag, value):
@@ -186,6 +186,23 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert "item_emb" in err and "[21, 8]" in err and "[21, 16]" in err
+
+    def test_record_the_model_lacks_is_an_error(self, synth_log, tmp_path, capsys):
+        deeper = tmp_path / "deeper"
+        assert main(["train", "--dataset", synth_log, "--outdir", str(deeper)]
+                    + FAST_FLAGS + ["--encoder-layers", "2", "--max-epochs", "1",
+                                    "--patience", "0"]) == 0
+        # checkpoint.final loads: its opt. records are optimizer state, not unknown
+        assert main(["eval", "--config", str(deeper / "config.resolved"),
+                     "--checkpoint", str(deeper / "checkpoint.final"),
+                     "--dataset", synth_log]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--config", str(deeper / "config.resolved"),
+                     "--checkpoint", str(deeper / "checkpoint.best"),
+                     "--dataset", synth_log, "--encoder-layers", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "checkpoint.best: record 'layer1." in captured.err and captured.out == ""
 
     def test_missing_checkpoint_usage_error(self, synth_log, capsys):
         assert main(["eval", "--dataset", synth_log, "--min-count", "1"]) == 2

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from graphseqrec.autodiff import ShapeMismatch
+from graphseqrec.checkpoint import CheckpointError
 from graphseqrec.data import build_sequences, synth_generate
 from graphseqrec.graph import build_transition_graph
 from graphseqrec.model import Model, ModelConfig
+from graphseqrec.optim import Adam
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +84,20 @@ class TestPersistence:
         bigger = Model(config(dim=16), graph, np.random.default_rng(4))
         with pytest.raises(ShapeMismatch, match=r"item_emb.*\[21, 8\].*\[21, 16\]"):
             bigger.load(path)
+
+    def test_only_optimizer_records_may_lack_a_parameter(self, setup, tmp_path):
+        _, graph = setup
+        deeper = Model(config(encoder_layers=2), graph, np.random.default_rng(4))
+        path = tmp_path / "model.ckpt"
+        deeper.save(path, extra=Adam(deeper.params, 1e-3).state_arrays())
+        leftovers = Model(config(encoder_layers=2), graph, np.random.default_rng(5)).load(path)
+        assert "opt.step" in leftovers and all(name.startswith("opt.") for name in leftovers)
+        shallower = Model(config(encoder_layers=1), graph, np.random.default_rng(5))
+        before = shallower.snapshot()
+        with pytest.raises(CheckpointError, match=r"record 'layer1\.\w+' is not a parameter"):
+            shallower.load(path)
+        assert all(before[name].tobytes() == t.data.tobytes()
+                   for name, t in shallower.params.items())
 
     def test_snapshot_restore(self, setup):
         seqs, graph = setup

@@ -129,7 +129,7 @@ class TestTotalLoss:
 
         def loss():
             rec = ad.total_sum(ad.mul(x, x))
-            gce = ad.total_sum(ad.softplus(x))
+            gce = ad.total_sum(ad.mul(ad.tanh(x), x))
             seq = ad.total_sum(ad.tanh(x))
             return total_loss(rec, gce, seq, lambda1=0.3, lambda2=0.7)
 
@@ -298,6 +298,15 @@ class TestTrainStepTape:
         assert two_heads["attention"] == 2 * 3
         # no op is recorded per head
         assert two_heads == one_head
+
+    def test_one_node_per_loss_term(self, monkeypatch):
+        ops = self.tape_ops(2, monkeypatch)
+        # rec is sampled_bce; the graph and the sequence contrastive terms
+        # are cosine_info_nce, one-directional and symmetric
+        assert ops["sampled_bce"] == 1
+        assert ops["cosine_info_nce"] == 2
+        deleted = {"neg", "softplus", "sum_axis", "logsumexp_rows", "unit_rows", "diagonal"}
+        assert not deleted & set(ops)
 
 
 class TestTrainLoop:
