@@ -27,7 +27,8 @@ layer-normalized feed-forward stacks, graph propagation, and the
 contrastive / binary-cross-entropy losses in this package need.  Every
 affine projection ``x @ w + b`` is one :func:`linear` node, and all heads of
 one attention layer, masked row softmax included, are one :func:`attention`
-node.  Each loss term is one node too: :func:`sampled_bce` for next-item
+node, whether its queries sit at every key position or at a few chosen rows.
+Each loss term is one node too: :func:`sampled_bce` for next-item
 prediction, :func:`cosine_info_nce` for both contrastive terms.  Broadcasting
 is kept narrow (same shape, bias-style trailing axes, per-axis size-1
 expansion, scalars); anything else raises :class:`ShapeMismatch` naming both
@@ -390,6 +391,20 @@ def select_positions(x: Tensor, positions) -> Tensor:
     return _node(data, (x,), back, "select_positions")
 
 
+def reshape(x: Tensor, shape) -> Tensor:
+    """The entries of ``x`` in another shape of the same size."""
+    shape = tuple(shape)
+    if int(np.prod(shape)) != x.data.size:
+        raise ShapeMismatch(f"reshape: {list(x.shape)} does not fit {list(shape)}")
+    data = x.data.reshape(shape)
+
+    def back(g, x=x):
+        # g is this node's own gradient, dropped once read: x may adopt a view
+        _accumulate(x, g.reshape(x.shape), fresh=True)
+
+    return _node(data, (x,), back, "reshape")
+
+
 # ---------------------------------------------------------------------------
 # structured ops for attention and regularization
 # ---------------------------------------------------------------------------
@@ -398,27 +413,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, scale: float,
               rel_pe: Optional[Tensor] = None) -> Tensor:
     """Multi-head scaled dot-product attention of one layer as one node.
 
-    ``q``, ``k`` and ``v`` are (B, N, d); head ``i`` reads their column block
-    ``[i * dh, (i + 1) * dh)`` with ``dh = d // heads``.  Per head the logits
-    ``qh @ khᵀ * scale`` plus the optional (B, N, N) ``rel_pe`` go through a
-    row softmax over the keys: ``mask`` is a boolean (B, N, N) array, masked
-    entries get exact zero weight (they are exponentiated as -inf, whatever
-    their logit), each row must keep at least one unmasked entry, and the row
-    max over unmasked entries is subtracted first.  Head ``i`` writes
-    ``weights @ vh`` into the same column block of the (B, N, d) output.
+    ``q`` is (B, M, d) and ``k`` and ``v`` are (B, N, d): M queries per row
+    against N keys, with M = N for self-attention at every position.  Head
+    ``i`` reads the column block ``[i * dh, (i + 1) * dh)`` of all three, with
+    ``dh = d // heads``.  Per head the logits ``qh @ khᵀ * scale`` plus the
+    optional (B, M, N) ``rel_pe`` go through a row softmax over the keys:
+    ``mask`` is a boolean (B, M, N) array, masked entries get exact zero
+    weight (they are exponentiated as -inf, whatever their logit), each row
+    must keep at least one unmasked entry, and the row max over unmasked
+    entries is subtracted first.  Head ``i`` writes ``weights @ vh`` into the
+    same column block of the (B, M, d) output.
     """
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2]:
         raise ShapeMismatch(f"attention: q {list(q.shape)}, k {list(k.shape)} and "
-                            f"v {list(v.shape)} must share one (B, N, d) shape")
-    b, n, d = q.shape
+                            f"v {list(v.shape)} must be (B, M, d), (B, N, d) and (B, N, d)")
+    b, m, d = q.shape
+    n = k.shape[1]
     if heads < 1 or d % heads:
         raise ShapeMismatch(f"attention: width {d} does not split into {heads} heads")
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (b, n, n):
-        raise ShapeMismatch(f"attention: mask shape {list(mask.shape)} != logits shape {[b, n, n]}")
-    if rel_pe is not None and rel_pe.shape != (b, n, n):
+    if mask.shape != (b, m, n):
+        raise ShapeMismatch(f"attention: mask shape {list(mask.shape)} != logits shape {[b, m, n]}")
+    if rel_pe is not None and rel_pe.shape != (b, m, n):
         raise ShapeMismatch(f"attention: rel_pe shape {list(rel_pe.shape)} != logits shape "
-                            f"{[b, n, n]}")
+                            f"{[b, m, n]}")
     alive = mask.any(axis=-1)
     if not alive.all():
         raise DegenerateRow("attention: fully masked row at index "
@@ -521,13 +539,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     return _node(data, (x, gain, bias), back, "layer_norm")
 
 
-def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or no generator is supplied."""
+def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator],
+            rows: Optional[tuple] = None) -> Tensor:
+    """Inverted dropout; identity when rate is 0 or no generator is supplied.
+
+    ``rows = (n, positions)`` says that row b of the (B, d) ``x`` is position
+    ``positions[b]`` of a (B, n, d) activation.  The uniform draw is then made
+    at that full shape and only the matching rows are kept, so those rows get
+    the mask that dropout of the full activation gives them, and the
+    generator advances just as far.
+    """
     if rate < 0.0 or rate >= 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0 or rng is None:
         return x
-    data = rng.random(x.shape)
+    if rows is None:
+        data = rng.random(x.shape)
+    else:
+        n, positions = rows
+        b, d = x.shape
+        data = rng.random((b, n, d))[np.arange(b), positions]
     keep = data >= rate  # boolean: 1 byte per entry on the tape
     np.divide(keep, 1.0 - rate, out=data)
     data *= x.data

@@ -10,6 +10,12 @@ Each layer is layer norm, the query/key/value projections (one
 ``autodiff.linear`` node each), all heads' attention as one
 ``autodiff.attention`` node, the output projection, and a ReLU feed-forward
 block, with dropout and a residual add around both halves.
+
+A user representation is the final hidden state at the last real item, so
+the encodes that produce one (evaluation and the two contrastive views) pass
+those readout positions: the last layer then computes keys and values at
+every position but everything else at the readout rows only.  Training's
+next-item loss reads every position and runs the full last layer.
 """
 
 from __future__ import annotations
@@ -97,12 +103,20 @@ def attention_mask(seqs: np.ndarray) -> np.ndarray:
 
 def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
            rel_pe: Optional[Tensor] = None,
-           rng: Optional[np.random.Generator] = None) -> Tensor:
+           rng: Optional[np.random.Generator] = None,
+           readout: Optional[np.ndarray] = None) -> Tensor:
     """Hidden states (B, N, d) for a batch of padded id sequences.
 
     ``rel_pe`` is an optional (B, N, N) tensor added to every layer's and
     head's attention logits before masking.  Passing an rng enables
     dropout; evaluation omits it.
+
+    ``readout`` is an optional (B,) array of positions, one per sequence.
+    With it the call returns only those rows, (B, d): the last layer still
+    takes keys and values at every position, but runs its queries,
+    attention, output projection and feed-forward block on the readout rows
+    alone.  Its dropout draws at the full shape, so the rng stream is the
+    same as without a readout.
     """
     seqs = np.asarray(seqs, dtype=np.int64)
     if seqs.ndim != 2 or seqs.shape[1] != cfg.max_len:
@@ -110,24 +124,44 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
     if not (seqs > 0).any(axis=1).all():
         bad = int(np.flatnonzero(~(seqs > 0).any(axis=1))[0])
         raise ValueError(f"encode: all-padding sequence at batch position {bad}")
+    b, n = seqs.shape
+    if readout is not None:
+        readout = np.asarray(readout, dtype=np.int64)
+        if readout.shape != (b,):
+            raise ad.ShapeMismatch(f"encode: readout must be [{b}], got {list(readout.shape)}")
+        if ((readout < 0) | (readout >= n)).any():
+            raise ValueError(f"encode: readout position outside [0, {n})")
     scale = 1.0 / np.sqrt(cfg.dim // cfg.heads)
     mask = attention_mask(seqs)
+    rows = None
 
     h = ad.add(ad.gather(params["item_emb"], seqs), params["pos_emb"])
     h = ad.dropout(h, cfg.dropout, rng)
     for layer in range(cfg.encoder_layers):
         p = f"layer{layer}."
         a = ad.layer_norm(h, params[p + "ln1_g"], params[p + "ln1_b"], LN_EPS)
-        q = ad.linear(a, params[p + "attn_query_w"], params[p + "attn_query_b"])
         k = ad.linear(a, params[p + "attn_key_w"], params[p + "attn_key_b"])
         v = ad.linear(a, params[p + "attn_value_w"], params[p + "attn_value_b"])
-        merged = ad.attention(q, k, v, mask, cfg.heads, scale, rel_pe)
+        if readout is not None and layer == cfg.encoder_layers - 1:
+            # one query row per sequence from here on, kept (B, d) so every
+            # projection stays one flat matrix product
+            h, a = ad.select_positions(h, readout), ad.select_positions(a, readout)
+            mask = mask[np.arange(b), readout][:, None, :]
+            if rel_pe is not None:
+                rel_pe = ad.reshape(ad.select_positions(rel_pe, readout), (b, 1, n))
+            rows = (n, readout)
+        q = ad.linear(a, params[p + "attn_query_w"], params[p + "attn_query_b"])
+        if rows is None:
+            merged = ad.attention(q, k, v, mask, cfg.heads, scale, rel_pe)
+        else:  # attention takes the one query row per sequence as (B, 1, d)
+            merged = ad.reshape(ad.attention(ad.reshape(q, (b, 1, cfg.dim)), k, v, mask,
+                                             cfg.heads, scale, rel_pe), (b, cfg.dim))
         attended = ad.linear(merged, params[p + "attn_out_w"], params[p + "attn_out_b"])
-        h = ad.add(h, ad.dropout(attended, cfg.dropout, rng))
+        h = ad.add(h, ad.dropout(attended, cfg.dropout, rng, rows))
         f = ad.layer_norm(h, params[p + "ln2_g"], params[p + "ln2_b"], LN_EPS)
         f = ad.relu(ad.linear(f, params[p + "ffn_w1"], params[p + "ffn_b1"]))
         f = ad.linear(f, params[p + "ffn_w2"], params[p + "ffn_b2"])
-        h = ad.add(h, ad.dropout(f, cfg.dropout, rng))
+        h = ad.add(h, ad.dropout(f, cfg.dropout, rng, rows))
     return ad.layer_norm(h, params["ln_final_g"], params["ln_final_b"], LN_EPS)
 
 
@@ -141,7 +175,3 @@ def last_real_position(seqs: np.ndarray) -> np.ndarray:
     n = seqs.shape[1]
     return n - 1 - np.argmax(real[:, ::-1], axis=1)
 
-
-def user_repr(hidden: Tensor, seqs: np.ndarray) -> Tensor:
-    """Preference representation: the hidden state at the last real item."""
-    return ad.select_positions(hidden, last_real_position(seqs))

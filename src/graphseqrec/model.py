@@ -75,19 +75,24 @@ class Model:
     # --------------------------------------------------------------- encoder
     def hidden_states(self, seqs: np.ndarray, user_ids: np.ndarray,
                       perturbation: Optional[SubgraphPerturbation],
-                      rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Per-position states used for scoring; the per-user graph encoding
+                      rng: Optional[np.random.Generator] = None,
+                      readout: Optional[np.ndarray] = None) -> Tensor:
+        """Per-position states used for scoring, or only the rows at
+        ``readout`` (see ``encoder.encode``); the per-user graph encoding
         enters the attention logits when it is enabled."""
         rel_pe = None
         if self.cfg.enable_pge:
             rel_pe = encoder.pge_encoding(self.params, user_ids,
                                           self.subgraphs(seqs, perturbation))
-        return encoder.encode(self.params, self.cfg, seqs, rel_pe, rng)
+        return encoder.encode(self.params, self.cfg, seqs, rel_pe, rng, readout)
 
     def user_reprs(self, seqs: np.ndarray, user_ids: np.ndarray,
                    perturbation: Optional[SubgraphPerturbation],
                    rng: Optional[np.random.Generator] = None) -> Tensor:
-        return encoder.user_repr(self.hidden_states(seqs, user_ids, perturbation, rng), seqs)
+        """Preference representations (B, d): the hidden state at each
+        sequence's last real item, with the last layer run at that row only."""
+        return self.hidden_states(seqs, user_ids, perturbation, rng,
+                                  encoder.last_real_position(seqs))
 
     # ------------------------------------------------------------- training
     def drop_padding_grads(self) -> None:
@@ -117,7 +122,7 @@ class Model:
                 raise CheckpointError(f"{path}: record '{name}' is not a parameter of this model")
         for name, t in self.params.items():
             if name not in arrays:
-                raise KeyError(f"checkpoint is missing parameter '{name}'")
+                raise CheckpointError(f"{path}: parameter '{name}' of this model has no record")
             value = arrays.pop(name)
             if value.shape != t.data.shape:
                 raise ad.ShapeMismatch(

@@ -21,7 +21,6 @@ from .collab import batch_rows, gce_loss
 from .config import TrainConfig
 from .data import (AugmentConfig, ItemSequence, SplitDataset, augment_pair,
                    eligible_negatives, pad_sequence)
-from .encoder import user_repr
 from .evaluation import MetricsReport, eval_input_sequences, rank_from_scores
 from .graph import (TransitionGraph, build_transition_graph,  # noqa: F401 (re-export)
                     train_graph)
@@ -204,10 +203,8 @@ def train_step(model: Model, batch: Batch, cfg: TrainConfig,
         gce = gce_loss(orig_rows, ref_rows, cfg.tau)
     seq = None
     if cfg.lambda2 != 0.0 and batch.view1 is not None:
-        h1 = model.hidden_states(batch.view1, batch.user_ids, perturbation, rng_dropout_views)
-        h2 = model.hidden_states(batch.view2, batch.user_ids, perturbation, rng_dropout_views)
-        z1 = user_repr(h1, batch.view1)
-        z2 = user_repr(h2, batch.view2)
+        z1 = model.user_reprs(batch.view1, batch.user_ids, perturbation, rng_dropout_views)
+        z2 = model.user_reprs(batch.view2, batch.user_ids, perturbation, rng_dropout_views)
         seq = seq_cl_loss(z1, z2, cfg.tau)
     loss = total_loss(rec, gce, seq, lambda1, cfg.lambda2)
     ad.backward(loss)

@@ -204,12 +204,9 @@ def test_criterion_4_gradient_suite():
         return collab.gce_loss(orig, refined, cfg.tau)
 
     def loss_seq():
-        from graphseqrec.encoder import user_repr
         pert = model.subgraph_perturbation()
-        h1 = model.hidden_states(batch.view1, batch.user_ids, pert)
-        h2 = model.hidden_states(batch.view2, batch.user_ids, pert)
-        return seq_cl_loss(user_repr(h1, batch.view1), user_repr(h2, batch.view2),
-                           cfg.tau)
+        return seq_cl_loss(model.user_reprs(batch.view1, batch.user_ids, pert),
+                           model.user_reprs(batch.view2, batch.user_ids, pert), cfg.tau)
 
     def loss_total():
         return total_loss(loss_rec(), loss_gce(), loss_seq(), cfg.lambda1, cfg.lambda2)

@@ -407,6 +407,16 @@ class TestIndexingOps:
         np.testing.assert_array_equal(out.data[1], x.data[1, 0])
         check_grads(lambda: ad.total_sum(ad.select_positions(x, pos)), {"x": x}, rtol=1e-6)
 
+    def test_reshape(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = rng.standard_normal((3, 1, 4))
+        out = ad.reshape(x, (3, 1, 4))
+        np.testing.assert_array_equal(out.data[:, 0], x.data)
+        check_grads(lambda: ad.total_sum(ad.mul(ad.reshape(x, (3, 1, 4)), Tensor(w))),
+                    {"x": x}, rtol=1e-6)
+        with pytest.raises(ShapeMismatch, match=r"\[3, 4\] does not fit \[3, 5\]"):
+            ad.reshape(x, (3, 5))
+
 
 class TestAttention:
     def test_gradient_vs_finite_differences(self, rng):
@@ -418,6 +428,54 @@ class TestAttention:
         check_grads(lambda: ad.total_sum(ad.mul(ad.attention(q, k, v, mask, 2, 0.5, rel_pe),
                                                 Tensor(w))),
                     {"q": q, "k": k, "v": v, "rel_pe": rel_pe}, rtol=1e-6)
+
+    @pytest.mark.parametrize("rows", [[[0], [2]], [[0, 3], [1, 2]]])
+    @pytest.mark.parametrize("with_rel_pe", [False, True])
+    def test_fewer_queries_than_keys_gradients(self, rng, rows, with_rel_pe):
+        # M = 1 and 1 < M < N query rows per sequence, against N = 4 keys;
+        # row 0 of [0, 2, 3, 1] is padding and keeps only its diagonal
+        seqs = np.array([[0, 2, 3, 1], [4, 1, 2, 6]])
+        rows = np.array(rows)
+        mask = attention_mask(seqs)[np.arange(2)[:, None], rows]
+        m = rows.shape[1]
+        assert mask[0, 0].sum() == 1
+        q = Tensor(rng.standard_normal((2, m, 6)), requires_grad=True)
+        k, v = (Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True) for _ in range(2))
+        tensors = {"q": q, "k": k, "v": v}
+        rel_pe = None
+        if with_rel_pe:
+            rel_pe = tensors["rel_pe"] = Tensor(rng.standard_normal((2, m, 4)), requires_grad=True)
+        w = rng.standard_normal((2, m, 6))
+        out = ad.attention(q, k, v, mask, 2, 0.5, rel_pe)
+        assert out.shape == (2, m, 6)
+        check_grads(lambda: ad.total_sum(ad.mul(ad.attention(q, k, v, mask, 2, 0.5, rel_pe),
+                                                Tensor(w))),
+                    tensors, rtol=1e-6)
+
+    def test_query_rows_are_rows_of_full_attention(self, rng):
+        seqs = np.array([[0, 2, 3, 1], [4, 1, 2, 6]])
+        full_mask = attention_mask(seqs)
+        x = Tensor(rng.standard_normal((2, 4, 6)))
+        rel = Tensor(rng.standard_normal((2, 4, 4)))
+        full = ad.attention(x, x, x, full_mask, 2, 0.5, rel).data
+        rows = np.array([[0, 3], [1, 2]])
+        pick = (np.arange(2)[:, None], rows)
+        got = ad.attention(Tensor(x.data[pick]), x, x, full_mask[pick], 2, 0.5,
+                           Tensor(rel.data[pick])).data
+        np.testing.assert_allclose(got, full[pick], rtol=0.0, atol=4e-15)
+
+    def test_fewer_queries_shape_errors_name_both_shapes(self):
+        q = Tensor(np.zeros((2, 1, 4)))
+        kv = Tensor(np.zeros((2, 3, 4)))
+        mask = np.ones((2, 1, 3), dtype=bool)
+        with pytest.raises(ShapeMismatch, match=r"mask shape \[2, 3, 3\] != logits shape \[2, 1, 3\]"):
+            ad.attention(q, kv, kv, np.ones((2, 3, 3), dtype=bool), 2, 1.0)
+        with pytest.raises(ShapeMismatch, match=r"rel_pe shape \[2, 3, 3\] != logits shape \[2, 1, 3\]"):
+            ad.attention(q, kv, kv, mask, 2, 1.0, Tensor(np.zeros((2, 3, 3))))
+        with pytest.raises(ShapeMismatch, match=r"q \[2, 1, 4\], k \[2, 3, 4\] and v \[2, 2, 4\]"):
+            ad.attention(q, kv, Tensor(np.zeros((2, 2, 4))), mask, 2, 1.0)
+        with pytest.raises(ShapeMismatch, match=r"q \[3, 1, 4\], k \[2, 3, 4\]"):
+            ad.attention(Tensor(np.zeros((3, 1, 4))), kv, kv, mask, 2, 1.0)
 
     def test_fully_masked_row_names_its_index(self):
         x = Tensor(np.zeros((2, 3, 4)))
@@ -485,6 +543,20 @@ class TestStructuredOps:
         assert out.data.tobytes() == (x.data * keep).tobytes()
         assert x.grad.tobytes() == (w * keep).tobytes()
         assert drawn.random() == reference.random()  # same draws consumed
+
+    def test_dropout_rows_keep_the_full_draw(self, rng):
+        # rows (n, positions): the (B, d) input is one row of a (B, n, d)
+        # activation, and gets that row's mask from the full-shape draw
+        full = Tensor(rng.standard_normal((3, 4, 5)))
+        pos = np.array([3, 0, 2])
+        x = Tensor(full.data[np.arange(3), pos], requires_grad=True)
+        drawn, reference = np.random.default_rng(41), np.random.default_rng(41)
+        out = ad.dropout(x, 0.3, drawn, (4, pos))
+        want = ad.dropout(full, 0.3, reference).data[np.arange(3), pos]
+        assert out.data.tobytes() == want.tobytes()
+        assert drawn.bit_generator.state == reference.bit_generator.state
+        check_grads(lambda: ad.total_sum(ad.dropout(x, 0.3, np.random.default_rng(5), (4, pos))),
+                    {"x": x}, rtol=1e-6)
 
     def test_sum_axis_gradient(self, rng):
         # sampled_bce: last-axis sums into logits, the negated positive
@@ -709,6 +781,28 @@ class TestBitwiseAgainstOldFormulas:
         want_out, want_dx = softmax_rows_reference(x0, mask, upstream)
         assert out.data.tobytes() == want_out.tobytes()
         assert x.grad.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("with_rel_pe", [False, True])
+    def test_attention_with_fewer_queries_forward_and_backward(self, rng, with_rel_pe):
+        # two query rows per sequence against six keys
+        seqs = np.array([[0, 0, 3, 1, 4, 2], [5, 1, 2, 6, 3, 7], [0, 0, 0, 0, 0, 9]])
+        rows = np.array([[1, 5], [2, 4], [3, 5]])
+        mask = attention_mask(seqs)[np.arange(3)[:, None], rows]
+        q0 = rng.standard_normal((3, 2, 8))
+        k0, v0 = (rng.standard_normal((3, 6, 8)) for _ in range(2))
+        rel0 = rng.standard_normal((3, 2, 6)) if with_rel_pe else None
+        upstream = rng.standard_normal((3, 2, 8))
+        q, k, v = leaves(q0, k0, v0)
+        rel_pe = Tensor(rel0.copy(), requires_grad=True) if with_rel_pe else None
+        out = ad.attention(q, k, v, mask, 4, 0.5, rel_pe)
+        ad.backward(weighted_loss(out, upstream))
+        want_out, want_grads, want_rel = attention_reference(
+            q0, k0, v0, mask, 4, 0.5, rel0, upstream)
+        assert out.data.tobytes() == want_out.tobytes()
+        for got, want in zip((q.grad, k.grad, v.grad), want_grads):
+            assert got.tobytes() == want.tobytes()
+        if with_rel_pe:
+            assert rel_pe.grad.tobytes() == want_rel.tobytes()
 
     # four heads make rel_pe's sum order visible: ((a + b) + c) + d
     @pytest.mark.parametrize("heads", [1, 2, 4])

@@ -204,6 +204,21 @@ class TestEval:
         captured = capsys.readouterr()
         assert "checkpoint.best: record 'layer1." in captured.err and captured.out == ""
 
+    def test_parameter_the_checkpoint_lacks_is_an_error(self, synth_log, tmp_path, capsys):
+        shallower = tmp_path / "shallower"
+        assert main(["train", "--dataset", synth_log, "--outdir", str(shallower)]
+                    + FAST_FLAGS + ["--encoder-layers", "3", "--max-epochs", "1",
+                                    "--patience", "0"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--config", str(shallower / "config.resolved"),
+                     "--checkpoint", str(shallower / "checkpoint.best"),
+                     "--dataset", synth_log, "--encoder-layers", "4"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and '"' not in captured.err
+        assert "checkpoint.best: parameter 'layer3.attn_query_w'" in captured.err
+        assert captured.out == ""
+
     def test_missing_checkpoint_usage_error(self, synth_log, capsys):
         assert main(["eval", "--dataset", synth_log, "--min-count", "1"]) == 2
         assert "--checkpoint" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,8 +159,9 @@ class TestUserRepr:
         cfg, params = make_params(rng)
         seqs = np.array([[1, 2, 3, 4, 5]])
         hidden = enc.encode(params, cfg, seqs)
-        np.testing.assert_array_equal(enc.user_repr(hidden, seqs).data[0],
-                                      hidden.data[0, 4])
+        got = enc.encode(params, cfg, seqs, readout=enc.last_real_position(seqs))
+        assert got.shape == (1, 4)
+        np.testing.assert_array_equal(got.data[0], hidden.data[0, 4])
 
     def test_left_padded_single_item(self):
         assert enc.last_real_position(np.array([[0, 0, 0, 9, 0]]))[0] == 3
@@ -175,3 +178,78 @@ class TestUserRepr:
     def test_all_padding_is_error(self):
         with pytest.raises(ValueError):
             enc.last_real_position(np.zeros((1, 4), dtype=np.int64))
+
+
+def readout_case(rng, layers, heads, dropout=0.2):
+    """Twelve sequences of length 10: left padding, rows whose last items
+    were masked to 0 (so the last real position is before N - 1), and a
+    one-item row; PGE on, so rel_pe reaches every layer."""
+    cfg, params = make_params(rng, num_items=30, num_users=6, dim=16, max_len=10,
+                              heads=heads, layers=layers)
+    cfg = replace(cfg, dropout=dropout)
+    seqs = rng.integers(1, 31, (12, 10))
+    seqs[:4, :3] = 0
+    seqs[4:7, -1] = 0
+    seqs[7, -4:] = 0
+    seqs[8, :-1] = 0
+    users = rng.integers(0, 6, 12)
+    subgraphs = rng.random((12, 10, 10))
+    return cfg, params, seqs, users, subgraphs
+
+
+class TestReadout:
+    """``encode(..., readout=...)`` runs the last layer at one row per
+    sequence; it must give the matching rows of the full encode."""
+
+    @pytest.mark.parametrize("layers, heads", [(2, 2), (3, 4)])
+    @pytest.mark.parametrize("with_dropout", [False, True])
+    def test_matches_rows_of_full_encode(self, rng, layers, heads, with_dropout):
+        cfg, params, seqs, users, subgraphs = readout_case(rng, layers, heads)
+        pos = enc.last_real_position(seqs)
+        assert (pos < 9).sum() == 4
+        runs = []
+        for readout in (None, pos):
+            gen = np.random.default_rng(11) if with_dropout else None
+            rel = enc.pge_encoding(params, users, subgraphs)
+            runs.append((enc.encode(params, cfg, seqs, rel, gen, readout).data, gen))
+        (full, gen_full), (rows, gen_rows) = runs
+        assert rows.shape == (12, 16)
+        np.testing.assert_allclose(rows, full[np.arange(12), pos], rtol=0.0, atol=4e-15)
+        if with_dropout:
+            # the readout draws as much as the full encode: the stream is preserved
+            assert gen_rows.bit_generator.state == gen_full.bit_generator.state
+
+    def test_any_positions_not_only_the_last(self, rng):
+        cfg, params, seqs, users, subgraphs = readout_case(rng, 2, 2, dropout=0.0)
+        pos = np.arange(12) % 10  # padding rows included
+        full = enc.encode(params, cfg, seqs).data
+        rows = enc.encode(params, cfg, seqs, readout=pos).data
+        np.testing.assert_allclose(rows, full[np.arange(12), pos], rtol=0.0, atol=4e-15)
+
+    def test_gradients_with_pge_and_dropout(self, rng):
+        cfg, params = make_params(rng, dim=4, heads=2, layers=2, max_len=4)
+        cfg = replace(cfg, dropout=0.3)
+        seqs = np.array([[0, 3, 1, 2], [4, 1, 2, 0]])
+        users = np.array([2, 0])
+        subgraphs = rng.standard_normal((2, 4, 4))
+        w = rng.standard_normal((2, 4))
+        params["pge_w2"].data += 0.5  # a live gate, so rel_pe carries gradient
+
+        def loss():
+            rel = enc.pge_encoding(params, users, subgraphs)
+            out = enc.encode(params, cfg, seqs, rel, np.random.default_rng(3),
+                             enc.last_real_position(seqs))
+            return ad.total_sum(ad.mul(out, Tensor(w)))
+
+        check_grads(loss, {name: params[name] for name in
+                           ("item_emb", "layer0.attn_key_w", "layer1.attn_query_w",
+                            "layer1.attn_value_w", "layer1.ffn_w1", "layer1.ln1_g",
+                            "ln_final_g", "user_emb", "pge_w2")})
+
+    def test_bad_readout_is_rejected(self, rng):
+        cfg, params = make_params(rng)
+        seqs = np.array([[1, 2, 3, 4, 5], [0, 0, 1, 2, 3]])
+        with pytest.raises(ad.ShapeMismatch, match=r"readout must be \[2\], got \[1\]"):
+            enc.encode(params, cfg, seqs, readout=np.array([4]))
+        with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
+            enc.encode(params, cfg, seqs, readout=np.array([4, 5]))
