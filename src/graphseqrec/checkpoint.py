@@ -9,8 +9,7 @@ Layout (all integers little-endian):
                   row-major float64 payload
 
 Records are written in sorted name order so identical contents produce
-identical bytes.  Record names are unique.  Model parameters and optimizer
-moment buffers share the same archive; moments use an ``opt.`` name prefix.
+identical bytes.  Record names are unique.
 
 A save writes a sibling temporary file and renames it over the destination
 only once it is complete, so a failed save leaves the previous archive as it
@@ -101,9 +100,14 @@ def load_archive(path) -> Dict[str, np.ndarray]:
             raise CheckpointError(
                 f"duplicate record '{name}' in checkpoint {path} at byte {start}")
         (ndim,) = struct.unpack("<B", take(1, f"'{name}' ndim"))
+        dims_at = offset
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, f"'{name}' dims"))
         payload = take(8 * math.prod(dims), f"'{name}' payload")
-        out[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+        try:
+            out[name] = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
+        except ValueError as exc:  # e.g. a zero-size shape whose other dims overflow
+            raise CheckpointError(f"bad shape {list(dims)} for '{name}' in checkpoint "
+                                  f"{path} at byte {dims_at}: {exc}") from None
     if offset != len(blob):
         raise CheckpointError(f"trailing bytes in checkpoint: {path}")
     return out

@@ -74,8 +74,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         fh.write("\n".join(result.timing) + "\n")
     # the model holds the restored best parameters at this point
     result.model.save(os.path.join(outdir, "checkpoint.best"))
-    result.model.save(os.path.join(outdir, "checkpoint.final"),
-                      extra=result.optimizer.state_arrays())
     if cfg.spectrum:
         report = spectrum(result.model.params["item_emb"].data[1:])
         write_spectrum_csv(report, os.path.join(outdir, "spectrum.csv"))

@@ -103,6 +103,18 @@ class TrainConfig:
             bad("reorder_ratio", "in [0, 1]")
         if self.patience >= self.max_epochs:
             raise ValueError(f"patience ({self.patience}) must be < max_epochs ({self.max_epochs})")
+        self.check_choices()
+
+    def check_choices(self) -> None:
+        """Reject an unknown graph choice or a width the heads do not split.
+        A sized ``ModelConfig`` runs this on construction, so library callers
+        that skip ``validate`` are guarded too."""
+        if self.pge_graph not in ("original", "refined"):
+            raise ValueError(f"pge_graph must be 'original' or 'refined', got {self.pge_graph!r}")
+        if self.degree_mode not in ("weighted", "count"):
+            raise ValueError(f"degree_mode must be 'weighted' or 'count', got {self.degree_mode!r}")
+        if self.dim % self.heads != 0:
+            raise ValueError(f"dim {self.dim} must be divisible by heads {self.heads}")
 
     def model_config(self, num_items: int, num_users: int) -> "ModelConfig":
         keys = {f.name: getattr(self, f.name) for f in fields(TrainConfig)}
@@ -116,10 +128,7 @@ class ModelConfig(TrainConfig):
     num_users: int = field(kw_only=True)
 
     def __post_init__(self):
-        if self.pge_graph not in ("original", "refined"):
-            raise ValueError(f"pge_graph must be 'original' or 'refined', got {self.pge_graph!r}")
-        if self.dim % self.heads != 0:
-            raise ValueError(f"dim {self.dim} must be divisible by heads {self.heads}")
+        self.check_choices()
 
 
 @dataclass(frozen=True)

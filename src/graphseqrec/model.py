@@ -107,29 +107,26 @@ class Model:
             t.grad = None
 
     # ------------------------------------------------------------ persistence
-    def save(self, path, extra: Optional[Dict[str, np.ndarray]] = None) -> None:
-        arrays = {name: t.data.copy() for name, t in self.params.items()}
-        if extra:
-            arrays.update(extra)
-        save_archive(path, arrays)
+    def save(self, path) -> None:
+        save_archive(path, {name: t.data for name, t in self.params.items()})
 
-    def load(self, path) -> Dict[str, np.ndarray]:
-        """Load parameters in place; returns the optimizer (``opt.``) records.
-        A record this model has no parameter for is an error, not dropped."""
+    def load(self, path) -> None:
+        """Load parameters in place.  The archive must hold exactly this
+        model's parameters, each with its shape; any mismatch raises before
+        a parameter is assigned."""
         arrays = load_archive(path)
         for name in arrays:
-            if name not in self.params and not name.startswith("opt."):
+            if name not in self.params:
                 raise CheckpointError(f"{path}: record '{name}' is not a parameter of this model")
         for name, t in self.params.items():
             if name not in arrays:
                 raise CheckpointError(f"{path}: parameter '{name}' of this model has no record")
-            value = arrays.pop(name)
-            if value.shape != t.data.shape:
+            if arrays[name].shape != t.data.shape:
                 raise ad.ShapeMismatch(
-                    f"checkpoint parameter '{name}' has shape {list(value.shape)}, "
+                    f"checkpoint parameter '{name}' has shape {list(arrays[name].shape)}, "
                     f"model expects {list(t.data.shape)}")
-            t.data = value.astype(np.float64)
-        return arrays
+        for name, t in self.params.items():
+            t.data = arrays[name]
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}

@@ -1,8 +1,6 @@
 """Adam with bias correction over a named parameter group.
 
-Moment buffers live on the optimizer and persist across steps, so the whole
-optimizer state (first/second moments plus the step counter) can be carried
-through the checkpoint archive.
+Moment buffers live on the optimizer and persist across steps.
 """
 
 from __future__ import annotations
@@ -65,18 +63,3 @@ class Adam:
             denom += self.eps
             step /= denom
             p.data -= step
-
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Moment buffers and step counter, named for the checkpoint archive."""
-        out: Dict[str, np.ndarray] = {}
-        for name in self.params:
-            out[f"opt.m.{name}"] = self.m[name]
-            out[f"opt.v.{name}"] = self.v[name]
-        out["opt.step"] = np.asarray(float(self.step_count))
-        return out
-
-    def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        for name in self.params:
-            self.m[name] = np.array(arrays[f"opt.m.{name}"], dtype=np.float64)
-            self.v[name] = np.array(arrays[f"opt.v.{name}"], dtype=np.float64)
-        self.step_count = int(arrays["opt.step"].reshape(-1)[0])

@@ -180,7 +180,6 @@ class TrainResult:
     model: Optional[Model] = None
     valid_report: Optional[MetricsReport] = None
     test_report: Optional[MetricsReport] = None
-    optimizer: Optional[Adam] = None
 
 
 def _epoch_rng(seed: int, purpose: int, epoch: int, batch: int = 0) -> np.random.Generator:
@@ -281,5 +280,4 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
         f"best_epoch={state.best_epoch} best_val_ndcg@20={state.best_val_ndcg20:.6f}")
     result.history.append(
         "test " + " ".join(result.test_report.lines()))
-    result.optimizer = optimizer
     return result

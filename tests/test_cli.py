@@ -63,16 +63,8 @@ class TestTrain:
         assert "--dataset" in capsys.readouterr().err
 
     def test_artifacts_written(self, trained):
-        for name in ("config.resolved", "metrics.log", "timing.log",
-                     "checkpoint.best", "checkpoint.final"):
-            assert os.path.exists(os.path.join(trained, name)), name
-
-    def test_final_checkpoint_carries_optimizer_state(self, trained):
-        from graphseqrec.checkpoint import load_archive
-        arrays = load_archive(os.path.join(trained, "checkpoint.final"))
-        assert "opt.step" in arrays and arrays["opt.step"].reshape(-1)[0] > 0
-        assert any(name.startswith("opt.m.") for name in arrays)
-        assert any(name.startswith("opt.v.") for name in arrays)
+        assert sorted(os.listdir(trained)) == ["checkpoint.best", "config.resolved",
+                                               "metrics.log", "timing.log"]
 
     def test_determinism_byte_identical_metrics(self, synth_log, tmp_path):
         runs = []
@@ -130,6 +122,20 @@ class TestTrain:
         key = flag[2:].replace("-", "_")
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be ") and f"got {float(value):g}" in err
+        assert not (outdir / "config.resolved").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--pge-graph", "bogus"], "pge_graph must be 'original' or 'refined', got 'bogus'"),
+        (["--degree-mode", "bogus"], "degree_mode must be 'weighted' or 'count', got 'bogus'"),
+        (["--dim", "7", "--heads", "2"], "dim 7 must be divisible by heads 2"),
+    ], ids=["pge-graph", "degree-mode", "dim-heads"])
+    def test_choice_and_shape_keys_rejected_before_any_artifact(self, synth_log, tmp_path,
+                                                                capsys, flags, message):
+        outdir = tmp_path / "run"
+        code = main(["train", "--dataset", synth_log, "--outdir", str(outdir)]
+                    + FAST_FLAGS + flags)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (outdir / "config.resolved").exists()
 
     def test_flag_overrides_config_file(self, synth_log, tmp_path):
@@ -192,10 +198,6 @@ class TestEval:
         assert main(["train", "--dataset", synth_log, "--outdir", str(deeper)]
                     + FAST_FLAGS + ["--encoder-layers", "2", "--max-epochs", "1",
                                     "--patience", "0"]) == 0
-        # checkpoint.final loads: its opt. records are optimizer state, not unknown
-        assert main(["eval", "--config", str(deeper / "config.resolved"),
-                     "--checkpoint", str(deeper / "checkpoint.final"),
-                     "--dataset", synth_log]) == 0
         capsys.readouterr()
         code = main(["eval", "--config", str(deeper / "config.resolved"),
                      "--checkpoint", str(deeper / "checkpoint.best"),

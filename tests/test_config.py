@@ -59,7 +59,7 @@ def test_model_config_carries_every_field():
         else:
             values[f.name] = f.type(100 + i)
     # values that pass the sized config's own checks
-    values.update(pge_graph="original", dim=120, heads=4)
+    values.update(pge_graph="original", degree_mode="count", dim=120, heads=4)
     cfg = TrainConfig(**values)
     sized = cfg.model_config(7, 9)
     assert isinstance(sized, ModelConfig)

@@ -1,5 +1,5 @@
 """Golden bytes: a tiny run with every loss term and dropout on must write the
-same ``metrics.log`` and ``checkpoint.final`` as the recorded digests.
+same ``metrics.log`` and ``checkpoint.best`` as the recorded digests.
 
 Speed-ups to the autodiff engine, the encoder and the optimizer promise the
 same bits, not merely close numbers.  This pins that promise end to end.
@@ -19,10 +19,11 @@ RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
 # user representations run the last encoder layer at the readout rows only;
 # those one-row products round differently from the rows of the full encode
-# (within 4e-15), and checkpoint.final pins the readout's bits
+# (within 4e-15), and checkpoint.best, the best-validation parameters, pins
+# the bits that training reached through them
 DIGESTS = {
     "metrics.log": "b8030c34efa633c2fab4bbd410ca3e323fe97cc6a7e9a4b2376e37b70f2043b6",
-    "checkpoint.final": "eed49ae629775da76dccdbdba5dcfbbc1f95dcfb1965f623457483b8cb4c707f",
+    "checkpoint.best": "472ee9229168b083b86ff22a02f8bc1deb502c613ee035aefb7f8cdbee1d73ae",
 }
 
 # PGE, the graph contrastive loss (AGCL), the sequence contrastive loss and
