@@ -13,9 +13,9 @@ from .autodiff import DegenerateRow, ShapeMismatch, Tensor, backward
 from .collab import (GraphRepresentations, PerturbationFactors, batch_rows,
                      gce_loss, graph_representations, init_factors,
                      propagate_original, propagate_refined)
-from .data import (AugmentConfig, Interaction, ItemSequence, SplitDataset,
-                   augment, augment_pair, build_sequences, ingest,
-                   leave_one_out, pad_sequence, synth_generate)
+from .data import (Interaction, ItemSequence, SplitDataset, augment,
+                   augment_pair, build_sequences, ingest, leave_one_out,
+                   pad_sequence, synth_generate)
 from .evaluation import (MetricsReport, SpectrumReport, hr_ndcg,
                          popularity_ranks, spectrum)
 from .graph import SubgraphPerturbation, TransitionGraph, build_transition_graph

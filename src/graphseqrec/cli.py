@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .data import (ingest, leave_one_out, synth_generate, write_interactions)
 from .evaluation import spectrum, write_spectrum_csv
 from .graph import train_graph
 from .model import Model
-from .training import (LAMBDA1_GRID, ENCODER_LAYER_GRID, evaluate_model, train)
+from .training import (LAMBDA1_GRID, ENCODER_LAYER_GRID, TrainResult, evaluate_model,
+                       train)
 
 OUTPUT_ROOT_ENV = "GRAPHSEQREC_OUTPUT_ROOT"
 
@@ -43,14 +44,13 @@ def _collect_overrides(args: argparse.Namespace) -> Dict[str, object]:
     return {key: getattr(args, key) for key in cfgmod.SCHEMA if getattr(args, key, None) is not None}
 
 
-def _resolve_outdir(cfg: TrainConfig, command: str) -> Tuple[TrainConfig, str]:
+def _resolve_outdir(cfg: TrainConfig, command: str) -> TrainConfig:
     if not cfg.outdir:
         root = os.environ.get(OUTPUT_ROOT_ENV, "")
         if not root:
             raise UsageError(f"--outdir is required (or set {OUTPUT_ROOT_ENV})")
         cfg = replace(cfg, outdir=os.path.join(root, command))
-    os.makedirs(cfg.outdir, exist_ok=True)
-    return cfg, cfg.outdir
+    return cfg
 
 
 def _load_dataset(cfg: TrainConfig):
@@ -58,28 +58,34 @@ def _load_dataset(cfg: TrainConfig):
         raise UsageError("--dataset is required")
     if not os.path.exists(cfg.dataset):
         raise UsageError(f"--dataset: no such file: {cfg.dataset}")
-    sequences = ingest(cfg.dataset, cfg.min_count, cfgmod.delimiter_char(cfg))
+    sequences = ingest(cfg.dataset, cfg.min_count, cfgmod.DELIMITERS[cfg.delimiter])
     return leave_one_out(sequences)
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg, outdir = _resolve_outdir(cfgmod.resolve(args.config, _collect_overrides(args)), "train")
-    dataset = _load_dataset(cfg)
-    cfg.validate()
-    cfgmod.write_resolved(os.path.join(outdir, "config.resolved"), cfg)
+def _train_run(cfg: TrainConfig, dataset) -> TrainResult:
+    """Train one configuration and write its artifacts into ``cfg.outdir``.
+    The resolved config goes first, so a run that fails can be reproduced."""
+    os.makedirs(cfg.outdir, exist_ok=True)
+    cfgmod.write_resolved(os.path.join(cfg.outdir, "config.resolved"), cfg)
     result = train(cfg, dataset)
-    with atomic_open(os.path.join(outdir, "metrics.log")) as fh:
+    with atomic_open(os.path.join(cfg.outdir, "metrics.log")) as fh:
         fh.write("\n".join(result.history) + "\n")
-    with atomic_open(os.path.join(outdir, "timing.log")) as fh:
+    with atomic_open(os.path.join(cfg.outdir, "timing.log")) as fh:
         fh.write("\n".join(result.timing) + "\n")
     # the model holds the restored best parameters at this point
-    result.model.save(os.path.join(outdir, "checkpoint.best"))
+    result.model.save(os.path.join(cfg.outdir, "checkpoint.best"))
     if cfg.spectrum:
         report = spectrum(result.model.params["item_emb"].data[1:])
-        write_spectrum_csv(report, os.path.join(outdir, "spectrum.csv"))
+        write_spectrum_csv(report, os.path.join(cfg.outdir, "spectrum.csv"))
+    return result
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    cfg = _resolve_outdir(cfgmod.resolve(args.config, _collect_overrides(args)), "train")
+    result = _train_run(cfg, _load_dataset(cfg))
     for line in result.history[-2:]:
         print(line)
-    print(f"artifacts written to {outdir}")
+    print(f"artifacts written to {cfg.outdir}")
     return 0
 
 
@@ -90,7 +96,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not os.path.exists(args.checkpoint):
         raise UsageError(f"--checkpoint: no such file: {args.checkpoint}")
     dataset = _load_dataset(cfg)
-    cfg.validate()
     graph = train_graph(dataset, cfg.window, cfg.degree_mode)
     rng = np.random.default_rng([cfg.seed, 0])
     model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph, rng)
@@ -108,8 +113,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise UsageError("--out is required")
     log = synth_generate(args.users, args.items, args.order, args.noise,
                          args.seed, args.seq_len)
-    delim = "\t" if args.delimiter == "tab" else ","
-    write_interactions(args.out, log, delim)
+    write_interactions(args.out, log, cfgmod.DELIMITERS[args.delimiter])
     print(f"wrote {len(log)} interactions for {args.users} users to {args.out}")
     return 0
 
@@ -132,33 +136,27 @@ def _parse_grid(text: str, kind) -> List:
 
 
 def cmd_gridsearch(args: argparse.Namespace) -> int:
-    base, outdir = _resolve_outdir(cfgmod.resolve(args.config, _collect_overrides(args)),
-                                   "gridsearch")
+    base = _resolve_outdir(cfgmod.resolve(args.config, _collect_overrides(args)), "gridsearch")
     dataset = _load_dataset(base)
-    base.validate()
+    os.makedirs(base.outdir, exist_ok=True)
     lambda1_grid = _parse_grid(args.lambda1_grid, float) if args.lambda1_grid else list(LAMBDA1_GRID)
     layers_grid = _parse_grid(args.layers_grid, int) if args.layers_grid else list(ENCODER_LAYER_GRID)
     rows = []
     failures = 0
     for lam in lambda1_grid:
         for layers in layers_grid:
-            cell_dir = os.path.join(outdir, f"cell-lambda1_{lam}-layers_{layers}")
-            cell = replace(base, lambda1=lam, encoder_layers=layers, outdir=cell_dir)
-            os.makedirs(cell_dir, exist_ok=True)
-            cfgmod.write_resolved(os.path.join(cell_dir, "config.resolved"), cell)
+            cell_dir = os.path.join(base.outdir, f"cell-lambda1_{lam}-layers_{layers}")
             try:
-                result = train(cell, dataset)
+                result = _train_run(
+                    replace(base, lambda1=lam, encoder_layers=layers, outdir=cell_dir), dataset)
             except Exception as exc:  # keep scanning the rest of the grid
                 print(f"cell lambda1={lam} layers={layers} failed: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            with atomic_open(os.path.join(cell_dir, "metrics.log")) as fh:
-                fh.write("\n".join(result.history) + "\n")
-            result.model.save(os.path.join(cell_dir, "checkpoint.best"))
             rows.append((lam, layers, result.state.best_val_ndcg20,
                          result.test_report.hr[20], result.test_report.ndcg[20]))
     rows.sort(key=lambda r: -r[2])
-    summary = os.path.join(outdir, "grid_summary.tsv")
+    summary = os.path.join(base.outdir, "grid_summary.tsv")
     with atomic_open(summary) as fh:
         fh.write("lambda1\tencoder_layers\tval_ndcg@20\ttest_hr@20\ttest_ndcg@20\n")
         for lam, layers, val, hr20, ndcg20 in rows:
@@ -194,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--noise", type=float, default=0.2)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--seq-len", dest="seq_len", type=int, default=20)
-    p_synth.add_argument("--delimiter", choices=("tab", "comma"), default="tab")
+    p_synth.add_argument("--delimiter", choices=tuple(cfgmod.DELIMITERS), default="tab")
     p_synth.set_defaults(func=cmd_synth)
 
     p_grid = sub.add_parser("gridsearch", help="train every cell of a hyperparameter grid")

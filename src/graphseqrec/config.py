@@ -4,8 +4,10 @@
 config-file parsing, CLI flag generation, default documentation, and the
 resolved snapshot written next to every run: each field's annotation picks
 its parser and its metadata carries its help text.  ``ModelConfig`` is the
-same configuration sized to a dataset.  Unknown keys are rejected;
-command-line flags override file values.
+same configuration sized to a dataset.  A configuration is frozen and checks
+itself when it is built, so a bad value raises, naming its key, before any
+caller can act on it; derive variants with ``dataclasses.replace``.  Unknown
+keys are rejected; command-line flags override file values.
 """
 
 import math
@@ -32,7 +34,11 @@ def _key(default, doc: str):
     return field(default=default, metadata={"help": doc})
 
 
-@dataclass
+# field delimiter of the interaction log, by its config value
+DELIMITERS = {"tab": "\t", "comma": ","}
+
+
+@dataclass(frozen=True)
 class TrainConfig:
     # data
     dataset: str = _key("", "path to the interaction log")
@@ -74,11 +80,14 @@ class TrainConfig:
     # reporting
     spectrum: bool = _key(False, "write the embedding spectrum CSV after training")
 
-    def validate(self) -> None:
-        """Reject out-of-range keys, naming the key, before any work or artifact."""
+    def __post_init__(self):
+        """Reject an out-of-range key, an unknown choice or a width the heads
+        do not split, naming the key, before any work or artifact."""
         def bad(key, rule):
             raise ValueError(f"{key} must be {rule}, got {getattr(self, key)}")
 
+        if self.delimiter not in DELIMITERS:
+            raise ConfigError(f"delimiter must be 'tab' or 'comma', got {self.delimiter!r}")
         for f in fields(TrainConfig):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 bad(f.name, "finite")
@@ -86,8 +95,9 @@ class TrainConfig:
                     "window", "batch_size", "max_epochs"):
             if getattr(self, key) < 1:
                 bad(key, ">= 1")
-        if self.patience < 0:
-            bad("patience", ">= 0")
+        for key in ("patience", "seed"):
+            if getattr(self, key) < 0:
+                bad(key, ">= 0")
         for key in ("lr", "eps", "tau"):
             if getattr(self, key) <= 0:
                 bad(key, "> 0")
@@ -103,12 +113,6 @@ class TrainConfig:
             bad("reorder_ratio", "in [0, 1]")
         if self.patience >= self.max_epochs:
             raise ValueError(f"patience ({self.patience}) must be < max_epochs ({self.max_epochs})")
-        self.check_choices()
-
-    def check_choices(self) -> None:
-        """Reject an unknown graph choice or a width the heads do not split.
-        A sized ``ModelConfig`` runs this on construction, so library callers
-        that skip ``validate`` are guarded too."""
         if self.pge_graph not in ("original", "refined"):
             raise ValueError(f"pge_graph must be 'original' or 'refined', got {self.pge_graph!r}")
         if self.degree_mode not in ("weighted", "count"):
@@ -121,14 +125,11 @@ class TrainConfig:
         return ModelConfig(num_items=num_items, num_users=num_users, **keys)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig(TrainConfig):
     """A run configuration sized to a dataset's item and user counts."""
     num_items: int = field(kw_only=True)
     num_users: int = field(kw_only=True)
-
-    def __post_init__(self):
-        self.check_choices()
 
 
 @dataclass(frozen=True)
@@ -189,11 +190,3 @@ def format_resolved(cfg: TrainConfig) -> str:
 def write_resolved(path, cfg: TrainConfig) -> None:
     with atomic_open(path) as fh:
         fh.write(format_resolved(cfg))
-
-
-def delimiter_char(cfg: TrainConfig) -> str:
-    if cfg.delimiter == "tab":
-        return "\t"
-    if cfg.delimiter == "comma":
-        return ","
-    raise ConfigError(f"delimiter must be 'tab' or 'comma', got {cfg.delimiter!r}")

@@ -15,6 +15,7 @@ from typing import Dict, Iterable, List, Sequence
 import numpy as np
 
 from .checkpoint import atomic_open
+from .config import TrainConfig
 
 
 class ParseError(ValueError):
@@ -207,18 +208,11 @@ def augment(seq: ItemSequence, kind: str, ratio: float, rng: np.random.Generator
     raise ValueError(f"unknown augmentation kind {kind!r}")
 
 
-@dataclass
-class AugmentConfig:
-    crop_ratio: float = 0.6
-    mask_ratio: float = 0.3
-    reorder_ratio: float = 0.6
-
-
-def augment_pair(seq: ItemSequence, cfg: AugmentConfig,
+def augment_pair(seq: ItemSequence, cfg: TrainConfig,
                  rng: np.random.Generator) -> tuple:
     """Two independently augmented views; the operator of each view is drawn
-    uniformly from crop/mask/reorder.  Length-1 sequences pass through as
-    identity views."""
+    uniformly from crop/mask/reorder, at its ratio in ``cfg``.  Length-1
+    sequences pass through as identity views."""
     views = []
     for _ in range(2):
         if len(seq.items) < 2:

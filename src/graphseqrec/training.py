@@ -19,8 +19,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .collab import batch_rows, gce_loss
 from .config import TrainConfig
-from .data import (AugmentConfig, ItemSequence, SplitDataset, augment_pair,
-                   eligible_negatives, pad_sequence)
+from .data import (ItemSequence, SplitDataset, augment_pair, eligible_negatives,
+                   pad_sequence)
 from .evaluation import MetricsReport, eval_input_sequences, rank_from_scores
 from .graph import (TransitionGraph, build_transition_graph,  # noqa: F401 (re-export)
                     train_graph)
@@ -100,7 +100,7 @@ class Batch:
 def assemble_batch(users: Sequence, num_items: int, max_len: int,
                    rng_negatives: np.random.Generator,
                    rng_augment: Optional[np.random.Generator],
-                   aug_cfg: AugmentConfig) -> Batch:
+                   cfg: TrainConfig) -> Batch:
     n = max_len
     b = len(users)
     seqs = np.zeros((b, n), dtype=np.int64)
@@ -127,7 +127,7 @@ def assemble_batch(users: Sequence, num_items: int, max_len: int,
         gce_items[row] = items[-1]
         if rng_augment is not None:
             seq = ItemSequence(user.user_id, items)
-            v1, v2 = augment_pair(seq, aug_cfg, rng_augment)
+            v1, v2 = augment_pair(seq, cfg, rng_augment)
             view1[row] = pad_sequence(v1.items, n)
             view2[row] = pad_sequence(v2.items, n)
     return Batch(user_ids, seqs, targets, negatives, step_mask, gce_items, view1, view2)
@@ -178,7 +178,6 @@ class TrainResult:
     history: List[str] = field(default_factory=list)
     timing: List[str] = field(default_factory=list)
     model: Optional[Model] = None
-    valid_report: Optional[MetricsReport] = None
     test_report: Optional[MetricsReport] = None
 
 
@@ -223,16 +222,14 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
     leakage from held-out targets).  The best-validation parameters are
     restored before the final test evaluation.
     """
-    cfg.validate()
     if graph is None:
         graph = train_graph(dataset, cfg.window, cfg.degree_mode)
     rng_init = np.random.default_rng([cfg.seed, 0])
     model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph, rng_init)
     optimizer = Adam(model.params, cfg.lr, (cfg.beta1, cfg.beta2), cfg.eps)
-    aug_cfg = AugmentConfig(cfg.crop_ratio, cfg.mask_ratio, cfg.reorder_ratio)
     state = TrainState()
     result = TrainResult(state, model=model)
-    best_snapshot = model.snapshot()
+    best_snapshot = None  # epoch 1 always sets it: best_val_ndcg20 starts below 0
     num_users = len(dataset.users)
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
@@ -245,7 +242,7 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
                 users, dataset.num_items, cfg.max_len,
                 _epoch_rng(cfg.seed, 2, epoch, b),
                 _epoch_rng(cfg.seed, 3, epoch, b) if cfg.lambda2 != 0.0 else None,
-                aug_cfg)
+                cfg)
             rng_drop = _epoch_rng(cfg.seed, 4, epoch, b) if cfg.dropout > 0 else None
             rng_drop_views = _epoch_rng(cfg.seed, 5, epoch, b) if cfg.dropout > 0 else None
             model.zero_grads()
@@ -272,8 +269,6 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
             if state.epochs_since_best >= max(cfg.patience, 1):
                 break
     model.restore(best_snapshot)
-    result.valid_report = evaluate_model(model, dataset, "valid",
-                                         cfg.batch_size, cfg.exclude_history)
     result.test_report = evaluate_model(model, dataset, "test",
                                         cfg.batch_size, cfg.exclude_history)
     result.history.append(

@@ -24,7 +24,6 @@ from graphseqrec.graph import TransitionGraph, build_transition_graph
 from graphseqrec.model import Model
 from graphseqrec.training import (TrainConfig, assemble_batch, next_item_loss,
                                   seq_cl_loss, total_loss, train, variant_config)
-from graphseqrec.data import AugmentConfig
 
 
 def report(criterion, ok, detail):
@@ -185,7 +184,7 @@ def toy_setup():
                   np.random.default_rng(5))
     batch = assemble_batch(dataset.users[:b], dataset.num_items, n,
                            np.random.default_rng(1), np.random.default_rng(2),
-                           AugmentConfig())
+                           TrainConfig())
     return model, batch, cfg
 
 

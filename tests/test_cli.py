@@ -53,14 +53,16 @@ class TestSynth:
 
 class TestTrain:
     def test_missing_dataset_is_usage_error(self, capsys, tmp_path):
-        code = main(["train", "--outdir", str(tmp_path)])
+        code = main(["train", "--outdir", str(tmp_path / "run")])
         assert code == 2
         assert "--dataset" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_nonexistent_dataset_names_flag(self, capsys, tmp_path):
-        code = main(["train", "--dataset", "/no/such/file", "--outdir", str(tmp_path)])
+        code = main(["train", "--dataset", "/no/such/file", "--outdir", str(tmp_path / "run")])
         assert code == 2
         assert "--dataset" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_artifacts_written(self, trained):
         assert sorted(os.listdir(trained)) == ["checkpoint.best", "config.resolved",
@@ -112,6 +114,7 @@ class TestTrain:
         ("--reorder-ratio", "nan"),
         ("--beta1", "1.5"), ("--beta1", "-0.1"), ("--beta2", "1.0"), ("--eps", "-1"),
         ("--eps", "0"), ("--max-epochs", "0"), ("--max-epochs", "-3"), ("--patience", "-1"),
+        ("--seed", "-1"),
     ])
     def test_out_of_range_key_rejected_before_training(self, synth_log, tmp_path, capsys,
                                                        flag, value):
@@ -122,21 +125,22 @@ class TestTrain:
         key = flag[2:].replace("-", "_")
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be ") and f"got {float(value):g}" in err
-        assert not (outdir / "config.resolved").exists()
+        assert not outdir.exists()
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--pge-graph", "bogus"], "pge_graph must be 'original' or 'refined', got 'bogus'"),
-        (["--degree-mode", "bogus"], "degree_mode must be 'weighted' or 'count', got 'bogus'"),
-        (["--dim", "7", "--heads", "2"], "dim 7 must be divisible by heads 2"),
-    ], ids=["pge-graph", "degree-mode", "dim-heads"])
+    @pytest.mark.parametrize("flags,code,message", [
+        (["--pge-graph", "bogus"], 1, "pge_graph must be 'original' or 'refined', got 'bogus'"),
+        (["--degree-mode", "bogus"], 1,
+         "degree_mode must be 'weighted' or 'count', got 'bogus'"),
+        (["--dim", "7", "--heads", "2"], 1, "dim 7 must be divisible by heads 2"),
+        (["--delimiter", "bogus"], 2, "delimiter must be 'tab' or 'comma', got 'bogus'"),
+    ], ids=["pge-graph", "degree-mode", "dim-heads", "delimiter"])
     def test_choice_and_shape_keys_rejected_before_any_artifact(self, synth_log, tmp_path,
-                                                                capsys, flags, message):
+                                                                capsys, flags, code, message):
         outdir = tmp_path / "run"
-        code = main(["train", "--dataset", synth_log, "--outdir", str(outdir)]
-                    + FAST_FLAGS + flags)
-        assert code == 1
+        assert main(["train", "--dataset", synth_log, "--outdir", str(outdir)]
+                    + FAST_FLAGS + flags) == code
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (outdir / "config.resolved").exists()
+        assert not outdir.exists()
 
     def test_flag_overrides_config_file(self, synth_log, tmp_path):
         cfg = tmp_path / "base.cfg"
@@ -225,6 +229,13 @@ class TestEval:
         assert main(["eval", "--dataset", synth_log, "--min-count", "1"]) == 2
         assert "--checkpoint" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, trained, synth_log, capsys):
+        code = main(["eval", "--config", os.path.join(trained, "config.resolved"),
+                     "--checkpoint", os.path.join(trained, "checkpoint.best"),
+                     "--dataset", synth_log, "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
 
 class TestBuildGraph:
     def test_dump_is_parseable_and_symmetric(self, synth_log, tmp_path):
@@ -239,6 +250,13 @@ class TestBuildGraph:
         for (i, j), w in entries.items():
             assert entries[(j, i)] == w
 
+    def test_out_of_range_key_rejected(self, synth_log, tmp_path, capsys):
+        out = tmp_path / "graph.tsv"
+        assert main(["build-graph", "--dataset", synth_log, "--out", str(out),
+                     "--min-count", "1", "--dropout", "7"]) == 1
+        assert capsys.readouterr().err == "error: dropout must be in [0, 1), got 7.0\n"
+        assert not out.exists()
+
 
 class TestGridsearch:
     def test_single_cell_matches_train(self, synth_log, tmp_path):
@@ -248,8 +266,9 @@ class TestGridsearch:
         train_dir = tmp_path / "train"
         assert main(["train", "--dataset", synth_log, "--outdir", str(train_dir),
                      "--lambda1", "0.1"] + FAST_FLAGS) == 0
-        cell = grid_dir / "cell-lambda1_0.1-layers_1" / "metrics.log"
-        assert cell.read_bytes() == (train_dir / "metrics.log").read_bytes()
+        cell = grid_dir / "cell-lambda1_0.1-layers_1"
+        assert (cell / "metrics.log").read_bytes() == (train_dir / "metrics.log").read_bytes()
+        assert sorted(os.listdir(cell)) == sorted(os.listdir(train_dir))
 
     def test_grid_emits_row_per_cell_sorted(self, synth_log, tmp_path):
         grid_dir = tmp_path / "grid4"
@@ -272,3 +291,12 @@ class TestGridsearch:
         metrics = (rerun / "metrics.log").read_text().splitlines()
         best_line = next(line for line in metrics if line.startswith("best_epoch="))
         assert best_line.endswith(val)
+
+    def test_bad_grid_value_fails_only_its_cell(self, synth_log, tmp_path, capsys):
+        grid_dir = tmp_path / "grid"
+        assert main(["gridsearch", "--dataset", synth_log, "--outdir", str(grid_dir),
+                     "--lambda1-grid", "0.1", "--layers-grid", "0,1"] + FAST_FLAGS) == 0
+        assert capsys.readouterr().err == (
+            "cell lambda1=0.1 layers=0 failed: encoder_layers must be >= 1, got 0\n")
+        assert sorted(os.listdir(grid_dir)) == ["cell-lambda1_0.1-layers_1", "grid_summary.tsv"]
+        assert len((grid_dir / "grid_summary.tsv").read_text().splitlines()) == 2

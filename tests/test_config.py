@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -49,17 +49,19 @@ def test_default_resolved_text_is_pinned():
 
 
 def test_model_config_carries_every_field():
-    # every value differs from its default, so a field left uncopied shows
+    # every value differs from its default, so a field left uncopied shows;
+    # halved floats and incremented ints stay in range
     values = {}
-    for i, f in enumerate(fields(TrainConfig)):
+    for f in fields(TrainConfig):
         if f.type is bool:
             values[f.name] = not f.default
-        elif f.type is str:
-            values[f.name] = f"{f.name}-{i}"
-        else:
-            values[f.name] = f.type(100 + i)
-    # values that pass the sized config's own checks
-    values.update(pge_graph="original", degree_mode="count", dim=120, heads=4)
+        elif f.type is float:
+            values[f.name] = f.default / 2
+        elif f.type is int:
+            values[f.name] = f.default + 1
+    values.update(dataset="log.tsv", outdir="run", delimiter="comma", pge_graph="original",
+                  degree_mode="count", dim=66, heads=3)
+    assert values.keys() == {f.name for f in fields(TrainConfig)}
     cfg = TrainConfig(**values)
     sized = cfg.model_config(7, 9)
     assert isinstance(sized, ModelConfig)
@@ -71,3 +73,16 @@ def test_model_config_carries_every_field():
 def test_sized_config_rejects_dim_not_divisible_by_heads():
     with pytest.raises(ValueError, match="dim 7 must be divisible by heads 2"):
         TrainConfig(dim=7, heads=2).model_config(5, 5)
+
+
+def test_config_checks_itself_on_every_construction():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\), got 7.0$"):
+        replace(TrainConfig(), dropout=7.0)
+    with pytest.raises(ValueError, match=r"^encoder_layers must be >= 1, got 0$"):
+        ModelConfig(num_items=5, num_users=5, encoder_layers=0)
+    with pytest.raises(cfgmod.ConfigError, match="delimiter must be 'tab' or 'comma'"):
+        TrainConfig(delimiter="bogus")
+    with pytest.raises(FrozenInstanceError):
+        TrainConfig().seed = 1

@@ -3,9 +3,9 @@ import pytest
 from scipy import stats
 
 from graphseqrec import data as dp
-from graphseqrec.data import (AugmentConfig, EmptyDataset, Interaction,
-                              ItemSequence, ParseError, SequenceTooShort)
-from graphseqrec.training import assemble_batch
+from graphseqrec.data import (EmptyDataset, Interaction, ItemSequence, ParseError,
+                              SequenceTooShort)
+from graphseqrec.training import TrainConfig, assemble_batch
 
 
 def make_log(rows):
@@ -135,7 +135,7 @@ class TestSampleNegative:
     def negatives(self, train, num_items, rng, users=1, max_len=None):
         split = [dp.UserSplit(u, list(train), 0, 0) for u in range(users)]
         batch = assemble_batch(split, num_items, max_len or len(train), rng, None,
-                               AugmentConfig())
+                               TrainConfig())
         return batch.negatives[batch.step_mask > 0]
 
     def test_forced_choice(self, rng):
@@ -161,7 +161,7 @@ class TestSampleNegative:
 
     def test_no_eligible_item_is_error(self, rng):
         with pytest.raises(ValueError, match="user 42: no eligible negative item"):
-            assemble_batch([dp.UserSplit(42, [1, 2], 0, 0)], 2, 2, rng, None, AugmentConfig())
+            assemble_batch([dp.UserSplit(42, [1, 2], 0, 0)], 2, 2, rng, None, TrainConfig())
 
 
 class TestAugment:
@@ -209,7 +209,7 @@ class TestAugment:
 
     def test_views_stay_inside_vocabulary(self, rng):
         vocab = set(range(0, 31))
-        cfg = AugmentConfig()
+        cfg = TrainConfig()
         for _ in range(100):
             length = int(rng.integers(2, 20))
             items = [int(v) for v in rng.integers(1, 31, length)]
@@ -219,7 +219,7 @@ class TestAugment:
 
     def test_augment_reproducible_from_seed(self):
         seq = ItemSequence(0, list(range(1, 15)))
-        cfg = AugmentConfig()
+        cfg = TrainConfig()
         first = dp.augment_pair(seq, cfg, np.random.default_rng(3))
         second = dp.augment_pair(seq, cfg, np.random.default_rng(3))
         assert first[0].items == second[0].items

@@ -114,7 +114,7 @@ class TestEncode:
 
     def test_dropout_only_with_generator(self, rng):
         cfg, params = make_params(rng)
-        cfg.dropout = 0.3
+        cfg = replace(cfg, dropout=0.3)
         seqs = np.array([[0, 1, 2, 3, 4]])
         silent = enc.encode(params, cfg, seqs, rng=None)
         noisy = enc.encode(params, cfg, seqs, rng=np.random.default_rng(0))

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,7 +146,7 @@ class TestToggleIsolation:
         batch = assemble_batch(users, dataset.num_items, cfg.max_len,
                                np.random.default_rng(11),
                                np.random.default_rng(12) if cfg.lambda2 else None,
-                               tr.AugmentConfig())
+                               TrainConfig())
         model.zero_grads()
         return train_step(model, batch, cfg, None, None)
 
@@ -159,7 +160,7 @@ class TestToggleIsolation:
                           cfg_on.window, dataset.num_items), rng)
         on = self.compute_losses(model, dataset, cfg_on)
         model_off = model  # same parameter state
-        model_off.cfg.enable_agcl = False
+        model_off.cfg = replace(model_off.cfg, enable_agcl=False)
         off = self.compute_losses(model_off, dataset, variant_config(cfg_on, "no_agcl"))
         assert on["rec"] == off["rec"]
         assert on["seq"] == off["seq"]
@@ -176,7 +177,7 @@ class TestToggleIsolation:
             cfg.window, dataset.num_items)
         model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph, rng)
         on = self.compute_losses(model, dataset, cfg)
-        model.cfg.enable_pge = False
+        model.cfg = replace(model.cfg, enable_pge=False)
         off = self.compute_losses(model, dataset, variant_config(cfg, "no_pge"))
         assert on["gce"] == off["gce"]
         assert on["rec"] != off["rec"]  # the encoding really was active
@@ -193,7 +194,7 @@ class TestToggleIsolation:
         assert model.params["pert_left"].grad is None
         assert model.params["pert_right"].grad is None
         cfg_on = tiny_config(lambda1=0.1)
-        model.cfg.enable_agcl = True
+        model.cfg = replace(model.cfg, enable_agcl=True)
         self.compute_losses(model, dataset, cfg_on)
         assert np.abs(model.params["pert_left"].grad).max() > 0.0
 
@@ -218,7 +219,7 @@ class TestPerturbationSnapshot:
         monkeypatch.setattr(collab, "detached_perturbation", counted)
         batch = assemble_batch(dataset.users[:cfg.batch_size], dataset.num_items,
                                cfg.max_len, np.random.default_rng(11),
-                               np.random.default_rng(12), tr.AugmentConfig())
+                               np.random.default_rng(12), TrainConfig())
         train_step(model, batch, cfg, None, None)
         assert len(calls) == 1  # main sequence and both augmented views
         evaluate_model(model, dataset, "valid", batch_size=cfg.batch_size)
@@ -272,7 +273,7 @@ class TestTrainStepTape:
                       tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
         batch = assemble_batch(dataset.users[:cfg.batch_size], dataset.num_items,
                                cfg.max_len, np.random.default_rng(11),
-                               np.random.default_rng(12), tr.AugmentConfig())
+                               np.random.default_rng(12), TrainConfig())
         ops = Counter()
         original = ad.backward
 
@@ -364,9 +365,9 @@ class TestTrainLoop:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="patience"):
-            tiny_config(patience=10, max_epochs=5).validate()
+            tiny_config(patience=10, max_epochs=5)
         with pytest.raises(ValueError):
-            tiny_config(lr=0.0).validate()
+            tiny_config(lr=0.0)
 
     def test_metrics_invariant_to_batch_size_and_user_order(self):
         dataset = tiny_dataset()
