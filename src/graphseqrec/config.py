@@ -173,7 +173,13 @@ def resolve(file_path: Optional[str], overrides: Dict[str, object]) -> TrainConf
             continue
         if key not in SCHEMA:
             raise ConfigError(f"unknown configuration key {key!r}")
-        values[key] = SCHEMA[key].parse(value) if isinstance(value, str) else value
+        if isinstance(value, str):
+            try:
+                value = SCHEMA[key].parse(value)
+            except ValueError as exc:
+                flag = "--" + key.replace("_", "-")
+                raise ConfigError(f"{flag}: bad value for {key}: {exc}") from None
+        values[key] = value
     return TrainConfig(**values)
 
 

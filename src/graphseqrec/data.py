@@ -1,9 +1,12 @@
-"""Interaction logs, per-user sequences, splits, negatives, and augmentations.
+"""Interaction logs, per-user sequences, leave-one-out splits, padding, the
+crop/mask/reorder augmentations, and planted-structure synthetic logs.
 
 Input format: UTF-8 text, one interaction per line, tab- or comma-separated
 ``user_id item_id timestamp`` (all integers).  Lines starting with ``#`` are
 comments.  Item id 0 is reserved for padding/masking, so ingestion remaps
 surviving items densely starting at 1 and users starting at 0.
+Augmentations take and return plain item lists; a training batch's
+negatives are drawn in ``training.assemble_batch``.
 """
 
 from __future__ import annotations
@@ -145,13 +148,6 @@ def leave_one_out(sequences: Sequence[ItemSequence]) -> SplitDataset:
     return SplitDataset(users, num_items_of(sequences))
 
 
-def eligible_negatives(items: Sequence[int], num_items: int) -> np.ndarray:
-    present = np.zeros(num_items + 1, dtype=bool)
-    present[np.asarray(list(items), dtype=np.int64)] = True
-    present[0] = True
-    return np.flatnonzero(~present)
-
-
 # ---------------------------------------------------------------------------
 # sequence augmentations
 # ---------------------------------------------------------------------------
@@ -159,69 +155,54 @@ def eligible_negatives(items: Sequence[int], num_items: int) -> np.ndarray:
 AUGMENT_KINDS = ("crop", "mask", "reorder")
 
 
-def crop_span(items: Sequence[int], ratio: float, start: int) -> List[int]:
-    span = math.ceil(ratio * len(items))
-    return list(items[start:start + span])
-
-
-def mask_positions(items: Sequence[int], positions: Iterable[int]) -> List[int]:
-    out = list(items)
-    for p in positions:
-        out[p] = 0
-    return out
-
-
-def reorder_span(items: Sequence[int], start: int, length: int,
-                 rng: np.random.Generator) -> List[int]:
-    out = list(items)
-    segment = out[start:start + length]
-    out[start:start + length] = [segment[i] for i in rng.permutation(length)]
-    return out
-
-
-def augment(seq: ItemSequence, kind: str, ratio: float, rng: np.random.Generator) -> ItemSequence:
-    """One contrastive view: crop a contiguous span, mask random positions,
-    or shuffle a contiguous span in place.
+def augment(items: Sequence[int], kind: str, ratio: float,
+            rng: np.random.Generator) -> List[int]:
+    """One contrastive view of an item list, as a new list: ``crop`` keeps a
+    contiguous span of ceil(ratio * n) items, ``mask`` sets floor(ratio * n)
+    distinct positions to the padding id 0, and ``reorder`` shuffles a
+    contiguous span of floor(ratio * n) items in place.
 
     Crop needs ratio > 0 so the view stays nonempty; mask and reorder accept
     ratio 0 as a no-op.
     """
     if not 0.0 <= ratio <= 1.0 or (kind == "crop" and ratio == 0.0):
         raise ValueError(f"augmentation ratio out of range for {kind}: {ratio}")
-    if len(seq.items) < 2:
-        raise ValueError(f"augmentation needs at least 2 items, got {len(seq.items)}")
-    n = len(seq.items)
+    n = len(items)
+    if n < 2:
+        raise ValueError(f"augmentation needs at least 2 items, got {n}")
+    out = list(items)
     if kind == "crop":
         span = math.ceil(ratio * n)
         start = int(rng.integers(0, n - span + 1))
-        return ItemSequence(seq.user_id, crop_span(seq.items, ratio, start))
+        return out[start:start + span]
     if kind == "mask":
         k = math.floor(ratio * n)
-        positions = rng.choice(n, size=k, replace=False) if k else []
-        return ItemSequence(seq.user_id, mask_positions(seq.items, positions))
+        for p in (rng.choice(n, size=k, replace=False) if k else ()):
+            out[p] = 0
+        return out
     if kind == "reorder":
         k = math.floor(ratio * n)
-        if k < 2:
-            return ItemSequence(seq.user_id, list(seq.items))
-        start = int(rng.integers(0, n - k + 1))
-        return ItemSequence(seq.user_id, reorder_span(seq.items, start, k, rng))
+        if k >= 2:
+            start = int(rng.integers(0, n - k + 1))
+            segment = out[start:start + k]
+            out[start:start + k] = [segment[i] for i in rng.permutation(k)]
+        return out
     raise ValueError(f"unknown augmentation kind {kind!r}")
 
 
-def augment_pair(seq: ItemSequence, cfg: TrainConfig,
+def augment_pair(items: Sequence[int], cfg: TrainConfig,
                  rng: np.random.Generator) -> tuple:
-    """Two independently augmented views; the operator of each view is drawn
-    uniformly from crop/mask/reorder, at its ratio in ``cfg``.  Length-1
-    sequences pass through as identity views."""
+    """Two independently augmented views of an item list; the operator of
+    each view is drawn uniformly from crop/mask/reorder and applied at its
+    ``<kind>_ratio`` in ``cfg``.  A list shorter than 2 items passes through
+    as two identity views and draws nothing."""
     views = []
     for _ in range(2):
-        if len(seq.items) < 2:
-            views.append(ItemSequence(seq.user_id, list(seq.items)))
+        if len(items) < 2:
+            views.append(list(items))
             continue
         kind = AUGMENT_KINDS[int(rng.integers(0, 3))]
-        ratio = {"crop": cfg.crop_ratio, "mask": cfg.mask_ratio,
-                 "reorder": cfg.reorder_ratio}[kind]
-        views.append(augment(seq, kind, ratio, rng))
+        views.append(augment(items, kind, getattr(cfg, f"{kind}_ratio"), rng))
     return views[0], views[1]
 
 

@@ -82,10 +82,9 @@ class MetricsReport:
     ranks: Optional[List[int]] = None
 
     @classmethod
-    def from_ranks(cls, ranks: Sequence[int], keep_ranks: bool = False,
-                   cutoffs: Sequence[int] = METRIC_CUTOFFS) -> "MetricsReport":
+    def from_ranks(cls, ranks: Sequence[int], keep_ranks: bool = False) -> "MetricsReport":
         report = cls()
-        for k in cutoffs:
+        for k in METRIC_CUTOFFS:
             report.hr[k], report.ndcg[k] = hr_ndcg(ranks, k)
         if keep_ranks:
             report.ranks = list(int(r) for r in ranks)

@@ -24,18 +24,16 @@ from .data import ItemSequence, SplitDataset
 class TransitionGraph:
     """Finalized sparse item-item graph (symmetric, unit self-loops).
 
-    ``keys`` holds ``row * num_nodes + col`` for every stored entry, strictly
-    increasing and aligned with ``matrix.data``, so a batch of (row, col)
-    weights is one ``searchsorted``.
+    ``matrix`` is kept in canonical CSR form, each row's columns sorted and
+    free of duplicates, so an entry reads back exactly as stored and the
+    entries walk in sorted (row, column) order.
     """
 
     def __init__(self, matrix: sp.csr_matrix):
         matrix = matrix.tocsr()
-        matrix.sum_duplicates()  # sorted and duplicate-free, so the keys are too
+        matrix.sum_duplicates()  # also sorts each row's columns
         self.matrix = matrix
         self.num_nodes = matrix.shape[0]
-        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(matrix.indptr))
-        self.keys = rows * self.num_nodes + matrix.indices
 
     @property
     def nnz(self) -> int:
@@ -58,9 +56,10 @@ class TransitionGraph:
 
     def dump(self, path) -> None:
         """Text dump, one 'i<TAB>j<TAB>weight' line per entry in sorted order."""
-        rows, cols = np.divmod(self.keys, self.num_nodes)
+        entries = self.matrix.tocoo()
         with atomic_open(path) as fh:
-            for i, j, w in zip(rows.tolist(), cols.tolist(), self.matrix.data.tolist()):
+            for i, j, w in zip(entries.row.tolist(), entries.col.tolist(),
+                               entries.data.tolist()):
                 fh.write(f"{i}\t{j}\t{w:.17g}\n")
 
 
@@ -137,21 +136,20 @@ def extract_subgraph_batch(graph: TransitionGraph, seqs: np.ndarray,
 
     Entry (b, p, q) is the (possibly refined) graph weight between the items
     at positions p and q of row b; entries at padding positions are zero.
-    All B*N*N pairs are read with one search in the graph's sorted keys.
+    The base weights of all real pairs are read in one lookup of the
+    canonical CSR matrix, so a stored weight is copied bit for bit and a
+    missing edge reads 0.0.
     """
     seqs = np.asarray(seqs, dtype=np.int64)
     if seqs.size and seqs.max() >= graph.num_nodes:
-        # an id past the end would alias another row's key
         raise IndexError(f"item id {seqs.max()} is out of range for a graph "
                          f"with {graph.num_nodes} nodes")
     real = seqs > 0
     pairs = real[:, :, None] & real[:, None, :]
     out = np.zeros(pairs.shape, dtype=np.float64)
-    if graph.nnz:
-        query = seqs[:, :, None] * graph.num_nodes + seqs[:, None, :]
-        pos = np.minimum(np.searchsorted(graph.keys, query), graph.nnz - 1)
-        hit = pairs & (graph.keys[pos] == query)
-        out[hit] = graph.matrix.data[pos[hit]]
+    src = np.broadcast_to(seqs[:, :, None], pairs.shape)[pairs]
+    dst = np.broadcast_to(seqs[:, None, :], pairs.shape)[pairs]
+    out[pairs] = np.asarray(graph.matrix[src, dst]).ravel()
     if perturbation is not None and perturbation.strength != 0.0:
         # one (k x k) product per real-item count k, the shape of a single
         # sequence's product: BLAS rounding depends on the shape, so a block

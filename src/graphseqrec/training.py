@@ -19,8 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .collab import batch_rows, gce_loss
 from .config import TrainConfig
-from .data import (ItemSequence, SplitDataset, augment_pair, eligible_negatives,
-                   pad_sequence)
+from .data import SplitDataset, augment_pair, pad_sequence
 from .evaluation import MetricsReport, eval_input_sequences, rank_from_scores
 from .graph import (TransitionGraph, build_transition_graph,  # noqa: F401 (re-export)
                     train_graph)
@@ -35,7 +34,7 @@ def variant_config(cfg: TrainConfig, variant: str) -> TrainConfig:
     """Ablation variants: 'full', 'no_agcl' (drop the collaborative learner),
     'no_pge' (drop the personalized encoding), 'plain' (drop both)."""
     if variant == "full":
-        return replace(cfg)
+        return cfg
     if variant == "no_agcl":
         return replace(cfg, enable_agcl=False)
     if variant == "no_pge":
@@ -101,36 +100,40 @@ def assemble_batch(users: Sequence, num_items: int, max_len: int,
                    rng_negatives: np.random.Generator,
                    rng_augment: Optional[np.random.Generator],
                    cfg: TrainConfig) -> Batch:
-    n = max_len
-    b = len(users)
-    seqs = np.zeros((b, n), dtype=np.int64)
-    targets = np.zeros((b, n), dtype=np.int64)
-    negatives = np.zeros((b, n), dtype=np.int64)
-    step_mask = np.zeros((b, n), dtype=np.float64)
-    view1 = np.zeros((b, n), dtype=np.int64) if rng_augment is not None else None
-    view2 = np.zeros((b, n), dtype=np.int64) if rng_augment is not None else None
-    gce_items = np.zeros(b, dtype=np.int64)
-    user_ids = np.zeros(b, dtype=np.int64)
-    for row, user in enumerate(users):
-        user_ids[row] = user.user_id
-        items = user.train[-n:]
-        seqs[row] = pad_sequence(items, n)
-        targets[row, :-1] = seqs[row, 1:]
-        valid = (seqs[row] > 0) & (targets[row] > 0)
-        step_mask[row] = valid.astype(np.float64)
-        pool = eligible_negatives(items, num_items)
-        if pool.size == 0:
-            raise ValueError(f"user {user.user_id}: no eligible negative item")
-        count = int(valid.sum())
-        if count:
-            negatives[row, valid] = rng_negatives.choice(pool, size=count, replace=True)
-        gce_items[row] = items[-1]
-        if rng_augment is not None:
-            seq = ItemSequence(user.user_id, items)
-            v1, v2 = augment_pair(seq, cfg, rng_augment)
-            view1[row] = pad_sequence(v1.items, n)
-            view2[row] = pad_sequence(v2.items, n)
-    return Batch(user_ids, seqs, targets, negatives, step_mask, gce_items, view1, view2)
+    """One training batch from each user's window, ``user.train[-max_len:]``.
+
+    Every real prediction step gets a negative drawn uniformly from the
+    items its window lacks, all in one ``rng_negatives`` call in row-major
+    step order.  With ``rng_augment``, each window also gets two views
+    (``augment_pair``), drawn row by row.
+    """
+    windows = [user.train[-max_len:] for user in users]
+    seqs = np.stack([pad_sequence(w, max_len) for w in windows])
+    targets = np.zeros_like(seqs)
+    targets[:, :-1] = seqs[:, 1:]
+    step_mask = ((seqs > 0) & (targets > 0)).astype(np.float64)
+    # draw i of a row is the i-th item (from 0) its window lacks, which is
+    # i + 1 + #{j : s_j - j <= i} over the window's distinct items s_1 < ... < s_m:
+    # s_j - j items below s_j are missing.  Padding and repeats get the gap
+    # num_items, above every draw, so they never count.
+    ordered = np.sort(seqs, axis=1)
+    distinct = np.diff(ordered, axis=1, prepend=0) > 0
+    unseen = num_items - distinct.sum(axis=1)
+    empty = np.flatnonzero(unseen < 1)
+    if empty.size:
+        raise ValueError(f"user {users[empty[0]].user_id}: no eligible negative item")
+    gaps = np.where(distinct, ordered - np.cumsum(distinct, axis=1), num_items)
+    rows, cols = np.nonzero(step_mask)
+    draws = rng_negatives.integers(0, unseen[rows])
+    negatives = np.zeros_like(seqs)
+    negatives[rows, cols] = draws + 1 + (gaps[rows] <= draws[:, None]).sum(axis=1)
+    view1 = view2 = None
+    if rng_augment is not None:
+        views = [augment_pair(w, cfg, rng_augment) for w in windows]
+        view1 = np.stack([pad_sequence(v, max_len) for v, _ in views])
+        view2 = np.stack([pad_sequence(v, max_len) for _, v in views])
+    user_ids = np.array([user.user_id for user in users], dtype=np.int64)
+    return Batch(user_ids, seqs, targets, negatives, step_mask, seqs[:, -1], view1, view2)
 
 
 # ---------------------------------------------------------------------------

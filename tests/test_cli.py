@@ -142,6 +142,19 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("flag,value,detail", [
+        ("--seed", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("--enable-pge", "maybe", "expected a boolean, got 'maybe'"),
+    ], ids=["seed", "enable-pge"])
+    def test_unparsable_flag_value_names_flag_and_key(self, synth_log, tmp_path, capsys,
+                                                      flag, value, detail):
+        outdir = tmp_path / "run"
+        assert main(["train", "--dataset", synth_log, "--outdir", str(outdir)]
+                    + FAST_FLAGS + [flag, value]) == 2
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {flag}: bad value for {key}: {detail}\n"
+        assert not outdir.exists()
+
     def test_flag_overrides_config_file(self, synth_log, tmp_path):
         cfg = tmp_path / "base.cfg"
         cfg.write_text("seed = 1\ndim = 8\nmax_len = 8\nrank = 2\nencoder_layers = 1\n"

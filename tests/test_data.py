@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,7 +8,7 @@ from scipy import stats
 from graphseqrec import data as dp
 from graphseqrec.data import (EmptyDataset, Interaction, ItemSequence, ParseError,
                               SequenceTooShort)
-from graphseqrec.training import TrainConfig, assemble_batch
+from graphseqrec.training import Batch, TrainConfig, assemble_batch
 
 
 def make_log(rows):
@@ -130,7 +133,7 @@ class TestLeaveOneOut:
 
 class TestSampleNegative:
     """Negatives as training draws them: ``assemble_batch`` samples uniformly
-    from ``eligible_negatives`` at every real prediction step."""
+    from the items a window lacks at every real prediction step."""
 
     def negatives(self, train, num_items, rng, users=1, max_len=None):
         split = [dp.UserSplit(u, list(train), 0, 0) for u in range(users)]
@@ -151,8 +154,7 @@ class TestSampleNegative:
     def test_uniform_over_eligible_items(self):
         rng = np.random.default_rng(7)
         items = [2, 4, 6]
-        eligible = dp.eligible_negatives(items, num_items=10)
-        assert sorted(eligible) == [1, 3, 5, 7, 8, 9, 10]
+        eligible = [v for v in range(1, 11) if v not in items]
         draws = self.negatives(items * 334, 10, rng, users=100)
         assert draws.size == 100_100
         counts = np.array([(draws == e).sum() for e in eligible])
@@ -164,48 +166,172 @@ class TestSampleNegative:
             assemble_batch([dp.UserSplit(42, [1, 2], 0, 0)], 2, 2, rng, None, TrainConfig())
 
 
+def reference_augment(seq, kind, ratio, rng):
+    """The ItemSequence augmentation the list version replaced."""
+    n = len(seq.items)
+    out = list(seq.items)
+    if kind == "crop":
+        span = math.ceil(ratio * n)
+        start = int(rng.integers(0, n - span + 1))
+        return ItemSequence(seq.user_id, out[start:start + span])
+    k = math.floor(ratio * n)
+    if kind == "mask":
+        for p in (rng.choice(n, size=k, replace=False) if k else []):
+            out[p] = 0
+        return ItemSequence(seq.user_id, out)
+    if k < 2:
+        return ItemSequence(seq.user_id, out)
+    start = int(rng.integers(0, n - k + 1))
+    segment = out[start:start + k]
+    out[start:start + k] = [segment[i] for i in rng.permutation(k)]
+    return ItemSequence(seq.user_id, out)
+
+
+def reference_batch(users, num_items, max_len, rng_negatives, rng_augment, cfg):
+    """The per-row assembly the array version replaced, kept as its oracle:
+    a pool of eligible negatives and one ``choice`` per row, per-row padding,
+    and two ItemSequence views per row."""
+    n, b = max_len, len(users)
+    seqs, targets, negatives = (np.zeros((b, n), dtype=np.int64) for _ in range(3))
+    step_mask = np.zeros((b, n), dtype=np.float64)
+    views = [np.zeros((b, n), dtype=np.int64) for _ in range(2)] if rng_augment else [None] * 2
+    gce_items = np.zeros(b, dtype=np.int64)
+    user_ids = np.zeros(b, dtype=np.int64)
+    for row, user in enumerate(users):
+        user_ids[row] = user.user_id
+        items = user.train[-n:]
+        seqs[row] = dp.pad_sequence(items, n)
+        targets[row, :-1] = seqs[row, 1:]
+        valid = (seqs[row] > 0) & (targets[row] > 0)
+        step_mask[row] = valid.astype(np.float64)
+        present = np.zeros(num_items + 1, dtype=bool)
+        present[np.asarray(items, dtype=np.int64)] = True
+        present[0] = True
+        pool = np.flatnonzero(~present)
+        if pool.size == 0:
+            raise ValueError(f"user {user.user_id}: no eligible negative item")
+        count = int(valid.sum())
+        if count:
+            negatives[row, valid] = rng_negatives.choice(pool, size=count, replace=True)
+        gce_items[row] = items[-1]
+        if rng_augment is not None:
+            seq = ItemSequence(user.user_id, items)
+            for view in views:
+                if len(items) < 2:
+                    out = ItemSequence(seq.user_id, list(items))
+                else:
+                    kind = ("crop", "mask", "reorder")[int(rng_augment.integers(0, 3))]
+                    ratio = {"crop": cfg.crop_ratio, "mask": cfg.mask_ratio,
+                             "reorder": cfg.reorder_ratio}[kind]
+                    out = reference_augment(seq, kind, ratio, rng_augment)
+                view[row] = dp.pad_sequence(out.items, n)
+    return Batch(user_ids, seqs, targets, negatives, step_mask, gce_items, *views)
+
+
+class TestAssembleBatchReference:
+    """``assemble_batch`` against the per-row loop it replaced: every field
+    bitwise, and both generators left in the same state."""
+
+    def check(self, users, num_items, max_len, seed, augment, cfg):
+        def run(build):
+            rng_neg = np.random.default_rng([seed, 2])
+            rng_aug = np.random.default_rng([seed, 3]) if augment else None
+            batch = build(users, num_items, max_len, rng_neg, rng_aug, cfg)
+            return batch, rng_neg.random(), rng_aug.random() if augment else None
+
+        got, want = run(assemble_batch), run(reference_batch)
+        for f in fields(Batch):
+            a, b = getattr(got[0], f.name), getattr(want[0], f.name)
+            if b is None:
+                assert a is None, f.name
+                continue
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("augment", [False, True], ids=["plain", "views"])
+    @pytest.mark.parametrize("num_items", [2, 3, 7, 50, 1000, 20000])
+    def test_bitwise_equal_to_per_row_loop(self, num_items, augment):
+        rng = np.random.default_rng(num_items)
+        cfgs = [TrainConfig(), TrainConfig(crop_ratio=0.3, mask_ratio=0.5, reorder_ratio=1.0)]
+        for case in range(8):
+            max_len = int(rng.integers(2, 12))
+            users = []
+            for u in range(int(rng.integers(1, 40))):
+                # a window's items come from at most V - 1 ids, so one is always
+                # eligible; few ids give repeats, long lists pass max_len
+                ids = rng.choice(num_items, int(rng.integers(1, min(num_items - 1, 15) + 1)),
+                                 replace=False) + 1
+                length = int(rng.integers(1, max_len + 8))
+                users.append(dp.UserSplit(3 * u + 1, [int(v) for v in rng.choice(ids, length)],
+                                          0, 0))
+            self.check(users, num_items, max_len, case, augment, cfgs[case % 2])
+
+    @pytest.mark.parametrize("augment", [False, True], ids=["plain", "views"])
+    def test_one_item_pool(self, augment):
+        users = [dp.UserSplit(u, [1, 1, 1], 0, 0) for u in range(5)]
+        self.check(users, 2, 3, 0, augment, TrainConfig())
+        self.check(users, 2, 5, 1, augment, TrainConfig())
+
+    def test_error_names_first_user_without_eligible_item(self):
+        # user 3 holds both items, but its window of 2 holds only item 1
+        users = [dp.UserSplit(3, [2, 1, 1], 0, 0), dp.UserSplit(7, [2, 1], 0, 0),
+                 dp.UserSplit(9, [1, 2], 0, 0)]
+        for build in (reference_batch, assemble_batch):
+            with pytest.raises(ValueError, match="^user 7: no eligible negative item$"):
+                build(users, 2, 2, np.random.default_rng(0), np.random.default_rng(1),
+                      TrainConfig())
+
+
 class TestAugment:
-    def test_crop_span_arithmetic(self):
-        assert dp.crop_span([1, 2, 3, 4, 5], ratio=0.6, start=1) == [2, 3, 4]
+    def test_crop_span_arithmetic(self, rng):
+        # ceil(0.6 * 5) = 3 items, starting anywhere in 0..2
+        items = [1, 2, 3, 4, 5]
+        starts = set()
+        for _ in range(30):
+            out = dp.augment(items, "crop", 0.6, rng)
+            assert len(out) == 3 and out == items[out[0] - 1:out[0] + 2]
+            starts.add(out[0] - 1)
+        assert starts == {0, 1, 2}
 
     def test_mask_ratio_zero_unchanged(self, rng):
-        seq = ItemSequence(0, [4, 5, 6, 7])
-        out = dp.augment(seq, "mask", 0.0, rng)
-        assert out.items == seq.items
+        items = [4, 5, 6, 7]
+        out = dp.augment(items, "mask", 0.0, rng)
+        assert out == items and out is not items
 
     def test_mask_replaces_with_padding_token(self, rng):
-        seq = ItemSequence(0, list(range(1, 11)))
-        out = dp.augment(seq, "mask", 0.3, rng)
-        assert len(out.items) == 10
-        assert sum(1 for v in out.items if v == 0) == 3
-        assert all(a == b or a == 0 for a, b in zip(out.items, seq.items))
+        items = list(range(1, 11))
+        out = dp.augment(items, "mask", 0.3, rng)
+        assert len(out) == 10
+        assert sum(1 for v in out if v == 0) == 3
+        assert all(a == b or a == 0 for a, b in zip(out, items))
+        assert items == list(range(1, 11))
 
     def test_reorder_preserves_multiset(self, rng):
         for _ in range(50):
             length = int(rng.integers(2, 25))
             items = [int(v) for v in rng.integers(1, 99, length)]
-            out = dp.augment(ItemSequence(0, items), "reorder", 0.6, rng)
-            assert sorted(out.items) == sorted(items)
-            assert len(out.items) == length
+            out = dp.augment(items, "reorder", 0.6, rng)
+            assert sorted(out) == sorted(items)
+            assert len(out) == length
 
     def test_crop_keeps_contiguous_span(self, rng):
         items = list(range(1, 21))
         for _ in range(20):
-            out = dp.augment(ItemSequence(0, items), "crop", 0.6, rng).items
+            out = dp.augment(items, "crop", 0.6, rng)
             assert len(out) == 12
             start = items.index(out[0])
             assert items[start:start + 12] == out
 
     def test_ratio_out_of_range(self, rng):
-        seq = ItemSequence(0, [1, 2, 3])
         with pytest.raises(ValueError):
-            dp.augment(seq, "crop", 1.5, rng)
+            dp.augment([1, 2, 3], "crop", 1.5, rng)
         with pytest.raises(ValueError):
-            dp.augment(seq, "crop", 0.0, rng)
+            dp.augment([1, 2, 3], "crop", 0.0, rng)
 
     def test_short_sequence_rejected(self, rng):
         with pytest.raises(ValueError, match="at least 2"):
-            dp.augment(ItemSequence(0, [1]), "mask", 0.5, rng)
+            dp.augment([1], "mask", 0.5, rng)
 
     def test_views_stay_inside_vocabulary(self, rng):
         vocab = set(range(0, 31))
@@ -213,17 +339,16 @@ class TestAugment:
         for _ in range(100):
             length = int(rng.integers(2, 20))
             items = [int(v) for v in rng.integers(1, 31, length)]
-            v1, v2 = dp.augment_pair(ItemSequence(0, items), cfg, rng)
-            assert set(v1.items) <= vocab and set(v2.items) <= vocab
-            assert v1.items and v2.items
+            v1, v2 = dp.augment_pair(items, cfg, rng)
+            assert set(v1) <= vocab and set(v2) <= vocab
+            assert v1 and v2
 
     def test_augment_reproducible_from_seed(self):
-        seq = ItemSequence(0, list(range(1, 15)))
+        items = list(range(1, 15))
         cfg = TrainConfig()
-        first = dp.augment_pair(seq, cfg, np.random.default_rng(3))
-        second = dp.augment_pair(seq, cfg, np.random.default_rng(3))
-        assert first[0].items == second[0].items
-        assert first[1].items == second[1].items
+        first = dp.augment_pair(items, cfg, np.random.default_rng(3))
+        second = dp.augment_pair(items, cfg, np.random.default_rng(3))
+        assert first == second
 
 
 class TestPadSequence:

@@ -8,7 +8,7 @@ from graphseqrec import autodiff as ad
 from graphseqrec import collab
 from graphseqrec import training as tr
 from graphseqrec.autodiff import DegenerateRow, Tensor
-from graphseqrec.data import build_sequences, leave_one_out, synth_generate
+from graphseqrec.data import ItemSequence, build_sequences, leave_one_out, synth_generate
 from graphseqrec.model import Model
 from graphseqrec.training import (TrainConfig, assemble_batch, evaluate_model,
                                   next_item_loss, seq_cl_loss, total_loss, train,
@@ -156,7 +156,7 @@ class TestToggleIsolation:
         rng = np.random.default_rng(5)
         model = Model(cfg_on.model_config(dataset.num_items, dataset.num_users),
                       tr.build_transition_graph(
-                          [tr.ItemSequence(u.user_id, u.train) for u in dataset.users],
+                          [ItemSequence(u.user_id, u.train) for u in dataset.users],
                           cfg_on.window, dataset.num_items), rng)
         on = self.compute_losses(model, dataset, cfg_on)
         model_off = model  # same parameter state
@@ -173,7 +173,7 @@ class TestToggleIsolation:
         cfg = tiny_config()
         rng = np.random.default_rng(5)
         graph = tr.build_transition_graph(
-            [tr.ItemSequence(u.user_id, u.train) for u in dataset.users],
+            [ItemSequence(u.user_id, u.train) for u in dataset.users],
             cfg.window, dataset.num_items)
         model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph, rng)
         on = self.compute_losses(model, dataset, cfg)
@@ -187,7 +187,7 @@ class TestToggleIsolation:
         cfg = tiny_config(lambda1=0.0)  # rec + seq only
         rng = np.random.default_rng(5)
         graph = tr.build_transition_graph(
-            [tr.ItemSequence(u.user_id, u.train) for u in dataset.users],
+            [ItemSequence(u.user_id, u.train) for u in dataset.users],
             cfg.window, dataset.num_items)
         model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph, rng)
         self.compute_losses(model, dataset, cfg)
