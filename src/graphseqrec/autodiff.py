@@ -331,19 +331,6 @@ def tanh(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions
-# ---------------------------------------------------------------------------
-
-def total_sum(a: Tensor) -> Tensor:
-    data = a.data.sum()
-
-    def back(g, a=a):
-        _accumulate(a, np.broadcast_to(g, a.shape))
-
-    return _node(np.asarray(data), (a,), back, "sum")
-
-
-# ---------------------------------------------------------------------------
 # indexing
 # ---------------------------------------------------------------------------
 

@@ -2,7 +2,8 @@
 spectrum report used to inspect dimensional collapse.
 
 Ranking is pessimistic about ties: the target loses a tie to any candidate
-with a smaller item id, so reported ranks never flatter the model.
+with a smaller item id, so reported ranks never flatter the model.  Ranks
+are counted from the scores, never sorted.
 """
 
 from __future__ import annotations
@@ -17,18 +18,27 @@ from .checkpoint import atomic_open
 from .data import SplitDataset
 
 METRIC_CUTOFFS = (5, 10, 20)
-RANK_CHUNK = 256  # rows per ranked score block in the popularity baseline
+
+
+def _flatten(histories: Sequence[Collection[int]]) -> tuple:
+    """(row, item) pairs of every history entry, in row order."""
+    rows = np.repeat(np.arange(len(histories)), [len(h) for h in histories])
+    items = np.fromiter(chain.from_iterable(histories), dtype=np.int64, count=rows.size)
+    return rows, items
 
 
 def rank_from_scores(scores: np.ndarray, histories: Sequence[Collection[int]],
                      targets: Sequence[int], exclude_history: bool = True) -> np.ndarray:
-    """Rank of each row's target in a (B, V) score block; shared by the model
-    scorer and the popularity baseline.
+    """Rank of each row's target in a (B, V) score block.
 
     ``scores[b, i]`` scores item id i+1 for row b.  With ``exclude_history``
     the items of ``histories[b]`` are not candidates in row b (padding ids
     are ignored).  Ties break by ascending item id, so the target is ranked
     below every equal-scoring smaller id.
+
+    Each row counts the scores above its target's and its ties; only rows
+    with a tie besides the target look up which ties have smaller ids.  The
+    history items among those are then subtracted: no (B, V) candidate mask.
     """
     if scores.ndim != 2:
         raise ValueError(f"rank_from_scores needs a (B, V) block, got shape {list(scores.shape)}")
@@ -39,27 +49,36 @@ def rank_from_scores(scores: np.ndarray, histories: Sequence[Collection[int]],
     if rows and (targets.min() < 1 or targets.max() > num_items):
         bad = targets[(targets < 1) | (targets > num_items)][0]
         raise ValueError(f"target item {bad} is outside 1..{num_items}")
-    mask = np.ones(scores.shape, dtype=bool)
-    if exclude_history:
-        hist_rows = np.repeat(np.arange(rows), [len(h) for h in histories])
-        hist_items = np.fromiter(chain.from_iterable(histories), dtype=np.int64,
-                                 count=hist_rows.size)
-        kept = hist_items > 0
-        mask[hist_rows[kept], hist_items[kept] - 1] = False
-    by_row = np.arange(rows)
-    excluded = ~mask[by_row, targets - 1]
+    target_score = scores[np.arange(rows), targets - 1]
+    # a count of at most 65535 items sums in 16 bits, several times faster
+    count_dtype = np.uint16 if num_items <= np.iinfo(np.uint16).max else np.int64
+    ranks = np.ones(rows, dtype=np.int64)
+    ties = np.empty(rows, dtype=np.int64)
+    # ~64k scores at a time, so both comparisons read them from cache
+    step = max(1, 2**16 // max(num_items, 1))
+    for lo in range(0, rows, step):
+        part, t = scores[lo:lo + step], target_score[lo:lo + step, None]
+        ranks[lo:lo + step] += np.add.reduce(part > t, axis=1, dtype=count_dtype)
+        ties[lo:lo + step] = np.add.reduce(part == t, axis=1, dtype=count_dtype)
+    for b in np.flatnonzero(ties > 1):  # a tie besides the target itself
+        ranks[b] += np.count_nonzero(scores[b, :targets[b] - 1] == target_score[b])
+    if not exclude_history:
+        return ranks
+    hist_rows, hist_items = _flatten(histories)
+    kept = hist_items > 0
+    hist_rows, hist_items = hist_rows[kept], hist_items[kept]
+    hist_targets = targets[hist_rows]
+    excluded = hist_items == hist_targets
     if excluded.any():
-        raise ValueError(f"target item {targets[excluded][0]} is excluded by the history")
-    target_score = scores[by_row, targets - 1][:, None]
-    beaten = np.greater(scores, target_score)
-    beaten &= mask
-    higher = np.count_nonzero(beaten, axis=1)
-    tied_lower = np.equal(scores, target_score, out=beaten)
-    tied_lower &= mask
-    # the candidate mask is spent: reuse its buffer for "smaller item id"
-    smaller_id = np.less(np.arange(1, num_items + 1), targets[:, None], out=mask)
-    tied_lower &= smaller_id
-    return 1 + higher + np.count_nonzero(tied_lower, axis=1)
+        raise ValueError(f"target item {hist_targets[excluded][0]} is excluded by the history")
+    hist_scores = scores[hist_rows, hist_items - 1]
+    hist_target_scores = target_score[hist_rows]
+    ahead = (hist_scores > hist_target_scores) | (
+        (hist_scores == hist_target_scores) & (hist_items < hist_targets))
+    # an item listed twice in one history is still one candidate
+    keys = np.sort(hist_rows[ahead] * (num_items + 1) + hist_items[ahead])
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    return ranks - np.bincount(keys // (num_items + 1), minlength=rows)
 
 
 def hr_ndcg(ranks: Sequence[int], k: int) -> tuple:
@@ -122,20 +141,25 @@ def eval_input_sequences(dataset: SplitDataset, split: str) -> List[tuple]:
 
 def popularity_ranks(dataset: SplitDataset, split: str,
                      exclude_history: bool = True) -> List[int]:
-    """Frequency-ranking baseline on the same splits and tie rules."""
-    counts = np.zeros(dataset.num_items, dtype=np.float64)
-    for user in dataset.users:
-        for item in user.train:
-            counts[item - 1] += 1.0
+    """Frequency-ranking baseline on the same splits and tie rules.
+
+    Every row scores the same training counts, so one stable sort places
+    each item (count descending, then id ascending).  A target's rank is its
+    place, less the history items placed ahead of it.
+    """
+    counts = np.bincount(np.fromiter(chain.from_iterable(u.train for u in dataset.users),
+                                     dtype=np.int64), minlength=dataset.num_items + 1)
+    place = np.empty(counts.size, dtype=np.int64)
+    place[1 + np.argsort(-counts[1:], kind="stable")] = np.arange(dataset.num_items)
+    place[0] = dataset.num_items  # padding sorts after every item: never ahead
     rows = eval_input_sequences(dataset, split)
-    ranks = []
-    for start in range(0, len(rows), RANK_CHUNK):
-        chunk = rows[start:start + RANK_CHUNK]
-        ranks.append(rank_from_scores(
-            np.broadcast_to(counts, (len(chunk), counts.size)),
-            [history for _, _, history in chunk], [target for _, target, _ in chunk],
-            exclude_history))
-    return np.concatenate(ranks).tolist()
+    target_place = place[[target for _, target, _ in rows]]
+    ranks = 1 + target_place
+    if exclude_history:
+        hist_rows, hist_items = _flatten([history for _, _, history in rows])
+        ahead = place[hist_items] < target_place[hist_rows]
+        ranks -= np.bincount(hist_rows[ahead], minlength=len(rows))
+    return ranks.tolist()
 
 
 @dataclass

@@ -150,6 +150,9 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
     perturbation = model.subgraph_perturbation()
     ranks: List[np.ndarray] = []
     n = model.cfg.max_len
+    # every chunk is scored into this one block: a pass allocates one
+    # catalog-wide buffer, not one per chunk
+    block = np.empty((min(batch_size, len(rows)), item_emb.shape[0] - 1))
     for start in range(0, len(rows), batch_size):
         chunk = rows[start:start + batch_size]
         seqs = np.stack([pad_sequence(inp, n) for inp, _, _ in chunk])
@@ -157,7 +160,7 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
             [u.user_id for u in dataset.users[start:start + batch_size]], dtype=np.int64)
         with ad.no_grad():
             reprs = model.user_reprs(seqs, user_ids, perturbation).data
-        scores = reprs @ item_emb[1:].T
+        scores = np.matmul(reprs, item_emb[1:].T, out=block[:len(chunk)])
         ranks.append(rank_from_scores(scores, [history for _, _, history in chunk],
                                       [target for _, target, _ in chunk], exclude_history))
     return MetricsReport.from_ranks(np.concatenate(ranks), keep_ranks)

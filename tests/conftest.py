@@ -27,6 +27,14 @@ def rel_err(analytic, numeric):
     return float(np.abs(analytic - numeric).max(initial=0.0)) / scale
 
 
+def total_sum(a):
+    """Sum of every entry as a 0-d tensor: reduces any output to a loss."""
+    def back(g, a=a):
+        ad._accumulate(a, np.broadcast_to(g, a.shape))
+
+    return ad._node(np.asarray(a.data.sum()), (a,), back, "sum")
+
+
 def check_grads(make_loss, tensors, rtol=1e-4, h=1e-5):
     """Analytic gradients of make_loss() vs central differences.
 

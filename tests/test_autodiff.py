@@ -8,7 +8,7 @@ from graphseqrec.autodiff import (DegenerateRow, GraphConsumed, NotRecorded, Sha
                                   Tensor)
 from graphseqrec.encoder import attention_mask
 
-from conftest import check_grads
+from conftest import check_grads, total_sum
 
 
 class TestMatmul:
@@ -26,14 +26,14 @@ class TestMatmul:
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         w = rng.standard_normal((3, 2))  # fixed weights make the loss non-trivial
-        check_grads(lambda: ad.total_sum(ad.mul(ad.matmul(a, b), Tensor(w))),
+        check_grads(lambda: total_sum(ad.mul(ad.matmul(a, b), Tensor(w))),
                     {"a": a, "b": b}, rtol=1e-6)
 
     def test_batched_gradients(self, rng):
         a = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         c = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
-        check_grads(lambda: ad.total_sum(ad.matmul(ad.matmul(a, b), c)),
+        check_grads(lambda: total_sum(ad.matmul(ad.matmul(a, b), c)),
                     {"a": a, "b": b, "c": c}, rtol=1e-6)
 
     def test_shape_error_names_both_shapes(self):
@@ -96,7 +96,7 @@ class TestSoftmaxRows:
         mask = rng.random((2, 5, 5)) < 0.7
         mask[..., 2] = True
         w = rng.standard_normal((2, 5, 5))
-        check_grads(lambda: ad.total_sum(ad.mul(row_softmax(x, mask), Tensor(w))),
+        check_grads(lambda: total_sum(ad.mul(row_softmax(x, mask), Tensor(w))),
                     {"x": x})
 
     def test_masked_logit_far_above_the_row_max_stays_zero(self):
@@ -109,7 +109,7 @@ class TestSoftmaxRows:
         upstream[0, 0] = [1.0, 5.0, 2.0]
         with np.errstate(all="raise"):
             out = row_softmax(x, mask)
-            ad.backward(ad.total_sum(ad.mul(out, Tensor(upstream))))
+            ad.backward(total_sum(ad.mul(out, Tensor(upstream))))
         e = np.exp(np.array([0.0, 1.0]) - 1.0)
         assert out.data[0, 0].tobytes() == np.array([e[0] / e.sum(), 0.0, e[1] / e.sum()]).tobytes()
         assert np.isfinite(x.grad).all() and x.grad[0, 0, 1] == 0.0
@@ -118,13 +118,13 @@ class TestSoftmaxRows:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        ad.backward(ad.total_sum(x))
+        ad.backward(total_sum(x))
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_half_squared_norm_gives_x(self, rng):
         data = rng.standard_normal((4, 3))
         x = Tensor(data.copy(), requires_grad=True)
-        ad.backward(ad.mul(ad.total_sum(ad.mul(x, x)), 0.5))
+        ad.backward(ad.mul(total_sum(ad.mul(x, x)), 0.5))
         np.testing.assert_allclose(x.grad, data, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
@@ -134,7 +134,7 @@ class TestBackward:
     def test_shared_subexpression_accumulates_once_per_use(self):
         x = Tensor(np.array(2.0), requires_grad=True)
         y = ad.mul(x, 3.0)
-        loss = ad.total_sum(ad.add(y, y))  # d/dx (3x + 3x) = 6
+        loss = total_sum(ad.add(y, y))  # d/dx (3x + 3x) = 6
         ad.backward(loss)
         assert float(x.grad) == 6.0
 
@@ -182,7 +182,7 @@ class TestBackward:
             r = np.random.default_rng(7)
             x = Tensor(r.standard_normal((8, 8)), requires_grad=True)
             w = Tensor(r.standard_normal((8, 8)), requires_grad=True)
-            loss = ad.total_sum(ad.tanh(ad.matmul(x, w)))
+            loss = total_sum(ad.tanh(ad.matmul(x, w)))
             ad.backward(loss)
             return loss.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
@@ -190,7 +190,7 @@ class TestBackward:
 
     def test_second_backward_on_the_same_loss_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = ad.total_sum(ad.mul(x, 2.0))
+        loss = total_sum(ad.mul(x, 2.0))
         ad.backward(loss)
         np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
         with pytest.raises(GraphConsumed, match="'sum'"):
@@ -200,14 +200,14 @@ class TestBackward:
     def test_new_loss_through_a_consumed_node_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
         y = ad.mul(x, 2.0)
-        ad.backward(ad.total_sum(y))
+        ad.backward(total_sum(y))
         with pytest.raises(GraphConsumed, match="'mul'"):
-            ad.backward(ad.total_sum(ad.tanh(y)))
+            ad.backward(total_sum(ad.tanh(y)))
 
     def test_leaf_grad_sums_over_separate_passes(self):
         w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        ad.backward(ad.total_sum(ad.mul(w, 3.0)))
-        ad.backward(ad.total_sum(ad.mul(w, w)))
+        ad.backward(total_sum(ad.mul(w, 3.0)))
+        ad.backward(total_sum(ad.mul(w, w)))
         np.testing.assert_array_equal(w.grad, 3.0 + 2.0 * w.data)
 
     def test_no_interior_node_keeps_a_grad(self, rng):
@@ -215,7 +215,7 @@ class TestBackward:
         w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         h = ad.matmul(x, w)
         a = ad.tanh(h)
-        loss = ad.total_sum(ad.mul(a, a))
+        loss = total_sum(ad.mul(a, a))
         ad.backward(loss)
         assert [t.grad for t in (h, a, loss)] == [None, None, None]
         assert x.grad is not None and w.grad is not None
@@ -228,7 +228,7 @@ class TestBackward:
         y = x
         for _ in range(10):
             y = ad.tanh(ad.add(ad.mul(y, 0.5), 0.1))
-        loss = ad.total_sum(y)
+        loss = total_sum(y)
         del y
         tracemalloc.start()
         try:
@@ -244,12 +244,12 @@ class TestBackward:
 class TestNoGrad:
     def test_backward_on_a_constant_output_raises(self):
         with pytest.raises(NotRecorded, match="'sum'"):
-            ad.backward(ad.total_sum(ad.mul(Tensor(np.ones(3)), 2.0)))
+            ad.backward(total_sum(ad.mul(Tensor(np.ones(3)), 2.0)))
 
     def test_backward_on_a_no_grad_output_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with ad.no_grad():
-            loss = ad.total_sum(ad.tanh(ad.mul(x, 2.0)))
+            loss = total_sum(ad.tanh(ad.mul(x, 2.0)))
         assert not loss.requires_grad and loss._parents == () and loss._backward is None
         with pytest.raises(NotRecorded, match="'sum'"):
             ad.backward(loss)
@@ -272,7 +272,7 @@ class TestNoGrad:
         with pytest.raises(DegenerateRow):
             with ad.no_grad():
                 ad.cosine_info_nce(Tensor(np.zeros((1, 3))), Tensor(np.ones((1, 3))), 1.0)
-        loss = ad.total_sum(ad.mul(x, 2.0))
+        loss = total_sum(ad.mul(x, 2.0))
         assert loss.requires_grad
         ad.backward(loss)
         np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
@@ -291,25 +291,25 @@ class TestElementwiseGradients:
         # softplus and negation live inside sampled_bce: test_sum_axis_gradient
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = rng.standard_normal((3, 4))
-        check_grads(lambda: ad.total_sum(ad.mul(ad.tanh(x), Tensor(w))), {"x": x})
+        check_grads(lambda: total_sum(ad.mul(ad.tanh(x), Tensor(w))), {"x": x})
 
     def test_relu_away_from_kink(self, rng):
         data = rng.uniform(0.05, 1.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
         x = Tensor(data, requires_grad=True)
         w = rng.standard_normal((3, 4))
-        check_grads(lambda: ad.total_sum(ad.mul(ad.relu(x), Tensor(w))), {"x": x})
+        check_grads(lambda: total_sum(ad.mul(ad.relu(x), Tensor(w))), {"x": x})
 
     def test_add_broadcast_bias(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
         p = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        check_grads(lambda: ad.total_sum(ad.add(ad.add(x, b), p)),
+        check_grads(lambda: total_sum(ad.add(ad.add(x, b), p)),
                     {"x": x, "b": b, "p": p}, rtol=1e-6)
 
     def test_mul_broadcast_and_scalar_tensor(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         s = Tensor(np.array(0.7), requires_grad=True)
-        check_grads(lambda: ad.total_sum(ad.mul(x, s)), {"x": x, "s": s}, rtol=1e-6)
+        check_grads(lambda: total_sum(ad.mul(x, s)), {"x": x, "s": s}, rtol=1e-6)
 
     def test_incompatible_shapes_raise(self):
         with pytest.raises(ShapeMismatch):
@@ -389,7 +389,7 @@ class TestIndexingOps:
         out = ad.gather(table, ids)
         assert out.shape == (2, 2, 3)
         np.testing.assert_array_equal(out.data[0, 0], table.data[1])
-        ad.backward(ad.total_sum(out))
+        ad.backward(total_sum(out))
         np.testing.assert_array_equal(table.grad[1], np.full(3, 2.0))  # gathered twice
         np.testing.assert_array_equal(table.grad[2], np.zeros(3))  # untouched row
 
@@ -397,7 +397,7 @@ class TestIndexingOps:
         table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         ids = np.array([0, 2, 2, 4])
         w = rng.standard_normal((4, 3))
-        check_grads(lambda: ad.total_sum(ad.mul(ad.gather(table, ids), Tensor(w))),
+        check_grads(lambda: total_sum(ad.mul(ad.gather(table, ids), Tensor(w))),
                     {"table": table}, rtol=1e-6)
 
     def test_select_positions(self, rng):
@@ -405,14 +405,14 @@ class TestIndexingOps:
         pos = np.array([4, 0, 2])
         out = ad.select_positions(x, pos)
         np.testing.assert_array_equal(out.data[1], x.data[1, 0])
-        check_grads(lambda: ad.total_sum(ad.select_positions(x, pos)), {"x": x}, rtol=1e-6)
+        check_grads(lambda: total_sum(ad.select_positions(x, pos)), {"x": x}, rtol=1e-6)
 
     def test_reshape(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = rng.standard_normal((3, 1, 4))
         out = ad.reshape(x, (3, 1, 4))
         np.testing.assert_array_equal(out.data[:, 0], x.data)
-        check_grads(lambda: ad.total_sum(ad.mul(ad.reshape(x, (3, 1, 4)), Tensor(w))),
+        check_grads(lambda: total_sum(ad.mul(ad.reshape(x, (3, 1, 4)), Tensor(w))),
                     {"x": x}, rtol=1e-6)
         with pytest.raises(ShapeMismatch, match=r"\[3, 4\] does not fit \[3, 5\]"):
             ad.reshape(x, (3, 5))
@@ -425,7 +425,7 @@ class TestAttention:
         q, k, v = (Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True) for _ in range(3))
         rel_pe = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
         w = rng.standard_normal((2, 4, 6))
-        check_grads(lambda: ad.total_sum(ad.mul(ad.attention(q, k, v, mask, 2, 0.5, rel_pe),
+        check_grads(lambda: total_sum(ad.mul(ad.attention(q, k, v, mask, 2, 0.5, rel_pe),
                                                 Tensor(w))),
                     {"q": q, "k": k, "v": v, "rel_pe": rel_pe}, rtol=1e-6)
 
@@ -448,7 +448,7 @@ class TestAttention:
         w = rng.standard_normal((2, m, 6))
         out = ad.attention(q, k, v, mask, 2, 0.5, rel_pe)
         assert out.shape == (2, m, 6)
-        check_grads(lambda: ad.total_sum(ad.mul(ad.attention(q, k, v, mask, 2, 0.5, rel_pe),
+        check_grads(lambda: total_sum(ad.mul(ad.attention(q, k, v, mask, 2, 0.5, rel_pe),
                                                 Tensor(w))),
                     tensors, rtol=1e-6)
 
@@ -504,7 +504,7 @@ class TestStructuredOps:
         out = ad.per_sample_scale(s, mats)
         np.testing.assert_array_equal(out.data[0], 2.0 * mats[0])
         np.testing.assert_array_equal(out.data[1], np.zeros((4, 4)))
-        check_grads(lambda: ad.total_sum(ad.per_sample_scale(s, mats)), {"s": s}, rtol=1e-6)
+        check_grads(lambda: total_sum(ad.per_sample_scale(s, mats)), {"s": s}, rtol=1e-6)
 
     def test_layer_norm_statistics(self, rng):
         x = Tensor(rng.standard_normal((4, 8)) * 3 + 1)
@@ -519,7 +519,7 @@ class TestStructuredOps:
         g = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True)
         b = Tensor(rng.standard_normal(6), requires_grad=True)
         w = rng.standard_normal((3, 6))
-        check_grads(lambda: ad.total_sum(ad.mul(ad.layer_norm(x, g, b), Tensor(w))),
+        check_grads(lambda: total_sum(ad.mul(ad.layer_norm(x, g, b), Tensor(w))),
                     {"x": x, "g": g, "b": b})
 
     def test_dropout_identity_when_disabled(self, rng):
@@ -529,7 +529,7 @@ class TestStructuredOps:
 
     def test_dropout_gradient_with_fixed_mask(self):
         x = Tensor(np.random.default_rng(0).standard_normal((4, 4)), requires_grad=True)
-        check_grads(lambda: ad.total_sum(
+        check_grads(lambda: total_sum(
             ad.dropout(x, 0.5, np.random.default_rng(99))), {"x": x}, rtol=1e-6)
 
     def test_dropout_matches_the_float_mask_bitwise(self, rng):
@@ -537,7 +537,7 @@ class TestStructuredOps:
         w = rng.standard_normal((5, 7))
         drawn = np.random.default_rng(41)
         out = ad.dropout(x, 0.3, drawn)
-        ad.backward(ad.total_sum(ad.mul(out, Tensor(w))))
+        ad.backward(total_sum(ad.mul(out, Tensor(w))))
         reference = np.random.default_rng(41)
         keep = (reference.random(x.shape) >= 0.3) / (1.0 - 0.3)
         assert out.data.tobytes() == (x.data * keep).tobytes()
@@ -555,7 +555,7 @@ class TestStructuredOps:
         want = ad.dropout(full, 0.3, reference).data[np.arange(3), pos]
         assert out.data.tobytes() == want.tobytes()
         assert drawn.bit_generator.state == reference.bit_generator.state
-        check_grads(lambda: ad.total_sum(ad.dropout(x, 0.3, np.random.default_rng(5), (4, pos))),
+        check_grads(lambda: total_sum(ad.dropout(x, 0.3, np.random.default_rng(5), (4, pos))),
                     {"x": x}, rtol=1e-6)
 
     def test_sum_axis_gradient(self, rng):
@@ -571,7 +571,7 @@ class TestStructuredOps:
     def test_transpose_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         w = rng.standard_normal((2, 4, 3))
-        check_grads(lambda: ad.total_sum(ad.mul(ad.transpose(x), Tensor(w))),
+        check_grads(lambda: total_sum(ad.mul(ad.transpose(x), Tensor(w))),
                     {"x": x}, rtol=1e-6)
 
 
@@ -581,7 +581,7 @@ class TestStructuredOps:
 
 def weighted_loss(out, upstream):
     """sum(out * upstream): the gradient that reaches ``out`` is ``upstream``."""
-    return ad.total_sum(ad.mul(out, Tensor(upstream)))
+    return total_sum(ad.mul(out, Tensor(upstream)))
 
 
 def leaves(*arrays):

@@ -7,7 +7,7 @@ from graphseqrec.autodiff import DegenerateRow, Tensor
 from graphseqrec.data import ItemSequence
 from graphseqrec.graph import build_transition_graph
 
-from conftest import check_grads
+from conftest import check_grads, total_sum
 
 
 def self_loop_graph(num_items):
@@ -103,7 +103,7 @@ class TestPropagateRefined:
 
         def loss():
             out = collab.propagate_refined(graph, emb, factors, layers=2)
-            return ad.total_sum(ad.mul(out, Tensor(w)))
+            return total_sum(ad.mul(out, Tensor(w)))
 
         check_grads(loss, {"emb": emb, "left": factors.left, "right": factors.right})
 

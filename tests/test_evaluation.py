@@ -1,8 +1,77 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
+from graphseqrec import autodiff as ad
 from graphseqrec import evaluation as ev
-from graphseqrec.data import build_sequences, leave_one_out, synth_generate
+from graphseqrec.data import (ItemSequence, SplitDataset, UserSplit, build_sequences,
+                              leave_one_out, pad_sequence, synth_generate)
+from graphseqrec.graph import build_transition_graph
+from graphseqrec.model import Model
+from graphseqrec.training import TrainConfig, evaluate_model
+
+
+def masked_rank_from_scores(scores, histories, targets, exclude_history=True):
+    """The replaced ranker: a (B, V) candidate mask, swept by two comparisons
+    and two counts.  Kept as the oracle for the count-and-correct ranker."""
+    rows, num_items = scores.shape
+    targets = np.asarray(targets, dtype=np.int64)
+    mask = np.ones(scores.shape, dtype=bool)
+    if exclude_history:
+        hist_rows = np.repeat(np.arange(rows), [len(h) for h in histories])
+        hist_items = np.fromiter(chain.from_iterable(histories), dtype=np.int64,
+                                 count=hist_rows.size)
+        kept = hist_items > 0
+        mask[hist_rows[kept], hist_items[kept] - 1] = False
+    by_row = np.arange(rows)
+    assert mask[by_row, targets - 1].all()
+    target_score = scores[by_row, targets - 1][:, None]
+    beaten = np.greater(scores, target_score)
+    beaten &= mask
+    higher = np.count_nonzero(beaten, axis=1)
+    tied_lower = np.equal(scores, target_score, out=beaten)
+    tied_lower &= mask
+    smaller_id = np.less(np.arange(1, num_items + 1), targets[:, None], out=mask)
+    tied_lower &= smaller_id
+    return 1 + higher + np.count_nonzero(tied_lower, axis=1)
+
+
+def chunked_popularity_ranks(dataset, split, exclude_history=True):
+    """The replaced baseline: per-item counts, broadcast into 256-row score
+    blocks for the masked ranker."""
+    counts = np.zeros(dataset.num_items, dtype=np.float64)
+    for user in dataset.users:
+        for item in user.train:
+            counts[item - 1] += 1.0
+    rows = ev.eval_input_sequences(dataset, split)
+    ranks = []
+    for start in range(0, len(rows), 256):
+        chunk = rows[start:start + 256]
+        ranks.append(masked_rank_from_scores(
+            np.broadcast_to(counts, (len(chunk), counts.size)),
+            [history for _, _, history in chunk], [target for _, target, _ in chunk],
+            exclude_history))
+    return np.concatenate(ranks).tolist()
+
+
+def planted_block(rng, rows, items, history_len):
+    """Scores with planted ties, targets and histories that hold padding and
+    duplicate ids.  Ties: whole tied rows, ties at smaller and larger ids,
+    and history items tied with the target."""
+    scores = rng.standard_normal((rows, items))
+    scores[::7] = 0.5
+    targets = rng.integers(1, items + 1, rows)
+    targets[:3] = [1, items, 1 + items // 2][:rows]
+    histories = []
+    for b in range(rows):
+        t = int(targets[b])
+        tie_ids = rng.integers(1, items + 1, 4)
+        scores[b, tie_ids - 1] = scores[b, t - 1]
+        history = rng.integers(0, items + 1, history_len).tolist() + tie_ids[:2].tolist()
+        history = [h for h in history if h != t]
+        histories.append(history if b % 2 else set(history))
+    return scores, histories, targets
 
 
 def sort_oracle(scores, history, target, exclude_history=True):
@@ -92,6 +161,97 @@ class TestRankTarget:
             ev.rank_from_scores(np.zeros((3, 4)), [set()] * 3, [1, 2])
         with pytest.raises(ValueError, match=r"\(B, V\) block"):
             ev.rank_from_scores(np.zeros(4), [set()], [1])
+
+
+class TestCountAndCorrectAgainstMaskedOracle:
+    @pytest.mark.parametrize("exclude_history", [True, False])
+    @pytest.mark.parametrize("rows,items,history_len", [
+        (1, 1, 0), (1, 9, 6), (1, 300, 40), (2, 2, 3), (37, 23, 12), (64, 200, 19),
+        (256, 17271, 19)])
+    def test_planted_ties(self, rng, exclude_history, rows, items, history_len):
+        for _ in range(3 if rows * items < 10**6 else 1):
+            scores, histories, targets = planted_block(rng, rows, items, history_len)
+            got = ev.rank_from_scores(scores, histories, targets, exclude_history)
+            want = masked_rank_from_scores(scores, histories, targets, exclude_history)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("exclude_history", [True, False])
+    def test_integer_scores_tie_everywhere(self, rng, exclude_history):
+        for _ in range(30):
+            rows, items = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+            scores = rng.integers(-2, 3, (rows, items)).astype(np.float64)
+            targets = rng.integers(1, items + 1, rows)
+            histories = [[h for h in rng.integers(0, items + 1, 2 * items).tolist()
+                          if h != targets[b]] for b in range(rows)]
+            np.testing.assert_array_equal(
+                ev.rank_from_scores(scores, histories, targets, exclude_history),
+                masked_rank_from_scores(scores, histories, targets, exclude_history))
+
+    def test_catalog_wider_than_a_16_bit_count(self):
+        scores = np.zeros((2, 70000))
+        scores[0, :66000] = 1.0
+        targets = [69999, 70000]
+        histories = [{1, 2, 0}, {5}]
+        np.testing.assert_array_equal(
+            ev.rank_from_scores(scores, histories, targets),
+            masked_rank_from_scores(scores, histories, targets))
+        np.testing.assert_array_equal(
+            ev.rank_from_scores(scores, histories, targets, exclude_history=False),
+            [69999, 70000])
+
+
+class TestPopularityAgainstChunkedOracle:
+    @pytest.mark.parametrize("exclude_history", [True, False])
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_synthetic_logs(self, exclude_history, split):
+        for users, items, seq_len in [(40, 12, 10), (300, 1000, 8), (600, 50, 20)]:
+            for seed in range(3):
+                log = synth_generate(users, items, noise=0.5, seed=seed, seq_len=seq_len)
+                dataset = leave_one_out(build_sequences(log, min_count=1))
+                assert (ev.popularity_ranks(dataset, split, exclude_history)
+                        == chunked_popularity_ranks(dataset, split, exclude_history))
+
+    def test_history_tied_with_the_target_at_smaller_ids(self):
+        # items 1, 2 and 3 are seen twice each in training; 4 and 5 never
+        dataset = SplitDataset([UserSplit(0, [1, 2, 3], 4, 3),
+                                UserSplit(1, [3, 2, 1], 2, 5)], num_items=5)
+        for split in ("valid", "test"):
+            for exclude in (True, False):
+                assert (ev.popularity_ranks(dataset, split, exclude)
+                        == chunked_popularity_ranks(dataset, split, exclude))
+        # test row 0: target 3 ties 1 and 2, both in its history
+        assert ev.popularity_ranks(dataset, "test") == [1, 2]
+        assert ev.popularity_ranks(dataset, "test", exclude_history=False) == [3, 5]
+
+
+class TestEvaluateModelRanks:
+    @pytest.mark.parametrize("enable_pge", [True, False])
+    def test_reused_block_matches_fresh_products(self, enable_pge):
+        log = synth_generate(7, 15, noise=0.4, seed=2, seq_len=9)
+        dataset = leave_one_out(build_sequences(log, min_count=1))
+        cfg = TrainConfig(dim=8, max_len=8, batch_size=3, rank=2, encoder_layers=1,
+                          heads=2, enable_pge=enable_pge)
+        graph = build_transition_graph([ItemSequence(u.user_id, u.train) for u in dataset.users],
+                                       cfg.window, dataset.num_items)
+        model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph,
+                      np.random.default_rng(3))
+        for split in ("valid", "test"):
+            got = evaluate_model(model, dataset, split, batch_size=3, keep_ranks=True).ranks
+            rows = ev.eval_input_sequences(dataset, split)
+            item_emb = model.params["item_emb"].data
+            perturbation = model.subgraph_perturbation()
+            want = []
+            for start in range(0, len(rows), 3):  # the last chunk holds one row
+                chunk = rows[start:start + 3]
+                seqs = np.stack([pad_sequence(inp, cfg.max_len) for inp, _, _ in chunk])
+                user_ids = [u.user_id for u in dataset.users[start:start + 3]]
+                with ad.no_grad():
+                    reprs = model.user_reprs(seqs, user_ids, perturbation).data
+                want.extend(masked_rank_from_scores(
+                    reprs @ item_emb[1:].T, [h for _, _, h in chunk], [t for _, t, _ in chunk]))
+            assert len(rows) == 7
+            assert got == [int(r) for r in want]
 
 
 class TestHrNdcg:

@@ -7,7 +7,7 @@ from graphseqrec import graph as gr
 from graphseqrec.autodiff import ShapeMismatch, Tensor
 from graphseqrec.data import ItemSequence
 
-from conftest import check_grads
+from conftest import check_grads, total_sum
 
 
 def brute_force_weights(sequences, window):
@@ -171,7 +171,7 @@ class TestSpmv:
         graph = gr.build_transition_graph(seqs, window=2, num_items=6)
         x = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
         w = rng.standard_normal((7, 3))
-        check_grads(lambda: ad.total_sum(ad.mul(graph.spmv(x), Tensor(w))), {"x": x})
+        check_grads(lambda: total_sum(ad.mul(graph.spmv(x), Tensor(w))), {"x": x})
 
     def test_asymmetric_gradient_matches_finite_differences(self, rng):
         # a symmetric graph hides a backward that forgets the transpose
@@ -180,7 +180,7 @@ class TestSpmv:
         graph = gr.TransitionGraph(matrix)
         x = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
         w = rng.standard_normal((7, 3))
-        check_grads(lambda: ad.total_sum(ad.mul(graph.spmv(x), Tensor(w))), {"x": x})
+        check_grads(lambda: total_sum(ad.mul(graph.spmv(x), Tensor(w))), {"x": x})
 
     def test_shape_mismatch(self, rng):
         graph = gr.build_transition_graph([ItemSequence(0, [1, 2])], window=2, num_items=2)

@@ -14,7 +14,7 @@ from graphseqrec.training import (TrainConfig, assemble_batch, evaluate_model,
                                   next_item_loss, seq_cl_loss, total_loss, train,
                                   train_step, variant_config)
 
-from conftest import check_grads
+from conftest import check_grads, total_sum
 
 
 def tiny_dataset(users=40, items=25, seq_len=8, seed=0, noise=0.3):
@@ -129,9 +129,9 @@ class TestTotalLoss:
         x = Tensor(rng.standard_normal(4), requires_grad=True)
 
         def loss():
-            rec = ad.total_sum(ad.mul(x, x))
-            gce = ad.total_sum(ad.mul(ad.tanh(x), x))
-            seq = ad.total_sum(ad.tanh(x))
+            rec = total_sum(ad.mul(x, x))
+            gce = total_sum(ad.mul(ad.tanh(x), x))
+            seq = total_sum(ad.tanh(x))
             return total_loss(rec, gce, seq, lambda1=0.3, lambda2=0.7)
 
         check_grads(loss, {"x": x})
