@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from graphseqrec import (ItemSequence, Tensor, build_transition_graph,
-                         init_factors, propagate_original, propagate_refined)
+                         init_factors, propagate)
 
 rng = np.random.default_rng(0)
 
@@ -32,7 +32,7 @@ factors = init_factors(rng, num_items + 1, rank, strength=0.05)
 
 # Factored fast path.
 t0 = time.perf_counter()
-fast = propagate_refined(graph, Tensor(emb), factors, layers).data
+fast = propagate(graph, Tensor(emb), layers, factors).data
 fast_time = time.perf_counter() - t0
 
 # Dense reference: build the full perturbation, then propagate.
@@ -52,7 +52,7 @@ print(f"factored: {fast_time * 1e3:.1f} ms, dense: {dense_time * 1e3:.1f} ms "
       f"({dense_time / fast_time:.0f}x)")
 
 # Zero refinement strength collapses to plain propagation, bit for bit.
-plain = propagate_original(graph, Tensor(emb), layers).data
+plain = propagate(graph, Tensor(emb), layers).data
 zeroed = init_factors(rng, num_items + 1, rank, strength=0.0)
-assert propagate_refined(graph, Tensor(emb), zeroed, layers).data.tobytes() == plain.tobytes()
+assert propagate(graph, Tensor(emb), layers, zeroed).data.tobytes() == plain.tobytes()
 print("zero-strength refinement reproduces the original propagation exactly")

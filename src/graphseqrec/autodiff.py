@@ -23,16 +23,17 @@ require a gradient, so a forward that is only read (evaluation) builds no
 tape.  ``backward`` on such an output raises :class:`NotRecorded`.
 
 The op set is deliberately small: exactly what multi-head attention,
-layer-normalized feed-forward stacks, graph propagation, and the
-contrastive / binary-cross-entropy losses in this package need.  Every
-affine projection ``x @ w + b`` is one :func:`linear` node, and all heads of
-one attention layer, masked row softmax included, are one :func:`attention`
-node, whether its queries sit at every key position or at a few chosen rows.
-Each loss term is one node too: :func:`sampled_bce` for next-item
-prediction, :func:`cosine_info_nce` for both contrastive terms.  Broadcasting
-is kept narrow (same shape, bias-style trailing axes, per-axis size-1
-expansion, scalars); anything else raises :class:`ShapeMismatch` naming both
-shapes.  All storage is row-major 64-bit, which keeps finite-difference
+layer-normalized feed-forward stacks and the contrastive /
+binary-cross-entropy losses in this package need; graph propagation is a
+node of its own, ``collab.propagate``.  Every affine projection
+``x @ w + b`` is one :func:`linear` node, and all heads of one attention
+layer, masked row softmax included, are one :func:`attention` node, whether
+its queries sit at every key position or at a few chosen rows.  Each loss
+term is one node too: :func:`sampled_bce` for next-item prediction,
+:func:`cosine_info_nce` for both contrastive terms.  :func:`mul` scales by a
+number only.  :func:`add` broadcasts narrowly (same shape, bias-style
+trailing axes, per-axis size-1 expansion, scalars); anything else raises
+:class:`ShapeMismatch` naming both shapes.  All storage is row-major 64-bit, which keeps finite-difference
 checks meaningful.
 """
 
@@ -230,49 +231,15 @@ def add(a: Tensor, b) -> Tensor:
     return _node(data, (a, b), back, "add")
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        c = float(b)
-        data = a.data * c
+def mul(a: Tensor, c: float) -> Tensor:
+    """``a`` times the scalar ``c``."""
+    c = float(c)
+    data = a.data * c
 
-        def back_const(g, a=a, c=c):
-            _accumulate(a, g * c, fresh=True)
+    def back(g, a=a, c=c):
+        _accumulate(a, g * c, fresh=True)
 
-        return _node(data, (a,), back_const, "mul")
-    _check_broadcast(a.shape, b.shape, "mul")
-    data = a.data * b.data
-
-    def back(g, a=a, b=b):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape), fresh=True)
-        _accumulate(b, _unbroadcast(g * a.data, b.shape), fresh=True)
-
-    return _node(data, (a, b), back, "mul")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.  Supports 2D x 2D, batched x 2D, and batched x batched."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatch(f"matmul needs >=2D operands, got {list(a.shape)} and {list(b.shape)}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch(f"matmul: inner dimensions disagree for {list(a.shape)} x {list(b.shape)}")
-    if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-        raise ShapeMismatch(f"matmul: batch dimensions disagree for {list(a.shape)} x {list(b.shape)}")
-    if b.ndim > 2 and a.ndim == 2:
-        raise ShapeMismatch(f"matmul: 2D x batched unsupported ({list(a.shape)} x {list(b.shape)})")
-    data = a.data @ b.data
-
-    def back(g, a=a, b=b):
-        if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2), fresh=True)
-        if b.requires_grad:
-            if b.ndim == 2 and a.ndim > 2:
-                k = a.shape[-1]
-                n = g.shape[-1]
-                _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
-            else:
-                _accumulate(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
-
-    return _node(data, (a, b), back, "matmul")
+    return _node(data, (a,), back, "mul")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -294,18 +261,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
 
     return _node(data, (x, w, b), back, "linear")
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.ndim < 2:
-        raise ShapeMismatch(f"transpose needs a >=2D tensor, got shape {list(a.shape)}")
-    data = np.swapaxes(a.data, -1, -2)
-
-    def back(g, a=a):
-        _accumulate(a, np.swapaxes(g, -1, -2))
-
-    return _node(data, (a,), back, "transpose")
 
 
 # ---------------------------------------------------------------------------

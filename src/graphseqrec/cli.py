@@ -111,6 +111,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if not args.out:
         raise UsageError("--out is required")
+    for flag in ("users", "items", "order", "seq_len"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}")
+    if not 0.0 <= args.noise <= 1.0:
+        raise UsageError(f"--noise must lie in [0, 1], got {args.noise}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     log = synth_generate(args.users, args.items, args.order, args.noise,
                          args.seed, args.seq_len)
     write_interactions(args.out, log, cfgmod.DELIMITERS[args.delimiter])

@@ -8,17 +8,22 @@ factor matrices L and R (each num_nodes x rank) the refined layer update is
     E_next = A @ E + strength * (A @ L) ((A @ R)^T E)
 
 evaluated right to left, so the extra cost stays linear in the node count.
+Each representation is one tape node, :func:`propagate`, whose backward
+repeats the products of the layer-by-layer chain in that chain's order;
+``A @ E``, ``A @ L`` and ``A @ R`` are each computed once per train step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import iadd
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _accumulate, _node
 from .graph import SubgraphPerturbation, TransitionGraph
 
 
@@ -47,43 +52,70 @@ def init_factors(rng: np.random.Generator, num_nodes: int, rank: int,
                                float(strength))
 
 
-def _propagate(graph: TransitionGraph, emb: Tensor, layers: int,
-               factors: Optional[PerturbationFactors],
-               literal_layer_avg: bool) -> Tensor:
+def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
+              factors: Optional[PerturbationFactors] = None,
+              literal_layer_avg: bool = True, first: Optional[np.ndarray] = None,
+              perturbation: Optional[SubgraphPerturbation] = None) -> Tensor:
+    """Layer-averaged propagation as one tape node: the input plus every
+    propagated layer, divided by the layer count (or by one more).
+
+    With ``factors`` of nonzero strength each layer runs over the refined
+    graph; zero strength is the original graph, bit for bit.  ``first``
+    (``A @ emb.data``) and ``perturbation`` (``A @ L`` and ``A @ R``) spare
+    the products a caller has already.  Forward and backward run the float
+    operations of the layer-by-layer chain of products and sums in that
+    chain's order, so values and gradients keep their bits.  The node keeps
+    the layer inputs, ``A @ L``, ``A @ R`` and the (rank x d) ``(A @ R)^T E``.
+    """
     if layers < 1:
         raise ValueError(f"layers must be >= 1, got {layers}")
-    use_refinement = factors is not None and factors.strength != 0.0
-    if use_refinement:
-        prop_left = graph.spmv(factors.left)
-        prop_right_t = ad.transpose(graph.spmv(factors.right))
-    current = emb
-    acc = emb
-    for _ in range(layers):
-        nxt = graph.spmv(current)
-        if use_refinement:
-            mixed = ad.matmul(prop_right_t, current)
-            nxt = ad.add(nxt, ad.mul(ad.matmul(prop_left, mixed), factors.strength))
+    refine = factors is not None and factors.strength != 0.0
+    if refine:
+        alpha = float(factors.strength)
+        if perturbation is None:
+            perturbation = detached_perturbation(graph, factors)
+        left, right = perturbation.left, perturbation.right
+    inputs, mixed = [], []
+    current, acc = emb.data, emb.data.copy()
+    for k in range(layers):
+        nxt = first if k == 0 and first is not None else graph.spmv(current)
+        if refine:
+            inputs.append(current)
+            mixed.append(right.T @ current)
+            low_rank = left @ mixed[-1]
+            low_rank *= alpha
+            low_rank += nxt
+            nxt = low_rank
+        acc += nxt
         current = nxt
-        acc = ad.add(acc, current)
     divisor = layers if literal_layer_avg else layers + 1
-    return ad.mul(acc, 1.0 / divisor)
+    acc *= 1.0 / divisor
 
+    def back(g, emb=emb, matrix=graph.matrix):
+        scaled = g * (1.0 / divisor)
+        _accumulate(emb, scaled)  # the layer sum reaches emb first
+        grad, left_terms, right_terms = scaled, [], []
+        for k in range(layers - 1, -1, -1):
+            # the gradient of layer k's input, emb's own at k = 0: the layer
+            # sum's share, then the graph product's, then the low-rank product's
+            below = scaled.copy() if k else emb.grad
+            if below is not None:
+                below += matrix.T @ grad
+            if refine:
+                p = grad * alpha
+                left_terms.append(p @ mixed[k].T)
+                g_mixed = left.T @ p
+                right_terms.append(g_mixed @ inputs[k].T)
+                if below is not None:
+                    below += right @ g_mixed
+            grad = below
+        if refine:
+            _accumulate(factors.left, matrix.T @ reduce(iadd, left_terms), fresh=True)
+            grad_right = np.ascontiguousarray(reduce(iadd, right_terms).T)
+            _accumulate(factors.right, matrix.T @ grad_right, fresh=True)
 
-def propagate_original(graph: TransitionGraph, emb: Tensor, layers: int,
-                       literal_layer_avg: bool = True) -> Tensor:
-    """Layer-averaged propagation over the fixed graph: the sum of the input
-    and all propagated layers, divided by the layer count."""
-    return _propagate(graph, emb, layers, None, literal_layer_avg)
-
-
-def propagate_refined(graph: TransitionGraph, emb: Tensor,
-                      factors: PerturbationFactors, layers: int,
-                      literal_layer_avg: bool = True) -> Tensor:
-    """Same propagation over the refined graph via the factored fast path.
-
-    Zero strength takes exactly the original code path, so the outputs are
-    bitwise identical to propagate_original."""
-    return _propagate(graph, emb, layers, factors, literal_layer_avg)
+    parents = (emb, factors.left, factors.right) if refine else (emb,)
+    return _node(acc, parents, back, "propagate")
 
 
 @dataclass
@@ -95,9 +127,14 @@ class GraphRepresentations:
 
 def graph_representations(graph: TransitionGraph, emb: Tensor,
                           factors: PerturbationFactors, layers: int,
-                          literal_layer_avg: bool = True) -> GraphRepresentations:
-    original = propagate_original(graph, emb, layers, literal_layer_avg)
-    refined = propagate_refined(graph, emb, factors, layers, literal_layer_avg)
+                          literal_layer_avg: bool = True,
+                          perturbation: Optional[SubgraphPerturbation] = None
+                          ) -> GraphRepresentations:
+    """Both representations, one node each, from one ``A @ emb``;
+    ``perturbation`` holds ``A @ L`` and ``A @ R`` when the caller has them."""
+    first = graph.spmv(emb.data)
+    original = propagate(graph, emb, layers, None, literal_layer_avg, first)
+    refined = propagate(graph, emb, layers, factors, literal_layer_avg, first, perturbation)
     return GraphRepresentations(original, refined)
 
 
@@ -128,6 +165,5 @@ def detached_perturbation(graph: TransitionGraph,
     Values only; subgraph extraction is a stop-gradient read of the refined
     graph, so the factors learn through gce_loss alone.
     """
-    return SubgraphPerturbation(graph.matrix @ factors.left.data,
-                                graph.matrix @ factors.right.data,
-                                factors.strength)
+    return SubgraphPerturbation(graph.spmv(factors.left.data),
+                                graph.spmv(factors.right.data), factors.strength)

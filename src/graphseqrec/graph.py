@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .autodiff import ShapeMismatch, Tensor, _accumulate, _node
+from .autodiff import ShapeMismatch
 from .checkpoint import atomic_open
 from .data import ItemSequence, SplitDataset
 
@@ -39,17 +39,12 @@ class TransitionGraph:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    def spmv(self, x: Tensor) -> Tensor:
-        """Sparse matrix times dense tensor; differentiable in x only
-        (edge weights are fixed buffers, never parameters)."""
+    def spmv(self, x: np.ndarray) -> np.ndarray:
+        """Sparse matrix times a dense (num_nodes, k) array."""
         if x.ndim != 2 or x.shape[0] != self.num_nodes:
             raise ShapeMismatch(
                 f"spmv: graph is [{self.num_nodes}x{self.num_nodes}], operand is {list(x.shape)}")
-
-        def back(g, x=x, matrix=self.matrix):
-            _accumulate(x, matrix.T @ g, fresh=True)
-
-        return _node(self.matrix @ x.data, (x,), back, "spmv")
+        return self.matrix @ x
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()

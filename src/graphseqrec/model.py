@@ -39,10 +39,13 @@ class Model:
                                           self.params["pert_right"], self.cfg.alpha)
 
     # ----------------------------------------------------------------- graph
-    def graph_representations(self) -> collab.GraphRepresentations:
+    def graph_representations(self, perturbation: Optional[SubgraphPerturbation] = None
+                              ) -> collab.GraphRepresentations:
+        """Original and refined representations; pass this step's
+        ``subgraph_perturbation()`` so its propagated factors are reused."""
         return collab.graph_representations(self.graph, self.params["item_emb"],
                                             self.factors, self.cfg.gcn_layers,
-                                            self.cfg.literal_layer_avg)
+                                            self.cfg.literal_layer_avg, perturbation)
 
     @property
     def _reads_refined(self) -> bool:

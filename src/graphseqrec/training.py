@@ -202,7 +202,7 @@ def train_step(model: Model, batch: Batch, cfg: TrainConfig,
                          batch.negatives, batch.step_mask)
     gce = None
     if lambda1 != 0.0:
-        reps = model.graph_representations()
+        reps = model.graph_representations(perturbation)
         orig_rows, ref_rows = batch_rows(reps, batch.gce_items)
         gce = gce_loss(orig_rows, ref_rows, cfg.tau)
     seq = None

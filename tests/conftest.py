@@ -35,6 +35,17 @@ def total_sum(a):
     return ad._node(np.asarray(a.data.sum()), (a,), back, "sum")
 
 
+def weighted_sum(a, w):
+    """sum(a * w) for a fixed array ``w`` as a 0-d tensor: the gradient that
+    reaches ``a`` is ``w``."""
+    w = np.asarray(w, dtype=np.float64)
+
+    def back(g, a=a, w=w):
+        ad._accumulate(a, g * w, fresh=True)
+
+    return ad._node(np.asarray((a.data * w).sum()), (a,), back, "weighted_sum")
+
+
 def check_grads(make_loss, tensors, rtol=1e-4, h=1e-5):
     """Analytic gradients of make_loss() vs central differences.
 

@@ -101,7 +101,7 @@ def test_criterion_2_factored_perturbation_exactness():
         factors = collab.init_factors(rng, num_items + 1, rank, alpha)
         factors.left.data = rng.standard_normal(factors.left.shape)
         factors.right.data = rng.standard_normal(factors.right.shape)
-        fast = collab.propagate_refined(graph, Tensor(emb), factors, layers).data
+        fast = collab.propagate(graph, Tensor(emb), layers, factors).data
         oracle = dense_refined_oracle(graph.dense(), emb, factors.left.data,
                                       factors.right.data, alpha, layers)
         worst = max(worst, float(np.abs(fast - oracle).max()))
@@ -136,8 +136,8 @@ def test_criterion_3_linear_path_scaling():
         graph = random_sparse_graph(n + 1, 8, rng)
         emb = Tensor(rng.standard_normal((n + 1, d)))
         factors = collab.init_factors(rng, n + 1, rank, 0.05)
-        calls[n] = functools.partial(collab.propagate_refined, graph, emb, factors, layers=1)
-    graph, emb, factors = calls[sizes[0]].args
+        calls[n] = functools.partial(collab.propagate, graph, emb, 1, factors)
+    graph, emb, _, factors = calls[sizes[0]].args
     calls["dense"] = lambda: dense_refined_oracle(graph.dense(), emb.data, factors.left.data,
                                                   factors.right.data, 0.05, 1)
 
@@ -286,8 +286,8 @@ def test_criterion_6_toggle_bit_equivalence():
 
     emb = Tensor(np.vstack([np.zeros(4), rng.standard_normal((dataset.num_items, 4))]))
     factors = collab.init_factors(rng, dataset.num_items + 1, 2, strength=0.0)
-    alpha_ok = (collab.propagate_refined(graph, emb, factors, 2).data.tobytes()
-                == collab.propagate_original(graph, emb, 2).data.tobytes())
+    alpha_ok = (collab.propagate(graph, emb, 2, factors).data.tobytes()
+                == collab.propagate(graph, emb, 2).data.tobytes())
 
     rec = Tensor(np.asarray(1.234), requires_grad=True)
     lambdas_ok = total_loss(rec, Tensor(np.asarray(9.0)), Tensor(np.asarray(3.0)),

@@ -8,37 +8,7 @@ from graphseqrec.autodiff import (DegenerateRow, GraphConsumed, NotRecorded, Sha
                                   Tensor)
 from graphseqrec.encoder import attention_mask
 
-from conftest import check_grads, total_sum
-
-
-class TestMatmul:
-    def test_identity(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = ad.matmul(Tensor(np.eye(2)), x)
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_hand_product(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[0.0], [1.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).data, [[2.0], [4.0]])
-
-    def test_gradient_vs_finite_differences(self, rng):
-        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        w = rng.standard_normal((3, 2))  # fixed weights make the loss non-trivial
-        check_grads(lambda: total_sum(ad.mul(ad.matmul(a, b), Tensor(w))),
-                    {"a": a, "b": b}, rtol=1e-6)
-
-    def test_batched_gradients(self, rng):
-        a = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        c = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
-        check_grads(lambda: total_sum(ad.matmul(ad.matmul(a, b), c)),
-                    {"a": a, "b": b, "c": c}, rtol=1e-6)
-
-    def test_shape_error_names_both_shapes(self):
-        with pytest.raises(ShapeMismatch, match=r"\[2, 3\].*\[2, 2\]"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+from conftest import check_grads, total_sum, weighted_sum
 
 
 def row_softmax(x, mask=None):
@@ -96,7 +66,7 @@ class TestSoftmaxRows:
         mask = rng.random((2, 5, 5)) < 0.7
         mask[..., 2] = True
         w = rng.standard_normal((2, 5, 5))
-        check_grads(lambda: total_sum(ad.mul(row_softmax(x, mask), Tensor(w))),
+        check_grads(lambda: weighted_sum(row_softmax(x, mask), w),
                     {"x": x})
 
     def test_masked_logit_far_above_the_row_max_stays_zero(self):
@@ -109,7 +79,7 @@ class TestSoftmaxRows:
         upstream[0, 0] = [1.0, 5.0, 2.0]
         with np.errstate(all="raise"):
             out = row_softmax(x, mask)
-            ad.backward(total_sum(ad.mul(out, Tensor(upstream))))
+            ad.backward(weighted_sum(out, upstream))
         e = np.exp(np.array([0.0, 1.0]) - 1.0)
         assert out.data[0, 0].tobytes() == np.array([e[0] / e.sum(), 0.0, e[1] / e.sum()]).tobytes()
         assert np.isfinite(x.grad).all() and x.grad[0, 0, 1] == 0.0
@@ -124,7 +94,9 @@ class TestBackward:
     def test_half_squared_norm_gives_x(self, rng):
         data = rng.standard_normal((4, 3))
         x = Tensor(data.copy(), requires_grad=True)
-        ad.backward(ad.mul(total_sum(ad.mul(x, x)), 0.5))
+        # x · x as one (1, 12) @ (12, 1) product: x reaches the loss twice
+        square = ad.linear(ad.reshape(x, (1, 12)), ad.reshape(x, (12, 1)), Tensor(np.zeros(1)))
+        ad.backward(ad.mul(total_sum(square), 0.5))
         np.testing.assert_allclose(x.grad, data, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
@@ -145,7 +117,7 @@ class TestBackward:
         closure = out._backward
         out._backward = lambda g: (seen.append(g), closure(g))
         upstream = rng.standard_normal((2, 3))
-        ad.backward(weighted_loss(out, upstream))
+        ad.backward(weighted_sum(out, upstream))
         assert a.grad.tobytes() == b.grad.tobytes() == upstream.tobytes()
         assert np.shares_memory(b.grad, seen[0])  # adopted, not copied
         assert not np.shares_memory(a.grad, seen[0])
@@ -153,7 +125,7 @@ class TestBackward:
     def test_first_gradient_is_an_owned_copy(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
         g = np.arange(6.0).reshape(3, 2)
-        ad._accumulate(x, g.T)  # a view, as transpose's backward passes
+        ad._accumulate(x, g.T)  # a view of an array the caller keeps
         g[:] = -1.0
         ad._accumulate(x, np.ones((2, 3)))
         np.testing.assert_array_equal(x.grad, np.arange(6.0).reshape(3, 2).T + 1.0)
@@ -182,7 +154,7 @@ class TestBackward:
             r = np.random.default_rng(7)
             x = Tensor(r.standard_normal((8, 8)), requires_grad=True)
             w = Tensor(r.standard_normal((8, 8)), requires_grad=True)
-            loss = total_sum(ad.tanh(ad.matmul(x, w)))
+            loss = total_sum(ad.tanh(ad.linear(x, w, Tensor(np.zeros(8)))))
             ad.backward(loss)
             return loss.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
@@ -207,15 +179,15 @@ class TestBackward:
     def test_leaf_grad_sums_over_separate_passes(self):
         w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         ad.backward(total_sum(ad.mul(w, 3.0)))
-        ad.backward(total_sum(ad.mul(w, w)))
+        ad.backward(weighted_sum(w, 2.0 * w.data))
         np.testing.assert_array_equal(w.grad, 3.0 + 2.0 * w.data)
 
     def test_no_interior_node_keeps_a_grad(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        h = ad.matmul(x, w)
+        h = ad.linear(x, w, Tensor(np.zeros(2)))
         a = ad.tanh(h)
-        loss = total_sum(ad.mul(a, a))
+        loss = weighted_sum(a, rng.standard_normal((3, 2)))
         ad.backward(loss)
         assert [t.grad for t in (h, a, loss)] == [None, None, None]
         assert x.grad is not None and w.grad is not None
@@ -260,7 +232,7 @@ class TestNoGrad:
         w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
 
         def forward():
-            h = ad.matmul(x, w)
+            h = ad.linear(x, w, Tensor(np.zeros(3)))
             return ad.cosine_info_nce(ad.tanh(h), h, 0.5, symmetric=True).data.tobytes()
 
         recorded = forward()
@@ -291,13 +263,13 @@ class TestElementwiseGradients:
         # softplus and negation live inside sampled_bce: test_sum_axis_gradient
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = rng.standard_normal((3, 4))
-        check_grads(lambda: total_sum(ad.mul(ad.tanh(x), Tensor(w))), {"x": x})
+        check_grads(lambda: weighted_sum(ad.tanh(x), w), {"x": x})
 
     def test_relu_away_from_kink(self, rng):
         data = rng.uniform(0.05, 1.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
         x = Tensor(data, requires_grad=True)
         w = rng.standard_normal((3, 4))
-        check_grads(lambda: total_sum(ad.mul(ad.relu(x), Tensor(w))), {"x": x})
+        check_grads(lambda: weighted_sum(ad.relu(x), w), {"x": x})
 
     def test_add_broadcast_bias(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
@@ -306,10 +278,9 @@ class TestElementwiseGradients:
         check_grads(lambda: total_sum(ad.add(ad.add(x, b), p)),
                     {"x": x, "b": b, "p": p}, rtol=1e-6)
 
-    def test_mul_broadcast_and_scalar_tensor(self, rng):
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        s = Tensor(np.array(0.7), requires_grad=True)
-        check_grads(lambda: total_sum(ad.mul(x, s)), {"x": x, "s": s}, rtol=1e-6)
+    def test_mul_takes_a_number_only(self):
+        with pytest.raises(TypeError):
+            ad.mul(Tensor(np.ones(3)), Tensor(np.ones(3)))
 
     def test_incompatible_shapes_raise(self):
         with pytest.raises(ShapeMismatch):
@@ -397,7 +368,7 @@ class TestIndexingOps:
         table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         ids = np.array([0, 2, 2, 4])
         w = rng.standard_normal((4, 3))
-        check_grads(lambda: total_sum(ad.mul(ad.gather(table, ids), Tensor(w))),
+        check_grads(lambda: weighted_sum(ad.gather(table, ids), w),
                     {"table": table}, rtol=1e-6)
 
     def test_select_positions(self, rng):
@@ -412,7 +383,7 @@ class TestIndexingOps:
         w = rng.standard_normal((3, 1, 4))
         out = ad.reshape(x, (3, 1, 4))
         np.testing.assert_array_equal(out.data[:, 0], x.data)
-        check_grads(lambda: total_sum(ad.mul(ad.reshape(x, (3, 1, 4)), Tensor(w))),
+        check_grads(lambda: weighted_sum(ad.reshape(x, (3, 1, 4)), w),
                     {"x": x}, rtol=1e-6)
         with pytest.raises(ShapeMismatch, match=r"\[3, 4\] does not fit \[3, 5\]"):
             ad.reshape(x, (3, 5))
@@ -425,8 +396,7 @@ class TestAttention:
         q, k, v = (Tensor(rng.standard_normal((2, 4, 6)), requires_grad=True) for _ in range(3))
         rel_pe = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
         w = rng.standard_normal((2, 4, 6))
-        check_grads(lambda: total_sum(ad.mul(ad.attention(q, k, v, mask, 2, 0.5, rel_pe),
-                                                Tensor(w))),
+        check_grads(lambda: weighted_sum(ad.attention(q, k, v, mask, 2, 0.5, rel_pe), w),
                     {"q": q, "k": k, "v": v, "rel_pe": rel_pe}, rtol=1e-6)
 
     @pytest.mark.parametrize("rows", [[[0], [2]], [[0, 3], [1, 2]]])
@@ -448,8 +418,7 @@ class TestAttention:
         w = rng.standard_normal((2, m, 6))
         out = ad.attention(q, k, v, mask, 2, 0.5, rel_pe)
         assert out.shape == (2, m, 6)
-        check_grads(lambda: total_sum(ad.mul(ad.attention(q, k, v, mask, 2, 0.5, rel_pe),
-                                                Tensor(w))),
+        check_grads(lambda: weighted_sum(ad.attention(q, k, v, mask, 2, 0.5, rel_pe), w),
                     tensors, rtol=1e-6)
 
     def test_query_rows_are_rows_of_full_attention(self, rng):
@@ -519,7 +488,7 @@ class TestStructuredOps:
         g = Tensor(rng.uniform(0.5, 1.5, 6), requires_grad=True)
         b = Tensor(rng.standard_normal(6), requires_grad=True)
         w = rng.standard_normal((3, 6))
-        check_grads(lambda: total_sum(ad.mul(ad.layer_norm(x, g, b), Tensor(w))),
+        check_grads(lambda: weighted_sum(ad.layer_norm(x, g, b), w),
                     {"x": x, "g": g, "b": b})
 
     def test_dropout_identity_when_disabled(self, rng):
@@ -537,7 +506,7 @@ class TestStructuredOps:
         w = rng.standard_normal((5, 7))
         drawn = np.random.default_rng(41)
         out = ad.dropout(x, 0.3, drawn)
-        ad.backward(total_sum(ad.mul(out, Tensor(w))))
+        ad.backward(weighted_sum(out, w))
         reference = np.random.default_rng(41)
         keep = (reference.random(x.shape) >= 0.3) / (1.0 - 0.3)
         assert out.data.tobytes() == (x.data * keep).tobytes()
@@ -568,21 +537,10 @@ class TestStructuredOps:
                     {"hidden": hidden, "positive": positive, "negative": negative})
         assert not positive.grad[0, 1].any() and not negative.grad[1, 2].any()
 
-    def test_transpose_gradient(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        w = rng.standard_normal((2, 4, 3))
-        check_grads(lambda: total_sum(ad.mul(ad.transpose(x), Tensor(w))),
-                    {"x": x}, rtol=1e-6)
-
 
 # ---------------------------------------------------------------------------
 # the allocation-lean ops against the formulas they replaced, bit for bit
 # ---------------------------------------------------------------------------
-
-def weighted_loss(out, upstream):
-    """sum(out * upstream): the gradient that reaches ``out`` is ``upstream``."""
-    return total_sum(ad.mul(out, Tensor(upstream)))
-
 
 def leaves(*arrays):
     return [Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -744,14 +702,16 @@ class TestBitwiseAgainstOldFormulas:
         upstream = rng.standard_normal(x_shape[:-1] + (3,))
         x, w, b = leaves(x0, w0, b0)
         out = ad.linear(x, w, b)
-        ad.backward(weighted_loss(out, upstream))
-        rx, rw, rb = leaves(x0, w0, b0)
-        ref = ad.add(ad.matmul(rx, rw), rb)
-        ad.backward(weighted_loss(ref, upstream))
+        ad.backward(weighted_sum(out, upstream))
+        # the deleted matmul and add nodes, forward and backward
+        ref = x0 @ w0 + b0
+        d_x = upstream @ np.swapaxes(w0, -1, -2)
+        d_w = x0.reshape(-1, 5).T @ upstream.reshape(-1, 3)
+        d_b = upstream.sum(axis=tuple(range(upstream.ndim - 1)))
         assert out.op == "linear"
-        assert out.data.tobytes() == ref.data.tobytes()
-        for got, want in ((x, rx), (w, rw), (b, rb)):
-            assert got.grad.tobytes() == want.grad.tobytes()
+        assert out.data.tobytes() == ref.tobytes()
+        for got, want in ((x, d_x), (w, d_w), (b, d_b)):
+            assert got.grad.tobytes() == want.tobytes()
 
     def test_linear_shape_error_names_the_shapes(self):
         with pytest.raises(ShapeMismatch, match=r"linear: \[2, 3\] x \[3, 4\] \+ \[3\]"):
@@ -763,7 +723,7 @@ class TestBitwiseAgainstOldFormulas:
         upstream = rng.standard_normal((6, 5, 8))
         x, gain, bias = leaves(x0, g0, b0)
         out = ad.layer_norm(x, gain, bias, 1e-8)
-        ad.backward(weighted_loss(out, upstream))
+        ad.backward(weighted_sum(out, upstream))
         want = layer_norm_reference(x0, g0, b0, 1e-8, upstream)
         for got, ref in zip((out.data, x.grad, gain.grad, bias.grad), want):
             assert got.tobytes() == ref.tobytes()
@@ -777,7 +737,7 @@ class TestBitwiseAgainstOldFormulas:
         upstream = rng.standard_normal((3, 6, 6))
         (x,) = leaves(x0)
         out = row_softmax(x, mask)
-        ad.backward(weighted_loss(out, upstream))
+        ad.backward(weighted_sum(out, upstream))
         want_out, want_dx = softmax_rows_reference(x0, mask, upstream)
         assert out.data.tobytes() == want_out.tobytes()
         assert x.grad.tobytes() == want_dx.tobytes()
@@ -795,7 +755,7 @@ class TestBitwiseAgainstOldFormulas:
         q, k, v = leaves(q0, k0, v0)
         rel_pe = Tensor(rel0.copy(), requires_grad=True) if with_rel_pe else None
         out = ad.attention(q, k, v, mask, 4, 0.5, rel_pe)
-        ad.backward(weighted_loss(out, upstream))
+        ad.backward(weighted_sum(out, upstream))
         want_out, want_grads, want_rel = attention_reference(
             q0, k0, v0, mask, 4, 0.5, rel0, upstream)
         assert out.data.tobytes() == want_out.tobytes()
@@ -817,7 +777,7 @@ class TestBitwiseAgainstOldFormulas:
         q, k, v = leaves(q0, k0, v0)
         rel_pe = Tensor(rel0.copy(), requires_grad=True) if with_rel_pe else None
         out = ad.attention(q, k, v, mask, heads, scale, rel_pe)
-        ad.backward(weighted_loss(out, upstream))
+        ad.backward(weighted_sum(out, upstream))
         want_out, want_grads, want_rel = attention_reference(
             q0, k0, v0, mask, heads, scale, rel0, upstream)
         assert out.op == "attention"
@@ -877,8 +837,8 @@ class TestBitwiseAgainstOldFormulas:
         ids_b = np.array([1, 1, 7, 3])
         u_a, u_b = rng.standard_normal((2, 4, 4)), rng.standard_normal((4, 4))
         (table,) = leaves(rng.standard_normal((9, 4)))
-        loss = ad.add(weighted_loss(ad.gather(table, ids_a), u_a),
-                      weighted_loss(ad.gather(table, ids_b), u_b))
+        loss = ad.add(weighted_sum(ad.gather(table, ids_a), u_a),
+                      weighted_sum(ad.gather(table, ids_b), u_b))
         ad.backward(loss)
         want = gather_backward_reference(9, ids_a, u_a) + gather_backward_reference(9, ids_b, u_b)
         assert table.grad.tobytes() == want.tobytes()
@@ -892,7 +852,7 @@ class TestBitwiseAgainstOldFormulas:
         earlier = rng.standard_normal((6, 3))
         earlier[[0, 5]] = -0.0
         table.grad = earlier.copy()
-        ad.backward(weighted_loss(ad.gather(table, ids), upstream))
+        ad.backward(weighted_sum(ad.gather(table, ids), upstream))
         dense = earlier + gather_backward_reference(6, ids, upstream)
         touched = [2, 4]
         untouched = [0, 1, 3, 5]

@@ -50,6 +50,19 @@ class TestSynth:
             for a, b in zip(seq.items, seq.items[1:]):
                 assert b == a % 7 + 1
 
+    @pytest.mark.parametrize("flag, value", [("--users", "0"), ("--items", "0"),
+                                             ("--order", "0"), ("--seq-len", "0"),
+                                             ("--noise", "1.5"), ("--noise", "nan"),
+                                             ("--seed", "-1")])
+    def test_out_of_range_flag_is_a_usage_error_naming_it(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "log.tsv"
+        assert main(["synth", "--out", str(path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} must" in err
+        others = {"--users", "--items", "--order", "--seq-len", "--noise", "--seed"} - {flag}
+        assert not any(other in err for other in others)
+        assert not path.exists()
+
 
 class TestTrain:
     def test_missing_dataset_is_usage_error(self, capsys, tmp_path):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphseqrec import autodiff as ad
 from graphseqrec import collab
+
 from graphseqrec.autodiff import DegenerateRow, Tensor
 from graphseqrec.data import ItemSequence
-from graphseqrec.graph import build_transition_graph
+from graphseqrec.graph import TransitionGraph, build_transition_graph
 
-from conftest import check_grads, total_sum
+from conftest import check_grads, weighted_sum
 
 
 def self_loop_graph(num_items):
@@ -46,25 +48,25 @@ class TestPropagateOriginal:
     def test_identity_graph_two_layers_gives_three_halves(self, rng):
         graph = self_loop_graph(5)
         emb = Tensor(zero_pad_rows(rng, (6, 3)))
-        out = collab.propagate_original(graph, emb, layers=2)
+        out = collab.propagate(graph, emb, layers=2)
         np.testing.assert_allclose(out.data, 1.5 * emb.data, atol=1e-14)
 
     def test_identity_graph_one_layer_doubles(self, rng):
         graph = self_loop_graph(4)
         emb = Tensor(zero_pad_rows(rng, (5, 2)))
-        out = collab.propagate_original(graph, emb, layers=1)
+        out = collab.propagate(graph, emb, layers=1)
         np.testing.assert_allclose(out.data, 2.0 * emb.data, atol=1e-14)
 
     def test_conventional_average_flag(self, rng):
         graph = self_loop_graph(5)
         emb = Tensor(zero_pad_rows(rng, (6, 3)))
-        out = collab.propagate_original(graph, emb, layers=2, literal_layer_avg=False)
+        out = collab.propagate(graph, emb, layers=2, literal_layer_avg=False)
         np.testing.assert_allclose(out.data, emb.data, atol=1e-14)
 
     def test_matches_dense_reference_loop(self, rng):
         graph = random_graph(rng, 10)
         emb = zero_pad_rows(rng, (11, 4))
-        out = collab.propagate_original(graph, Tensor(emb), layers=3)
+        out = collab.propagate(graph, Tensor(emb), layers=3)
         dense = graph.dense()
         current, acc = emb.copy(), emb.copy()
         for _ in range(3):
@@ -74,7 +76,7 @@ class TestPropagateOriginal:
 
     def test_layer_validation(self, rng):
         with pytest.raises(ValueError):
-            collab.propagate_original(self_loop_graph(3), Tensor(np.zeros((4, 2))), layers=0)
+            collab.propagate(self_loop_graph(3), Tensor(np.zeros((4, 2))), layers=0)
 
 
 class TestPropagateRefined:
@@ -82,15 +84,15 @@ class TestPropagateRefined:
         graph = random_graph(rng, 8)
         emb = Tensor(zero_pad_rows(rng, (9, 3)))
         factors = collab.init_factors(rng, 9, rank=2, strength=0.0)
-        refined = collab.propagate_refined(graph, emb, factors, layers=2)
-        original = collab.propagate_original(graph, emb, layers=2)
+        refined = collab.propagate(graph, emb, 2, factors)
+        original = collab.propagate(graph, emb, layers=2)
         assert refined.data.tobytes() == original.data.tobytes()
 
     def test_factored_path_matches_dense_materialization(self, rng):
         graph = random_graph(rng, 6, num_seqs=12, max_len=6)
         emb = zero_pad_rows(rng, (7, 3))
         factors = collab.init_factors(rng, 7, rank=2, strength=0.3)
-        out = collab.propagate_refined(graph, Tensor(emb), factors, layers=2)
+        out = collab.propagate(graph, Tensor(emb), 2, factors)
         oracle = dense_refined_reference(graph.dense(), emb, factors.left.data,
                                          factors.right.data, 0.3, layers=2)
         assert np.abs(out.data - oracle).max() < 1e-10
@@ -102,20 +104,30 @@ class TestPropagateRefined:
         w = rng.standard_normal((6, 3))
 
         def loss():
-            out = collab.propagate_refined(graph, emb, factors, layers=2)
-            return total_sum(ad.mul(out, Tensor(w)))
+            return weighted_sum(collab.propagate(graph, emb, 2, factors), w)
 
         check_grads(loss, {"emb": emb, "left": factors.left, "right": factors.right})
+
+    def test_asymmetric_graph_gradients_match_finite_differences(self, rng):
+        # a symmetric graph hides a backward that forgets the transpose
+        matrix = sp.random(7, 7, density=0.4, random_state=5, format="csr")
+        assert (matrix != matrix.T).nnz
+        graph = TransitionGraph(matrix)
+        emb = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        factors = collab.init_factors(rng, 7, rank=2, strength=0.4)
+        w = rng.standard_normal((7, 3))
+        check_grads(lambda: weighted_sum(collab.propagate(graph, emb, 2, factors), w),
+                    {"emb": emb, "left": factors.left, "right": factors.right})
 
     def test_factor_scaling_is_quadratic(self, rng):
         graph = random_graph(rng, 6)
         emb = Tensor(zero_pad_rows(rng, (7, 3)))
         factors = collab.init_factors(rng, 7, rank=2, strength=1.0)
-        base = collab.propagate_original(graph, emb, layers=1).data
-        one = collab.propagate_refined(graph, emb, factors, layers=1).data - base
+        base = collab.propagate(graph, emb, layers=1).data
+        one = collab.propagate(graph, emb, 1, factors).data - base
         scaled = collab.PerturbationFactors(
             Tensor(3.0 * factors.left.data), Tensor(3.0 * factors.right.data), 1.0)
-        nine = collab.propagate_refined(graph, emb, scaled, layers=1).data - base
+        nine = collab.propagate(graph, emb, 1, scaled).data - base
         np.testing.assert_allclose(nine, 9.0 * one, rtol=1e-9)
 
     def test_init_statistics_and_padding_row(self, rng):
@@ -126,6 +138,121 @@ class TestPropagateRefined:
         assert abs(factors.left.data[1:].std() - expected_std) < 0.2 * expected_std
         with pytest.raises(ValueError):
             collab.init_factors(rng, 10, rank=0, strength=0.1)
+
+
+def chain_reference(matrix, emb, left, right, alpha, layers, literal_avg, g, emb_grad=None):
+    """The deleted chain of spmv, transpose, matmul, mul and add nodes in
+    plain numpy: its forward, then each node's backward in the order the tape
+    ran them, with the copies the nodes made.  ``emb_grad`` is a gradient
+    that ``emb`` held before.  Returns the output and the gradients of
+    ``emb``, ``left`` and ``right`` (None for the factors at zero strength)."""
+    refine = alpha != 0.0
+    divisor = layers if literal_avg else layers + 1
+    if refine:
+        prop_left = matrix @ left
+        prop_right_t = np.swapaxes(matrix @ right, -1, -2)
+    current, acc, inputs, mixed = emb, emb, [], []
+    for _ in range(layers):
+        nxt = matrix @ current
+        if refine:
+            inputs.append(current)
+            mixed.append(prop_right_t @ current)
+            nxt = nxt + (prop_left @ mixed[-1]) * alpha
+        current = nxt
+        acc = acc + current
+    out = acc * (1.0 / divisor)
+
+    grad = g * (1.0 / divisor)  # the final mul
+    # the layer sums, last first: emb and every layer output get grad
+    grads = [grad.copy() if emb_grad is None else emb_grad + grad]
+    grads += [grad.copy() for _ in range(layers)]
+    d_prop_left = d_prop_right_t = None
+    for k in range(layers, 0, -1):
+        grads[k - 1] = grads[k - 1] + matrix.T @ grads[k]  # spmv
+        if refine:
+            p = grads[k] * alpha  # the layer's add hands grads[k] to the mul
+            term = p @ np.swapaxes(mixed[k - 1], -1, -2)  # matmul, left operand
+            d_prop_left = term if d_prop_left is None else d_prop_left + term
+            d_mixed = np.swapaxes(prop_left, -1, -2) @ p  # matmul, right operand
+            term = d_mixed @ np.swapaxes(inputs[k - 1], -1, -2)  # matmul, left operand
+            d_prop_right_t = term if d_prop_right_t is None else d_prop_right_t + term
+            grads[k - 1] = grads[k - 1] + np.swapaxes(prop_right_t, -1, -2) @ d_mixed
+    if not refine:
+        return out, grads[0], None, None
+    d_left = matrix.T @ d_prop_left  # spmv
+    d_right = matrix.T @ np.swapaxes(d_prop_right_t, -1, -2).copy()  # transpose, spmv
+    return out, grads[0], d_left, d_right
+
+
+class TestPropagateAgainstTheChain:
+    """``propagate`` against the chain of nodes it replaced, bit for bit."""
+
+    def case(self, rng, alpha, nodes=30, dim=5, rank=3):
+        graph = random_graph(rng, nodes - 1, num_seqs=40, max_len=8)
+        emb = zero_pad_rows(rng, (nodes, dim))
+        factors = collab.init_factors(rng, nodes, rank, alpha)
+        factors.left.data = rng.standard_normal((nodes, rank))
+        factors.right.data = rng.standard_normal((nodes, rank))
+        return graph, emb, factors, rng.standard_normal((nodes, dim))
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("literal_avg", [True, False])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("earlier_grad", [False, True])
+    def test_one_representation(self, rng, layers, literal_avg, alpha, earlier_grad):
+        graph, emb0, factors, upstream = self.case(rng, alpha)
+        earlier = rng.standard_normal(emb0.shape) if earlier_grad else None
+        emb = Tensor(emb0.copy(), requires_grad=True)
+        emb.grad = None if earlier is None else earlier.copy()
+        out = collab.propagate(graph, emb, layers, factors, literal_avg)
+        assert out.op == "propagate"
+        ad.backward(weighted_sum(out, upstream))
+        want = chain_reference(graph.matrix, emb0, factors.left.data, factors.right.data,
+                               alpha, layers, literal_avg, upstream, earlier)
+        assert out.data.tobytes() == want[0].tobytes()
+        assert emb.grad.tobytes() == want[1].tobytes()
+        for got, ref in zip((factors.left.grad, factors.right.grad), want[2:]):
+            if ref is None:  # zero strength: the factors get no gradient
+                assert got is None
+            else:
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("passed_factors", [False, True])
+    def test_both_representations_share_the_first_product(self, rng, layers, passed_factors):
+        # the original node runs first, as gce_loss's anchors come first
+        graph, emb0, factors, upstream = self.case(rng, 0.3)
+        other = rng.standard_normal(emb0.shape)
+        earlier = rng.standard_normal(emb0.shape)
+        emb = Tensor(emb0.copy(), requires_grad=True)
+        emb.grad = earlier.copy()
+        perturbation = collab.detached_perturbation(graph, factors) if passed_factors else None
+        reps = collab.graph_representations(graph, emb, factors, layers,
+                                            perturbation=perturbation)
+        assert reps.original.op == reps.refined.op == "propagate"
+        ad.backward(ad.add(weighted_sum(reps.original, upstream),
+                           weighted_sum(reps.refined, other)))
+        original = chain_reference(graph.matrix, emb0, None, None, 0.0, layers, True,
+                                   upstream, earlier)
+        refined = chain_reference(graph.matrix, emb0, factors.left.data, factors.right.data,
+                                  0.3, layers, True, other, original[1])
+        assert reps.original.data.tobytes() == original[0].tobytes()
+        assert reps.refined.data.tobytes() == refined[0].tobytes()
+        for got, want in zip((emb.grad, factors.left.grad, factors.right.grad), refined[1:]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_tape_node_per_representation(self, rng):
+        graph, emb0, factors, upstream = self.case(rng, 0.3)
+        emb = Tensor(emb0, requires_grad=True)
+        reps = collab.graph_representations(graph, emb, factors, 3)
+        loss = ad.add(weighted_sum(reps.original, upstream), weighted_sum(reps.refined, upstream))
+        nodes, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if node.op != "leaf" and id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(node._parents)
+        assert len(nodes) == 5  # add, two weighted sums, two propagations
 
 
 class TestGceLoss:

@@ -8,7 +8,7 @@ from graphseqrec import encoder as enc
 from graphseqrec.autodiff import Tensor
 from graphseqrec.config import ModelConfig
 
-from conftest import check_grads, total_sum
+from conftest import check_grads, weighted_sum
 
 
 def make_params(rng, num_items=9, num_users=4, dim=4, max_len=5, heads=2, layers=2):
@@ -147,7 +147,7 @@ class TestPgeEncoding:
 
         def loss():
             rel = enc.pge_encoding(params, users, subgraphs)
-            return total_sum(ad.mul(enc.encode(params, cfg, seqs, rel), Tensor(w)))
+            return weighted_sum(enc.encode(params, cfg, seqs, rel), w)
 
         check_grads(loss, {"user_emb": params["user_emb"],
                            "pge_w1": params["pge_w1"],
@@ -239,7 +239,7 @@ class TestReadout:
             rel = enc.pge_encoding(params, users, subgraphs)
             out = enc.encode(params, cfg, seqs, rel, np.random.default_rng(3),
                              enc.last_real_position(seqs))
-            return total_sum(ad.mul(out, Tensor(w)))
+            return weighted_sum(out, w)
 
         check_grads(loss, {name: params[name] for name in
                            ("item_emb", "layer0.attn_key_w", "layer1.attn_query_w",

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphseqrec import autodiff as ad
 from graphseqrec import graph as gr
-from graphseqrec.autodiff import ShapeMismatch, Tensor
+from graphseqrec.autodiff import ShapeMismatch
 from graphseqrec.data import ItemSequence
-
-from conftest import check_grads, total_sum
 
 
 def brute_force_weights(sequences, window):
@@ -157,35 +154,19 @@ class TestSpmv:
         graph = gr.build_transition_graph(seqs, window=2, num_items=6)
         x = rng.standard_normal((7, 3))
         x[0] = 0.0  # padding row carries no self-loop
-        np.testing.assert_array_equal(graph.spmv(Tensor(x)).data, x)
+        np.testing.assert_array_equal(graph.spmv(x), x)
 
     def test_matches_dense_matmul(self, rng):
         seqs = random_sequences(rng, 12, 8)
         graph = gr.build_transition_graph(seqs, window=2, num_items=8)
         x = rng.standard_normal((9, 4))
-        np.testing.assert_allclose(graph.spmv(Tensor(x)).data, graph.dense() @ x,
+        np.testing.assert_allclose(graph.spmv(x), graph.dense() @ x,
                                    atol=1e-12)
-
-    def test_gradient_matches_finite_differences(self, rng):
-        seqs = random_sequences(rng, 10, 6)
-        graph = gr.build_transition_graph(seqs, window=2, num_items=6)
-        x = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
-        w = rng.standard_normal((7, 3))
-        check_grads(lambda: total_sum(ad.mul(graph.spmv(x), Tensor(w))), {"x": x})
-
-    def test_asymmetric_gradient_matches_finite_differences(self, rng):
-        # a symmetric graph hides a backward that forgets the transpose
-        matrix = sp.random(7, 7, density=0.4, random_state=5, format="csr")
-        assert (matrix != matrix.T).nnz
-        graph = gr.TransitionGraph(matrix)
-        x = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
-        w = rng.standard_normal((7, 3))
-        check_grads(lambda: total_sum(ad.mul(graph.spmv(x), Tensor(w))), {"x": x})
 
     def test_shape_mismatch(self, rng):
         graph = gr.build_transition_graph([ItemSequence(0, [1, 2])], window=2, num_items=2)
         with pytest.raises(ShapeMismatch, match=r"3x3"):
-            graph.spmv(Tensor(np.zeros((5, 2))))
+            graph.spmv(np.zeros((5, 2)))
 
 
 def per_row_reference(graph, seqs, perturbation=None):

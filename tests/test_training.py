@@ -14,7 +14,7 @@ from graphseqrec.training import (TrainConfig, assemble_batch, evaluate_model,
                                   next_item_loss, seq_cl_loss, total_loss, train,
                                   train_step, variant_config)
 
-from conftest import check_grads, total_sum
+from conftest import check_grads, total_sum, weighted_sum
 
 
 def tiny_dataset(users=40, items=25, seq_len=8, seed=0, noise=0.3):
@@ -127,10 +127,11 @@ class TestTotalLoss:
 
     def test_weighted_sum_gradient(self, rng):
         x = Tensor(rng.standard_normal(4), requires_grad=True)
+        w = rng.standard_normal(4)
 
         def loss():
-            rec = total_sum(ad.mul(x, x))
-            gce = total_sum(ad.mul(ad.tanh(x), x))
+            rec = weighted_sum(x, w)
+            gce = weighted_sum(ad.tanh(x), w[::-1])
             seq = total_sum(ad.tanh(x))
             return total_loss(rec, gce, seq, lambda1=0.3, lambda2=0.7)
 
