@@ -12,9 +12,9 @@ self-supervised terms, with leave-one-out full-ranking evaluation.
 from .autodiff import DegenerateRow, ShapeMismatch, Tensor, backward
 from .collab import (GraphRepresentations, PerturbationFactors, batch_rows,
                      gce_loss, graph_representations, init_factors, propagate)
-from .data import (Interaction, ItemSequence, SplitDataset, augment,
-                   augment_pair, build_sequences, ingest, leave_one_out,
-                   pad_sequence, synth_generate)
+from .data import (ItemSequence, SplitDataset, augment, augment_pair,
+                   build_sequences, ingest, leave_one_out, pad_sequence,
+                   synth_generate)
 from .evaluation import (MetricsReport, SpectrumReport, hr_ndcg,
                          popularity_ranks, spectrum)
 from .graph import SubgraphPerturbation, TransitionGraph, build_transition_graph

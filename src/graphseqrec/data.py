@@ -1,10 +1,17 @@
 """Interaction logs, per-user sequences, leave-one-out splits, padding, the
 crop/mask/reorder augmentations, and planted-structure synthetic logs.
 
-Input format: UTF-8 text, one interaction per line, tab- or comma-separated
-``user_id item_id timestamp`` (all integers).  Lines starting with ``#`` are
-comments.  Item id 0 is reserved for padding/masking, so ingestion remaps
-surviving items densely starting at 1 and users starting at 0.
+Input format: UTF-8 text, one ``user_id item_id timestamp`` interaction per
+line, the three fields separated by a tab or a comma.  A line ends at
+``\n``, ``\r\n`` or a lone ``\r``, and is stripped of surrounding
+whitespace.  A line then empty, or starting with ``#``, is skipped: ``#``
+starts a comment only at the start of a line.  Every other line must be
+ASCII and hold exactly three fields, each an optional sign and ASCII
+digits with optional ASCII whitespace around them, in int64 range.
+Anything else is a ``ParseError`` naming ``path:line``, with lines counted
+from 1 through comments and blanks.  Item id 0 is reserved for
+padding/masking, so ingestion remaps surviving items densely starting at 1
+and users starting at 0.
 Augmentations take and return plain item lists; a training batch's
 negatives are drawn in ``training.assemble_batch``.
 """
@@ -12,8 +19,9 @@ negatives are drawn in ``training.assemble_batch``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -31,13 +39,6 @@ class EmptyDataset(ValueError):
 
 class SequenceTooShort(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Interaction:
-    user_id: int
-    item_id: int
-    timestamp: int
 
 
 @dataclass
@@ -67,71 +68,106 @@ class SplitDataset:
         return len(self.users)
 
 
-def parse_interactions(path, delimiter: str = "\t") -> List[Interaction]:
-    out: List[Interaction] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(delimiter)
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
-            try:
-                user, item, ts = (int(f) for f in fields)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer field in {fields!r}") from None
-            out.append(Interaction(user, item, ts))
-    return out
+# one field of a data line: an optional sign and ASCII digits, with optional
+# ASCII whitespace around them (line ends excluded, as they never occur inside
+# a line); on ASCII lines this is exactly what ``np.loadtxt`` parses as int64
+_FIELD = re.compile(r"[ \t\x0b\x0c\x1c-\x1f]*[+-]?[0-9]+[ \t\x0b\x0c\x1c-\x1f]*")
 
 
-def write_interactions(path, interactions: Iterable[Interaction], delimiter: str = "\t") -> None:
+def _split_lines(text: str) -> List[str]:
+    """Lines as text mode reads them: ``\\r\\n`` and a lone ``\\r`` end a line too."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _read_events(path, delimiter: str) -> np.ndarray:
+    """The log at ``path`` as an (n, 3) int64 array of (user, item, timestamp)
+    rows in file order, parsed by one ``np.loadtxt`` call over its data lines."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # everything before the first bad byte decodes
+        lineno = len(_split_lines(raw[:exc.start].decode("utf-8")))
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text "
+                         f"({exc.reason} at byte {exc.start})") from None
+    lines = _split_lines(text)
+    kept = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    if not kept:
+        return np.empty((0, 3), dtype=np.int64)
+    # loadtxt reads some non-ASCII letters as digits, so it only sees ASCII;
+    # comments=None, as its comment marker would also cut a line mid-way
+    events = None
+    if "".join(kept).isascii():
+        try:
+            events = np.loadtxt(kept, dtype=np.int64, delimiter=delimiter, comments=None,
+                                ndmin=2)
+        except ValueError:
+            pass
+    # a log whose lines all hold 2 (or 4) fields loads without an error
+    if events is None or events.shape[1] != 3:
+        raise _first_fault(path, lines, delimiter)
+    return events
+
+
+def _first_fault(path, lines: Sequence[str], delimiter: str) -> ParseError:
+    """The error naming the first data line, in file order, that is not three
+    int64 fields.  It accepts exactly what ``_read_events`` does, so it is
+    only called once the fast parse has failed, and always finds a line."""
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
+        if not line or line[0] == "#":
+            continue
+        fields = line.split(delimiter)
+        if len(fields) != 3:
+            return ParseError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+        if not all(_FIELD.fullmatch(f) for f in fields):
+            return ParseError(f"{path}:{lineno}: non-integer field in {fields!r}")
+        if not all(-2 ** 63 <= int(f.strip()) < 2 ** 63 for f in fields):
+            return ParseError(f"{path}:{lineno}: field outside int64 in {fields!r}")
+    return ParseError(f"{path}: not a log of integer triples")
+
+
+def write_interactions(path, events: np.ndarray, delimiter: str = "\t") -> None:
+    """Write (n, 3) rows of (user, item, timestamp), one line each, as
+    ``ingest`` reads them."""
     with atomic_open(path) as fh:
-        for it in interactions:
-            fh.write(f"{it.user_id}{delimiter}{it.item_id}{delimiter}{it.timestamp}\n")
-
-
-def core_filter(interactions: Sequence[Interaction], min_count: int) -> List[Interaction]:
-    """Drop users and items with fewer than min_count events until a fixpoint."""
-    current = list(interactions)
-    while True:
-        user_counts: Dict[int, int] = {}
-        item_counts: Dict[int, int] = {}
-        for it in current:
-            user_counts[it.user_id] = user_counts.get(it.user_id, 0) + 1
-            item_counts[it.item_id] = item_counts.get(it.item_id, 0) + 1
-        kept = [it for it in current
-                if user_counts[it.user_id] >= min_count and item_counts[it.item_id] >= min_count]
-        if len(kept) == len(current):
-            return kept
-        current = kept
+        fh.writelines(f"{user}{delimiter}{item}{delimiter}{ts}\n"
+                      for user, item, ts in events.tolist())
 
 
 def ingest(path, min_count: int, delimiter: str = "\t") -> List[ItemSequence]:
-    """Parse, core-filter, densely remap ids, and group into per-user sequences.
+    """Parse the log at ``path`` and group it with ``build_sequences``."""
+    return build_sequences(_read_events(path, delimiter), min_count)
 
-    Users are renumbered 0..U-1 and items 1..V in ascending original-id
-    order.  Within a user, events sort by timestamp with input order
-    breaking ties (stable).
+
+def build_sequences(events: np.ndarray, min_count: int) -> List[ItemSequence]:
+    """Core-filter an (n, 3) int array of (user, item, timestamp) rows,
+    densely remap ids, and group into per-user sequences.
+
+    The filter drops users and items with fewer than ``min_count`` events
+    until a fixpoint.  Users are renumbered 0..U-1 and items 1..V in
+    ascending original-id order.  Within a user, events sort by timestamp
+    with input order breaking ties (stable).
     """
-    interactions = parse_interactions(path, delimiter=delimiter)
-    return build_sequences(interactions, min_count)
-
-
-def build_sequences(interactions: Sequence[Interaction], min_count: int) -> List[ItemSequence]:
-    kept = core_filter(interactions, min_count)
-    if not kept:
+    # dense indices first: ids may be negative or sparse
+    user_ids, users = np.unique(events[:, 0], return_inverse=True)
+    item_ids, items = np.unique(events[:, 1], return_inverse=True)
+    stamps = events[:, 2]
+    while True:
+        user_counts = np.bincount(users, minlength=len(user_ids))
+        item_counts = np.bincount(items, minlength=len(item_ids))
+        keep = (user_counts[users] >= min_count) & (item_counts[items] >= min_count)
+        if keep.all():
+            break
+        users, items, stamps = users[keep], items[keep], stamps[keep]
+    if not users.size:
         raise EmptyDataset(f"no interactions survive the {min_count}-core filter")
-    user_map = {u: i for i, u in enumerate(sorted({it.user_id for it in kept}))}
-    item_map = {v: i + 1 for i, v in enumerate(sorted({it.item_id for it in kept}))}
-    grouped: Dict[int, List[Interaction]] = {}
-    for it in kept:
-        grouped.setdefault(it.user_id, []).append(it)
-    sequences = []
-    for orig_user in sorted(grouped, key=lambda u: user_map[u]):
-        events = sorted(grouped[orig_user], key=lambda it: it.timestamp)
-        sequences.append(ItemSequence(user_map[orig_user], [item_map[it.item_id] for it in events]))
-    return sequences
+    order = np.lexsort((stamps, users))
+    # the surviving items, counted in id order, are 1..V
+    flat = np.cumsum(item_counts > 0)[items[order]].tolist()
+    ends = np.cumsum(user_counts[user_counts > 0]).tolist()
+    return [ItemSequence(user, flat[start:end])
+            for user, (start, end) in enumerate(zip([0] + ends[:-1], ends))]
 
 
 def num_items_of(sequences: Sequence[ItemSequence]) -> int:
@@ -221,19 +257,27 @@ def pad_sequence(items: Sequence[int], max_len: int) -> np.ndarray:
 
 def synth_generate(num_users: int, num_items: int, markov_order: int = 1,
                    noise: float = 0.0, seed: int = 0,
-                   seq_len: int = 20) -> List[Interaction]:
+                   seq_len: int = 20) -> np.ndarray:
     """Planted-structure log: each user walks a ring over the item set.
 
     With probability 1-noise the next item follows the planted transition
     (successor of the item ``markov_order`` steps back, wrapping at num_items);
     otherwise it is uniform over all items.  Timestamps are the step index.
+    Returns (num_users * seq_len, 3) int64 rows of (user, item, timestamp),
+    user by user.
     """
-    if num_users <= 0 or num_items <= 0 or markov_order <= 0 or seq_len <= 0:
-        raise ValueError("num_users, num_items, markov_order, seq_len must be positive")
+    for name, value in (("num_users", num_users), ("num_items", num_items),
+                        ("markov_order", markov_order), ("seq_len", seq_len)):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise must lie in [0, 1], got {noise}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    log: List[Interaction] = []
+    log = np.empty((num_users, seq_len, 3), dtype=np.int64)
+    log[:, :, 0] = np.arange(num_users)[:, None]
+    log[:, :, 2] = np.arange(seq_len)
     for user in range(num_users):
         items = [int(rng.integers(1, num_items + 1))]
         for t in range(1, seq_len):
@@ -243,5 +287,5 @@ def synth_generate(num_users: int, num_items: int, markov_order: int = 1,
             else:
                 nxt = state % num_items + 1
             items.append(nxt)
-        log.extend(Interaction(user, item, t) for t, item in enumerate(items))
-    return log
+        log[user, :, 1] = items
+    return log.reshape(-1, 3)

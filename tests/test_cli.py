@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -50,6 +51,16 @@ class TestSynth:
             for a, b in zip(seq.items, seq.items[1:]):
                 assert b == a % 7 + 1
 
+    @pytest.mark.parametrize("delimiter, digest", [
+        ("tab", "fb30447d4fb844ffbd01bc0a7ee10d2aee0d0d87fed2558807e88aa1698211b1"),
+        ("comma", "d25ace4adeedf2db45fddce3138ce4fb1342425dfdbcfd0aa68e9b1eb48e0088")])
+    def test_log_bytes_pinned(self, tmp_path, delimiter, digest):
+        # the generator's draws and the line format, at the default noise
+        path = tmp_path / "log.txt"
+        assert main(["synth", "--out", str(path), "--users", "500", "--items", "200",
+                     "--seed", "0", "--delimiter", delimiter]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("flag, value", [("--users", "0"), ("--items", "0"),
                                              ("--order", "0"), ("--seq-len", "0"),
                                              ("--noise", "1.5"), ("--noise", "nan"),
@@ -75,6 +86,14 @@ class TestTrain:
         code = main(["train", "--dataset", "/no/such/file", "--outdir", str(tmp_path / "run")])
         assert code == 2
         assert "--dataset" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_utf8_log_names_path_and_line(self, capsys, tmp_path):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(b"1\t2\t3\n1\t2\xff\t4\n")
+        code = main(["train", "--dataset", str(log), "--outdir", str(tmp_path / "run")])
+        assert code == 1
+        assert f"error: {log}:2: not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_artifacts_written(self, trained):

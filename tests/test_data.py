@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -6,13 +7,16 @@ import pytest
 from scipy import stats
 
 from graphseqrec import data as dp
-from graphseqrec.data import (EmptyDataset, Interaction, ItemSequence, ParseError,
-                              SequenceTooShort)
+from graphseqrec.data import EmptyDataset, ItemSequence, ParseError, SequenceTooShort
 from graphseqrec.training import Batch, TrainConfig, assemble_batch
 
 
 def make_log(rows):
-    return [Interaction(u, v, t) for u, v, t in rows]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def as_pairs(sequences):
+    return [(s.user_id, s.items) for s in sequences]
 
 
 class TestIngest:
@@ -51,28 +55,28 @@ class TestIngest:
             while changed:
                 users = {}
                 items = {}
-                for it in current:
-                    users[it.user_id] = users.get(it.user_id, 0) + 1
-                    items[it.item_id] = items.get(it.item_id, 0) + 1
+                for user, item, _ in current:
+                    users[user] = users.get(user, 0) + 1
+                    items[item] = items.get(item, 0) + 1
                 nxt = [it for it in current
-                       if users[it.user_id] >= min_count and items[it.item_id] >= min_count]
+                       if users[it[0]] >= min_count and items[it[1]] >= min_count]
                 changed = len(nxt) != len(current)
                 current = nxt
             return current
 
         for min_count in (2, 3, 4):
-            assert dp.core_filter(log, min_count) == oracle(log, min_count)
+            assert (as_pairs(dp.build_sequences(log, min_count))
+                    == as_pairs(reference_group(oracle(rows, min_count))))
 
     def test_survivors_satisfy_core_property(self, rng):
-        log = [Interaction(int(rng.integers(0, 30)), int(rng.integers(0, 40)), t)
-               for t in range(600)]
-        kept = dp.core_filter(log, 5)
-        users = {}
+        log = make_log([(int(rng.integers(0, 30)), int(rng.integers(0, 40)), t)
+                        for t in range(600)])
+        seqs = dp.build_sequences(log, 5)
         items = {}
-        for it in kept:
-            users[it.user_id] = users.get(it.user_id, 0) + 1
-            items[it.item_id] = items.get(it.item_id, 0) + 1
-        assert all(c >= 5 for c in users.values())
+        for seq in seqs:
+            for item in seq.items:
+                items[item] = items.get(item, 0) + 1
+        assert all(len(seq) >= 5 for seq in seqs)
         assert all(c >= 5 for c in items.values())
 
     def test_parse_error_reports_line_number(self, tmp_path):
@@ -104,6 +108,200 @@ class TestIngest:
         path.write_text("0,1,0\n0,2,1\n")
         seqs = dp.ingest(path, min_count=1, delimiter=",")
         assert seqs[0].items == [1, 2]
+
+
+class TestParseContract:
+    """The input grammar of the module docstring, line by line."""
+
+    def ingest_text(self, tmp_path, text, delimiter="\t"):
+        path = tmp_path / "log.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return as_pairs(dp.ingest(path, 1, delimiter))
+
+    def parse_error(self, tmp_path, text, delimiter="\t"):
+        with pytest.raises(ParseError) as err:
+            self.ingest_text(tmp_path, text, delimiter)
+        assert str(err.value).startswith(f"{tmp_path / 'log.txt'}:")
+        return str(err.value)
+
+    def test_indented_hash_line_is_a_comment(self, tmp_path):
+        assert self.ingest_text(tmp_path, "  # x\n1\t2\t3\n\t# y\t1\n") == [(0, [1])]
+
+    def test_hash_after_data_is_not_a_comment(self, tmp_path):
+        # loadtxt's comments= would cut the line at '#' and read "3"
+        assert ":2: non-integer field" in self.parse_error(tmp_path, "1\t2\t3\n1\t2\t3#c\n")
+
+    def test_blank_and_whitespace_only_lines_skipped(self, tmp_path):
+        text = "\n1\t2\t3\n   \n\t\n \t \n1\t3\t4\n\n"
+        assert self.ingest_text(tmp_path, text) == [(0, [1, 2])]
+
+    def test_crlf_and_no_trailing_newline(self, tmp_path):
+        want = [(0, [1, 2]), (1, [2])]
+        assert self.ingest_text(tmp_path, "1\t5\t0\r\n1\t6\t1\r\n2\t6\t0\r\n") == want
+        assert self.ingest_text(tmp_path, "1\t5\t0\n1\t6\t1\n2\t6\t0") == want
+        assert self.ingest_text(tmp_path, "1\t5\t0\r1\t6\t1\r2\t6\t0") == want
+
+    def test_line_numbers_count_comments_and_blanks(self, tmp_path):
+        text = "# header\n\n1\t2\t3\n  \n# note\r\n1\t2\n"
+        assert ":6: expected 3 fields, got 2" in self.parse_error(tmp_path, text)
+
+    def test_first_fault_in_file_order_is_named(self, tmp_path):
+        count, integer = "1\t2\n", "1\tx\t3\n"
+        good = "1\t2\t3\n"
+        assert ":2: expected 3 fields" in self.parse_error(tmp_path, good + count + integer)
+        assert ":2: non-integer field" in self.parse_error(tmp_path, good + integer + count)
+
+    def test_every_line_with_two_fields_fails_at_line_one(self, tmp_path):
+        # loadtxt returns an (n, 2) array for this without raising
+        assert ":1: expected 3 fields, got 2" in self.parse_error(tmp_path, "1\t2\n3\t4\n")
+        assert ":1: expected 3 fields, got 4" in self.parse_error(tmp_path, "1\t2\t3\t4\n")
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only\n  # comments\n"])
+    def test_empty_and_all_comment_files(self, tmp_path, text):
+        with pytest.raises(EmptyDataset):
+            self.ingest_text(tmp_path, text)
+
+    def test_comma_delimiter_faults(self, tmp_path):
+        assert self.ingest_text(tmp_path, "1, 2 ,3\n", delimiter=",") == [(0, [1])]
+        assert ":1: expected 3 fields, got 1" in self.parse_error(tmp_path, "1\t2\t3\n", ",")
+
+    def test_signs_and_padding_inside_a_field(self, tmp_path):
+        text = "-7\t+0012\t3\n -7 \t\x0b12\x0c\t-9223372036854775808\n"
+        assert self.ingest_text(tmp_path, text) == [(0, [1, 1])]
+
+    @pytest.mark.parametrize("field", ["5_0", "\u0663", "\uff11", "\u01fe", "\ufeff1", "1\xa0",
+                                       "1.0", "1e3", "0x10", "+-1", "- 1", "1 2",
+                                       "9223372036854775808", "-9223372036854775809"])
+    def test_fields_outside_the_grammar(self, tmp_path, field):
+        # int() took underscores, non-ASCII digits and any size; loadtxt reads
+        # some non-ASCII letters (U+01FE) as digits
+        assert ":2:" in self.parse_error(tmp_path, f"1\t2\t3\n1\t{field}\t3\n")
+
+    def test_scan_names_a_line_whenever_loadtxt_fails(self, tmp_path):
+        rng = np.random.default_rng(0)
+        alphabet = list("0123456789+- .e_x#") + ["\x0b", "\x0c", "\x1c", "\x1f", "\xa0"]
+        grammar = re.compile(r"[ \x0b\x0c\x1c-\x1f]*[+-]?[0-9]+[ \x0b\x0c\x1c-\x1f]*")
+        for _ in range(300):
+            field = "".join(rng.choice(alphabet, int(rng.integers(0, 6))))
+            if rng.random() < 0.2:
+                field += "".join(rng.choice(list("0123456789"), 19))
+            text = f"1\t2\t3\n1\t{field}\t3\n"
+            ok = grammar.fullmatch(field) and -2 ** 63 <= int(field.strip()) < 2 ** 63
+            if ok:
+                want = dp.build_sequences(make_log([(1, 2, 3), (1, int(field.strip()), 3)]), 1)
+                assert self.ingest_text(tmp_path, text) == as_pairs(want), repr(field)
+            else:
+                assert ":2:" in self.parse_error(tmp_path, text), repr(field)
+
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "log.txt"
+        path.write_bytes(b"1\t2\t3\r\n# note\n1\t\xff\t3\n")
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:3: not UTF-8 text"):
+            dp.ingest(path, min_count=1)
+
+
+def reference_parse(path, delimiter="\t"):
+    """The per-line parser ``ingest`` replaced: one ``int()`` per field,
+    returning (user, item, timestamp) tuples."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split(delimiter)
+            if len(fields) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+            try:
+                user, item, ts = (int(f) for f in fields)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-integer field in {fields!r}") from None
+            out.append((user, item, ts))
+    return out
+
+
+def reference_core_filter(interactions, min_count):
+    """The dict-loop filter ``build_sequences`` replaced; also returns the
+    number of passes it made."""
+    current = list(interactions)
+    passes = 0
+    while True:
+        passes += 1
+        user_counts, item_counts = {}, {}
+        for user, item, _ in current:
+            user_counts[user] = user_counts.get(user, 0) + 1
+            item_counts[item] = item_counts.get(item, 0) + 1
+        kept = [it for it in current
+                if user_counts[it[0]] >= min_count and item_counts[it[1]] >= min_count]
+        if len(kept) == len(current):
+            return kept, passes
+        current = kept
+
+
+def reference_group(kept):
+    """The dense remap and per-user ``sorted`` grouping ``build_sequences``
+    replaced."""
+    user_map = {u: i for i, u in enumerate(sorted({it[0] for it in kept}))}
+    item_map = {v: i + 1 for i, v in enumerate(sorted({it[1] for it in kept}))}
+    grouped = {}
+    for it in kept:
+        grouped.setdefault(it[0], []).append(it)
+    return [ItemSequence(user_map[u],
+                         [item_map[it[1]] for it in sorted(grouped[u], key=lambda e: e[2])])
+            for u in sorted(grouped, key=lambda u: user_map[u])]
+
+
+class TestIngestReference:
+    """``ingest`` against the per-line parser, dict-loop filter and per-user
+    sort it replaced: equal (user_id, items) lists, or the same error."""
+
+    def check(self, path, delimiter, min_count):
+        kept, passes = reference_core_filter(reference_parse(path, delimiter), min_count)
+        if not kept:
+            with pytest.raises(EmptyDataset):
+                dp.ingest(path, min_count, delimiter)
+            return passes
+        assert as_pairs(dp.ingest(path, min_count, delimiter)) == as_pairs(reference_group(kept))
+        return passes
+
+    def random_log(self, rng):
+        # few sparse, negative and near-int64 ids give repeated (user, item)
+        # pairs; timestamps from a small range repeat within a user
+        users = rng.choice([-2 ** 62, -40, -3, 0, 7, 1000, 10 ** 12, 2 ** 62],
+                           int(rng.integers(2, 9)), replace=False)
+        items = rng.choice(np.arange(-30, 30) * 9973, int(rng.integers(2, 25)), replace=False)
+        n = int(rng.integers(1, 200))
+        return np.stack([rng.choice(users, n), rng.choice(items, n),
+                         rng.integers(-3, 6, n)], axis=1)
+
+    def write(self, path, log, delimiter, rng):
+        lines = [delimiter.join(str(v) for v in row) for row in log.tolist()]
+        for _ in range(int(rng.integers(0, 4))):
+            lines.insert(int(rng.integers(0, len(lines) + 1)),
+                         str(rng.choice(["", "  ", "# note", " #7\t1\t2"])))
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("min_count", [1, 2, 3, 4, 5, 6])
+    def test_equal_sequences_on_random_logs(self, tmp_path, min_count):
+        rng = np.random.default_rng(min_count)
+        path = tmp_path / "log.txt"
+        for case in range(40):
+            delimiter = "\t,"[case % 2]
+            self.write(path, self.random_log(rng), delimiter, rng)
+            self.check(path, delimiter, min_count)
+
+    def test_cascade_needs_several_passes(self, tmp_path):
+        # a core of users 100..103 x items 500..503, and a chain hanging off
+        # it where user u holds items u and u + 1: item 0 is seen once, so at
+        # min_count 2 it goes in the first pass, user 0 in the second, item 1
+        # in the third, and so on up the chain
+        core = [(u, v, t) for u in range(100, 104) for v in range(500, 504) for t in (0, 1)]
+        chain = ([(u, u, 3) for u in range(6)] + [(u, u + 1, 4) for u in range(5)]
+                 + [(5, 500, 4)])
+        path = tmp_path / "chain.tsv"
+        dp.write_interactions(path, make_log(core + chain))
+        passes = [self.check(path, "\t", min_count) for min_count in range(1, 7)]
+        assert passes[1] >= 3
 
 
 class TestLeaveOneOut:
@@ -362,11 +560,10 @@ class TestPadSequence:
 class TestSynthGenerate:
     def test_noiseless_ring_transitions(self):
         log = dp.synth_generate(num_users=5, num_items=10, noise=0.0, seed=1, seq_len=12)
-        by_user = {}
-        for it in log:
-            by_user.setdefault(it.user_id, []).append(it)
-        for events in by_user.values():
-            items = [it.item_id for it in sorted(events, key=lambda e: e.timestamp)]
+        assert log.shape == (60, 3) and log.dtype == np.int64
+        for user in range(5):
+            events = log[log[:, 0] == user]
+            items = events[np.argsort(events[:, 2], kind="stable"), 1].tolist()
             for a, b in zip(items, items[1:]):
                 assert b == a % 10 + 1
 
@@ -375,12 +572,9 @@ class TestSynthGenerate:
         log = dp.synth_generate(num_users=100, num_items=10, noise=1.0, seed=2,
                                 seq_len=1000)
         counts = np.zeros((11, 11))
-        by_user = {}
-        for it in log:
-            by_user.setdefault(it.user_id, []).append(it.item_id)
-        for items in by_user.values():
-            for a, b in zip(items, items[1:]):
-                counts[a, b] += 1
+        for user in range(100):
+            items = log[log[:, 0] == user, 1]
+            np.add.at(counts, (items[:-1], items[1:]), 1)
         rows = counts[1:, 1:]
         probs = rows / rows.sum(axis=1, keepdims=True)
         tv = 0.5 * np.abs(probs - 0.1).sum(axis=1)
@@ -389,17 +583,21 @@ class TestSynthGenerate:
     def test_same_seed_identical_log(self):
         a = dp.synth_generate(20, 15, noise=0.3, seed=9)
         b = dp.synth_generate(20, 15, noise=0.3, seed=9)
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_round_trip_through_file(self, tmp_path):
         log = dp.synth_generate(10, 8, noise=0.5, seed=4)
         path = tmp_path / "synth.tsv"
         dp.write_interactions(path, log)
-        parsed = dp.parse_interactions(path)
-        assert parsed == log
+        assert path.read_text().splitlines() == ["\t".join(map(str, row)) for row in log.tolist()]
+        assert as_pairs(dp.ingest(path, min_count=1)) == as_pairs(dp.build_sequences(log, 1))
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            dp.synth_generate(0, 5)
-        with pytest.raises(ValueError):
-            dp.synth_generate(5, 5, noise=1.5)
+        # each bad parameter is named alone, noise and seed included
+        good = dict(num_users=3, num_items=4, markov_order=1, noise=0.2, seed=0, seq_len=5)
+        for name, value in [("num_users", 0), ("num_items", -1), ("markov_order", 0),
+                            ("seq_len", 0), ("noise", 1.5), ("noise", -0.1),
+                            ("noise", float("nan")), ("seed", -1)]:
+            with pytest.raises(ValueError, match=f"^{name} must") as err:
+                dp.synth_generate(**dict(good, **{name: value}))
+            assert not any(other in str(err.value) for other in set(good) - {name})
