@@ -1,26 +1,38 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Every derived :class:`Tensor` records its parents and a closure that applies
-the chain rule, so :func:`backward` can walk the graph once in reverse
-topological order and accumulate ``grad`` into every leaf that was created
-with ``requires_grad=True``.  The walk consumes the graph: each interior
-node drops its gradient, closure and parents as soon as its closure has run,
-so gradients are kept on leaves only and a second ``backward`` through the
-same nodes raises :class:`GraphConsumed`.
+A recorded op returns a :class:`Tensor` that owns its value (``data``) and
+links to a :class:`Node`, the op's record on the tape: its name, its parent
+nodes (or leaf tensors), the closure that applies the chain rule, the
+gradient accumulator and the output's shape.  :func:`backward` walks the
+nodes once in reverse topological order and accumulates ``grad`` into every
+leaf that was created with ``requires_grad=True``.  The walk consumes the
+graph: each node drops its gradient, closure and parents as soon as its
+closure has run, so gradients are kept on leaves only and a second
+``backward`` through the same nodes raises :class:`GraphConsumed`.
 
-Gradient ownership: a tensor's ``grad`` is its own array, added to in place.
-On first touch, a gradient array that a backward closure has just built is
-adopted as it is; a view (a transpose or a broadcast) is copied first, and so
-is the node's own incoming gradient, except that :func:`add` hands it to its
-second operand once the first has read it.  Ops reuse their own temporaries
-in place, in the same operation order as the plain expressions, but never
-write into an input, an output another node may read, or the incoming
-gradient.
+Gradient ownership and lifetime: a node does not keep its output.  Its
+closure captures exactly the arrays its backward reads (``linear`` its input
+and weight, ``attention`` q, k, v and the softmax weights, ``layer_norm``
+the normalized input and inverse deviations, ``relu`` and ``tanh`` their own
+output); ``add``, ``mul``, ``dropout``, ``select_positions``, ``reshape``
+and ``per_sample_scale`` keep no parent's value, only shapes (and
+``dropout`` its keep mask, ``per_sample_scale`` its constant matrices).  An
+output is therefore freed as soon as its caller drops the tensor, unless a
+closure saved it, and a saved array lives until that closure has run.  A
+node's ``data`` is its output while something else keeps it alive (it holds
+a weak reference) and an empty array otherwise.  A gradient is its node's or
+leaf's own array, added to in place.  On first touch, a gradient array that
+a backward closure has just built is adopted as it is; a view (a transpose
+or a broadcast) is copied first, and so is the node's own incoming gradient,
+except that :func:`add` hands it to its second operand once the first has
+read it.  Ops reuse their own temporaries in place, in the same operation
+order as the plain expressions, but never write into an input, an output
+another node may read, or the incoming gradient.
 
 Inside a :func:`no_grad` block nothing is recorded: every op still computes
-the same values, but its output keeps no parents and no closure and does not
-require a gradient, so a forward that is only read (evaluation) builds no
-tape.  ``backward`` on such an output raises :class:`NotRecorded`.
+the same values, but its output links to no node and does not require a
+gradient, so a forward that is only read (evaluation) builds no tape.
+``backward`` on such an output raises :class:`NotRecorded`.
 
 The op set is deliberately small: exactly what multi-head attention,
 layer-normalized feed-forward stacks and the contrastive /
@@ -39,6 +51,7 @@ checks meaningful.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
@@ -80,20 +93,21 @@ def no_grad() -> Iterator[None]:
 class Tensor:
     """A dense float64 array plus an optional gradient accumulator.
 
-    Leaves are built directly (``Tensor(data, requires_grad=...)``); interior
-    nodes are produced by the ops in this module and carry the tape record
-    (parents + backward closure) used, and then dropped, by :func:`backward`.
+    Leaves are built directly (``Tensor(data, requires_grad=...)``) and take
+    their own gradient.  The ops in this module return tensors named after
+    the op; a recorded one links to its tape :class:`Node` (``node``), which
+    takes its gradient during :func:`backward`.  ``_parents`` and
+    ``_backward`` answer for that node.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "op", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self.op = "leaf"
-        self._parents: tuple = ()
-        self._backward = None
+        self.node: Optional[Node] = None
 
     @property
     def shape(self) -> tuple:
@@ -103,30 +117,88 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
+    @property
+    def _parents(self) -> tuple:
+        return () if self.node is None else self.node._parents
+
+    @property
+    def _backward(self):
+        return None if self.node is None else self.node._backward
+
+    @_backward.setter
+    def _backward(self, fn) -> None:
+        self.node._backward = fn
+
+    @property
+    def _c_order(self) -> bool:
+        return self.data.dtype == np.float64 and self.data.flags.c_contiguous
+
+    def _blank(self) -> np.ndarray:
+        return np.empty_like(self.data)
+
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, op={self.op}, requires_grad={self.requires_grad})"
+
+
+_GONE = np.empty(0)
+_GONE.flags.writeable = False
+
+
+class Node:
+    """One recorded op on the tape: its name, its parents (nodes, or leaf
+    tensors), its backward closure, its gradient while :func:`backward` runs
+    and its output's shape and memory order.  The output itself is held
+    weakly: ``data`` is the output while something else keeps it alive, an
+    empty array once it is gone."""
+
+    __slots__ = ("op", "_parents", "_backward", "grad", "shape", "_c_order", "_out")
+    requires_grad = True
+
+    def __init__(self, op: str, parents: tuple, backward_fn, data: np.ndarray):
+        self.op = op
+        self._parents = parents
+        self._backward = backward_fn
+        self.grad: Optional[np.ndarray] = None
+        self.shape = data.shape
+        self._c_order = data.flags.c_contiguous
+        try:
+            self._out = weakref.ref(data)
+        except TypeError:  # a numpy scalar (an op on 0-d values) is held as it is
+            self._out = lambda: data
+
+    @property
+    def data(self) -> np.ndarray:
+        out = self._out()
+        return _GONE if out is None else out
+
+    def _blank(self) -> np.ndarray:
+        return np.empty(self.shape, order="C" if self._c_order else "F")
+
+
+def _target(t: Tensor):
+    """Where ``t``'s gradient accumulates: its node when an op recorded it,
+    else ``t`` itself.  Closures capture this, not ``t``, so they do not keep
+    ``t.data`` alive."""
+    return t if t.node is None else t.node
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     out.op = op
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward_fn
-    else:
-        out._parents = ()
-        out._backward = None
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
+    out.node = (Node(op, tuple(_target(p) for p in parents), backward_fn, data)
+                if out.requires_grad else None)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add ``g`` into ``t.grad``.  ``fresh`` means the calling closure just
-    built ``g`` and keeps no other reference to it, so on first touch it can
-    be adopted when laid out like the tensor (C-contiguous float64); anything
-    else is copied into an owned array in the tensor's layout."""
+def _accumulate(t, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``, ``t`` a node or a leaf.  ``fresh`` means the
+    calling closure just built ``g`` and keeps no other reference to it, so
+    on first touch it can be adopted when laid out like ``t``'s value
+    (C-contiguous float64); anything else is copied into an owned array in
+    that layout."""
     if not t.requires_grad:
         return
     if g.shape != t.shape:
@@ -134,10 +206,10 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
                             f"of shape {list(t.shape)}")
     if t.grad is not None:
         t.grad += g
-    elif fresh and g.dtype == t.data.dtype and g.flags.c_contiguous and t.data.flags.c_contiguous:
+    elif fresh and g.dtype == np.float64 and g.flags.c_contiguous and t._c_order:
         t.grad = g
     else:
-        t.grad = np.empty_like(t.data)
+        t.grad = t._blank()
         t.grad[...] = g
 
 
@@ -165,9 +237,9 @@ def backward(loss: Tensor) -> None:
     ``loss`` must be a scalar (shape ``()``).  The recorded graph is walked
     exactly once per node, in reverse topological order, and consumed as it
     goes: once a node's closure has run, every consumer of that node has
-    already run, so the node drops its ``grad``, closure and parents, and its
-    output and saved arrays can be freed while the walk goes on.  Gradients are
-    kept on leaves only.  A node consumed by an earlier call raises
+    already run, so the node drops its ``grad``, closure and parents, and the
+    arrays that closure saved can be freed while the walk goes on.  Gradients
+    are kept on leaves only.  A node consumed by an earlier call raises
     :class:`GraphConsumed` before any gradient is touched; a ``loss`` that
     requires no gradient (built from constants or under :func:`no_grad`)
     raises :class:`NotRecorded`.
@@ -177,9 +249,10 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise NotRecorded(f"backward: output '{loss.op}' requires no gradient; "
                           "no recorded op produced it")
-    topo: list[Tensor] = []
+    root = _target(loss)
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -194,7 +267,7 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.ones((), dtype=np.float64)
+    root.grad = np.ones((), dtype=np.float64)
     while topo:
         node = topo.pop()
         if node._backward is None:
@@ -214,14 +287,14 @@ def add(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         data = a.data + float(b)
 
-        def back_const(g, a=a):
+        def back_const(g, a=_target(a)):
             _accumulate(a, g)
 
         return _node(data, (a,), back_const, "add")
     _check_broadcast(a.shape, b.shape, "add")
     data = a.data + b.data
 
-    def back(g, a=a, b=b):
+    def back(g, a=_target(a), b=_target(b)):
         # a reduced gradient is a new array; an unreduced one is a view of g,
         # which this node drops once both operands have read it, so b, the
         # last reader, may adopt it
@@ -236,7 +309,7 @@ def mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
     data = a.data * c
 
-    def back(g, a=a, c=c):
+    def back(g, a=_target(a), c=c):
         _accumulate(a, g * c, fresh=True)
 
     return _node(data, (a,), back, "mul")
@@ -251,14 +324,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data = x.data @ w.data
     data += b.data
 
-    def back(g, x=x, w=w, b=b):
+    def back(g, x=_target(x), w=_target(w), b=_target(b), x_data=x.data, w_data=w.data):
         if b.requires_grad:
             _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), fresh=True)
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T, fresh=True)
+            _accumulate(x, g @ w_data.T, fresh=True)
         if w.requires_grad:
             k, n = w.shape
-            _accumulate(w, x.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
+            _accumulate(w, x_data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
 
     return _node(data, (x, w, b), back, "linear")
 
@@ -270,7 +343,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
-    def back(g, a=a, data=data):
+    def back(g, a=_target(a), data=data):
         _accumulate(a, g * (data > 0.0), fresh=True)
 
     return _node(data, (a,), back, "relu")
@@ -279,7 +352,7 @@ def relu(a: Tensor) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
-    def back(g, a=a, data=data):
+    def back(g, a=_target(a), data=data):
         _accumulate(a, g * (1.0 - data * data), fresh=True)
 
     return _node(data, (a,), back, "tanh")
@@ -303,12 +376,13 @@ def gather(table: Tensor, ids) -> Tensor:
         raise IndexError(f"gather: id out of range for table with {table.shape[0]} rows")
     data = table.data[ids]
 
-    def back(g, table=table, ids=ids):
+    def back(g, table=_target(table), ids=ids):
         uniq, inverse = np.unique(ids.ravel(), return_inverse=True)
         block = np.zeros((uniq.size, table.shape[1]))
         np.add.at(block, inverse, g.reshape(-1, table.shape[1]))
         if table.grad is None:
-            gt = np.zeros_like(table.data)
+            gt = table._blank()
+            gt.fill(0.0)
             gt[uniq] = block
             _accumulate(table, gt, fresh=True)
         else:
@@ -325,8 +399,9 @@ def select_positions(x: Tensor, positions) -> Tensor:
     batch = np.arange(x.shape[0])
     data = x.data[batch, positions]
 
-    def back(g, x=x, positions=positions, batch=batch):
-        gx = np.zeros_like(x.data)
+    def back(g, x=_target(x), positions=positions, batch=batch):
+        gx = x._blank()
+        gx.fill(0.0)
         gx[batch, positions] = g
         _accumulate(x, gx, fresh=True)
 
@@ -340,7 +415,7 @@ def reshape(x: Tensor, shape) -> Tensor:
         raise ShapeMismatch(f"reshape: {list(x.shape)} does not fit {list(shape)}")
     data = x.data.reshape(shape)
 
-    def back(g, x=x):
+    def back(g, x=_target(x)):
         # g is this node's own gradient, dropped once read: x may adopt a view
         _accumulate(x, g.reshape(x.shape), fresh=True)
 
@@ -401,14 +476,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, scale: float,
         np.matmul(w, v.data[..., cols], out=data[..., cols])
         weights.append(w)
 
-    def back(g, q=q, k=k, v=v, rel_pe=rel_pe, weights=weights, blocks=blocks, scale=scale):
-        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+    def back(g, q=_target(q), k=_target(k), v=_target(v),
+             rel_pe=None if rel_pe is None else _target(rel_pe),
+             q_data=q.data, k_data=k.data, v_data=v.data,
+             weights=weights, blocks=blocks, scale=scale):
+        gq, gk, gv = np.empty_like(q_data), np.empty_like(k_data), np.empty_like(v_data)
         for cols, w in zip(blocks, weights):
             gh = g[..., cols]
-            qh, kh = q.data[..., cols], k.data[..., cols]
+            qh, kh = q_data[..., cols], k_data[..., cols]
             np.matmul(np.swapaxes(w, -1, -2), gh, out=gv[..., cols])
             # softmax backward: gx = w * (gw - sum(gw * w)), into gw's buffer
-            gw = gh @ np.swapaxes(v.data[..., cols], -1, -2)
+            gw = gh @ np.swapaxes(v_data[..., cols], -1, -2)
             scratch = gw * w
             inner = scratch.sum(axis=-1, keepdims=True)
             gw -= inner
@@ -437,7 +515,7 @@ def per_sample_scale(scalars: Tensor, mats: np.ndarray) -> Tensor:
     expand = scalars.data.reshape((-1,) + (1,) * (mats.ndim - 1))
     data = expand * mats
 
-    def back(g, scalars=scalars, mats=mats):
+    def back(g, scalars=_target(scalars), mats=mats):
         axes = tuple(range(1, mats.ndim))
         _accumulate(scalars, (g * mats).sum(axis=axes).reshape(-1, 1), fresh=True)
 
@@ -460,7 +538,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     np.multiply(xhat, gain.data, out=data)
     data += bias.data
 
-    def back(g, x=x, gain=gain, bias=bias, xhat=xhat, inv=inv, width=width):
+    def back(g, x=_target(x), gain=_target(gain), bias=_target(bias), gain_data=gain.data,
+             xhat=xhat, inv=inv, width=width):
         scratch = g * xhat
         if gain.requires_grad:
             _accumulate(gain, scratch.reshape(-1, width).sum(axis=0), fresh=True)
@@ -468,7 +547,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
             _accumulate(bias, g.reshape(-1, width).sum(axis=0), fresh=True)
         if x.requires_grad:
             # inv * ((gh - m1) - xhat * m2), one operation at a time
-            gh = g * gain.data
+            gh = g * gain_data
             m1 = gh.mean(axis=-1, keepdims=True)
             np.multiply(gh, xhat, out=scratch)
             m2 = scratch.mean(axis=-1, keepdims=True)
@@ -505,7 +584,7 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator],
     np.divide(keep, 1.0 - rate, out=data)
     data *= x.data
 
-    def back(g, x=x, keep=keep, rate=rate):
+    def back(g, x=_target(x), keep=keep, rate=rate):
         gx = keep / (1.0 - rate)
         gx *= g
         _accumulate(x, gx, fresh=True)
@@ -538,14 +617,16 @@ def sampled_bce(hidden: Tensor, positive: Tensor, negative: Tensor, step_mask) -
     neg_logit = (hidden.data * negative.data).sum(axis=-1)
     per_step = (np.logaddexp(0.0, neg_pos) + np.logaddexp(0.0, neg_logit)) * mask
 
-    def back(g, hidden=hidden, positive=positive, negative=negative, mask=mask):
+    def back(g, hidden=_target(hidden), positive=_target(positive),
+             negative=_target(negative), h=hidden.data, pos=positive.data,
+             neg=negative.data, mask=mask):
         g_step = g * mask
         g_pos = -(g_step * _sigmoid(neg_pos))[..., None]
         g_neg = (g_step * _sigmoid(neg_logit))[..., None]
-        _accumulate(hidden, g_pos * positive.data, fresh=True)
-        _accumulate(hidden, g_neg * negative.data, fresh=True)
-        _accumulate(positive, g_pos * hidden.data, fresh=True)
-        _accumulate(negative, g_neg * hidden.data, fresh=True)
+        _accumulate(hidden, g_pos * pos, fresh=True)
+        _accumulate(hidden, g_neg * neg, fresh=True)
+        _accumulate(positive, g_pos * h, fresh=True)
+        _accumulate(negative, g_neg * h, fresh=True)
 
     return _node(np.asarray(per_step.sum()), (hidden, positive, negative), back, "sampled_bce")
 
@@ -598,7 +679,7 @@ def cosine_info_nce(anchors: Tensor, candidates: Tensor, tau: float,
         value_t, softmax_t = _info_nce_rows(logits.T)
         value = (value + value_t) * 0.5
 
-    def back(g, anchors=anchors, candidates=candidates):
+    def back(g, anchors=_target(anchors), candidates=_target(candidates)):
         g = g * 0.5 if symmetric else g
         gl = _softmax_minus_eye(softmax, g)
         if symmetric:  # summed as (lse + diag) + swap(lse_t + diag_t)

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _accumulate, _node
+from .autodiff import Tensor, _accumulate, _node, _target
 from .graph import SubgraphPerturbation, TransitionGraph
 
 
@@ -65,7 +65,8 @@ def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
     the products a caller has already.  Forward and backward run the float
     operations of the layer-by-layer chain of products and sums in that
     chain's order, so values and gradients keep their bits.  The node keeps
-    the layer inputs, ``A @ L``, ``A @ R`` and the (rank x d) ``(A @ R)^T E``.
+    the layer inputs, ``A @ L``, ``A @ R`` and the (rank x d) ``(A @ R)^T E``,
+    not its output.
     """
     if layers < 1:
         raise ValueError(f"layers must be >= 1, got {layers}")
@@ -90,8 +91,10 @@ def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
         current = nxt
     divisor = layers if literal_layer_avg else layers + 1
     acc *= 1.0 / divisor
+    parents = (emb, factors.left, factors.right) if refine else (emb,)
 
-    def back(g, emb=emb, matrix=graph.matrix):
+    def back(g, emb=_target(emb), factor_nodes=tuple(map(_target, parents[1:])),
+             matrix=graph.matrix):
         scaled = g * (1.0 / divisor)
         _accumulate(emb, scaled)  # the layer sum reaches emb first
         grad, left_terms, right_terms = scaled, [], []
@@ -110,11 +113,10 @@ def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
                     below += right @ g_mixed
             grad = below
         if refine:
-            _accumulate(factors.left, matrix.T @ reduce(iadd, left_terms), fresh=True)
+            _accumulate(factor_nodes[0], matrix.T @ reduce(iadd, left_terms), fresh=True)
             grad_right = np.ascontiguousarray(reduce(iadd, right_terms).T)
-            _accumulate(factors.right, matrix.T @ grad_right, fresh=True)
+            _accumulate(factor_nodes[1], matrix.T @ grad_right, fresh=True)
 
-    parents = (emb, factors.left, factors.right) if refine else (emb,)
     return _node(acc, parents, back, "propagate")
 
 

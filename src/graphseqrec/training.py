@@ -202,8 +202,10 @@ def train_step(model: Model, batch: Batch, cfg: TrainConfig,
                          batch.negatives, batch.step_mask)
     gce = None
     if lambda1 != 0.0:
-        reps = model.graph_representations(perturbation)
-        orig_rows, ref_rows = batch_rows(reps, batch.gce_items)
+        # the gathers keep only ids, so nothing holds the two propagated
+        # tables once their rows are taken
+        orig_rows, ref_rows = batch_rows(model.graph_representations(perturbation),
+                                         batch.gce_items)
         gce = gce_loss(orig_rows, ref_rows, cfg.tau)
     seq = None
     if cfg.lambda2 != 0.0 and batch.view1 is not None:

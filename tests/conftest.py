@@ -29,7 +29,7 @@ def rel_err(analytic, numeric):
 
 def total_sum(a):
     """Sum of every entry as a 0-d tensor: reduces any output to a loss."""
-    def back(g, a=a):
+    def back(g, a=ad._target(a)):
         ad._accumulate(a, np.broadcast_to(g, a.shape))
 
     return ad._node(np.asarray(a.data.sum()), (a,), back, "sum")
@@ -40,7 +40,7 @@ def weighted_sum(a, w):
     reaches ``a`` is ``w``."""
     w = np.asarray(w, dtype=np.float64)
 
-    def back(g, a=a, w=w):
+    def back(g, a=ad._target(a), w=w):
         ad._accumulate(a, g * w, fresh=True)
 
     return ad._node(np.asarray((a.data * w).sum()), (a,), back, "weighted_sum")

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -211,6 +212,114 @@ class TestBackward:
             tracemalloc.stop()
         arrays = (peak - before) / x.data.nbytes
         assert arrays <= 6.0, f"backward peaked at {arrays:.1f} arrays above its start"
+
+    def test_forward_memory_does_not_grow_with_depth(self):
+        # 30 add/mul nodes on a 200x1000 leaf, intermediates dropped: no
+        # backward reads an add or mul output, so the forward holds none of them
+        x = Tensor(np.random.default_rng(3).standard_normal((200, 1000)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = x
+            for _ in range(15):
+                y = ad.add(ad.mul(y, 0.5), 0.1)
+            loss = total_sum(y)
+            del y
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = (held - before) / x.data.nbytes
+        assert arrays <= 1.0, f"the forward holds {arrays:.1f} arrays"
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, 0.5 ** 15))
+
+
+def closure_arrays(closure) -> list:
+    """The arrays a backward closure captured, as default arguments or
+    free variables, lists of arrays included."""
+    found, todo = [], list(closure.__defaults__ or ())
+    for cell in closure.__closure__ or ():
+        try:
+            todo.append(cell.cell_contents)
+        except ValueError:  # a free variable the op never assigned
+            pass
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return found
+
+
+class TestLifetime:
+    """A node keeps the arrays its backward reads and no output of its own."""
+
+    def test_an_output_no_backward_reads_dies_with_its_tensor(self, rng):
+        x, y = leaves(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
+        s = ad.add(x, y)
+        out = ad.tanh(s)  # tanh's backward reads its own output, not its input
+        ref, node = weakref.ref(s.data), s.node
+        assert node.data is s.data
+        del s
+        assert ref() is None
+        assert node.data.size == 0
+        ad.backward(total_sum(out))
+        np.testing.assert_array_equal(x.grad, 1.0 - out.data * out.data)
+
+    @pytest.mark.parametrize("saver", ["relu", "linear"])
+    def test_a_saved_array_lives_until_its_closure_has_run(self, rng, saver):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        h = ad.mul(x, 2.0)
+        if saver == "relu":  # relu's backward reads its own output
+            out = ad.relu(h)
+            ref = weakref.ref(out.data)
+        else:  # linear's backward reads its input
+            out = ad.linear(h, Tensor(rng.standard_normal((4, 2))), Tensor(np.zeros(2)))
+            ref = weakref.ref(h.data)
+        loss = total_sum(out)
+        alive = []
+        # the saver's closure runs before mul's, the last one
+        for node in (out.node, h.node):
+            closure = node._backward
+            node._backward = lambda g, closure=closure: (alive.append(ref() is not None),
+                                                         closure(g))
+        del h, out
+        assert ref() is not None
+        ad.backward(loss)
+        assert alive == [True, False]
+        assert ref() is None
+
+    def test_nothing_stays_pinned_after_backward(self, rng):
+        x, w, v, gain = leaves(rng.standard_normal((2, 5, 4)), rng.standard_normal((4, 4)),
+                               rng.standard_normal((2, 5, 5)), np.ones(4))
+        zeros = Tensor(np.zeros(4))
+        scalars = Tensor(rng.standard_normal((2, 1)), requires_grad=True)
+        mask = attention_mask(np.array([[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]]))
+        a = ad.layer_norm(ad.add(x, 0.5), gain, zeros)
+        q = ad.linear(a, w, zeros)
+        rel_pe = ad.per_sample_scale(scalars, v.data)
+        h = ad.add(a, ad.dropout(ad.attention(q, q, q, mask, 2, 0.5, rel_pe), 0.3, rng))
+        f = ad.reshape(ad.relu(ad.linear(h, w, zeros)), (10, 4))
+        rows = ad.select_positions(ad.reshape(f, (2, 5, 4)), np.array([4, 3]))
+        loss = ad.cosine_info_nce(rows, ad.tanh(ad.mul(ad.gather(w, [0, 2]), 2.0)), 0.5)
+        del a, q, rel_pe, h, f, rows
+        # the leaves' arrays and the loss value stay with their tensors
+        kept = {id(t.data) for t in (x, w, v, gain, zeros, scalars, loss)}
+        refs, seen, stack = [], set(), [loss]
+        while stack:
+            node = stack.pop()
+            if node.op == "leaf" or id(node) in seen:
+                continue
+            seen.add(id(node))
+            refs += [weakref.ref(arr) for arr in (node.data, *closure_arrays(node._backward))
+                     if isinstance(arr, np.ndarray) and arr.size and id(arr) not in kept]
+            stack.extend(node._parents)
+        assert len(seen) == 16 and len(refs) > 16
+        assert any(ref() is not None for ref in refs)
+        ad.backward(loss)
+        assert [ref for ref in refs if ref() is not None] == []
+        assert all(t.grad is not None for t in (x, w, gain, scalars))
 
 
 class TestNoGrad:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -309,6 +310,34 @@ class TestTrainStepTape:
         assert ops["cosine_info_nce"] == 2
         deleted = {"neg", "softplus", "sum_axis", "logsumexp_rows", "unit_rows", "diagonal"}
         assert not deleted & set(ops)
+
+
+class TestTrainStepMemory:
+    def test_traced_peak_of_one_step_at_the_acceptance_config(self):
+        # the planted ring of 500 users over 200 items, dim 32, max_len 20,
+        # rank 8, batch 256, every loss term and dropout on.  tracemalloc
+        # counts the bytes of the arrays one step allocates, so the bound is
+        # a computed number, not a timing: 78.4 MB at its peak when the tape
+        # keeps only what backward reads (130.7 MB when every op output stayed
+        # on the tape until backward), bounded at that plus 15%
+        log = synth_generate(500, 200, noise=0.2, seed=101, seq_len=20)
+        dataset = leave_one_out(build_sequences(log, min_count=1))
+        cfg = TrainConfig(dim=32, max_len=20, batch_size=256, rank=8, encoder_layers=2,
+                          heads=2, gcn_layers=2, alpha=0.05, lambda1=0.1, lambda2=0.1,
+                          dropout=0.2, lr=1e-3, max_epochs=12, patience=11, seed=0)
+        model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
+                      tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
+        batch = assemble_batch(dataset.users[:cfg.batch_size], dataset.num_items,
+                               cfg.max_len, np.random.default_rng(1),
+                               np.random.default_rng(2), cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_step(model, batch, cfg, np.random.default_rng(3), np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 90 * 2**20, f"one train step peaked at {peak / 2**20:.1f} MB"
 
 
 class TestTrainLoop:
