@@ -253,12 +253,15 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
                 cfg)
             rng_drop = _epoch_rng(cfg.seed, 4, epoch, b) if cfg.dropout > 0 else None
             rng_drop_views = _epoch_rng(cfg.seed, 5, epoch, b) if cfg.dropout > 0 else None
-            model.zero_grads()
             values = train_step(model, batch, cfg, rng_drop, rng_drop_views)
             if not np.isfinite(values["total"]):
                 raise RuntimeError(f"non-finite loss {values['total']} at epoch {epoch}, batch {b}")
             model.drop_padding_grads()
             optimizer.step()
+            # the gradients die with their step: kept into the next step or
+            # the validation pass, they would pin blocks in the middle of the
+            # heap those reuse, and the peak footprint would drift by run
+            model.zero_grads()
             for key in sums:
                 sums[key] += values[key]
         val = evaluate_model(model, dataset, "valid", cfg.batch_size, cfg.exclude_history)

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +325,41 @@ class TestLifetime:
         assert [ref for ref in refs if ref() is not None] == []
         assert all(t.grad is not None for t in (x, w, gain, scalars))
 
+
+
+HEAP_PROBE = """
+import ctypes
+import numpy as np
+import graphseqrec
+
+class Info(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+try:
+    mallinfo2 = ctypes.CDLL(None).mallinfo2
+except AttributeError:
+    raise SystemExit(77)
+mallinfo2.restype = Info
+block = np.ones(20 << 17)  # 20 MiB
+cut_from_heap = mallinfo2().hblkhd < block.nbytes
+del block
+print(cut_from_heap, mallinfo2().arena >= 20 << 20)
+"""
+
+
+def test_a_freed_block_stays_in_the_heap_for_the_next_step():
+    # a fresh process, so no earlier allocation has moved glibc's thresholds
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    if done.returncode == 77:
+        pytest.skip("needs glibc's mallinfo2")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
 
 class TestNoGrad:
     def test_backward_on_a_constant_output_raises(self):

@@ -387,6 +387,23 @@ class TestTrainLoop:
         np.testing.assert_allclose(report.ndcg[20], result.state.best_val_ndcg20,
                                    atol=1e-12)
 
+    def test_no_gradient_outlives_its_step(self, monkeypatch):
+        dataset = tiny_dataset()
+        held = []
+
+        def spy(fn):
+            def wrapped(model, *args, **kwargs):
+                held.append([name for name, t in model.params.items() if t.grad is not None])
+                return fn(model, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(tr, "train_step", spy(tr.train_step))
+        monkeypatch.setattr(tr, "evaluate_model", spy(tr.evaluate_model))
+        result = train(tiny_config(max_epochs=2, patience=1), dataset)
+        # every step and every validation pass starts with no gradient held
+        assert len(held) == 2 * 2 + 2 + 1 and held == [[]] * len(held)
+        assert all(t.grad is None for t in result.model.params.values())
+
     def test_padding_rows_stay_zero(self):
         dataset = tiny_dataset()
         result = train(tiny_config(max_epochs=2, patience=1), dataset)
