@@ -10,8 +10,8 @@ self-supervised terms, with leave-one-out full-ranking evaluation.
 """
 
 from .autodiff import DegenerateRow, ShapeMismatch, Tensor, backward
-from .collab import (GraphRepresentations, PerturbationFactors, batch_rows,
-                     gce_loss, graph_representations, init_factors, propagate)
+from .collab import (PerturbationFactors, gce_loss, graph_representations,
+                     init_factors, propagate)
 from .data import (ItemSequence, SplitDataset, augment, augment_pair,
                    build_sequences, ingest, leave_one_out, pad_sequence,
                    synth_generate)

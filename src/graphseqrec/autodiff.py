@@ -14,9 +14,9 @@ Gradient ownership and lifetime: a node does not keep its output.  Its
 closure captures exactly the arrays its backward reads (``linear`` its input
 and weight, ``attention`` q, k, v and the softmax weights, ``layer_norm``
 the normalized input and inverse deviations, ``relu`` and ``tanh`` their own
-output); ``add``, ``mul``, ``dropout``, ``select_positions``, ``reshape``
-and ``per_sample_scale`` keep no parent's value, only shapes (and
-``dropout`` its keep mask, ``per_sample_scale`` its constant matrices).  An
+output); ``add``, ``mul``, ``dropout``, ``select_positions`` and
+``per_sample_scale`` keep no parent's value, only shapes (and ``dropout``
+its keep mask, ``per_sample_scale`` its constant matrices).  An
 output is therefore freed as soon as its caller drops the tensor, unless a
 closure saved it, and a saved array lives until that closure has run.  A
 node's ``data`` is its output while something else keeps it alive (it holds
@@ -36,17 +36,18 @@ gradient, so a forward that is only read (evaluation) builds no tape.
 
 The op set is deliberately small: exactly what multi-head attention,
 layer-normalized feed-forward stacks and the contrastive /
-binary-cross-entropy losses in this package need; graph propagation is a
-node of its own, ``collab.propagate``.  Every affine projection
-``x @ w + b`` is one :func:`linear` node, and all heads of one attention
-layer, masked row softmax included, are one :func:`attention` node, whether
-its queries sit at every key position or at a few chosen rows.  Each loss
-term is one node too: :func:`sampled_bce` for next-item prediction,
-:func:`cosine_info_nce` for both contrastive terms.  :func:`mul` scales by a
-number only.  :func:`add` broadcasts narrowly (same shape, bias-style
-trailing axes, per-axis size-1 expansion, scalars); anything else raises
-:class:`ShapeMismatch` naming both shapes.  All storage is row-major 64-bit, which keeps finite-difference
-checks meaningful.
+binary-cross-entropy losses in this package need, each with a caller in
+the package; graph propagation is a node of its own, ``collab.propagate``.
+Every affine projection ``x @ w + b`` is one :func:`linear` node, and all
+heads of one attention layer, masked row softmax included, are one
+:func:`attention` node, whether its queries sit at every key position or
+at one readout row per sequence.  Each loss term is one node too:
+:func:`sampled_bce` for next-item prediction, :func:`cosine_info_nce` for
+both contrastive terms.  :func:`mul` scales by a number only.  :func:`add`
+takes two tensors and broadcasts narrowly (same shape, bias-style trailing
+axes, per-axis size-1 expansion, 0-d tensors); anything else raises
+:class:`ShapeMismatch` naming both shapes.  Values and gradients are
+C-contiguous float64, which keeps finite-difference checks meaningful.
 """
 
 from __future__ import annotations
@@ -156,13 +157,6 @@ class Tensor:
     def _backward(self, fn) -> None:
         self.node._backward = fn
 
-    @property
-    def _c_order(self) -> bool:
-        return self.data.dtype == np.float64 and self.data.flags.c_contiguous
-
-    def _blank(self) -> np.ndarray:
-        return np.empty_like(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, op={self.op}, requires_grad={self.requires_grad})"
 
@@ -174,11 +168,11 @@ _GONE.flags.writeable = False
 class Node:
     """One recorded op on the tape: its name, its parents (nodes, or leaf
     tensors), its backward closure, its gradient while :func:`backward` runs
-    and its output's shape and memory order.  The output itself is held
+    and its output's shape.  The output itself is held
     weakly: ``data`` is the output while something else keeps it alive, an
     empty array once it is gone."""
 
-    __slots__ = ("op", "_parents", "_backward", "grad", "shape", "_c_order", "_out")
+    __slots__ = ("op", "_parents", "_backward", "grad", "shape", "_out")
     requires_grad = True
 
     def __init__(self, op: str, parents: tuple, backward_fn, data: np.ndarray):
@@ -187,7 +181,6 @@ class Node:
         self._backward = backward_fn
         self.grad: Optional[np.ndarray] = None
         self.shape = data.shape
-        self._c_order = data.flags.c_contiguous
         try:
             self._out = weakref.ref(data)
         except TypeError:  # a numpy scalar (an op on 0-d values) is held as it is
@@ -197,9 +190,6 @@ class Node:
     def data(self) -> np.ndarray:
         out = self._out()
         return _GONE if out is None else out
-
-    def _blank(self) -> np.ndarray:
-        return np.empty(self.shape, order="C" if self._c_order else "F")
 
 
 def _target(t: Tensor):
@@ -223,9 +213,8 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> 
 def _accumulate(t, g: np.ndarray, fresh: bool = False) -> None:
     """Add ``g`` into ``t.grad``, ``t`` a node or a leaf.  ``fresh`` means the
     calling closure just built ``g`` and keeps no other reference to it, so
-    on first touch it can be adopted when laid out like ``t``'s value
-    (C-contiguous float64); anything else is copied into an owned array in
-    that layout."""
+    on first touch it can be adopted when it is C-contiguous float64;
+    anything else is copied into an owned C-contiguous float64 array."""
     if not t.requires_grad:
         return
     if g.shape != t.shape:
@@ -233,10 +222,10 @@ def _accumulate(t, g: np.ndarray, fresh: bool = False) -> None:
                             f"of shape {list(t.shape)}")
     if t.grad is not None:
         t.grad += g
-    elif fresh and g.dtype == np.float64 and g.flags.c_contiguous and t._c_order:
+    elif fresh and g.dtype == np.float64 and g.flags.c_contiguous:
         t.grad = g
     else:
-        t.grad = t._blank()
+        t.grad = np.empty(t.shape)
         t.grad[...] = g
 
 
@@ -249,13 +238,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
-
-
-def _check_broadcast(a_shape: tuple, b_shape: tuple, op: str) -> None:
-    try:
-        np.broadcast_shapes(a_shape, b_shape)
-    except ValueError:
-        raise ShapeMismatch(f"{op}: shapes {list(a_shape)} and {list(b_shape)} do not align") from None
 
 
 def backward(loss: Tensor) -> None:
@@ -310,16 +292,11 @@ def backward(loss: Tensor) -> None:
 # elementwise and broadcast arithmetic
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        data = a.data + float(b)
-
-        def back_const(g, a=_target(a)):
-            _accumulate(a, g)
-
-        return _node(data, (a,), back_const, "add")
-    _check_broadcast(a.shape, b.shape, "add")
-    data = a.data + b.data
+def add(a: Tensor, b: Tensor) -> Tensor:
+    try:
+        data = a.data + b.data
+    except ValueError:
+        raise ShapeMismatch(f"add: shapes {list(a.shape)} and {list(b.shape)} do not align") from None
 
     def back(g, a=_target(a), b=_target(b)):
         # a reduced gradient is a new array; an unreduced one is a view of g,
@@ -408,7 +385,7 @@ def gather(table: Tensor, ids) -> Tensor:
         block = np.zeros((uniq.size, table.shape[1]))
         np.add.at(block, inverse, g.reshape(-1, table.shape[1]))
         if table.grad is None:
-            gt = table._blank()
+            gt = np.empty(table.shape)
             gt.fill(0.0)
             gt[uniq] = block
             _accumulate(table, gt, fresh=True)
@@ -427,26 +404,12 @@ def select_positions(x: Tensor, positions) -> Tensor:
     data = x.data[batch, positions]
 
     def back(g, x=_target(x), positions=positions, batch=batch):
-        gx = x._blank()
+        gx = np.empty(x.shape)
         gx.fill(0.0)
         gx[batch, positions] = g
         _accumulate(x, gx, fresh=True)
 
     return _node(data, (x,), back, "select_positions")
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    """The entries of ``x`` in another shape of the same size."""
-    shape = tuple(shape)
-    if int(np.prod(shape)) != x.data.size:
-        raise ShapeMismatch(f"reshape: {list(x.shape)} does not fit {list(shape)}")
-    data = x.data.reshape(shape)
-
-    def back(g, x=_target(x)):
-        # g is this node's own gradient, dropped once read: x may adopt a view
-        _accumulate(x, g.reshape(x.shape), fresh=True)
-
-    return _node(data, (x,), back, "reshape")
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +421,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, scale: float,
     """Multi-head scaled dot-product attention of one layer as one node.
 
     ``q`` is (B, M, d) and ``k`` and ``v`` are (B, N, d): M queries per row
-    against N keys, with M = N for self-attention at every position.  Head
+    against N keys, with M = N for self-attention at every position.  A
+    (B, d) ``q`` is one query per row, with a (B, N) ``mask`` and ``rel_pe``
+    and a (B, d) output; the node runs it on (B, 1, ·) views, as M = 1.  Head
     ``i`` reads the column block ``[i * dh, (i + 1) * dh)`` of all three, with
     ``dh = d // heads``.  Per head the logits ``qh @ khᵀ * scale`` plus the
     optional (B, M, N) ``rel_pe`` go through a row softmax over the keys:
@@ -468,45 +433,49 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, scale: float,
     entries is subtracted first.  Head ``i`` writes ``weights @ vh`` into the
     same column block of the (B, M, d) output.
     """
-    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2]:
-        raise ShapeMismatch(f"attention: q {list(q.shape)}, k {list(k.shape)} and "
-                            f"v {list(v.shape)} must be (B, M, d), (B, N, d) and (B, N, d)")
-    b, m, d = q.shape
+    q_data = q.data[:, None] if q.ndim == 2 else q.data
+    if q_data.ndim != 3 or k.ndim != 3 or k.shape != v.shape or k.shape[::2] != q_data.shape[::2]:
+        raise ShapeMismatch(f"attention: q {list(q.shape)}, k {list(k.shape)} and v "
+                            f"{list(v.shape)} must be (B, M, d) or (B, d), (B, N, d) and (B, N, d)")
+    b, m, d = q_data.shape
     n = k.shape[1]
     if heads < 1 or d % heads:
         raise ShapeMismatch(f"attention: width {d} does not split into {heads} heads")
+    logits = list(q.shape[:-1]) + [n]  # the logits' shape
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (b, m, n):
-        raise ShapeMismatch(f"attention: mask shape {list(mask.shape)} != logits shape {[b, m, n]}")
-    if rel_pe is not None and rel_pe.shape != (b, m, n):
-        raise ShapeMismatch(f"attention: rel_pe shape {list(rel_pe.shape)} != logits shape "
-                            f"{[b, m, n]}")
+    if list(mask.shape) != logits:
+        raise ShapeMismatch(f"attention: mask shape {list(mask.shape)} != logits shape {logits}")
+    if rel_pe is not None and list(rel_pe.shape) != logits:
+        raise ShapeMismatch(f"attention: rel_pe shape {list(rel_pe.shape)} != logits shape {logits}")
     alive = mask.any(axis=-1)
     if not alive.all():
         raise DegenerateRow("attention: fully masked row at index "
                             f"{tuple(np.argwhere(~alive)[0].tolist())}")
-    hidden = ~mask
+    hidden = ~mask.reshape(b, m, n)
+    rel = None if rel_pe is None else rel_pe.data.reshape(b, m, n)
     dh = d // heads
     blocks = [slice(i * dh, (i + 1) * dh) for i in range(heads)]
     data = np.empty_like(q.data)
+    out = data.reshape(b, m, d)
     weights = []
     for cols in blocks:
         # the logits buffer becomes the softmax weights in place
-        w = q.data[..., cols] @ np.swapaxes(k.data[..., cols], -1, -2)
+        w = q_data[..., cols] @ np.swapaxes(k.data[..., cols], -1, -2)
         w *= scale
-        if rel_pe is not None:
-            w += rel_pe.data
+        if rel is not None:
+            w += rel
         np.copyto(w, -np.inf, where=hidden)
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
-        np.matmul(w, v.data[..., cols], out=data[..., cols])
+        np.matmul(w, v.data[..., cols], out=out[..., cols])
         weights.append(w)
 
     def back(g, q=_target(q), k=_target(k), v=_target(v),
              rel_pe=None if rel_pe is None else _target(rel_pe),
-             q_data=q.data, k_data=k.data, v_data=v.data,
+             q_data=q_data, k_data=k.data, v_data=v.data,
              weights=weights, blocks=blocks, scale=scale):
+        g = g.reshape(q_data.shape)
         gq, gk, gv = np.empty_like(q_data), np.empty_like(k_data), np.empty_like(v_data)
         for cols, w in zip(blocks, weights):
             gh = g[..., cols]
@@ -520,10 +489,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, scale: float,
             gw *= w
             gs = np.multiply(gw, scale, out=scratch)
             if rel_pe is not None:
-                _accumulate(rel_pe, gw, fresh=True)
+                _accumulate(rel_pe, gw.reshape(rel_pe.shape), fresh=True)
             np.matmul(gs, kh, out=gq[..., cols])
             gk[..., cols] = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
-        _accumulate(q, gq, fresh=True)
+        _accumulate(q, gq.reshape(q.shape), fresh=True)
         _accumulate(k, gk, fresh=True)
         _accumulate(v, gv, fresh=True)
 

@@ -14,7 +14,8 @@ identical bytes.  Record names are unique.
 A save writes a sibling temporary file and renames it over the destination
 only once it is complete, so a failed save leaves the previous archive as it
 was.  Every text artifact of a run is written the same way, through
-:func:`atomic_open`.
+:func:`atomic_open`, and every text input (a log, a config file) is read
+through :func:`read_lines`, which names the line of a byte that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from typing import Dict, IO, Iterator
+from typing import Dict, IO, Iterator, List, Type
 
 import numpy as np
 
@@ -48,6 +49,25 @@ def atomic_open(path, mode: str = "w") -> Iterator[IO]:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _split_lines(text: str) -> List[str]:
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def read_lines(path, error: Type[Exception]) -> List[str]:
+    """The lines of the UTF-8 text file at ``path``, ended as text mode ends
+    them (``\\n``, ``\\r\\n`` or a lone ``\\r``) and without their ends.  A
+    byte that is not UTF-8 raises ``error`` naming ``path:line``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # everything before the first bad byte decodes
+        lineno = len(_split_lines(raw[:exc.start].decode("utf-8")))
+        raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return _split_lines(text)
 
 
 def save_archive(path, arrays: Dict[str, np.ndarray]) -> None:

@@ -11,6 +11,9 @@ evaluated right to left, so the extra cost stays linear in the node count.
 Each representation is one tape node, :func:`propagate`, whose backward
 repeats the products of the layer-by-layer chain in that chain's order;
 ``A @ E``, ``A @ L`` and ``A @ R`` are each computed once per train step.
+The graph side hands the contrastive loss rows, not tables:
+:func:`graph_representations` returns the batch items' rows of both
+representations, and the two (V+1) x d tables are freed when it returns.
 """
 
 from __future__ import annotations
@@ -120,35 +123,27 @@ def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
     return _node(acc, parents, back, "propagate")
 
 
-@dataclass
-class GraphRepresentations:
-    """Original and refined propagation outputs from one shared input."""
-    original: Tensor
-    refined: Tensor
-
-
 def graph_representations(graph: TransitionGraph, emb: Tensor,
-                          factors: PerturbationFactors, layers: int,
+                          factors: PerturbationFactors, layers: int, item_ids,
                           literal_layer_avg: bool = True,
                           perturbation: Optional[SubgraphPerturbation] = None
-                          ) -> GraphRepresentations:
-    """Both representations, one node each, from one ``A @ emb``;
-    ``perturbation`` holds ``A @ L`` and ``A @ R`` when the caller has them."""
+                          ) -> Tuple[Tensor, Tensor]:
+    """The rows of real items ``item_ids`` in the original and in the refined
+    representation, two (B, d) gathers.  The representations are one node
+    each, from one ``A @ emb``; ``perturbation`` holds ``A @ L`` and
+    ``A @ R`` when the caller has them.  The gathers keep only ids, so the
+    two propagated tables are freed on return."""
+    ids = np.asarray(item_ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ad.ShapeMismatch("graph_representations expects a 1D id list, got shape "
+                               f"{list(ids.shape)}")
+    if (ids <= 0).any():
+        bad = int(np.flatnonzero(ids <= 0)[0])
+        raise ValueError(f"graph_representations: padding/invalid id at batch position {bad}")
     first = graph.spmv(emb.data)
     original = propagate(graph, emb, layers, None, literal_layer_avg, first)
     refined = propagate(graph, emb, layers, factors, literal_layer_avg, first, perturbation)
-    return GraphRepresentations(original, refined)
-
-
-def batch_rows(reps: GraphRepresentations, item_ids) -> Tuple[Tensor, Tensor]:
-    """Gather matching rows of both representations for a batch of real items."""
-    ids = np.asarray(item_ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ad.ShapeMismatch(f"batch_rows expects a 1D id list, got shape {list(ids.shape)}")
-    if (ids <= 0).any():
-        bad = int(np.flatnonzero(ids <= 0)[0])
-        raise ValueError(f"batch_rows: padding/invalid id at batch position {bad}")
-    return ad.gather(reps.original, ids), ad.gather(reps.refined, ids)
+    return ad.gather(original, ids), ad.gather(refined, ids)
 
 
 def gce_loss(original_batch: Tensor, refined_batch: Tensor, tau: float) -> Tensor:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional
 
-from .checkpoint import atomic_open
+from .checkpoint import atomic_open, read_lines
 
 
 class ConfigError(ValueError):
@@ -146,22 +146,22 @@ SCHEMA: Dict[str, Field] = {
 
 
 def parse_config_file(path) -> Dict[str, object]:
-    """Read 'key = value' lines; '#' starts a comment; unknown keys fail."""
+    """Read 'key = value' lines of UTF-8 text; '#' starts a comment; unknown
+    keys and bytes that are not UTF-8 fail, naming ``path:line``."""
     out: Dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                out[key] = SCHEMA[key].parse(value)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    for lineno, raw in enumerate(read_lines(path, ConfigError), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in SCHEMA:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[key] = SCHEMA[key].parse(value)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
 
 

@@ -25,7 +25,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_open
+from .checkpoint import atomic_open, read_lines
 from .config import TrainConfig
 
 
@@ -74,24 +74,10 @@ class SplitDataset:
 _FIELD = re.compile(r"[ \t\x0b\x0c\x1c-\x1f]*[+-]?[0-9]+[ \t\x0b\x0c\x1c-\x1f]*")
 
 
-def _split_lines(text: str) -> List[str]:
-    """Lines as text mode reads them: ``\\r\\n`` and a lone ``\\r`` end a line too."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
 def _read_events(path, delimiter: str) -> np.ndarray:
     """The log at ``path`` as an (n, 3) int64 array of (user, item, timestamp)
     rows in file order, parsed by one ``np.loadtxt`` call over its data lines."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # everything before the first bad byte decodes
-        lineno = len(_split_lines(raw[:exc.start].decode("utf-8")))
-        raise ParseError(f"{path}:{lineno}: not UTF-8 text "
-                         f"({exc.reason} at byte {exc.start})") from None
-    lines = _split_lines(text)
+    lines = read_lines(path, ParseError)
     kept = [line for line in map(str.strip, lines) if line and line[0] != "#"]
     if not kept:
         return np.empty((0, 3), dtype=np.int64)
@@ -170,18 +156,16 @@ def build_sequences(events: np.ndarray, min_count: int) -> List[ItemSequence]:
             for user, (start, end) in enumerate(zip([0] + ends[:-1], ends))]
 
 
-def num_items_of(sequences: Sequence[ItemSequence]) -> int:
-    return max(max(s.items) for s in sequences)
-
-
 def leave_one_out(sequences: Sequence[ItemSequence]) -> SplitDataset:
     """Last item becomes the test target, second-to-last the validation target."""
+    if not sequences:
+        raise EmptyDataset("leave_one_out: no sequences to split")
     users = []
     for seq in sequences:
         if len(seq.items) < 3:
             raise SequenceTooShort(f"user {seq.user_id} has only {len(seq.items)} items (need >= 3)")
         users.append(UserSplit(seq.user_id, seq.items[:-2], seq.items[-2], seq.items[-1]))
-    return SplitDataset(users, num_items_of(sequences))
+    return SplitDataset(users, max(max(s.items) for s in sequences))
 
 
 # ---------------------------------------------------------------------------

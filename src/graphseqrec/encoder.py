@@ -115,8 +115,9 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
     With it the call returns only those rows, (B, d): the last layer still
     takes keys and values at every position, but runs its queries,
     attention, output projection and feed-forward block on the readout rows
-    alone.  Its dropout draws at the full shape, so the rng stream is the
-    same as without a readout.
+    alone: the (B, d) queries go into ``autodiff.attention`` as they are,
+    with the readout rows of the mask and of ``rel_pe``.  Its dropout draws
+    at the full shape, so the rng stream is the same as without a readout.
     """
     seqs = np.asarray(seqs, dtype=np.int64)
     if seqs.ndim != 2 or seqs.shape[1] != cfg.max_len:
@@ -146,16 +147,12 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
             # one query row per sequence from here on, kept (B, d) so every
             # projection stays one flat matrix product
             h, a = ad.select_positions(h, readout), ad.select_positions(a, readout)
-            mask = mask[np.arange(b), readout][:, None, :]
+            mask = mask[np.arange(b), readout]
             if rel_pe is not None:
-                rel_pe = ad.reshape(ad.select_positions(rel_pe, readout), (b, 1, n))
+                rel_pe = ad.select_positions(rel_pe, readout)
             rows = (n, readout)
         q = ad.linear(a, params[p + "attn_query_w"], params[p + "attn_query_b"])
-        if rows is None:
-            merged = ad.attention(q, k, v, mask, cfg.heads, scale, rel_pe)
-        else:  # attention takes the one query row per sequence as (B, 1, d)
-            merged = ad.reshape(ad.attention(ad.reshape(q, (b, 1, cfg.dim)), k, v, mask,
-                                             cfg.heads, scale, rel_pe), (b, cfg.dim))
+        merged = ad.attention(q, k, v, mask, cfg.heads, scale, rel_pe)
         attended = ad.linear(merged, params[p + "attn_out_w"], params[p + "attn_out_b"])
         h = ad.add(h, ad.dropout(attended, cfg.dropout, rng, rows))
         f = ad.layer_norm(h, params[p + "ln2_g"], params[p + "ln2_b"], LN_EPS)

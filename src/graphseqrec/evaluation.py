@@ -32,9 +32,10 @@ def rank_from_scores(scores: np.ndarray, histories: Sequence[Collection[int]],
     """Rank of each row's target in a (B, V) score block.
 
     ``scores[b, i]`` scores item id i+1 for row b.  With ``exclude_history``
-    the items of ``histories[b]`` are not candidates in row b (padding ids
-    are ignored).  Ties break by ascending item id, so the target is ranked
-    below every equal-scoring smaller id.
+    the items of ``histories[b]`` are not candidates in row b (padding and
+    negative ids are ignored; an id above V raises, naming its row).  Ties
+    break by ascending item id, so the target is ranked below every
+    equal-scoring smaller id.
 
     Each row counts the scores above its target's and its ties; only rows
     with a tie besides the target look up which ties have smaller ids.  The
@@ -67,6 +68,10 @@ def rank_from_scores(scores: np.ndarray, histories: Sequence[Collection[int]],
     hist_rows, hist_items = _flatten(histories)
     kept = hist_items > 0
     hist_rows, hist_items = hist_rows[kept], hist_items[kept]
+    over = np.flatnonzero(hist_items > num_items)
+    if over.size:
+        raise ValueError(f"row {hist_rows[over[0]]}: history item {hist_items[over[0]]} "
+                         f"is outside 1..{num_items}")
     hist_targets = targets[hist_rows]
     excluded = hist_items == hist_targets
     if excluded.any():

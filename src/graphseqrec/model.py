@@ -5,7 +5,7 @@ training loop and the evaluator share.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,12 +39,13 @@ class Model:
                                           self.params["pert_right"], self.cfg.alpha)
 
     # ----------------------------------------------------------------- graph
-    def graph_representations(self, perturbation: Optional[SubgraphPerturbation] = None
-                              ) -> collab.GraphRepresentations:
-        """Original and refined representations; pass this step's
+    def graph_representations(self, item_ids,
+                              perturbation: Optional[SubgraphPerturbation] = None
+                              ) -> Tuple[Tensor, Tensor]:
+        """Both representations' rows of ``item_ids``; pass this step's
         ``subgraph_perturbation()`` so its propagated factors are reused."""
         return collab.graph_representations(self.graph, self.params["item_emb"],
-                                            self.factors, self.cfg.gcn_layers,
+                                            self.factors, self.cfg.gcn_layers, item_ids,
                                             self.cfg.literal_layer_avg, perturbation)
 
     @property

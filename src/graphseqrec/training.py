@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .collab import batch_rows, gce_loss
+from .collab import gce_loss
 from .config import TrainConfig
 from .data import SplitDataset, augment_pair, pad_sequence
 from .evaluation import MetricsReport, eval_input_sequences, rank_from_scores
@@ -202,10 +202,7 @@ def train_step(model: Model, batch: Batch, cfg: TrainConfig,
                          batch.negatives, batch.step_mask)
     gce = None
     if lambda1 != 0.0:
-        # the gathers keep only ids, so nothing holds the two propagated
-        # tables once their rows are taken
-        orig_rows, ref_rows = batch_rows(model.graph_representations(perturbation),
-                                         batch.gce_items)
+        orig_rows, ref_rows = model.graph_representations(batch.gce_items, perturbation)
         gce = gce_loss(orig_rows, ref_rows, cfg.tau)
     seq = None
     if cfg.lambda2 != 0.0 and batch.view1 is not None:

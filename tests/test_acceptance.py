@@ -198,8 +198,7 @@ def test_criterion_4_gradient_suite():
                               batch.negatives, batch.step_mask)
 
     def loss_gce():
-        reps = model.graph_representations()
-        orig, refined = collab.batch_rows(reps, batch.gce_items)
+        orig, refined = model.graph_representations(batch.gce_items)
         return collab.gce_loss(orig, refined, cfg.tau)
 
     def loss_seq():

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -97,11 +98,13 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_half_squared_norm_gives_x(self, rng):
-        data = rng.standard_normal((4, 3))
+        data = rng.standard_normal((4, 4))
+        data += data.T
         x = Tensor(data.copy(), requires_grad=True)
-        # x · x as one (1, 12) @ (12, 1) product: x reaches the loss twice
-        square = ad.linear(ad.reshape(x, (1, 12)), ad.reshape(x, (12, 1)), Tensor(np.zeros(1)))
-        ad.backward(ad.mul(total_sum(square), 0.5))
+        # x · x is the trace of one x @ x product for a symmetric x: x reaches
+        # the loss twice, as the input and as the weight
+        square = ad.linear(x, x, Tensor(np.zeros(4)))
+        ad.backward(ad.mul(weighted_sum(square, np.eye(4)), 0.5))
         np.testing.assert_allclose(x.grad, data, atol=1e-15)
 
     def test_non_scalar_loss_rejected(self):
@@ -202,9 +205,10 @@ class TestBackward:
         # node would need ~30 arrays at the peak; consuming the tape as it is
         # walked needs a few (the node's gradient, a temporary, its parent's)
         x = Tensor(np.random.default_rng(3).standard_normal((200, 1000)), requires_grad=True)
+        shift = Tensor(0.1)
         y = x
         for _ in range(10):
-            y = ad.tanh(ad.add(ad.mul(y, 0.5), 0.1))
+            y = ad.tanh(ad.add(ad.mul(y, 0.5), shift))
         loss = total_sum(y)
         del y
         tracemalloc.start()
@@ -221,12 +225,13 @@ class TestBackward:
         # 30 add/mul nodes on a 200x1000 leaf, intermediates dropped: no
         # backward reads an add or mul output, so the forward holds none of them
         x = Tensor(np.random.default_rng(3).standard_normal((200, 1000)), requires_grad=True)
+        shift = Tensor(0.1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             y = x
             for _ in range(15):
-                y = ad.add(ad.mul(y, 0.5), 0.1)
+                y = ad.add(ad.mul(y, 0.5), shift)
             loss = total_sum(y)
             del y
             held = tracemalloc.get_traced_memory()[0]
@@ -297,19 +302,22 @@ class TestLifetime:
     def test_nothing_stays_pinned_after_backward(self, rng):
         x, w, v, gain = leaves(rng.standard_normal((2, 5, 4)), rng.standard_normal((4, 4)),
                                rng.standard_normal((2, 5, 5)), np.ones(4))
-        zeros = Tensor(np.zeros(4))
+        zeros, half = Tensor(np.zeros(4)), Tensor(0.5)
         scalars = Tensor(rng.standard_normal((2, 1)), requires_grad=True)
         mask = attention_mask(np.array([[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]]))
-        a = ad.layer_norm(ad.add(x, 0.5), gain, zeros)
+        readout = np.array([4, 3])
+        a = ad.layer_norm(ad.add(x, half), gain, zeros)
         q = ad.linear(a, w, zeros)
         rel_pe = ad.per_sample_scale(scalars, v.data)
         h = ad.add(a, ad.dropout(ad.attention(q, q, q, mask, 2, 0.5, rel_pe), 0.3, rng))
-        f = ad.reshape(ad.relu(ad.linear(h, w, zeros)), (10, 4))
-        rows = ad.select_positions(ad.reshape(f, (2, 5, 4)), np.array([4, 3]))
+        f = ad.relu(ad.linear(h, w, zeros))
+        # a readout query row per sequence, as the last encoder layer runs it
+        rows = ad.attention(ad.select_positions(f, readout), f, f, mask[np.arange(2), readout],
+                            2, 0.5, ad.select_positions(rel_pe, readout))
         loss = ad.cosine_info_nce(rows, ad.tanh(ad.mul(ad.gather(w, [0, 2]), 2.0)), 0.5)
-        del a, q, rel_pe, h, f, rows
+        del a, q, rel_pe, h, f, rows, readout
         # the leaves' arrays and the loss value stay with their tensors
-        kept = {id(t.data) for t in (x, w, v, gain, zeros, scalars, loss)}
+        kept = {id(t.data) for t in (x, w, v, gain, zeros, half, scalars, loss)}
         refs, seen, stack = [], set(), [loss]
         while stack:
             node = stack.pop()
@@ -526,16 +534,6 @@ class TestIndexingOps:
         np.testing.assert_array_equal(out.data[1], x.data[1, 0])
         check_grads(lambda: total_sum(ad.select_positions(x, pos)), {"x": x}, rtol=1e-6)
 
-    def test_reshape(self, rng):
-        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        w = rng.standard_normal((3, 1, 4))
-        out = ad.reshape(x, (3, 1, 4))
-        np.testing.assert_array_equal(out.data[:, 0], x.data)
-        check_grads(lambda: weighted_sum(ad.reshape(x, (3, 1, 4)), w),
-                    {"x": x}, rtol=1e-6)
-        with pytest.raises(ShapeMismatch, match=r"\[3, 4\] does not fit \[3, 5\]"):
-            ad.reshape(x, (3, 5))
-
 
 class TestAttention:
     def test_gradient_vs_finite_differences(self, rng):
@@ -593,6 +591,13 @@ class TestAttention:
             ad.attention(q, kv, Tensor(np.zeros((2, 2, 4))), mask, 2, 1.0)
         with pytest.raises(ShapeMismatch, match=r"q \[3, 1, 4\], k \[2, 3, 4\]"):
             ad.attention(Tensor(np.zeros((3, 1, 4))), kv, kv, mask, 2, 1.0)
+        rows = Tensor(np.zeros((2, 4)))  # one query row per sequence
+        with pytest.raises(ShapeMismatch, match=r"mask shape \[2, 1, 3\] != logits shape \[2, 3\]"):
+            ad.attention(rows, kv, kv, mask, 2, 1.0)
+        with pytest.raises(ShapeMismatch, match=r"rel_pe shape \[2, 1, 3\] != logits shape \[2, 3\]"):
+            ad.attention(rows, kv, kv, mask[:, 0], 2, 1.0, Tensor(np.zeros((2, 1, 3))))
+        with pytest.raises(ShapeMismatch, match=r"q \[2, 5\], k \[2, 3, 4\]"):
+            ad.attention(Tensor(np.zeros((2, 5))), kv, kv, mask[:, 0], 2, 1.0)
 
     def test_fully_masked_row_names_its_index(self):
         x = Tensor(np.zeros((2, 3, 4)))
@@ -912,6 +917,31 @@ class TestBitwiseAgainstOldFormulas:
         if with_rel_pe:
             assert rel_pe.grad.tobytes() == want_rel.tobytes()
 
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("with_rel_pe", [False, True])
+    def test_attention_on_query_rows_equals_one_query_per_row(self, rng, heads, with_rel_pe):
+        # a (B, d) query with a (B, N) mask and rel_pe against the (B, 1, d)
+        # call with a (B, 1, N) mask and rel_pe, which the readout layer made
+        # through shape-only nodes: the same bytes, forward and backward
+        seqs = np.array([[0, 0, 3, 1, 4, 2], [5, 1, 2, 6, 3, 7], [0, 0, 0, 0, 0, 9]])
+        readout = np.array([5, 3, 5])
+        mask = attention_mask(seqs)[np.arange(3), readout]
+        q0 = rng.standard_normal((3, 8))
+        k0, v0 = (rng.standard_normal((3, 6, 8)) for _ in range(2))
+        rel0 = rng.standard_normal((3, 6))
+        upstream = rng.standard_normal((3, 8))
+        runs = []
+        # the (B, d) query rows first, then the same rows in (B, 1, d) form
+        for form in (lambda a: a, lambda a: a[:, None]):
+            q, k, v, rel_pe = leaves(form(q0), k0, v0, form(rel0))
+            out = ad.attention(q, k, v, form(mask), heads, 0.5, rel_pe if with_rel_pe else None)
+            assert out.shape == q.shape
+            ad.backward(weighted_sum(out, form(upstream)))
+            runs.append([a.tobytes() for a in (out.data, q.grad, k.grad, v.grad, rel_pe.grad)
+                         if a is not None])
+        assert len(runs[0]) == (5 if with_rel_pe else 4)
+        assert runs[0] == runs[1]
+
     # four heads make rel_pe's sum order visible: ((a + b) + c) + d
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("with_rel_pe", [False, True])
@@ -1015,3 +1045,45 @@ class TestBitwiseAgainstOldFormulas:
         arrays = layer_norm_peak_arrays(x, gain, bias)
         # the output and the saved xhat; every other temporary is reused
         assert arrays <= 2.5, f"layer_norm forward peaked at {arrays:.2f} input-sized arrays"
+
+
+# ---------------------------------------------------------------------------
+# the op set: every public op has a caller in the package
+# ---------------------------------------------------------------------------
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphseqrec"
+
+
+def autodiff_calls(tree: ast.Module) -> set:
+    """Names of ``autodiff`` functions that a module calls, through the
+    module (``ad.linear(...)``) or through a name imported from it."""
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if node.module is None and alias.name == "autodiff":
+                    modules.add(alias.asname or alias.name)
+                elif node.module == "autodiff":
+                    names[alias.asname or alias.name] = alias.name
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id in modules):
+                called.add(func.attr)
+            elif isinstance(func, ast.Name) and func.id in names:
+                called.add(names[func.id])
+    return called
+
+
+def test_every_public_op_has_a_caller_outside_autodiff():
+    # a helper only tests call belongs in tests/conftest.py (as total_sum does)
+    ops = {node.name for node in ast.parse((PACKAGE / "autodiff.py").read_text()).body
+           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert {"add", "attention", "backward", "no_grad"} <= ops
+    called = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "autodiff.py":
+            called |= autodiff_calls(ast.parse(path.read_text()))
+    assert sorted(ops - called) == []

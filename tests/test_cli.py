@@ -126,6 +126,16 @@ class TestTrain:
                      "--lambda1", "0", "--enable-pge", "false"] + shared) == 0
         assert (toggles / "metrics.log").read_bytes() == (weights / "metrics.log").read_bytes()
 
+    def test_non_utf8_config_names_path_and_line(self, synth_log, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"dim = 8\r\n# caf\xe9\nheads = 2\n")
+        code = main(["train", "--dataset", synth_log, "--outdir", str(tmp_path / "run"),
+                     "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:2: not UTF-8 text (invalid continuation byte at byte 14)" in err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_rejected(self, synth_log, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no_such_key = 5\n")

@@ -220,39 +220,46 @@ class TestPropagateAgainstTheChain:
     @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("passed_factors", [False, True])
     def test_both_representations_share_the_first_product(self, rng, layers, passed_factors):
-        # the original node runs first, as gce_loss's anchors come first
+        # the original node runs first, as gce_loss's anchors come first; every
+        # real row is gathered, so the padding row's upstream is zero
         graph, emb0, factors, upstream = self.case(rng, 0.3)
         other = rng.standard_normal(emb0.shape)
+        upstream[0] = other[0] = 0.0
         earlier = rng.standard_normal(emb0.shape)
         emb = Tensor(emb0.copy(), requires_grad=True)
         emb.grad = earlier.copy()
         perturbation = collab.detached_perturbation(graph, factors) if passed_factors else None
-        reps = collab.graph_representations(graph, emb, factors, layers,
-                                            perturbation=perturbation)
-        assert reps.original.op == reps.refined.op == "propagate"
-        ad.backward(ad.add(weighted_sum(reps.original, upstream),
-                           weighted_sum(reps.refined, other)))
+        ids = np.arange(1, emb0.shape[0])
+        orig_rows, ref_rows = collab.graph_representations(graph, emb, factors, layers, ids,
+                                                           perturbation=perturbation)
+        assert orig_rows.op == ref_rows.op == "gather"
+        assert [p.op for p in orig_rows._parents + ref_rows._parents] == ["propagate"] * 2
+        ad.backward(ad.add(weighted_sum(orig_rows, upstream[1:]),
+                           weighted_sum(ref_rows, other[1:])))
         original = chain_reference(graph.matrix, emb0, None, None, 0.0, layers, True,
                                    upstream, earlier)
         refined = chain_reference(graph.matrix, emb0, factors.left.data, factors.right.data,
                                   0.3, layers, True, other, original[1])
-        assert reps.original.data.tobytes() == original[0].tobytes()
-        assert reps.refined.data.tobytes() == refined[0].tobytes()
+        assert orig_rows.data.tobytes() == original[0][1:].tobytes()
+        assert ref_rows.data.tobytes() == refined[0][1:].tobytes()
         for got, want in zip((emb.grad, factors.left.grad, factors.right.grad), refined[1:]):
             assert got.tobytes() == want.tobytes()
 
     def test_one_tape_node_per_representation(self, rng):
         graph, emb0, factors, upstream = self.case(rng, 0.3)
         emb = Tensor(emb0, requires_grad=True)
-        reps = collab.graph_representations(graph, emb, factors, 3)
-        loss = ad.add(weighted_sum(reps.original, upstream), weighted_sum(reps.refined, upstream))
+        ids = np.array([4, 1, 9])
+        orig_rows, ref_rows = collab.graph_representations(graph, emb, factors, 3, ids)
+        loss = ad.add(weighted_sum(orig_rows, upstream[ids]),
+                      weighted_sum(ref_rows, upstream[ids]))
         nodes, stack = set(), [loss]
         while stack:
             node = stack.pop()
             if node.op != "leaf" and id(node) not in nodes:
                 nodes.add(id(node))
                 stack.extend(node._parents)
-        assert len(nodes) == 5  # add, two weighted sums, two propagations
+        # add, two weighted sums, two gathers, two propagations
+        assert len(nodes) == 7
 
 
 class TestGceLoss:
@@ -304,34 +311,56 @@ class TestGceLoss:
         check_grads(lambda: collab.gce_loss(a, c, tau=0.2), {"a": a, "c": c})
 
 
-class TestBatchRows:
-    def reps(self, rng, nodes=8, dim=3):
+class TestGraphRepresentationRows:
+    """``graph_representations`` returns the batch items' rows of both
+    representations, as ``gather`` over the two ``propagate`` tables did."""
+
+    def case(self, rng, nodes=8, dim=3):
         graph = random_graph(rng, nodes - 1)
         emb = Tensor(zero_pad_rows(rng, (nodes, dim)), requires_grad=True)
         factors = collab.init_factors(rng, nodes, rank=2, strength=0.1)
-        return emb, collab.graph_representations(graph, emb, factors, layers=2)
+        factors.left.data = rng.standard_normal((nodes, 2))
+        factors.right.data = rng.standard_normal((nodes, 2))
+        return graph, emb, factors
 
-    def test_gather_matches_direct_indexing(self, rng):
-        _, reps = self.reps(rng)
-        ids = np.array([3, 1, 7])
-        orig, refined = collab.batch_rows(reps, ids)
-        np.testing.assert_array_equal(orig.data, reps.original.data[ids])
-        np.testing.assert_array_equal(refined.data, reps.refined.data[ids])
+    @pytest.mark.parametrize("passed_factors", [False, True])
+    def test_equals_gather_of_the_propagated_tables(self, rng, passed_factors):
+        graph, emb, factors = self.case(rng)
+        ids = np.array([3, 1, 7, 3])
+        perturbation = collab.detached_perturbation(graph, factors) if passed_factors else None
+        runs = []
+        for routed in (True, False):
+            for t in (emb, factors.left, factors.right):
+                t.grad = None
+            if routed:
+                orig, refined = collab.graph_representations(graph, emb, factors, 2, ids,
+                                                             perturbation=perturbation)
+            else:
+                orig = ad.gather(collab.propagate(graph, emb, 2), ids)
+                refined = ad.gather(collab.propagate(graph, emb, 2, factors), ids)
+            ad.backward(collab.gce_loss(orig, refined, tau=0.2))
+            runs.append([a.tobytes() for a in (orig.data, refined.data, emb.grad,
+                                               factors.left.grad, factors.right.grad)])
+        assert runs[0] == runs[1]
 
     def test_duplicate_ids_repeat_rows(self, rng):
-        _, reps = self.reps(rng)
-        orig, _ = collab.batch_rows(reps, np.array([2, 2]))
+        graph, emb, factors = self.case(rng)
+        orig, _ = collab.graph_representations(graph, emb, factors, 2, np.array([2, 2]))
         np.testing.assert_array_equal(orig.data[0], orig.data[1])
 
     def test_padding_id_rejected(self, rng):
-        _, reps = self.reps(rng)
+        graph, emb, factors = self.case(rng)
         with pytest.raises(ValueError, match="position 1"):
-            collab.batch_rows(reps, np.array([3, 0, 1]))
+            collab.graph_representations(graph, emb, factors, 2, np.array([3, 0, 1]))
+
+    def test_ids_must_be_one_list(self, rng):
+        graph, emb, factors = self.case(rng)
+        with pytest.raises(ad.ShapeMismatch, match=r"1D id list, got shape \[1, 2\]"):
+            collab.graph_representations(graph, emb, factors, 2, np.array([[3, 1]]))
 
     def test_gradient_reaches_only_gathered_rows(self, rng):
-        emb, reps = self.reps(rng)
-        ids = np.array([1, 4])
-        orig, refined = collab.batch_rows(reps, ids)
+        graph, emb, factors = self.case(rng)
+        orig, refined = collab.graph_representations(graph, emb, factors, 2, np.array([1, 4]))
         ad.backward(collab.gce_loss(orig, refined, tau=0.2))
         grad = emb.grad
         assert grad is not None and np.abs(grad).max() > 0
@@ -344,8 +373,8 @@ class TestBatchRows:
         factors = collab.init_factors(rng, 7, rank=2, strength=0.0)
 
         def loss():
-            reps = collab.graph_representations(graph, emb, factors, layers=2)
-            orig, refined = collab.batch_rows(reps, np.array([1, 2, 3]))
+            orig, refined = collab.graph_representations(graph, emb, factors, 2,
+                                                         np.array([1, 2, 3]))
             return collab.gce_loss(orig, ad.mul(refined, 0.5), tau=0.2)
 
         value = loss()

@@ -324,6 +324,10 @@ class TestLeaveOneOut:
         for seq, user in zip(seqs, split.users):
             assert user.train + [user.valid, user.test] == seq.items
 
+    def test_no_sequences_is_an_empty_dataset(self):
+        with pytest.raises(EmptyDataset, match="leave_one_out: no sequences"):
+            dp.leave_one_out([])
+
     def test_short_sequence_rejected_with_user_id(self):
         with pytest.raises(SequenceTooShort, match="user 42"):
             dp.leave_one_out([ItemSequence(42, [1, 2])])

@@ -122,6 +122,17 @@ class TestRankTarget:
         with pytest.raises(ValueError, match="target item 3 is excluded"):
             ev.rank_from_scores(np.zeros((3, 4)), [{1}, {3}, {4}], [2, 3, 4])
 
+    def test_history_id_above_the_catalog_names_its_row(self):
+        scores = np.arange(15.0).reshape(3, 5)
+        with pytest.raises(ValueError, match=r"row 2: history item 8 is outside 1\.\.5"):
+            ev.rank_from_scores(scores, [{1}, {2, 5}, {3, 8, 9}], [2, 3, 4])
+        # padding and negative ids stay ignored; unread without exclusion
+        np.testing.assert_array_equal(
+            ev.rank_from_scores(scores, [{0, -3}, {0}, {-1, 1}], [2, 3, 4]), [4, 3, 2])
+        np.testing.assert_array_equal(
+            ev.rank_from_scores(scores, [{1}, {2}, {8}], [2, 3, 4], exclude_history=False),
+            [4, 3, 2])
+
     def test_history_exclusion_only_helps(self, rng):
         # removing candidates that score below the target never changes rank
         for _ in range(20):

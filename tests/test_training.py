@@ -302,6 +302,13 @@ class TestTrainStepTape:
         # no op is recorded per head
         assert two_heads == one_head
 
+    def test_readout_rows_go_into_attention_as_they_are(self, monkeypatch):
+        ops = self.tape_ops(2, monkeypatch)
+        # the views' last layers take (B, d) query rows: no shape-only node
+        assert "reshape" not in ops
+        # each view's last layer selects h, a and rel_pe at its readout rows
+        assert ops["select_positions"] == 2 * 3
+
     def test_one_node_per_loss_term(self, monkeypatch):
         ops = self.tape_ops(2, monkeypatch)
         # rec is sampled_bce; the graph and the sequence contrastive terms
