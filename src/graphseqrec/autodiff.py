@@ -44,10 +44,11 @@ heads of one attention layer, masked row softmax included, are one
 at one readout row per sequence.  Each loss term is one node too:
 :func:`sampled_bce` for next-item prediction, :func:`cosine_info_nce` for
 both contrastive terms.  :func:`mul` scales by a number only.  :func:`add`
-takes two tensors and broadcasts narrowly (same shape, bias-style trailing
-axes, per-axis size-1 expansion, 0-d tensors); anything else raises
-:class:`ShapeMismatch` naming both shapes.  Values and gradients are
-C-contiguous float64, which keeps finite-difference checks meaningful.
+takes two tensors of one shape, or one shaped as the other's trailing axes
+(a bias, ``pos_emb``, a 0-d tensor); anything else raises
+:class:`ShapeMismatch` naming both shapes.  Recorded values are ndarrays (a
+loss is 0-d), values and gradients are C-contiguous float64, which keeps
+finite-difference checks meaningful.
 """
 
 from __future__ import annotations
@@ -181,10 +182,7 @@ class Node:
         self._backward = backward_fn
         self.grad: Optional[np.ndarray] = None
         self.shape = data.shape
-        try:
-            self._out = weakref.ref(data)
-        except TypeError:  # a numpy scalar (an op on 0-d values) is held as it is
-            self._out = lambda: data
+        self._out = weakref.ref(data)
 
     @property
     def data(self) -> np.ndarray:
@@ -200,6 +198,7 @@ def _target(t: Tensor):
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
+    data = np.asarray(data)  # an op on 0-d values yields a numpy scalar
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -230,13 +229,10 @@ def _accumulate(t, g: np.ndarray, fresh: bool = False) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce gradient ``g`` back to ``shape`` by summing broadcast axes."""
+    """Reduce gradient ``g`` back to ``shape`` by summing its leading axes."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
 
 
@@ -293,10 +289,10 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeMismatch(f"add: shapes {list(a.shape)} and {list(b.shape)} do not align") from None
+    short, full = sorted((a.shape, b.shape), key=len)
+    if full[len(full) - len(short):] != short:
+        raise ShapeMismatch(f"add: shapes {list(a.shape)} and {list(b.shape)} do not align")
+    data = a.data + b.data
 
     def back(g, a=_target(a), b=_target(b)):
         # a reduced gradient is a new array; an unreduced one is a view of g,

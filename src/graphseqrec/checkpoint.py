@@ -57,8 +57,9 @@ def _split_lines(text: str) -> List[str]:
 
 def read_lines(path, error: Type[Exception]) -> List[str]:
     """The lines of the UTF-8 text file at ``path``, ended as text mode ends
-    them (``\\n``, ``\\r\\n`` or a lone ``\\r``) and without their ends.  A
-    byte that is not UTF-8 raises ``error`` naming ``path:line``."""
+    them (``\\n``, ``\\r\\n`` or a lone ``\\r``) and without their ends, and
+    without a leading byte-order mark.  A byte that is not UTF-8 raises
+    ``error`` naming ``path:line``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -67,7 +68,7 @@ def read_lines(path, error: Type[Exception]) -> List[str]:
         # everything before the first bad byte decodes
         lineno = len(_split_lines(raw[:exc.start].decode("utf-8")))
         raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return _split_lines(text)
+    return _split_lines(text.removeprefix("\ufeff"))
 
 
 def save_archive(path, arrays: Dict[str, np.ndarray]) -> None:

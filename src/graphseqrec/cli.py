@@ -142,6 +142,10 @@ def _parse_grid(text: str, kind) -> List:
         raise UsageError(f"bad grid specification: {text!r}") from None
 
 
+def _grid_text(grid) -> str:
+    return ",".join(map(str, grid))
+
+
 def cmd_gridsearch(args: argparse.Namespace) -> int:
     base = _resolve_outdir(cfgmod.resolve(args.config, _collect_overrides(args)), "gridsearch")
     dataset = _load_dataset(base)
@@ -205,9 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("gridsearch", help="train every cell of a hyperparameter grid")
     _add_config_flags(p_grid)
     p_grid.add_argument("--lambda1-grid", dest="lambda1_grid",
-                        help="comma-separated lambda1 values (default 0.05,0.1,0.2,0.4)")
+                        help=f"comma-separated lambda1 values (default {_grid_text(LAMBDA1_GRID)})")
     p_grid.add_argument("--layers-grid", dest="layers_grid",
-                        help="comma-separated encoder layer counts (default 1,2,3)")
+                        help="comma-separated encoder layer counts "
+                             f"(default {_grid_text(ENCODER_LAYER_GRID)})")
     p_grid.set_defaults(func=cmd_gridsearch)
 
     p_graph = sub.add_parser("build-graph", help="dump the finalized transition graph")

@@ -10,7 +10,8 @@ factor matrices L and R (each num_nodes x rank) the refined layer update is
 evaluated right to left, so the extra cost stays linear in the node count.
 Each representation is one tape node, :func:`propagate`, whose backward
 repeats the products of the layer-by-layer chain in that chain's order;
-``A @ E``, ``A @ L`` and ``A @ R`` are each computed once per train step.
+``A @ E`` is computed once per train step, ``A @ L`` and ``A @ R`` once per
+train step or evaluation pass (:func:`detached_perturbation`).
 The graph side hands the contrastive loss rows, not tables:
 :func:`graph_representations` returns the batch items' rows of both
 representations, and the two (V+1) x d tables are freed when it returns.
@@ -157,7 +158,8 @@ def gce_loss(original_batch: Tensor, refined_batch: Tensor, tau: float) -> Tenso
 
 def detached_perturbation(graph: TransitionGraph,
                           factors: PerturbationFactors) -> SubgraphPerturbation:
-    """Snapshot of the propagated factors for refined subgraph lookups.
+    """Snapshot of the propagated factors, taken once per train step or
+    evaluation pass.
 
     Values only; subgraph extraction is a stop-gradient read of the refined
     graph, so the factors learn through gce_loss alone.

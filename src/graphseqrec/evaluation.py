@@ -33,7 +33,8 @@ def rank_from_scores(scores: np.ndarray, histories: Sequence[Collection[int]],
 
     ``scores[b, i]`` scores item id i+1 for row b.  With ``exclude_history``
     the items of ``histories[b]`` are not candidates in row b (padding and
-    negative ids are ignored; an id above V raises, naming its row).  Ties
+    negative ids are ignored; an id above V raises, naming its row).  A
+    non-finite target score raises, naming its row: NaN would rank 1.  Ties
     break by ascending item id, so the target is ranked below every
     equal-scoring smaller id.
 
@@ -51,6 +52,9 @@ def rank_from_scores(scores: np.ndarray, histories: Sequence[Collection[int]],
         bad = targets[(targets < 1) | (targets > num_items)][0]
         raise ValueError(f"target item {bad} is outside 1..{num_items}")
     target_score = scores[np.arange(rows), targets - 1]
+    if not np.isfinite(target_score).all():
+        bad = int(np.flatnonzero(~np.isfinite(target_score))[0])
+        raise ValueError(f"row {bad}: target score {target_score[bad]} is not finite")
     # a count of at most 65535 items sums in 16 bits, several times faster
     count_dtype = np.uint16 if num_items <= np.iinfo(np.uint16).max else np.int64
     ranks = np.ones(rows, dtype=np.int64)

@@ -114,7 +114,7 @@ def train_graph(dataset: SplitDataset, window: int = 2,
 
 @dataclass(frozen=True)
 class SubgraphPerturbation:
-    """Detached low-rank refinement used when subgraphs read the refined graph.
+    """Detached low-rank refinement, one snapshot per train step or evaluation pass.
 
     ``left``/``right`` are the graph-propagated factor values (plain arrays;
     no gradient flows back through subgraph extraction), so the refined

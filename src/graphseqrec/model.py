@@ -48,33 +48,11 @@ class Model:
                                             self.factors, self.cfg.gcn_layers, item_ids,
                                             self.cfg.literal_layer_avg, perturbation)
 
-    @property
-    def _reads_refined(self) -> bool:
-        return (self.cfg.enable_pge and self.cfg.pge_graph == "refined"
-                and self.cfg.alpha != 0.0)
-
-    def subgraph_perturbation(self) -> Optional[SubgraphPerturbation]:
-        """Detached refinement snapshot for the subgraph reads of one forward
-        pass, or None when those reads use the base graph (or none happen).
-
-        Take one per train step or evaluation: it is stale once the
-        optimizer moves the factors.
-        """
-        if self._reads_refined:
-            return collab.detached_perturbation(self.graph, self.factors)
-        return None
-
-    def subgraphs(self, seqs: np.ndarray,
-                  perturbation: Optional[SubgraphPerturbation]) -> np.ndarray:
-        """Per-sequence dense weight blocks for the relative encoding.
-
-        Reads the refined graph when configured; that read is detached, so
-        the factors stay trained by the collaborative loss alone.
-        """
-        if (perturbation is not None) != self._reads_refined:
-            raise ValueError("subgraphs: pass this model's subgraph_perturbation() "
-                             f"(pge_graph={self.cfg.pge_graph!r}, alpha={self.cfg.alpha})")
-        return extract_subgraph_batch(self.graph, seqs, perturbation)
+    def subgraph_perturbation(self) -> SubgraphPerturbation:
+        """Detached snapshot of the propagated refinement factors, read by
+        a refined PGE and by the AGCL.  Take one per train step or evaluation
+        pass: it is stale once the optimizer moves the factors."""
+        return collab.detached_perturbation(self.graph, self.factors)
 
     # --------------------------------------------------------------- encoder
     def hidden_states(self, seqs: np.ndarray, user_ids: np.ndarray,
@@ -83,11 +61,17 @@ class Model:
                       readout: Optional[np.ndarray] = None) -> Tensor:
         """Per-position states used for scoring, or only the rows at
         ``readout`` (see ``encoder.encode``); the per-user graph encoding
-        enters the attention logits when it is enabled."""
+        enters the attention logits when it is enabled.  With ``pge_graph =
+        refined`` its subgraphs read ``perturbation``, this pass's detached
+        snapshot, so the factors learn through the collaborative loss alone."""
         rel_pe = None
         if self.cfg.enable_pge:
-            rel_pe = encoder.pge_encoding(self.params, user_ids,
-                                          self.subgraphs(seqs, perturbation))
+            refined = self.cfg.pge_graph == "refined"
+            if refined and perturbation is None:
+                raise ValueError("hidden_states: a PGE that reads the refined graph "
+                                 "needs this pass's subgraph_perturbation()")
+            blocks = extract_subgraph_batch(self.graph, seqs, perturbation if refined else None)
+            rel_pe = encoder.pge_encoding(self.params, user_ids, blocks)
         return encoder.encode(self.params, self.cfg, seqs, rel_pe, rng, readout)
 
     def user_reprs(self, seqs: np.ndarray, user_ids: np.ndarray,
@@ -116,8 +100,8 @@ class Model:
 
     def load(self, path) -> None:
         """Load parameters in place.  The archive must hold exactly this
-        model's parameters, each with its shape; any mismatch raises before
-        a parameter is assigned."""
+        model's parameters, each with its shape and finite values; any
+        mismatch raises before a parameter is assigned."""
         arrays = load_archive(path)
         for name in arrays:
             if name not in self.params:
@@ -129,6 +113,8 @@ class Model:
                 raise ad.ShapeMismatch(
                     f"checkpoint parameter '{name}' has shape {list(arrays[name].shape)}, "
                     f"model expects {list(t.data.shape)}")
+            if not np.isfinite(arrays[name]).all():
+                raise CheckpointError(f"{path}: parameter '{name}' holds a non-finite value")
         for name, t in self.params.items():
             t.data = arrays[name]
 

@@ -441,6 +441,20 @@ class TestElementwiseGradients:
     def test_incompatible_shapes_raise(self):
         with pytest.raises(ShapeMismatch):
             ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+        # numpy would expand the size-1 axis; no caller in the package does
+        with pytest.raises(ShapeMismatch, match=r"shapes \[2, 1\] and \[2, 3\]"):
+            ad.add(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 3))))
+        with pytest.raises(ShapeMismatch, match=r"shapes \[3\] and \[1\]"):
+            ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(1)))
+
+    def test_add_of_scalars_records_an_array_held_weakly(self):
+        a, b = leaves(np.array(1.5), np.array(2.0))
+        out = ad.add(a, b)
+        assert type(out.data) is np.ndarray and out.data.shape == ()
+        node = out.node
+        assert node.data is out.data
+        del out
+        assert node.data.size == 0  # the node held it weakly
 
 
 def unit(x):

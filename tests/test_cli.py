@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from graphseqrec.checkpoint import load_archive, save_archive
 from graphseqrec.cli import main
 from graphseqrec.data import ingest
 
@@ -278,6 +279,18 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and '"' not in captured.err
         assert "checkpoint.best: parameter 'layer3.attn_query_w'" in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_parameter_is_an_error(self, trained, synth_log, tmp_path, capsys):
+        arrays = load_archive(os.path.join(trained, "checkpoint.best"))
+        arrays["ln_final_g"][0] = float("nan")
+        broken = tmp_path / "nan.ckpt"
+        save_archive(broken, arrays)
+        code = main(["eval", "--config", os.path.join(trained, "config.resolved"),
+                     "--checkpoint", str(broken), "--dataset", synth_log])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"{broken}: parameter 'ln_final_g' holds a non-finite value" in captured.err
         assert captured.out == ""
 
     def test_missing_checkpoint_usage_error(self, synth_log, capsys):

@@ -86,3 +86,13 @@ def test_config_checks_itself_on_every_construction():
         TrainConfig(delimiter="bogus")
     with pytest.raises(FrozenInstanceError):
         TrainConfig().seed = 1
+
+
+def test_byte_order_mark_is_not_part_of_line_one(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes("\ufeffdim = 8\n".encode("utf-8"))
+    assert cfgmod.parse_config_file(path) == {"dim": 8}
+    # only one leading mark goes, and the line numbers stay
+    path.write_bytes("\ufeff# note\n\ufeffdim = 8\n".encode("utf-8"))
+    with pytest.raises(cfgmod.ConfigError, match=r":2: unknown key '\\ufeffdim'"):
+        cfgmod.parse_config_file(path)

@@ -193,6 +193,13 @@ class TestParseContract:
             else:
                 assert ":2:" in self.parse_error(tmp_path, text), repr(field)
 
+    def test_byte_order_mark_is_not_part_of_line_one(self, tmp_path):
+        text = "1\t2\t3\n1\t3\t4\n"
+        assert self.ingest_text(tmp_path, "\ufeff" + text) == self.ingest_text(tmp_path, text)
+        # only one leading mark goes, and the line numbers stay
+        twice = "\ufeff" + text.replace("\n1", "\n\ufeff1")
+        assert ":2: non-integer field" in self.parse_error(tmp_path, twice)
+
     def test_non_utf8_names_path_and_line(self, tmp_path):
         path = tmp_path / "log.txt"
         path.write_bytes(b"1\t2\t3\r\n# note\n1\t\xff\t3\n")

@@ -173,6 +173,17 @@ class TestRankTarget:
         with pytest.raises(ValueError, match=r"\(B, V\) block"):
             ev.rank_from_scores(np.zeros(4), [set()], [1])
 
+    def test_non_finite_target_score_names_its_row(self):
+        # a NaN target has no score above it and no tie: it would rank 1
+        scores = np.zeros((3, 4))
+        scores[1, 2] = np.nan
+        scores[2, 0] = np.nan  # not a target: ranked as before
+        with pytest.raises(ValueError, match="row 1: target score nan is not finite"):
+            ev.rank_from_scores(scores, [set()] * 3, [1, 3, 2])
+        scores[1, 2] = -np.inf
+        with pytest.raises(ValueError, match="row 1: target score -inf"):
+            ev.rank_from_scores(scores, [set()] * 3, [1, 3, 2])
+
 
 class TestCountAndCorrectAgainstMaskedOracle:
     @pytest.mark.parametrize("exclude_history", [True, False])

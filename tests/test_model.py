@@ -41,20 +41,32 @@ class TestToggles:
         b = disabled.hidden_states(padded, users, None).data
         assert a.tobytes() == b.tobytes()
 
-    def test_pge_graph_choice_changes_subgraphs(self, setup):
+    def test_pge_graph_choice_changes_hidden_states(self, setup):
         seqs, graph = setup
-        padded, _ = batch_from(seqs)
+        padded, users = batch_from(seqs)
         refined = Model(config(pge_graph="refined", alpha=0.5), graph,
                         np.random.default_rng(3))
         original = Model(config(pge_graph="original", alpha=0.5), graph,
                          np.random.default_rng(3))
         unrefined = Model(config(pge_graph="refined", alpha=0.0), graph,
                           np.random.default_rng(3))
-        blocks = {name: model.subgraphs(padded, model.subgraph_perturbation())
+        states = {name: model.hidden_states(padded, users, model.subgraph_perturbation()).data
                   for name, model in (("refined", refined), ("original", original),
                                       ("unrefined", unrefined))}
-        assert not np.array_equal(blocks["refined"], blocks["original"])
-        np.testing.assert_array_equal(blocks["original"], blocks["unrefined"])
+        assert not np.array_equal(states["refined"], states["original"])
+        assert states["original"].tobytes() == states["unrefined"].tobytes()
+        # with pge_graph = original the snapshot is not read
+        assert original.hidden_states(padded, users, None).data.tobytes() == \
+            states["original"].tobytes()
+
+    def test_refined_pge_without_a_snapshot_is_an_error(self, setup):
+        seqs, graph = setup
+        padded, users = batch_from(seqs)
+        model = Model(config(pge_graph="refined"), graph, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="subgraph_perturbation"):
+            model.hidden_states(padded, users, None)
+        with pytest.raises(ValueError, match="subgraph_perturbation"):
+            model.user_reprs(padded, users, None)
 
     def test_invalid_pge_graph_rejected(self):
         with pytest.raises(ValueError):

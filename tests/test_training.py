@@ -202,12 +202,15 @@ class TestToggleIsolation:
 
 
 class TestPerturbationSnapshot:
-    """The detached refinement snapshot is taken once per forward pass of the
-    model, not once per subgraph read."""
+    """Every train step and every evaluation pass takes exactly one detached
+    refinement snapshot, whatever the subgraphs of the PGE read."""
 
-    def test_one_snapshot_per_train_step_and_per_evaluation(self, monkeypatch):
+    @pytest.mark.parametrize("pge", [dict(pge_graph="refined"), dict(pge_graph="original"),
+                                     dict(enable_pge=False)], ids=["refined", "original", "off"])
+    @pytest.mark.parametrize("agcl", [True, False], ids=["agcl", "no-agcl"])
+    def test_one_snapshot_per_train_step_and_per_evaluation(self, monkeypatch, pge, agcl):
         dataset = tiny_dataset()
-        cfg = tiny_config(batch_size=8, pge_graph="refined")
+        cfg = tiny_config(batch_size=8, enable_agcl=agcl, **pge)
         graph = tr.train_graph(dataset, cfg.window)
         model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph,
                       np.random.default_rng(5))
@@ -223,22 +226,9 @@ class TestPerturbationSnapshot:
                                cfg.max_len, np.random.default_rng(11),
                                np.random.default_rng(12), TrainConfig())
         train_step(model, batch, cfg, None, None)
-        assert len(calls) == 1  # main sequence and both augmented views
+        assert len(calls) == 1  # main sequence, both augmented views and the AGCL
         evaluate_model(model, dataset, "valid", batch_size=cfg.batch_size)
         assert len(calls) == 2  # five evaluation chunks
-
-    def test_subgraphs_reject_a_missing_or_unneeded_snapshot(self):
-        dataset = tiny_dataset()
-        seqs = np.zeros((2, 8), dtype=np.int64)
-        graph = tr.train_graph(dataset)
-        refined = Model(tiny_config(pge_graph="refined").model_config(
-            dataset.num_items, dataset.num_users), graph, np.random.default_rng(5))
-        original = Model(tiny_config(pge_graph="original").model_config(
-            dataset.num_items, dataset.num_users), graph, np.random.default_rng(5))
-        with pytest.raises(ValueError, match="pge_graph='refined'"):
-            refined.subgraphs(seqs, None)
-        with pytest.raises(ValueError, match="pge_graph='original'"):
-            original.subgraphs(seqs, refined.subgraph_perturbation())
 
 
 class TestTapeFreeEvaluation:
