@@ -6,21 +6,32 @@ nodes (or leaf tensors), the closure that applies the chain rule, the
 gradient accumulator and the output's shape.  :func:`backward` walks the
 nodes once in reverse topological order and accumulates ``grad`` into every
 leaf that was created with ``requires_grad=True``.  The walk consumes the
-graph: each node drops its gradient, closure and parents as soon as its
-closure has run, so gradients are kept on leaves only and a second
-``backward`` through the same nodes raises :class:`GraphConsumed`.
+graph: each node drops its gradient, closure, parents and rebuilt output
+as soon as its closure has run, so gradients are kept on leaves only and a
+second ``backward`` through the same nodes raises :class:`GraphConsumed`.
 
 Gradient ownership and lifetime: a node does not keep its output.  Its
-closure captures exactly the arrays its backward reads (``linear`` its input
-and weight, ``attention`` q, k, v and the softmax weights, ``layer_norm``
-the normalized input and inverse deviations, ``relu`` and ``tanh`` their own
-output); ``add``, ``mul``, ``dropout``, ``select_positions`` and
+closure captures exactly what its backward reads: ``layer_norm`` the
+normalized input ``xhat`` and the inverse deviations, ``relu`` and ``tanh``
+their own output, ``attention`` its softmax weights, ``linear`` its weight,
+and ``linear``, ``attention`` and ``sampled_bce`` the values of the parents
+they read (``linear`` its input, ``attention`` q, k and v, ``sampled_bce``
+all three inputs); ``add``, ``mul``, ``dropout``, ``select_positions`` and
 ``per_sample_scale`` keep no parent's value, only shapes (and ``dropout``
-its keep mask, ``per_sample_scale`` its constant matrices).  An
-output is therefore freed as soon as its caller drops the tensor, unless a
-closure saved it, and a saved array lives until that closure has run.  A
-node's ``data`` is its output while something else keeps it alive (it holds
-a weak reference) and an empty array otherwise.  A gradient is its node's or
+its keep mask, ``per_sample_scale`` its constant matrices).  A parent value
+that its op can rebuild bit for bit from arrays it keeps anyway is not
+saved: ``layer_norm`` rebuilds ``xhat * gain + bias`` from its ``xhat`` and
+``linear`` rebuilds ``x @ w + b``, reading ``x`` the same way, so the
+layer-norm outputs and attention's q, k and v live only through the
+forward.  Such a consumer keeps the parent's node instead of the array and
+reads the value through :func:`_value`: the output while something else
+keeps it alive, else rebuilt once and cached on the node until ``backward``
+consumes that node.  Rebuilding reads the forward's parameter arrays, which
+the optimizer changes in place only after ``backward``.  An output is
+therefore freed as soon as its caller drops the tensor, unless a closure
+saved it, and a saved array lives until that closure has run.  A node's
+``data`` is its output while something else keeps it alive (it holds a weak
+reference) and an empty array otherwise.  A gradient is its node's or
 leaf's own array, added to in place.  On first touch, a gradient array that
 a backward closure has just built is adopted as it is; a view (a transpose
 or a broadcast) is copied first, and so is the node's own incoming gradient,
@@ -171,18 +182,22 @@ class Node:
     tensors), its backward closure, its gradient while :func:`backward` runs
     and its output's shape.  The output itself is held
     weakly: ``data`` is the output while something else keeps it alive, an
-    empty array once it is gone."""
+    empty array once it is gone.  A ``layer_norm`` or ``linear`` node also
+    holds the recipe that rebuilds its output (``_rebuild``) and, during
+    :func:`backward`, the rebuilt output (``_rebuilt``)."""
 
-    __slots__ = ("op", "_parents", "_backward", "grad", "shape", "_out")
+    __slots__ = ("op", "_parents", "_backward", "grad", "shape", "_out", "_rebuild", "_rebuilt")
     requires_grad = True
 
-    def __init__(self, op: str, parents: tuple, backward_fn, data: np.ndarray):
+    def __init__(self, op: str, parents: tuple, backward_fn, data: np.ndarray, rebuild=None):
         self.op = op
         self._parents = parents
         self._backward = backward_fn
         self.grad: Optional[np.ndarray] = None
         self.shape = data.shape
         self._out = weakref.ref(data)
+        self._rebuild = rebuild
+        self._rebuilt: Optional[np.ndarray] = None
 
     @property
     def data(self) -> np.ndarray:
@@ -197,14 +212,39 @@ def _target(t: Tensor):
     return t if t.node is None else t.node
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
+def _kept(t: Tensor):
+    """What a closure keeps to read ``t``'s value at backward: ``t``'s node
+    when its op can rebuild the output, else the array itself."""
+    node = t.node
+    return node if node is not None and node._rebuild is not None else t.data
+
+
+def _value(kept) -> np.ndarray:
+    """The array that :func:`_kept` returned ``kept`` for: the array itself,
+    or the node's output while it is alive, else the output rebuilt once and
+    cached on the node until :func:`backward` consumes it."""
+    if isinstance(kept, np.ndarray):
+        return kept
+    out = kept._out()
+    if out is None:
+        if kept._rebuilt is None:
+            kept._rebuilt = kept._rebuild()
+        out = kept._rebuilt
+    return out
+
+
+def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str,
+          rebuild=None) -> Tensor:
+    """The op's output tensor, recorded with ``backward_fn`` when a parent
+    requires a gradient.  ``rebuild``, if given, recomputes ``data`` bit for
+    bit from arrays the node's closure keeps anyway."""
     data = np.asarray(data)  # an op on 0-d values yields a numpy scalar
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.op = op
     out.requires_grad = _recording and any(p.requires_grad for p in parents)
-    out.node = (Node(op, tuple(_target(p) for p in parents), backward_fn, data)
+    out.node = (Node(op, tuple(_target(p) for p in parents), backward_fn, data, rebuild)
                 if out.requires_grad else None)
     return out
 
@@ -231,8 +271,8 @@ def _accumulate(t, g: np.ndarray, fresh: bool = False) -> None:
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce gradient ``g`` back to ``shape`` by summing its leading axes."""
     extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+    if extra > 0:  # a sum over every axis is a numpy scalar
+        g = np.asarray(g.sum(axis=tuple(range(extra))))
     return g.reshape(shape)
 
 
@@ -242,12 +282,12 @@ def backward(loss: Tensor) -> None:
     ``loss`` must be a scalar (shape ``()``).  The recorded graph is walked
     exactly once per node, in reverse topological order, and consumed as it
     goes: once a node's closure has run, every consumer of that node has
-    already run, so the node drops its ``grad``, closure and parents, and the
-    arrays that closure saved can be freed while the walk goes on.  Gradients
-    are kept on leaves only.  A node consumed by an earlier call raises
-    :class:`GraphConsumed` before any gradient is touched; a ``loss`` that
-    requires no gradient (built from constants or under :func:`no_grad`)
-    raises :class:`NotRecorded`.
+    already run, so the node drops its ``grad``, closure, parents, rebuild
+    recipe and rebuilt output, and the arrays that closure saved can be freed
+    while the walk goes on.  Gradients are kept on leaves only.  A node
+    consumed by an earlier call raises :class:`GraphConsumed` before any
+    gradient is touched; a ``loss`` that requires no gradient (built from
+    constants or under :func:`no_grad`) raises :class:`NotRecorded`.
     """
     if loss.shape != ():
         raise ShapeMismatch(f"backward expects a scalar loss, got shape {list(loss.shape)}")
@@ -282,6 +322,7 @@ def backward(loss: Tensor) -> None:
         node.grad = None
         node._backward = None
         node._parents = ()
+        node._rebuild = node._rebuilt = None
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +364,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                             "do not align")
     data = x.data @ w.data
     data += b.data
+    x_kept = _kept(x)
 
-    def back(g, x=_target(x), w=_target(w), b=_target(b), x_data=x.data, w_data=w.data):
+    def back(g, x=_target(x), w=_target(w), b=_target(b), x_kept=x_kept, w_data=w.data):
         if b.requires_grad:
             _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), fresh=True)
         if x.requires_grad:
             _accumulate(x, g @ w_data.T, fresh=True)
         if w.requires_grad:
             k, n = w.shape
-            _accumulate(w, x_data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
+            _accumulate(w, _value(x_kept).reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
 
-    return _node(data, (x, w, b), back, "linear")
+    def rebuild(x_kept=x_kept, w_data=w.data, b_data=b.data):
+        out = _value(x_kept) @ w_data
+        out += b_data
+        return out
+
+    return _node(data, (x, w, b), back, "linear", rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +516,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, scale: float,
 
     def back(g, q=_target(q), k=_target(k), v=_target(v),
              rel_pe=None if rel_pe is None else _target(rel_pe),
-             q_data=q_data, k_data=k.data, v_data=v.data,
+             q_kept=_kept(q), k_kept=_kept(k), v_kept=_kept(v),
              weights=weights, blocks=blocks, scale=scale):
+        q_data = _value(q_kept)
+        q_data = q_data[:, None] if q_data.ndim == 2 else q_data
+        k_data, v_data = _value(k_kept), _value(v_kept)
         g = g.reshape(q_data.shape)
         gq, gk, gv = np.empty_like(q_data), np.empty_like(k_data), np.empty_like(v_data)
         for cols, w in zip(blocks, weights):
@@ -549,7 +599,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
             gh *= inv
             _accumulate(x, gh, fresh=True)
 
-    return _node(data, (x, gain, bias), back, "layer_norm")
+    def rebuild(xhat=xhat, gain_data=gain.data, bias_data=bias.data):
+        out = np.multiply(xhat, gain_data)
+        out += bias_data
+        return out
+
+    return _node(data, (x, gain, bias), back, "layer_norm", rebuild)
 
 
 def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator],
@@ -610,8 +665,9 @@ def sampled_bce(hidden: Tensor, positive: Tensor, negative: Tensor, step_mask) -
     per_step = (np.logaddexp(0.0, neg_pos) + np.logaddexp(0.0, neg_logit)) * mask
 
     def back(g, hidden=_target(hidden), positive=_target(positive),
-             negative=_target(negative), h=hidden.data, pos=positive.data,
+             negative=_target(negative), h=_kept(hidden), pos=positive.data,
              neg=negative.data, mask=mask):
+        h = _value(h)
         g_step = g * mask
         g_pos = -(g_step * _sigmoid(neg_pos))[..., None]
         g_neg = (g_step * _sigmoid(neg_logit))[..., None]

@@ -28,6 +28,11 @@ from .optim import Adam
 
 LAMBDA1_GRID = (0.05, 0.1, 0.2, 0.4)
 ENCODER_LAYER_GRID = (1, 2, 3)
+# Evaluation scores a catalog in blocks of at most this many bytes.  One
+# 256-user chunk over 17k items would be a 35 MB block, which glibc maps fresh
+# on top of the heap unless the train steps happened to leave 35 MB free
+# there, so a run's peak memory would depend on where the block lands.
+SCORE_BLOCK_BYTES = 4 << 20
 
 
 def variant_config(cfg: TrainConfig, variant: str) -> TrainConfig:
@@ -147,12 +152,14 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
     tape-free (the forward runs under ``no_grad``)."""
     rows = eval_input_sequences(dataset, split)
     item_emb = model.params["item_emb"].data
+    num_items = item_emb.shape[0] - 1
     perturbation = model.subgraph_perturbation()
     ranks: List[np.ndarray] = []
     n = model.cfg.max_len
-    # every chunk is scored into this one block: a pass allocates one
-    # catalog-wide buffer, not one per chunk
-    block = np.empty((min(batch_size, len(rows)), item_emb.shape[0] - 1))
+    # every chunk is scored into this one block, as many rows at a time as
+    # SCORE_BLOCK_BYTES holds
+    block_rows = max(1, min(batch_size, SCORE_BLOCK_BYTES // (8 * num_items)))
+    block = np.empty((min(block_rows, len(rows)), num_items))
     for start in range(0, len(rows), batch_size):
         chunk = rows[start:start + batch_size]
         seqs = np.stack([pad_sequence(inp, n) for inp, _, _ in chunk])
@@ -160,9 +167,12 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
             [u.user_id for u in dataset.users[start:start + batch_size]], dtype=np.int64)
         with ad.no_grad():
             reprs = model.user_reprs(seqs, user_ids, perturbation).data
-        scores = np.matmul(reprs, item_emb[1:].T, out=block[:len(chunk)])
-        ranks.append(rank_from_scores(scores, [history for _, _, history in chunk],
-                                      [target for _, target, _ in chunk], exclude_history))
+        for lo in range(0, len(chunk), block_rows):
+            part = chunk[lo:lo + block_rows]
+            scores = np.matmul(reprs[lo:lo + block_rows], item_emb[1:].T,
+                               out=block[:len(part)])
+            ranks.append(rank_from_scores(scores, [history for _, _, history in part],
+                                          [target for _, target, _ in part], exclude_history))
     return MetricsReport.from_ranks(np.concatenate(ranks), keep_ranks)
 
 

@@ -46,6 +46,53 @@ def weighted_sum(a, w):
     return ad._node(np.asarray((a.data * w).sum()), (a,), back, "weighted_sum")
 
 
+def closure_arrays(closure) -> list:
+    """The arrays a backward closure or rebuild recipe captured, as default
+    arguments or free variables, lists of arrays included; none for a
+    missing (``None``) one."""
+    if closure is None:
+        return []
+    found, todo = [], list(closure.__defaults__ or ())
+    for cell in closure.__closure__ or ():
+        try:
+            todo.append(cell.cell_contents)
+        except ValueError:  # a free variable the op never assigned
+            pass
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return found
+
+
+def _base(arr: np.ndarray) -> np.ndarray:
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def saved_bytes(loss) -> int:
+    """Bytes the tape under ``loss`` keeps for backward: the distinct arrays
+    (a view counts as its base) that its nodes' closures and rebuild recipes
+    captured, leaf tensors' arrays (the parameters) excepted.  Outputs that
+    only a node's weak reference holds are not counted."""
+    kept, leaves, seen, stack = {}, set(), set(), [ad._target(loss)]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.op == "leaf":
+            leaves.add(id(_base(node.data)))
+            continue
+        for arr in closure_arrays(node._backward) + closure_arrays(node._rebuild):
+            kept[id(_base(arr))] = _base(arr)
+        stack.extend(node._parents)
+    return sum(arr.nbytes for key, arr in kept.items() if key not in leaves)
+
+
 def check_grads(make_loss, tensors, rtol=1e-4, h=1e-5):
     """Analytic gradients of make_loss() vs central differences.
 

@@ -148,15 +148,16 @@ def test_criterion_3_linear_path_scaling():
     np.ones(30 * 2**20 // 8).sum()
     # one untimed warm-up call each; then the calls are interleaved over
     # rounds, so a slow spell of the machine inflates every size alike, and
-    # each keeps its minimum
+    # each keeps its minimum.  A call is timed by the CPU time of this
+    # thread, so other processes' load on the host does not count
     for call in calls.values():
         call()
     times = dict.fromkeys(calls, np.inf)
     for _ in range(rounds):
         for key, call in calls.items():
-            t0 = time.perf_counter()
+            t0 = time.thread_time()
             call()
-            times[key] = min(times[key], time.perf_counter() - t0)
+            times[key] = min(times[key], time.thread_time() - t0)
     ratio1 = times[8192] / times[4096]
     ratio2 = times[16384] / times[8192]
     slowdown = times["dense"] / times[4096]

@@ -1,4 +1,5 @@
 import ast
+import collections
 import os
 import subprocess
 import sys
@@ -12,9 +13,12 @@ import pytest
 from graphseqrec import autodiff as ad
 from graphseqrec.autodiff import (DegenerateRow, GraphConsumed, NotRecorded, ShapeMismatch,
                                   Tensor)
+from graphseqrec import encoder as enc
+from graphseqrec.config import ModelConfig
 from graphseqrec.encoder import attention_mask
+from graphseqrec.training import next_item_loss, seq_cl_loss
 
-from conftest import check_grads, total_sum, weighted_sum
+from conftest import check_grads, closure_arrays, total_sum, weighted_sum
 
 
 def row_softmax(x, mask=None):
@@ -243,24 +247,6 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, np.full(x.shape, 0.5 ** 15))
 
 
-def closure_arrays(closure) -> list:
-    """The arrays a backward closure captured, as default arguments or
-    free variables, lists of arrays included."""
-    found, todo = [], list(closure.__defaults__ or ())
-    for cell in closure.__closure__ or ():
-        try:
-            todo.append(cell.cell_contents)
-        except ValueError:  # a free variable the op never assigned
-            pass
-    while todo:
-        item = todo.pop()
-        if isinstance(item, np.ndarray):
-            found.append(item)
-        elif isinstance(item, (list, tuple)):
-            todo.extend(item)
-    return found
-
-
 class TestLifetime:
     """A node keeps the arrays its backward reads and no output of its own."""
 
@@ -318,14 +304,15 @@ class TestLifetime:
         del a, q, rel_pe, h, f, rows, readout
         # the leaves' arrays and the loss value stay with their tensors
         kept = {id(t.data) for t in (x, w, v, gain, zeros, half, scalars, loss)}
-        refs, seen, stack = [], set(), [loss]
+        refs, seen, stack = [], set(), [loss.node]
         while stack:
             node = stack.pop()
             if node.op == "leaf" or id(node) in seen:
                 continue
             seen.add(id(node))
-            refs += [weakref.ref(arr) for arr in (node.data, *closure_arrays(node._backward))
-                     if isinstance(arr, np.ndarray) and arr.size and id(arr) not in kept]
+            refs += [weakref.ref(arr) for arr in (node.data, *closure_arrays(node._backward),
+                                                  *closure_arrays(node._rebuild))
+                     if arr.size and id(arr) not in kept]
             stack.extend(node._parents)
         assert len(seen) == 16 and len(refs) > 16
         assert any(ref() is not None for ref in refs)
@@ -446,6 +433,11 @@ class TestElementwiseGradients:
             ad.add(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 3))))
         with pytest.raises(ShapeMismatch, match=r"shapes \[3\] and \[1\]"):
             ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(1)))
+
+    def test_a_0d_operand_broadcast_over_a_larger_one_gets_an_ndarray_gradient(self, rng):
+        x, s = leaves(rng.standard_normal((2, 3)), np.array(0.5))
+        ad.backward(total_sum(ad.add(x, s)))
+        assert type(s.grad) is np.ndarray and s.grad.shape == () and s.grad == 6.0
 
     def test_add_of_scalars_records_an_array_held_weakly(self):
         a, b = leaves(np.array(1.5), np.array(2.0))
@@ -1059,6 +1051,233 @@ class TestBitwiseAgainstOldFormulas:
         arrays = layer_norm_peak_arrays(x, gain, bias)
         # the output and the saved xhat; every other temporary is reused
         assert arrays <= 2.5, f"layer_norm forward peaked at {arrays:.2f} input-sized arrays"
+
+
+# ---------------------------------------------------------------------------
+# rebuilt activations against the ops whose closures saved every parent's
+# value, bit for bit
+# ---------------------------------------------------------------------------
+
+def saving_linear(x, w, b):
+    data = x.data @ w.data
+    data += b.data
+
+    def back(g, x=ad._target(x), w=ad._target(w), b=ad._target(b), x_data=x.data,
+             w_data=w.data):
+        if b.requires_grad:
+            ad._accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), fresh=True)
+        if x.requires_grad:
+            ad._accumulate(x, g @ w_data.T, fresh=True)
+        if w.requires_grad:
+            k, n = w.shape
+            ad._accumulate(w, x_data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
+
+    return ad._node(data, (x, w, b), back, "linear")
+
+
+def saving_layer_norm(x, gain, bias, eps):
+    width = x.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    data = xhat * xhat
+    var = data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
+
+    def back(g, x=ad._target(x), gain=ad._target(gain), bias=ad._target(bias),
+             gain_data=gain.data, xhat=xhat, inv=inv, width=width):
+        scratch = g * xhat
+        if gain.requires_grad:
+            ad._accumulate(gain, scratch.reshape(-1, width).sum(axis=0), fresh=True)
+        if bias.requires_grad:
+            ad._accumulate(bias, g.reshape(-1, width).sum(axis=0), fresh=True)
+        if x.requires_grad:
+            gh = g * gain_data
+            m1 = gh.mean(axis=-1, keepdims=True)
+            np.multiply(gh, xhat, out=scratch)
+            m2 = scratch.mean(axis=-1, keepdims=True)
+            gh -= m1
+            np.multiply(xhat, m2, out=scratch)
+            gh -= scratch
+            gh *= inv
+            ad._accumulate(x, gh, fresh=True)
+
+    return ad._node(data, (x, gain, bias), back, "layer_norm")
+
+
+def saving_attention(q, k, v, mask, heads, scale, rel_pe=None):
+    q_data = q.data[:, None] if q.ndim == 2 else q.data
+    b, m, d = q_data.shape
+    n = k.shape[1]
+    hidden = ~np.asarray(mask, dtype=bool).reshape(b, m, n)
+    rel = None if rel_pe is None else rel_pe.data.reshape(b, m, n)
+    dh = d // heads
+    blocks = [slice(i * dh, (i + 1) * dh) for i in range(heads)]
+    data = np.empty_like(q.data)
+    out = data.reshape(b, m, d)
+    weights = []
+    for cols in blocks:
+        w = q_data[..., cols] @ np.swapaxes(k.data[..., cols], -1, -2)
+        w *= scale
+        if rel is not None:
+            w += rel
+        np.copyto(w, -np.inf, where=hidden)
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        np.matmul(w, v.data[..., cols], out=out[..., cols])
+        weights.append(w)
+
+    def back(g, q=ad._target(q), k=ad._target(k), v=ad._target(v),
+             rel_pe=None if rel_pe is None else ad._target(rel_pe),
+             q_data=q_data, k_data=k.data, v_data=v.data):
+        g = g.reshape(q_data.shape)
+        gq, gk, gv = np.empty_like(q_data), np.empty_like(k_data), np.empty_like(v_data)
+        for cols, w in zip(blocks, weights):
+            gh = g[..., cols]
+            qh, kh = q_data[..., cols], k_data[..., cols]
+            np.matmul(np.swapaxes(w, -1, -2), gh, out=gv[..., cols])
+            gw = gh @ np.swapaxes(v_data[..., cols], -1, -2)
+            scratch = gw * w
+            inner = scratch.sum(axis=-1, keepdims=True)
+            gw -= inner
+            gw *= w
+            gs = np.multiply(gw, scale, out=scratch)
+            if rel_pe is not None:
+                ad._accumulate(rel_pe, gw.reshape(rel_pe.shape), fresh=True)
+            np.matmul(gs, kh, out=gq[..., cols])
+            gk[..., cols] = np.swapaxes(np.swapaxes(qh, -1, -2) @ gs, -1, -2)
+        ad._accumulate(q, gq.reshape(q.shape), fresh=True)
+        ad._accumulate(k, gk, fresh=True)
+        ad._accumulate(v, gv, fresh=True)
+
+    parents = (q, k, v) if rel_pe is None else (q, k, v, rel_pe)
+    return ad._node(data, parents, back, "attention")
+
+
+def saving_sampled_bce(hidden, positive, negative, step_mask):
+    mask = np.asarray(step_mask, dtype=np.float64)
+    neg_pos = -(hidden.data * positive.data).sum(axis=-1)
+    neg_logit = (hidden.data * negative.data).sum(axis=-1)
+    per_step = (np.logaddexp(0.0, neg_pos) + np.logaddexp(0.0, neg_logit)) * mask
+
+    def back(g, hidden=ad._target(hidden), positive=ad._target(positive),
+             negative=ad._target(negative), h=hidden.data, pos=positive.data,
+             neg=negative.data):
+        g_step = g * mask
+        g_pos = -(g_step * ad._sigmoid(neg_pos))[..., None]
+        g_neg = (g_step * ad._sigmoid(neg_logit))[..., None]
+        ad._accumulate(hidden, g_pos * pos, fresh=True)
+        ad._accumulate(hidden, g_neg * neg, fresh=True)
+        ad._accumulate(positive, g_pos * h, fresh=True)
+        ad._accumulate(negative, g_neg * h, fresh=True)
+
+    return ad._node(np.asarray(per_step.sum()), (hidden, positive, negative), back,
+                    "sampled_bce")
+
+
+SAVING_OPS = {"linear": saving_linear, "layer_norm": saving_layer_norm,
+              "attention": saving_attention, "sampled_bce": saving_sampled_bce}
+
+
+def encoder_step(views: bool):
+    """A 2-layer, 2-head encode with dropout and the personalized encoding
+    under the next-item loss and, with ``views``, the seq-CL loss between two
+    readout encodes, as one train step runs them.  Returns (params, loss)."""
+    rng = np.random.default_rng(7)
+    cfg = ModelConfig(num_items=9, num_users=4, dim=8, max_len=5, heads=2,
+                      encoder_layers=2, dropout=0.2)
+    params = enc.init_encoder_params(rng, cfg)
+    params.update(enc.init_pge_params(rng, cfg))
+    for t in params.values():  # no zero bias or unit gain that hides a term
+        t.data += 0.1 * rng.standard_normal(t.shape)
+    seqs = np.array([[0, 1, 2, 3, 4], [0, 0, 5, 6, 7], [8, 9, 1, 2, 3]])
+    users = np.array([0, 2, 3])
+    rel_pe = enc.pge_encoding(params, users, rng.random((3, 5, 5)))
+    loss = next_item_loss(enc.encode(params, cfg, seqs, rel_pe, np.random.default_rng(1)),
+                          params["item_emb"], rng.integers(1, 10, (3, 5)),
+                          rng.integers(1, 10, (3, 5)), seqs > 0)
+    if views:
+        readout = enc.last_real_position(seqs)
+        z1 = enc.encode(params, cfg, seqs, rel_pe, np.random.default_rng(2), readout)
+        z2 = enc.encode(params, cfg, seqs[::-1].copy(), rel_pe, np.random.default_rng(3),
+                        readout[::-1].copy())
+        loss = ad.add(loss, seq_cl_loss(z1, z2, 0.5))
+    return params, loss
+
+
+def tape_nodes(loss) -> list:
+    nodes, seen, stack = [], set(), [ad._target(loss)]
+    while stack:
+        node = stack.pop()
+        if node.op == "leaf" or id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+class TestRebuiltActivations:
+    """Layer-norm outputs and attention's q/k/v are rebuilt at backward."""
+
+    @pytest.mark.parametrize("views", [False, True])
+    def test_gradients_match_the_saving_ops_bitwise(self, monkeypatch, views):
+        params, loss = encoder_step(views)
+        ad.backward(loss)
+        for name, op in SAVING_OPS.items():
+            monkeypatch.setattr(ad, name, op)
+        oracle, oracle_loss = encoder_step(views)
+        assert loss.data.tobytes() == oracle_loss.data.tobytes()
+        ad.backward(oracle_loss)
+        for name, t in params.items():
+            # tobytes tells a negative zero from a positive one
+            assert t.grad.tobytes() == oracle[name].grad.tobytes(), name
+
+    def test_no_normalized_or_projected_activation_outlives_the_forward(self, monkeypatch):
+        refs = []
+
+        def spy(name, watched):
+            op = getattr(ad, name)
+
+            def spied(*args):
+                out = op(*args)
+                refs.extend(weakref.ref(t.data) for t in watched(out, args))
+                return out
+
+            monkeypatch.setattr(ad, name, spied)
+
+        spy("layer_norm", lambda out, args: [out])
+        spy("attention", lambda out, args: args[:3])  # q, k and v
+        _, loss = encoder_step(views=True)
+        # per encode: 2 layers of (2 layer norms, q, k, v) and the final norm
+        assert len(refs) == 3 * (2 * 5 + 1)
+        assert [ref for ref in refs if ref() is not None] == []
+        ad.backward(loss)
+
+    def test_each_output_is_rebuilt_once_per_backward(self):
+        _, loss = encoder_step(views=True)
+        nodes = tape_nodes(loss)
+        rebuilds = dict.fromkeys(map(id, nodes), 0)
+        for node in nodes:
+            if node._rebuild is not None:
+                def counted(rebuild=node._rebuild, key=id(node)):
+                    rebuilds[key] += 1
+                    return rebuild()
+
+                node._rebuild = counted
+        ad.backward(loss)
+        counts = collections.Counter((node.op, rebuilds[id(node)]) for node in nodes
+                                     if node.op in ("layer_norm", "linear"))
+        # every layer norm once, though its three projections read it, but
+        # the views' final norms, which feed the seq-CL loss's own unit rows;
+        # q, k and v once each; the output, feed-forward and gate projections
+        # never
+        assert counts == {("layer_norm", 1): 13, ("layer_norm", 0): 2,
+                          ("linear", 1): 18, ("linear", 0): 20}
+        assert all(node._rebuild is None and node._rebuilt is None for node in nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from graphseqrec import autodiff as ad
 from graphseqrec import evaluation as ev
+from graphseqrec import training as tr
 from graphseqrec.data import (ItemSequence, SplitDataset, UserSplit, build_sequences,
                               leave_one_out, pad_sequence, synth_generate)
 from graphseqrec.graph import build_transition_graph
@@ -248,10 +249,16 @@ class TestPopularityAgainstChunkedOracle:
 
 
 class TestEvaluateModelRanks:
+    @pytest.mark.parametrize("block_rows", [None, 2])
     @pytest.mark.parametrize("enable_pge", [True, False])
-    def test_reused_block_matches_fresh_products(self, enable_pge):
+    def test_reused_block_matches_fresh_products(self, enable_pge, block_rows, monkeypatch):
         log = synth_generate(7, 15, noise=0.4, seed=2, seq_len=9)
         dataset = leave_one_out(build_sequences(log, min_count=1))
+        if block_rows is not None:  # a catalog too large for a whole chunk at a time
+            monkeypatch.setattr(tr, "SCORE_BLOCK_BYTES", block_rows * 8 * dataset.num_items)
+        scored = []
+        monkeypatch.setattr(tr, "rank_from_scores", lambda scores, *rest: (
+            scored.append(scores.nbytes), ev.rank_from_scores(scores, *rest))[1])
         cfg = TrainConfig(dim=8, max_len=8, batch_size=3, rank=2, encoder_layers=1,
                           heads=2, enable_pge=enable_pge)
         graph = build_transition_graph([ItemSequence(u.user_id, u.train) for u in dataset.users],
@@ -274,6 +281,9 @@ class TestEvaluateModelRanks:
                     reprs @ item_emb[1:].T, [h for _, _, h in chunk], [t for _, t, _ in chunk]))
             assert len(rows) == 7
             assert got == [int(r) for r in want]
+        # per split, chunks of 3, 3 and 1 rows, two rows at most per block
+        assert len(scored) == (10 if block_rows else 6)
+        assert max(scored) <= tr.SCORE_BLOCK_BYTES
 
 
 class TestHrNdcg:

@@ -15,7 +15,7 @@ from graphseqrec.training import (TrainConfig, assemble_batch, evaluate_model,
                                   next_item_loss, seq_cl_loss, total_loss, train,
                                   train_step, variant_config)
 
-from conftest import check_grads, total_sum, weighted_sum
+from conftest import check_grads, saved_bytes, total_sum, weighted_sum
 
 
 def tiny_dataset(users=40, items=25, seq_len=8, seed=0, noise=0.3):
@@ -240,8 +240,8 @@ class TestTapeFreeEvaluation:
         recorded = []
         original = ad._node
 
-        def spy(data, parents, backward_fn, op):
-            out = original(data, parents, backward_fn, op)
+        def spy(data, parents, backward_fn, op, *rebuild):
+            out = original(data, parents, backward_fn, op, *rebuild)
             if out.requires_grad or out._parents or out._backward is not None:
                 recorded.append(op)
             return out
@@ -310,13 +310,12 @@ class TestTrainStepTape:
 
 
 class TestTrainStepMemory:
-    def test_traced_peak_of_one_step_at_the_acceptance_config(self):
-        # the planted ring of 500 users over 200 items, dim 32, max_len 20,
-        # rank 8, batch 256, every loss term and dropout on.  tracemalloc
-        # counts the bytes of the arrays one step allocates, so the bound is
-        # a computed number, not a timing: 78.4 MB at its peak when the tape
-        # keeps only what backward reads (130.7 MB when every op output stayed
-        # on the tape until backward), bounded at that plus 15%
+    """One step at the acceptance config: the planted ring of 500 users over
+    200 items, dim 32, max_len 20, rank 8, batch 256, every loss term and
+    dropout on.  Both bounds are computed byte counts, not timings."""
+
+    @staticmethod
+    def step():
         log = synth_generate(500, 200, noise=0.2, seed=101, seq_len=20)
         dataset = leave_one_out(build_sequences(log, min_count=1))
         cfg = TrainConfig(dim=32, max_len=20, batch_size=256, rank=8, encoder_layers=2,
@@ -327,14 +326,35 @@ class TestTrainStepMemory:
         batch = assemble_batch(dataset.users[:cfg.batch_size], dataset.num_items,
                                cfg.max_len, np.random.default_rng(1),
                                np.random.default_rng(2), cfg)
+        return lambda: train_step(model, batch, cfg, np.random.default_rng(3),
+                                  np.random.default_rng(4))
+
+    def test_traced_peak_of_one_step_at_the_acceptance_config(self):
+        # tracemalloc counts the bytes of the arrays one step allocates: 51.1
+        # MB at its peak when layer-norm outputs and q/k/v are rebuilt at
+        # backward, 78.4 MB when the closures saved them and 130.7 MB when
+        # every op output stayed on the tape until backward; bounded at the
+        # middle figure plus 15%
+        step = self.step()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            train_step(model, batch, cfg, np.random.default_rng(3), np.random.default_rng(4))
+            step()
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak <= 90 * 2**20, f"one train step peaked at {peak / 2**20:.1f} MB"
+
+    def test_saved_arrays_of_one_step_at_the_acceptance_config(self, monkeypatch):
+        # the closures keep 40.4 MB of arrays at backward when layer-norm
+        # outputs and q/k/v are rebuilt there, 74.4 MB when they were saved;
+        # bounded at the first plus 15%
+        step, measured, run = self.step(), [], ad.backward
+        monkeypatch.setattr(ad, "backward", lambda loss: (measured.append(saved_bytes(loss)),
+                                                          run(loss)))
+        step()
+        assert len(measured) == 1
+        assert measured[0] <= 47 * 2**20, f"one train step saved {measured[0] / 2**20:.1f} MB"
 
 
 class TestTrainLoop:
