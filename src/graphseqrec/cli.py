@@ -34,14 +34,14 @@ class UsageError(Exception):
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value configuration file")
-    for key, field in cfgmod.SCHEMA.items():
+    for key, field in cfgmod.KEYS.items():
         flag = "--" + key.replace("_", "-")
         parser.add_argument(flag, dest=key, default=None, metavar="V",
-                            help=f"{field.help} (default: {field.default})")
+                            help=f"{field.metadata['help']} (default: {field.default})")
 
 
 def _collect_overrides(args: argparse.Namespace) -> Dict[str, object]:
-    return {key: getattr(args, key) for key in cfgmod.SCHEMA if getattr(args, key, None) is not None}
+    return {key: getattr(args, key) for key in cfgmod.KEYS if getattr(args, key, None) is not None}
 
 
 def _resolve_outdir(cfg: TrainConfig, command: str) -> TrainConfig:

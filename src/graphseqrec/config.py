@@ -3,16 +3,18 @@
 ``TrainConfig`` declares every run key once.  Its fields, in order, drive
 config-file parsing, CLI flag generation, default documentation, and the
 resolved snapshot written next to every run: each field's annotation picks
-its parser and its metadata carries its help text.  ``ModelConfig`` is the
-same configuration sized to a dataset.  A configuration is frozen and checks
-itself when it is built, so a bad value raises, naming its key, before any
-caller can act on it; derive variants with ``dataclasses.replace``.  Unknown
-keys are rejected; command-line flags override file values.
+its parser and type, its metadata its help text and rule.  ``ModelConfig``
+is the same configuration sized to a dataset.  A configuration is frozen and
+checks itself when it is built, so a bad value raises, naming its key,
+before any caller can act on it; derive variants with ``dataclasses.replace``.
+Unknown keys are rejected; command-line flags override file values.
 """
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
+
+import numpy as np
 
 from .checkpoint import atomic_open, read_lines
 
@@ -30,8 +32,25 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _key(default, doc: str):
-    return field(default=default, metadata={"help": doc})
+# per annotation: a text parser, and the type's name and concrete classes
+_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
+_TYPES = {int: ("an int", (int, np.integer)),
+          float: ("a float", (int, float, np.integer, np.floating)),
+          str: ("a str", str), bool: ("a bool", (bool, np.bool_))}
+
+# a rule: a range, by the phrase its message prints, or a tuple of choices
+_RANGES = {
+    ">= 1": lambda v: v >= 1,
+    ">= 0": lambda v: v >= 0,
+    "> 0": lambda v: v > 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+}
+
+
+def _key(default, doc: str, rule=None):
+    return field(default=default, metadata={"help": doc, "rule": rule})
 
 
 # field delimiter of the interaction log, by its config value
@@ -42,81 +61,63 @@ DELIMITERS = {"tab": "\t", "comma": ","}
 class TrainConfig:
     # data
     dataset: str = _key("", "path to the interaction log")
-    delimiter: str = _key("tab", "field delimiter in the log: tab or comma")
-    min_count: int = _key(5, "core filter: minimum interactions per user and item")
+    delimiter: str = _key("tab", "field delimiter in the log: tab or comma", tuple(DELIMITERS))
+    min_count: int = _key(5, "core filter: minimum interactions per user and item", ">= 1")
     outdir: str = _key("", "output directory for run artifacts")
     # model
-    dim: int = _key(64, "embedding width")
-    max_len: int = _key(50, "maximum sequence length (left-padded)")
-    heads: int = _key(2, "attention heads")
-    encoder_layers: int = _key(2, "Transformer layers")
-    dropout: float = _key(0.2, "dropout rate")
-    gcn_layers: int = _key(2, "graph propagation layers")
-    alpha: float = _key(0.05, "strength of the learned graph refinement")
-    rank: int = _key(32, "rank of the refinement factors")
-    window: int = _key(2, "co-occurrence window for graph construction")
-    degree_mode: str = _key("weighted", "graph degree definition: weighted or count")
+    dim: int = _key(64, "embedding width", ">= 1")
+    max_len: int = _key(50, "maximum sequence length (left-padded)", ">= 1")
+    heads: int = _key(2, "attention heads", ">= 1")
+    encoder_layers: int = _key(2, "Transformer layers", ">= 1")
+    dropout: float = _key(0.2, "dropout rate", "in [0, 1)")
+    gcn_layers: int = _key(2, "graph propagation layers", ">= 1")
+    alpha: float = _key(0.05, "strength of the learned graph refinement", ">= 0")
+    rank: int = _key(32, "rank of the refinement factors", ">= 1")
+    window: int = _key(2, "co-occurrence window for graph construction", ">= 1")
+    degree_mode: str = _key("weighted", "graph degree definition: weighted or count",
+                            ("weighted", "count"))
     literal_layer_avg: bool = _key(True, "divide the layer sum by L (true) or L+1 (false)")
     # training
-    batch_size: int = _key(256, "training batch size")
-    lr: float = _key(1e-3, "Adam learning rate")
-    beta1: float = _key(0.9, "Adam first-moment decay")
-    beta2: float = _key(0.999, "Adam second-moment decay")
-    eps: float = _key(1e-8, "Adam epsilon")
-    lambda1: float = _key(0.1, "weight of the graph contrastive loss")
-    lambda2: float = _key(0.1, "weight of the sequence contrastive loss")
-    tau: float = _key(0.2, "contrastive temperature")
-    max_epochs: int = _key(1000, "maximum training epochs")
-    patience: int = _key(40, "early stopping patience (validation NDCG@20)")
-    seed: int = _key(0, "random seed")
-    crop_ratio: float = _key(0.6, "crop augmentation keep ratio")
-    mask_ratio: float = _key(0.3, "mask augmentation ratio")
-    reorder_ratio: float = _key(0.6, "reorder augmentation span ratio")
+    batch_size: int = _key(256, "training batch size", ">= 1")
+    lr: float = _key(1e-3, "Adam learning rate", "> 0")
+    beta1: float = _key(0.9, "Adam first-moment decay", "in [0, 1)")
+    beta2: float = _key(0.999, "Adam second-moment decay", "in [0, 1)")
+    eps: float = _key(1e-8, "Adam epsilon", "> 0")
+    lambda1: float = _key(0.1, "weight of the graph contrastive loss", ">= 0")
+    lambda2: float = _key(0.1, "weight of the sequence contrastive loss", ">= 0")
+    tau: float = _key(0.2, "contrastive temperature", "> 0")
+    max_epochs: int = _key(1000, "maximum training epochs", ">= 1")
+    patience: int = _key(40, "early stopping patience (validation NDCG@20)", ">= 0")
+    seed: int = _key(0, "random seed", ">= 0")
+    crop_ratio: float = _key(0.6, "crop augmentation keep ratio", "in (0, 1]")
+    mask_ratio: float = _key(0.3, "mask augmentation ratio", "in [0, 1)")
+    reorder_ratio: float = _key(0.6, "reorder augmentation span ratio", "in [0, 1]")
     exclude_history: bool = _key(True, "exclude seen items when ranking")
     # toggles
     enable_agcl: bool = _key(True, "enable the adaptive collaborative learner")
     enable_pge: bool = _key(True, "enable the personalized graph encoding")
-    pge_graph: str = _key("refined", "graph read by subgraph extraction: original or refined")
+    pge_graph: str = _key("refined", "graph read by subgraph extraction: original or refined",
+                          ("original", "refined"))
     # reporting
     spectrum: bool = _key(False, "write the embedding spectrum CSV after training")
 
     def __post_init__(self):
-        """Reject an out-of-range key, an unknown choice or a width the heads
-        do not split, naming the key, before any work or artifact."""
-        def bad(key, rule):
-            raise ValueError(f"{key} must be {rule}, got {getattr(self, key)}")
-
-        if self.delimiter not in DELIMITERS:
-            raise ConfigError(f"delimiter must be 'tab' or 'comma', got {self.delimiter!r}")
+        """Reject a value of the wrong type or against its key's rule, or a
+        width the heads do not split, naming the key, before any work."""
         for f in fields(TrainConfig):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                bad(f.name, "finite")
-        for key in ("dim", "max_len", "heads", "encoder_layers", "gcn_layers", "rank",
-                    "window", "batch_size", "max_epochs"):
-            if getattr(self, key) < 1:
-                bad(key, ">= 1")
-        for key in ("patience", "seed"):
-            if getattr(self, key) < 0:
-                bad(key, ">= 0")
-        for key in ("lr", "eps", "tau"):
-            if getattr(self, key) <= 0:
-                bad(key, "> 0")
-        for key in ("alpha", "lambda1", "lambda2"):
-            if getattr(self, key) < 0:
-                bad(key, ">= 0")
-        for key in ("dropout", "beta1", "beta2", "mask_ratio"):
-            if not 0 <= getattr(self, key) < 1:
-                bad(key, "in [0, 1)")
-        if not 0 < self.crop_ratio <= 1:
-            bad("crop_ratio", "in (0, 1]")
-        if not 0 <= self.reorder_ratio <= 1:
-            bad("reorder_ratio", "in [0, 1]")
+            key, value, rule = f.name, getattr(self, f.name), f.metadata["rule"]
+            kind, classes = _TYPES[f.type]
+            if not isinstance(value, classes) or (isinstance(value, bool) and f.type is not bool):
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+            if isinstance(rule, tuple) and value not in rule:
+                error = ConfigError if key == "delimiter" else ValueError  # exit 2, as before
+                raise error(f"{key} must be {' or '.join(map(repr, rule))}, got {value!r}")
+            if isinstance(rule, str) and not _RANGES[rule](value):
+                raise ValueError(f"{key} must be {rule}, got {value}")
         if self.patience >= self.max_epochs:
             raise ValueError(f"patience ({self.patience}) must be < max_epochs ({self.max_epochs})")
-        if self.pge_graph not in ("original", "refined"):
-            raise ValueError(f"pge_graph must be 'original' or 'refined', got {self.pge_graph!r}")
-        if self.degree_mode not in ("weighted", "count"):
-            raise ValueError(f"degree_mode must be 'weighted' or 'count', got {self.degree_mode!r}")
         if self.dim % self.heads != 0:
             raise ValueError(f"dim {self.dim} must be divisible by heads {self.heads}")
 
@@ -132,17 +133,8 @@ class ModelConfig(TrainConfig):
     num_users: int = field(kw_only=True)
 
 
-@dataclass(frozen=True)
-class Field:
-    default: object
-    parse: Callable
-    help: str
-
-
-_PARSERS = {int: int, float: float, str: str, bool: _parse_bool}
-
-SCHEMA: Dict[str, Field] = {
-    f.name: Field(f.default, _PARSERS[f.type], f.metadata["help"]) for f in fields(TrainConfig)}
+# every key's dataclass field, by name, in declaration order
+KEYS = {f.name: f for f in fields(TrainConfig)}
 
 
 def parse_config_file(path) -> Dict[str, object]:
@@ -156,10 +148,10 @@ def parse_config_file(path) -> Dict[str, object]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in SCHEMA:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = SCHEMA[key].parse(value)
+            out[key] = _PARSERS[KEYS[key].type](value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
@@ -171,11 +163,11 @@ def resolve(file_path: Optional[str], overrides: Dict[str, object]) -> TrainConf
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in SCHEMA:
+        if key not in KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
         if isinstance(value, str):
             try:
-                value = SCHEMA[key].parse(value)
+                value = _PARSERS[KEYS[key].type](value)
             except ValueError as exc:
                 flag = "--" + key.replace("_", "-")
                 raise ConfigError(f"{flag}: bad value for {key}: {exc}") from None
@@ -185,9 +177,9 @@ def resolve(file_path: Optional[str], overrides: Dict[str, object]) -> TrainConf
 
 def format_resolved(cfg: TrainConfig) -> str:
     lines = []
-    for key in SCHEMA:
+    for key in KEYS:
         value = getattr(cfg, key)
-        if isinstance(value, bool):
+        if isinstance(value, (bool, np.bool_)):
             value = "true" if value else "false"
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

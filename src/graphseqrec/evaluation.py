@@ -1,9 +1,9 @@
 """Full-ranking evaluation over the whole item set, plus the embedding
 spectrum report used to inspect dimensional collapse.
 
-Ranking is pessimistic about ties: the target loses a tie to any candidate
-with a smaller item id, so reported ranks never flatter the model.  Ranks
-are counted from the scores, never sorted.
+Ranking is pessimistic: the target loses a tie to any candidate with a
+smaller item id and ranks below a NaN, so reported ranks never flatter the
+model.  Ranks are counted from the scores, never sorted.
 """
 
 from __future__ import annotations
@@ -34,13 +34,13 @@ def rank_from_scores(scores: np.ndarray, histories: Sequence[Collection[int]],
     ``scores[b, i]`` scores item id i+1 for row b.  With ``exclude_history``
     the items of ``histories[b]`` are not candidates in row b (padding and
     negative ids are ignored; an id above V raises, naming its row).  A
-    non-finite target score raises, naming its row: NaN would rank 1.  Ties
+    non-finite target score raises, naming its row: NaN has no rank.  Ties
     break by ascending item id, so the target is ranked below every
-    equal-scoring smaller id.
+    equal-scoring smaller id and below every NaN candidate.
 
-    Each row counts the scores above its target's and its ties; only rows
-    with a tie besides the target look up which ties have smaller ids.  The
-    history items among those are then subtracted: no (B, V) candidate mask.
+    Each row counts the scores not at or below its target's (so NaNs too)
+    and its ties; only rows with a tie besides the target look up which ties
+    have smaller ids.  The history items among those are then subtracted.
     """
     if scores.ndim != 2:
         raise ValueError(f"rank_from_scores needs a (B, V) block, got shape {list(scores.shape)}")
@@ -63,7 +63,7 @@ def rank_from_scores(scores: np.ndarray, histories: Sequence[Collection[int]],
     step = max(1, 2**16 // max(num_items, 1))
     for lo in range(0, rows, step):
         part, t = scores[lo:lo + step], target_score[lo:lo + step, None]
-        ranks[lo:lo + step] += np.add.reduce(part > t, axis=1, dtype=count_dtype)
+        ranks[lo:lo + step] += num_items - np.add.reduce(part <= t, axis=1, dtype=count_dtype)
         ties[lo:lo + step] = np.add.reduce(part == t, axis=1, dtype=count_dtype)
     for b in np.flatnonzero(ties > 1):  # a tie besides the target itself
         ranks[b] += np.count_nonzero(scores[b, :targets[b] - 1] == target_score[b])
@@ -82,7 +82,7 @@ def rank_from_scores(scores: np.ndarray, histories: Sequence[Collection[int]],
         raise ValueError(f"target item {hist_targets[excluded][0]} is excluded by the history")
     hist_scores = scores[hist_rows, hist_items - 1]
     hist_target_scores = target_score[hist_rows]
-    ahead = (hist_scores > hist_target_scores) | (
+    ahead = ~(hist_scores <= hist_target_scores) | (
         (hist_scores == hist_target_scores) & (hist_items < hist_targets))
     # an item listed twice in one history is still one candidate
     keys = np.sort(hist_rows[ahead] * (num_items + 1) + hist_items[ahead])
@@ -92,6 +92,8 @@ def rank_from_scores(scores: np.ndarray, histories: Sequence[Collection[int]],
 
 def hr_ndcg(ranks: Sequence[int], k: int) -> tuple:
     """Hit rate and discounted-gain quality at cutoff k."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     ranks = np.asarray(ranks, dtype=np.int64)
     if ranks.size == 0:
         raise ValueError("empty rank list")
@@ -178,6 +180,8 @@ class SpectrumReport:
 
     def tail_ratio(self, k: int) -> float:
         """sigma_k / sigma_1 (1-based k), the collapse diagnostic."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         s = self.singular_values
         if s[0] == 0.0:
             return 0.0

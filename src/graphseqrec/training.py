@@ -150,6 +150,8 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
                    keep_ranks: bool = False) -> MetricsReport:
     """Full-ranking metrics for one split; deterministic (no dropout) and
     tape-free (the forward runs under ``no_grad``)."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rows = eval_input_sequences(dataset, split)
     item_emb = model.params["item_emb"].data
     num_items = item_emb.shape[0] - 1

@@ -157,7 +157,7 @@ class TestTrain:
         ("--reorder-ratio", "nan"),
         ("--beta1", "1.5"), ("--beta1", "-0.1"), ("--beta2", "1.0"), ("--eps", "-1"),
         ("--eps", "0"), ("--max-epochs", "0"), ("--max-epochs", "-3"), ("--patience", "-1"),
-        ("--seed", "-1"),
+        ("--seed", "-1"), ("--min-count", "0"),
     ])
     def test_out_of_range_key_rejected_before_training(self, synth_log, tmp_path, capsys,
                                                        flag, value):

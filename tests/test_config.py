@@ -1,9 +1,16 @@
+import ast
+import re
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphseqrec import config as cfgmod
 from graphseqrec.config import ModelConfig, TrainConfig
+from graphseqrec.data import AUGMENT_KINDS
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphseqrec"
 
 # the empty-string defaults are spelled out so no trailing space hides in a block
 DEFAULT_RESOLVED = "dataset = \n" + """\
@@ -96,3 +103,42 @@ def test_byte_order_mark_is_not_part_of_line_one(tmp_path):
     path.write_bytes("\ufeff# note\n\ufeffdim = 8\n".encode("utf-8"))
     with pytest.raises(cfgmod.ConfigError, match=r":2: unknown key '\\ufeffdim'"):
         cfgmod.parse_config_file(path)
+
+
+# a str for a number, a float for an int, a bool for a number, a str for a
+# bool and a number for a str
+WRONG_TYPES = {int: ("1", 1.0, True), float: ("0.1", True), bool: ("false", 1), str: (1,)}
+
+
+@pytest.mark.parametrize("key,value", [
+    (f.name, value) for f in fields(TrainConfig) for value in WRONG_TYPES[f.type]])
+def test_wrong_type_is_rejected_naming_the_key(key, value):
+    with pytest.raises(ValueError, match=rf"^{key} must be an? \w+, got {re.escape(repr(value))}$"):
+        TrainConfig(**{key: value})
+
+
+def test_numpy_scalars_and_ints_for_floats_are_accepted():
+    cfg = TrainConfig(dim=np.int64(8), alpha=0, lr=np.float64(0.5), spectrum=np.bool_(True))
+    assert (cfg.dim, cfg.alpha, cfg.lr, cfg.spectrum) == (8, 0, 0.5, True)
+    assert "\nspectrum = true\n" in cfgmod.format_resolved(cfg)
+
+
+def attribute_names(path: Path) -> set:
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_every_key_declares_a_rule_and_has_a_library_reader():
+    # only bools and the two free-text paths accept every value of their type
+    for f in fields(TrainConfig):
+        rule = f.metadata["rule"]
+        if f.type is bool or f.name in ("dataset", "outdir"):
+            assert rule is None, f.name
+        else:
+            assert rule in cfgmod._RANGES or isinstance(rule, tuple), f.name
+    # a key no library module reads configures nothing
+    read = {f"{kind}_ratio" for kind in AUGMENT_KINDS}
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "config.py":
+            read |= attribute_names(path)
+    assert sorted(cfgmod.KEYS.keys() - read) == []

@@ -175,7 +175,7 @@ class TestRankTarget:
             ev.rank_from_scores(np.zeros(4), [set()], [1])
 
     def test_non_finite_target_score_names_its_row(self):
-        # a NaN target has no score above it and no tie: it would rank 1
+        # a NaN target compares false with every score: it has no rank
         scores = np.zeros((3, 4))
         scores[1, 2] = np.nan
         scores[2, 0] = np.nan  # not a target: ranked as before
@@ -184,6 +184,18 @@ class TestRankTarget:
         scores[1, 2] = -np.inf
         with pytest.raises(ValueError, match="row 1: target score -inf"):
             ev.rank_from_scores(scores, [set()] * 3, [1, 3, 2])
+
+    @pytest.mark.parametrize("exclude_history", [True, False])
+    def test_nan_candidate_counts_ahead_of_the_target(self, exclude_history):
+        # a NaN compares false both ways, so counting scores above the target
+        # would let it fall behind
+        assert ev.rank_from_scores(np.array([[np.nan, 1.0, 0.5]]), [[]], [2],
+                                   exclude_history).tolist() == [2]
+        scores = np.array([[np.nan, 0.5, 0.5, np.nan, 0.1]])
+        # ahead of item 3: both NaNs and the smaller tied id 2
+        for history, excluded_rank in (([], 4), ([1], 3), ([1, 2, 4], 1), ([5], 4)):
+            want = excluded_rank if exclude_history else 4
+            assert ev.rank_from_scores(scores, [history], [3], exclude_history).tolist() == [want]
 
 
 class TestCountAndCorrectAgainstMaskedOracle:
@@ -285,6 +297,12 @@ class TestEvaluateModelRanks:
         assert len(scored) == (10 if block_rows else 6)
         assert max(scored) <= tr.SCORE_BLOCK_BYTES
 
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_size_below_one_is_rejected_before_any_work(self, batch_size):
+        # neither the model nor the dataset is touched
+        with pytest.raises(ValueError, match=rf"^batch_size must be >= 1, got {batch_size}$"):
+            evaluate_model(None, None, "valid", batch_size)
+
 
 class TestHrNdcg:
     def test_all_hits_at_rank_one(self):
@@ -317,6 +335,11 @@ class TestHrNdcg:
             ev.hr_ndcg([], 5)
         with pytest.raises(ValueError):
             ev.hr_ndcg([0, 2], 5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cutoff_below_one_names_k(self, k):
+        with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+            ev.hr_ndcg([1, 2], k)
 
 
 class TestSpectrum:
@@ -356,6 +379,13 @@ class TestSpectrum:
     def test_tail_ratio(self):
         report = ev.SpectrumReport(np.array([4.0, 2.0, 1.0]), np.zeros((3, 2)))
         np.testing.assert_allclose(report.tail_ratio(2), 0.5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_tail_ratio_below_one_names_k(self, k):
+        # a negative index would read from the tail instead
+        report = ev.spectrum(np.diag([4.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+            report.tail_ratio(k)
 
 
 class TestPopularityBaseline:
