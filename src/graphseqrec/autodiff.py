@@ -40,10 +40,12 @@ read it.  Ops reuse their own temporaries in place, in the same operation
 order as the plain expressions, but never write into an input, an output
 another node may read, or the incoming gradient.
 
-Inside a :func:`no_grad` block nothing is recorded: every op still computes
-the same values, but its output links to no node and does not require a
-gradient, so a forward that is only read (evaluation) builds no tape.
-``backward`` on such an output raises :class:`NotRecorded`.
+One rule decides what is recorded: an op's output links to a node exactly
+when one of its inputs requires a gradient.  A forward over tensors that
+require none, such as the parameter views of ``Model.detached()`` that
+evaluation reads, computes the same values and builds no tape, whatever
+another thread records meanwhile.  ``backward`` on such an output raises
+:class:`NotRecorded`.
 
 The op set is deliberately small: exactly what multi-head attention,
 layer-normalized feed-forward stacks and the contrastive /
@@ -66,8 +68,7 @@ from __future__ import annotations
 
 import ctypes
 import weakref
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -112,22 +113,6 @@ class GraphConsumed(RuntimeError):
 
 class NotRecorded(RuntimeError):
     """``backward`` was called on an output that no recorded op produced."""
-
-
-_recording = True
-
-
-@contextmanager
-def no_grad() -> Iterator[None]:
-    """Record no tape for the ops run inside the block; the previous state
-    comes back on exit, also when the block raises."""
-    global _recording
-    previous = _recording
-    _recording = False
-    try:
-        yield
-    finally:
-        _recording = previous
 
 
 class Tensor:
@@ -243,7 +228,7 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str,
     out.data = data
     out.grad = None
     out.op = op
-    out.requires_grad = _recording and any(p.requires_grad for p in parents)
+    out.requires_grad = any(p.requires_grad for p in parents)
     out.node = (Node(op, tuple(_target(p) for p in parents), backward_fn, data, rebuild)
                 if out.requires_grad else None)
     return out
@@ -286,8 +271,8 @@ def backward(loss: Tensor) -> None:
     recipe and rebuilt output, and the arrays that closure saved can be freed
     while the walk goes on.  Gradients are kept on leaves only.  A node
     consumed by an earlier call raises :class:`GraphConsumed` before any
-    gradient is touched; a ``loss`` that requires no gradient (built from
-    constants or under :func:`no_grad`) raises :class:`NotRecorded`.
+    gradient is touched; a ``loss`` that requires no gradient (no input of
+    its ops required one) raises :class:`NotRecorded`.
     """
     if loss.shape != ():
         raise ShapeMismatch(f"backward expects a scalar loss, got shape {list(loss.shape)}")

@@ -152,25 +152,14 @@ def eval_input_sequences(dataset: SplitDataset, split: str) -> List[tuple]:
 
 def popularity_ranks(dataset: SplitDataset, split: str,
                      exclude_history: bool = True) -> List[int]:
-    """Frequency-ranking baseline on the same splits and tie rules.
-
-    Every row scores the same training counts, so one stable sort places
-    each item (count descending, then id ascending).  A target's rank is its
-    place, less the history items placed ahead of it.
-    """
+    """Frequency-ranking baseline on the same splits and ranking rule: every
+    row scores each item by its training count (one row, broadcast)."""
     counts = np.bincount(np.fromiter(chain.from_iterable(u.train for u in dataset.users),
                                      dtype=np.int64), minlength=dataset.num_items + 1)
-    place = np.empty(counts.size, dtype=np.int64)
-    place[1 + np.argsort(-counts[1:], kind="stable")] = np.arange(dataset.num_items)
-    place[0] = dataset.num_items  # padding sorts after every item: never ahead
     rows = eval_input_sequences(dataset, split)
-    target_place = place[[target for _, target, _ in rows]]
-    ranks = 1 + target_place
-    if exclude_history:
-        hist_rows, hist_items = _flatten([history for _, _, history in rows])
-        ahead = place[hist_items] < target_place[hist_rows]
-        ranks -= np.bincount(hist_rows[ahead], minlength=len(rows))
-    return ranks.tolist()
+    scores = np.broadcast_to(counts[1:], (len(rows), dataset.num_items))
+    return rank_from_scores(scores, [history for _, _, history in rows],
+                            [target for _, target, _ in rows], exclude_history).tolist()
 
 
 @dataclass

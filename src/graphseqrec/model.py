@@ -5,6 +5,7 @@ training loop and the evaluator share.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -37,6 +38,16 @@ class Model:
     def factors(self) -> collab.PerturbationFactors:
         return collab.PerturbationFactors(self.params["pert_left"],
                                           self.params["pert_right"], self.cfg.alpha)
+
+    def detached(self) -> "Model":
+        """This model over gradient-free views of its parameters: config and
+        graph shared, no array copied.  A forward through it computes the
+        same values and records no tape.  It shares the arrays held when it
+        is made: an in-place optimizer step shows through it, a later
+        ``load`` or ``restore`` does not, so take one per evaluation pass."""
+        view = copy.copy(self)
+        view.params = {name: Tensor(t.data) for name, t in self.params.items()}
+        return view
 
     # ----------------------------------------------------------------- graph
     def graph_representations(self, item_ids,

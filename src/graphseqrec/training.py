@@ -149,10 +149,12 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
                    batch_size: int = 256, exclude_history: bool = True,
                    keep_ranks: bool = False) -> MetricsReport:
     """Full-ranking metrics for one split; deterministic (no dropout) and
-    tape-free (the forward runs under ``no_grad``)."""
+    tape-free: the forward reads ``model.detached()``, whose parameters
+    require no gradient, so training may run beside it in another thread."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rows = eval_input_sequences(dataset, split)
+    model = model.detached()
     item_emb = model.params["item_emb"].data
     num_items = item_emb.shape[0] - 1
     perturbation = model.subgraph_perturbation()
@@ -167,8 +169,7 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
         seqs = np.stack([pad_sequence(inp, n) for inp, _, _ in chunk])
         user_ids = np.asarray(
             [u.user_id for u in dataset.users[start:start + batch_size]], dtype=np.int64)
-        with ad.no_grad():
-            reprs = model.user_reprs(seqs, user_ids, perturbation).data
+        reprs = model.user_reprs(seqs, user_ids, perturbation).data
         for lo in range(0, len(chunk), block_rows):
             part = chunk[lo:lo + block_rows]
             scores = np.matmul(reprs[lo:lo + block_rows], item_emb[1:].T,

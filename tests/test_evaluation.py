@@ -3,7 +3,6 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from graphseqrec import autodiff as ad
 from graphseqrec import evaluation as ev
 from graphseqrec import training as tr
 from graphseqrec.data import (ItemSequence, SplitDataset, UserSplit, build_sequences,
@@ -280,15 +279,15 @@ class TestEvaluateModelRanks:
         for split in ("valid", "test"):
             got = evaluate_model(model, dataset, split, batch_size=3, keep_ranks=True).ranks
             rows = ev.eval_input_sequences(dataset, split)
-            item_emb = model.params["item_emb"].data
-            perturbation = model.subgraph_perturbation()
+            detached = model.detached()
+            item_emb = detached.params["item_emb"].data
+            perturbation = detached.subgraph_perturbation()
             want = []
             for start in range(0, len(rows), 3):  # the last chunk holds one row
                 chunk = rows[start:start + 3]
                 seqs = np.stack([pad_sequence(inp, cfg.max_len) for inp, _, _ in chunk])
                 user_ids = [u.user_id for u in dataset.users[start:start + 3]]
-                with ad.no_grad():
-                    reprs = model.user_reprs(seqs, user_ids, perturbation).data
+                reprs = detached.user_reprs(seqs, user_ids, perturbation).data
                 want.extend(masked_rank_from_scores(
                     reprs @ item_emb[1:].T, [h for _, _, h in chunk], [t for _, t, _ in chunk]))
             assert len(rows) == 7

@@ -73,6 +73,27 @@ class TestToggles:
             config(pge_graph="other")
 
 
+class TestDetached:
+    def test_shares_config_graph_and_arrays_and_records_no_tape(self, setup):
+        seqs, graph = setup
+        padded, users = batch_from(seqs)
+        model = Model(config(pge_graph="refined"), graph, np.random.default_rng(3))
+        detached = model.detached()
+        assert detached.cfg is model.cfg and detached.graph is model.graph
+        assert detached.params.keys() == model.params.keys()
+        for name, t in detached.params.items():
+            assert t.data is model.params[name].data and not t.requires_grad
+        recorded = model.user_reprs(padded, users, model.subgraph_perturbation())
+        read = detached.user_reprs(padded, users, detached.subgraph_perturbation())
+        assert recorded.node is not None and read.node is None
+        assert read.data.tobytes() == recorded.data.tobytes()
+        # an in-place update of the model shows through the detached view
+        for t in model.params.values():
+            t.data *= 2.0
+        again = detached.user_reprs(padded, users, detached.subgraph_perturbation())
+        assert again.data.tobytes() != read.data.tobytes()
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, setup, tmp_path):
         seqs, graph = setup

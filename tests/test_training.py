@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from graphseqrec import autodiff as ad
-from graphseqrec import collab
+from graphseqrec import collab, encoder
 from graphseqrec import training as tr
 from graphseqrec.autodiff import DegenerateRow, Tensor
 from graphseqrec.data import ItemSequence, build_sequences, leave_one_out, synth_generate
@@ -238,15 +239,15 @@ class TestTapeFreeEvaluation:
         model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
                       tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
         recorded = []
-        original = ad._node
 
-        def spy(data, parents, backward_fn, op, *rebuild):
-            out = original(data, parents, backward_fn, op, *rebuild)
-            if out.requires_grad or out._parents or out._backward is not None:
+        class Spy(ad.Node):
+            __slots__ = ()
+
+            def __init__(self, op, *rest):
                 recorded.append(op)
-            return out
+                super().__init__(op, *rest)
 
-        monkeypatch.setattr(ad, "_node", spy)
+        monkeypatch.setattr(ad, "Node", Spy)
         evaluate_model(model, dataset, "valid", batch_size=cfg.batch_size)
         assert recorded == []
         # the spy sees the ops: the same forward outside evaluation records
@@ -254,6 +255,51 @@ class TestTapeFreeEvaluation:
         seqs[:, -1] = 1
         model.user_reprs(seqs, np.arange(2), model.subgraph_perturbation())
         assert recorded
+
+    def test_a_train_step_beside_a_paused_evaluation_keeps_its_gradients(self, monkeypatch):
+        dataset = tiny_dataset()
+        cfg = tiny_config(batch_size=8, pge_graph="refined")
+        model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
+                      tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
+        batch = assemble_batch(dataset.users[:cfg.batch_size], dataset.num_items,
+                               cfg.max_len, np.random.default_rng(11),
+                               np.random.default_rng(12), TrainConfig())
+
+        def step_grads():
+            model.zero_grads()
+            train_step(model, batch, cfg, None, None)
+            return {name: t.grad.tobytes() for name, t in model.params.items()
+                    if t.grad is not None}
+
+        alone = step_grads()
+        # the evaluating thread stops inside its first forward until the
+        # main thread's step is done
+        paused, resume, failures = threading.Event(), threading.Event(), []
+        encode = encoder.encode
+
+        def pausing_encode(*args):
+            if threading.current_thread() is evaluator:
+                paused.set()
+                resume.wait(60)
+            return encode(*args)
+
+        def evaluate():
+            try:
+                evaluate_model(model, dataset, "valid", batch_size=cfg.batch_size)
+            except Exception as exc:  # reported by the main thread
+                failures.append(exc)
+
+        monkeypatch.setattr(encoder, "encode", pausing_encode)
+        evaluator = threading.Thread(target=evaluate)
+        evaluator.start()
+        try:
+            assert paused.wait(60)
+            beside = step_grads()
+        finally:
+            resume.set()
+            evaluator.join()
+        assert failures == []
+        assert beside.keys() == alone.keys() and beside == alone
 
 
 class TestTrainStepTape:
@@ -404,7 +450,7 @@ class TestTrainLoop:
         np.testing.assert_allclose(report.ndcg[20], result.state.best_val_ndcg20,
                                    atol=1e-12)
 
-    def test_no_gradient_outlives_its_step(self, monkeypatch):
+    def test_every_gradient_is_dropped_after_its_step(self, monkeypatch):
         dataset = tiny_dataset()
         held = []
 
