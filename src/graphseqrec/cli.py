@@ -135,11 +135,16 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(text: str, kind) -> List:
+def _parse_grid(text: Optional[str], kind, flag: str, default) -> List:
+    if text is None:
+        return list(default)
     try:
-        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        grid = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise UsageError(f"bad grid specification: {text!r}") from None
+        grid = []
+    if not grid:
+        raise UsageError(f"{flag}: bad grid specification: {text!r}")
+    return grid
 
 
 def _grid_text(grid) -> str:
@@ -148,10 +153,10 @@ def _grid_text(grid) -> str:
 
 def cmd_gridsearch(args: argparse.Namespace) -> int:
     base = _resolve_outdir(cfgmod.resolve(args.config, _collect_overrides(args)), "gridsearch")
+    lambda1_grid = _parse_grid(args.lambda1_grid, float, "--lambda1-grid", LAMBDA1_GRID)
+    layers_grid = _parse_grid(args.layers_grid, int, "--layers-grid", ENCODER_LAYER_GRID)
     dataset = _load_dataset(base)
     os.makedirs(base.outdir, exist_ok=True)
-    lambda1_grid = _parse_grid(args.lambda1_grid, float) if args.lambda1_grid else list(LAMBDA1_GRID)
-    layers_grid = _parse_grid(args.layers_grid, int) if args.layers_grid else list(ENCODER_LAYER_GRID)
     rows = []
     failures = 0
     for lam in lambda1_grid:

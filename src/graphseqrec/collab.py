@@ -58,10 +58,11 @@ def init_factors(rng: np.random.Generator, num_nodes: int, rank: int,
 
 def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
               factors: Optional[PerturbationFactors] = None,
-              literal_layer_avg: bool = True, first: Optional[np.ndarray] = None,
+              first: Optional[np.ndarray] = None,
               perturbation: Optional[SubgraphPerturbation] = None) -> Tensor:
     """Layer-averaged propagation as one tape node: the input plus every
-    propagated layer, divided by the layer count (or by one more).
+    propagated layer, divided by the layer count L.  Only the scale-invariant
+    cosine of :func:`gce_loss` reads it, so any constant divisor trains the same model.
 
     With ``factors`` of nonzero strength each layer runs over the refined
     graph; zero strength is the original graph, bit for bit.  ``first``
@@ -93,13 +94,12 @@ def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
             nxt = low_rank
         acc += nxt
         current = nxt
-    divisor = layers if literal_layer_avg else layers + 1
-    acc *= 1.0 / divisor
+    acc *= 1.0 / layers
     parents = (emb, factors.left, factors.right) if refine else (emb,)
 
     def back(g, emb=_target(emb), factor_nodes=tuple(map(_target, parents[1:])),
              matrix=graph.matrix):
-        scaled = g * (1.0 / divisor)
+        scaled = g * (1.0 / layers)
         _accumulate(emb, scaled)  # the layer sum reaches emb first
         grad, left_terms, right_terms = scaled, [], []
         for k in range(layers - 1, -1, -1):
@@ -126,7 +126,6 @@ def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
 
 def graph_representations(graph: TransitionGraph, emb: Tensor,
                           factors: PerturbationFactors, layers: int, item_ids,
-                          literal_layer_avg: bool = True,
                           perturbation: Optional[SubgraphPerturbation] = None
                           ) -> Tuple[Tensor, Tensor]:
     """The rows of real items ``item_ids`` in the original and in the refined
@@ -142,8 +141,8 @@ def graph_representations(graph: TransitionGraph, emb: Tensor,
         bad = int(np.flatnonzero(ids <= 0)[0])
         raise ValueError(f"graph_representations: padding/invalid id at batch position {bad}")
     first = graph.spmv(emb.data)
-    original = propagate(graph, emb, layers, None, literal_layer_avg, first)
-    refined = propagate(graph, emb, layers, factors, literal_layer_avg, first, perturbation)
+    original = propagate(graph, emb, layers, None, first)
+    refined = propagate(graph, emb, layers, factors, first, perturbation)
     return ad.gather(original, ids), ad.gather(refined, ids)
 
 

@@ -76,7 +76,6 @@ class TrainConfig:
     window: int = _key(2, "co-occurrence window for graph construction", ">= 1")
     degree_mode: str = _key("weighted", "graph degree definition: weighted or count",
                             ("weighted", "count"))
-    literal_layer_avg: bool = _key(True, "divide the layer sum by L (true) or L+1 (false)")
     # training
     batch_size: int = _key(256, "training batch size", ">= 1")
     lr: float = _key(1e-3, "Adam learning rate", "> 0")
@@ -138,12 +137,13 @@ KEYS = {f.name: f for f in fields(TrainConfig)}
 
 
 def parse_config_file(path) -> Dict[str, object]:
-    """Read 'key = value' lines of UTF-8 text; '#' starts a comment; unknown
+    """Read 'key = value' lines of UTF-8 text; a line whose first non-blank
+    character is '#' is a comment, a later '#' is part of the value.  Unknown
     keys and bytes that are not UTF-8 fail, naming ``path:line``."""
     out: Dict[str, object] = {}
     for lineno, raw in enumerate(read_lines(path, ConfigError), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")

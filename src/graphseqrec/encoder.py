@@ -29,9 +29,6 @@ from .autodiff import Tensor
 from .config import ModelConfig
 
 
-LN_EPS = 1e-8  # variance floor of every layer norm
-
-
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     return np.clip(rng.normal(0.0, std, size=shape), -2.0 * std, 2.0 * std)
 
@@ -140,7 +137,7 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
     h = ad.dropout(h, cfg.dropout, rng)
     for layer in range(cfg.encoder_layers):
         p = f"layer{layer}."
-        a = ad.layer_norm(h, params[p + "ln1_g"], params[p + "ln1_b"], LN_EPS)
+        a = ad.layer_norm(h, params[p + "ln1_g"], params[p + "ln1_b"])
         k = ad.linear(a, params[p + "attn_key_w"], params[p + "attn_key_b"])
         v = ad.linear(a, params[p + "attn_value_w"], params[p + "attn_value_b"])
         if readout is not None and layer == cfg.encoder_layers - 1:
@@ -155,11 +152,11 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
         merged = ad.attention(q, k, v, mask, cfg.heads, scale, rel_pe)
         attended = ad.linear(merged, params[p + "attn_out_w"], params[p + "attn_out_b"])
         h = ad.add(h, ad.dropout(attended, cfg.dropout, rng, rows))
-        f = ad.layer_norm(h, params[p + "ln2_g"], params[p + "ln2_b"], LN_EPS)
+        f = ad.layer_norm(h, params[p + "ln2_g"], params[p + "ln2_b"])
         f = ad.relu(ad.linear(f, params[p + "ffn_w1"], params[p + "ffn_b1"]))
         f = ad.linear(f, params[p + "ffn_w2"], params[p + "ffn_b2"])
         h = ad.add(h, ad.dropout(f, cfg.dropout, rng, rows))
-    return ad.layer_norm(h, params["ln_final_g"], params["ln_final_b"], LN_EPS)
+    return ad.layer_norm(h, params["ln_final_g"], params["ln_final_b"])
 
 
 def last_real_position(seqs: np.ndarray) -> np.ndarray:

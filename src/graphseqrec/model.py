@@ -57,7 +57,7 @@ class Model:
         ``subgraph_perturbation()`` so its propagated factors are reused."""
         return collab.graph_representations(self.graph, self.params["item_emb"],
                                             self.factors, self.cfg.gcn_layers, item_ids,
-                                            self.cfg.literal_layer_avg, perturbation)
+                                            perturbation)
 
     def subgraph_perturbation(self) -> SubgraphPerturbation:
         """Detached snapshot of the propagated refinement factors, read by

@@ -18,11 +18,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .collab import gce_loss
-from .config import TrainConfig
+from .config import ModelConfig, TrainConfig
 from .data import SplitDataset, augment_pair, pad_sequence
 from .evaluation import MetricsReport, eval_input_sequences, rank_from_scores
-from .graph import (TransitionGraph, build_transition_graph,  # noqa: F401 (re-export)
-                    train_graph)
+from .graph import TransitionGraph, train_graph
 from .model import Model
 from .optim import Adam
 
@@ -37,15 +36,13 @@ SCORE_BLOCK_BYTES = 4 << 20
 
 def variant_config(cfg: TrainConfig, variant: str) -> TrainConfig:
     """Ablation variants: 'full', 'no_agcl' (drop the collaborative learner),
-    'no_pge' (drop the personalized encoding), 'plain' (drop both)."""
+    'no_pge' (drop the personalized encoding)."""
     if variant == "full":
         return cfg
     if variant == "no_agcl":
         return replace(cfg, enable_agcl=False)
     if variant == "no_pge":
         return replace(cfg, enable_pge=False)
-    if variant == "plain":
-        return replace(cfg, enable_agcl=False, enable_pge=False)
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -96,22 +93,21 @@ class Batch:
     targets: np.ndarray         # (B, N) next item per position (0 where none)
     negatives: np.ndarray       # (B, N) sampled negatives (0 where no step)
     step_mask: np.ndarray       # (B, N) float 1.0 on real prediction steps
-    gce_items: np.ndarray       # (B,) items coupling the graph representations
     view1: Optional[np.ndarray] = None
     view2: Optional[np.ndarray] = None
 
 
-def assemble_batch(users: Sequence, num_items: int, max_len: int,
+def assemble_batch(users: Sequence, cfg: ModelConfig,
                    rng_negatives: np.random.Generator,
-                   rng_augment: Optional[np.random.Generator],
-                   cfg: TrainConfig) -> Batch:
-    """One training batch from each user's window, ``user.train[-max_len:]``.
+                   rng_augment: Optional[np.random.Generator]) -> Batch:
+    """One training batch from each user's window, ``user.train[-cfg.max_len:]``.
 
     Every real prediction step gets a negative drawn uniformly from the
     items its window lacks, all in one ``rng_negatives`` call in row-major
     step order.  With ``rng_augment``, each window also gets two views
     (``augment_pair``), drawn row by row.
     """
+    num_items, max_len = cfg.num_items, cfg.max_len
     windows = [user.train[-max_len:] for user in users]
     seqs = np.stack([pad_sequence(w, max_len) for w in windows])
     targets = np.zeros_like(seqs)
@@ -138,7 +134,7 @@ def assemble_batch(users: Sequence, num_items: int, max_len: int,
         view1 = np.stack([pad_sequence(v, max_len) for v, _ in views])
         view2 = np.stack([pad_sequence(v, max_len) for _, v in views])
     user_ids = np.array([user.user_id for user in users], dtype=np.int64)
-    return Batch(user_ids, seqs, targets, negatives, step_mask, seqs[:, -1], view1, view2)
+    return Batch(user_ids, seqs, targets, negatives, step_mask, view1, view2)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +200,11 @@ def _epoch_rng(seed: int, purpose: int, epoch: int, batch: int = 0) -> np.random
     return np.random.default_rng([seed, purpose, epoch, batch])
 
 
-def train_step(model: Model, batch: Batch, cfg: TrainConfig,
+def train_step(model: Model, batch: Batch,
                rng_dropout: Optional[np.random.Generator],
                rng_dropout_views: Optional[np.random.Generator]) -> Dict[str, float]:
-    """Forward all enabled loss terms, backprop, and report their values."""
+    """Forward the loss terms ``model.cfg`` enables, backprop, report their values."""
+    cfg = model.cfg
     lambda1 = cfg.lambda1 if cfg.enable_agcl else 0.0
     perturbation = model.subgraph_perturbation()
     hidden = model.hidden_states(batch.seqs, batch.user_ids, perturbation, rng_dropout)
@@ -215,7 +212,7 @@ def train_step(model: Model, batch: Batch, cfg: TrainConfig,
                          batch.negatives, batch.step_mask)
     gce = None
     if lambda1 != 0.0:
-        orig_rows, ref_rows = model.graph_representations(batch.gce_items, perturbation)
+        orig_rows, ref_rows = model.graph_representations(batch.seqs[:, -1], perturbation)
         gce = gce_loss(orig_rows, ref_rows, cfg.tau)
     seq = None
     if cfg.lambda2 != 0.0 and batch.view1 is not None:
@@ -257,13 +254,11 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
         for b, start in enumerate(range(0, num_users, cfg.batch_size)):
             users = [dataset.users[i] for i in order[start:start + cfg.batch_size]]
             batch = assemble_batch(
-                users, dataset.num_items, cfg.max_len,
-                _epoch_rng(cfg.seed, 2, epoch, b),
-                _epoch_rng(cfg.seed, 3, epoch, b) if cfg.lambda2 != 0.0 else None,
-                cfg)
+                users, model.cfg, _epoch_rng(cfg.seed, 2, epoch, b),
+                _epoch_rng(cfg.seed, 3, epoch, b) if cfg.lambda2 != 0.0 else None)
             rng_drop = _epoch_rng(cfg.seed, 4, epoch, b) if cfg.dropout > 0 else None
             rng_drop_views = _epoch_rng(cfg.seed, 5, epoch, b) if cfg.dropout > 0 else None
-            values = train_step(model, batch, cfg, rng_drop, rng_drop_views)
+            values = train_step(model, batch, rng_drop, rng_drop_views)
             if not np.isfinite(values["total"]):
                 raise RuntimeError(f"non-finite loss {values['total']} at epoch {epoch}, batch {b}")
             model.drop_padding_grads()

@@ -183,9 +183,8 @@ def toy_setup():
         cfg.window, dataset.num_items)
     model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph,
                   np.random.default_rng(5))
-    batch = assemble_batch(dataset.users[:b], dataset.num_items, n,
-                           np.random.default_rng(1), np.random.default_rng(2),
-                           TrainConfig())
+    batch = assemble_batch(dataset.users[:b], model.cfg, np.random.default_rng(1),
+                           np.random.default_rng(2))
     return model, batch, cfg
 
 
@@ -199,7 +198,7 @@ def test_criterion_4_gradient_suite():
                               batch.negatives, batch.step_mask)
 
     def loss_gce():
-        orig, refined = model.graph_representations(batch.gce_items)
+        orig, refined = model.graph_representations(batch.seqs[:, -1])
         return collab.gce_loss(orig, refined, cfg.tau)
 
     def loss_seq():

@@ -1061,7 +1061,7 @@ def saving_linear(x, w, b):
     return ad._node(data, (x, w, b), back, "linear")
 
 
-def saving_layer_norm(x, gain, bias, eps):
+def saving_layer_norm(x, gain, bias, eps=1e-8):
     width = x.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu

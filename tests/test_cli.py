@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 
 import pytest
 
@@ -116,6 +117,18 @@ class TestTrain:
                      "--outdir", str(rerun)]) == 0
         first = open(os.path.join(trained, "metrics.log"), "rb").read()
         assert first == (rerun / "metrics.log").read_bytes()
+
+    def test_rerun_from_a_snapshot_whose_paths_hold_hash(self, synth_log, tmp_path):
+        data, outdir = tmp_path / "logs#v2", tmp_path / "runs" / "a#1 = b"
+        data.mkdir()
+        shutil.copy(synth_log, data / "log.tsv")
+        assert main(["train", "--dataset", str(data / "log.tsv"), "--outdir", str(outdir)]
+                    + FAST_FLAGS) == 0
+        first = (outdir / "metrics.log").read_bytes()
+        (outdir / "metrics.log").unlink()
+        assert main(["train", "--config", str(outdir / "config.resolved")]) == 0
+        assert (outdir / "metrics.log").read_bytes() == first
+        assert os.listdir(tmp_path / "runs") == ["a#1 = b"]
 
     def test_disabling_modules_equals_zero_weight_baseline(self, synth_log, tmp_path):
         toggles = tmp_path / "toggles"
@@ -359,6 +372,17 @@ class TestGridsearch:
         metrics = (rerun / "metrics.log").read_text().splitlines()
         best_line = next(line for line in metrics if line.startswith("best_epoch="))
         assert best_line.endswith(val)
+
+    # a bad token, or a grid of no value
+    @pytest.mark.parametrize("flag,value", [("--lambda1-grid", "abc"), ("--layers-grid", "1,1.5"),
+                                            ("--lambda1-grid", ","), ("--layers-grid", " ")])
+    def test_rejected_grid_is_a_usage_error_leaving_no_outdir(self, synth_log, tmp_path,
+                                                              capsys, flag, value):
+        grid_dir = tmp_path / "grid"
+        assert main(["gridsearch", "--dataset", synth_log, "--outdir", str(grid_dir),
+                     flag, value] + FAST_FLAGS) == 2
+        assert capsys.readouterr().err == f"error: {flag}: bad grid specification: {value!r}\n"
+        assert not grid_dir.exists()
 
     def test_bad_grid_value_fails_only_its_cell(self, synth_log, tmp_path, capsys):
         grid_dir = tmp_path / "grid"

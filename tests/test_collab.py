@@ -25,8 +25,7 @@ def random_graph(rng, num_items, num_seqs=20, max_len=10):
     return build_transition_graph(seqs, window=2, num_items=num_items)
 
 
-def dense_refined_reference(graph_dense, emb, left, right, alpha, layers,
-                            literal_avg=True):
+def dense_refined_reference(graph_dense, emb, left, right, alpha, layers):
     """Oracle that materializes the full dense perturbation matrix."""
     perturbation = (graph_dense @ left) @ (graph_dense @ right).T
     refined = graph_dense + alpha * perturbation
@@ -35,7 +34,7 @@ def dense_refined_reference(graph_dense, emb, left, right, alpha, layers,
     for _ in range(layers):
         current = refined @ current
         acc = acc + current
-    return acc / (layers if literal_avg else layers + 1)
+    return acc / layers
 
 
 def zero_pad_rows(rng, shape):
@@ -56,12 +55,6 @@ class TestPropagateOriginal:
         emb = Tensor(zero_pad_rows(rng, (5, 2)))
         out = collab.propagate(graph, emb, layers=1)
         np.testing.assert_allclose(out.data, 2.0 * emb.data, atol=1e-14)
-
-    def test_conventional_average_flag(self, rng):
-        graph = self_loop_graph(5)
-        emb = Tensor(zero_pad_rows(rng, (6, 3)))
-        out = collab.propagate(graph, emb, layers=2, literal_layer_avg=False)
-        np.testing.assert_allclose(out.data, emb.data, atol=1e-14)
 
     def test_matches_dense_reference_loop(self, rng):
         graph = random_graph(rng, 10)
@@ -140,14 +133,13 @@ class TestPropagateRefined:
             collab.init_factors(rng, 10, rank=0, strength=0.1)
 
 
-def chain_reference(matrix, emb, left, right, alpha, layers, literal_avg, g, emb_grad=None):
+def chain_reference(matrix, emb, left, right, alpha, layers, g, emb_grad=None):
     """The deleted chain of spmv, transpose, matmul, mul and add nodes in
     plain numpy: its forward, then each node's backward in the order the tape
     ran them, with the copies the nodes made.  ``emb_grad`` is a gradient
     that ``emb`` held before.  Returns the output and the gradients of
     ``emb``, ``left`` and ``right`` (None for the factors at zero strength)."""
     refine = alpha != 0.0
-    divisor = layers if literal_avg else layers + 1
     if refine:
         prop_left = matrix @ left
         prop_right_t = np.swapaxes(matrix @ right, -1, -2)
@@ -160,9 +152,9 @@ def chain_reference(matrix, emb, left, right, alpha, layers, literal_avg, g, emb
             nxt = nxt + (prop_left @ mixed[-1]) * alpha
         current = nxt
         acc = acc + current
-    out = acc * (1.0 / divisor)
+    out = acc * (1.0 / layers)
 
-    grad = g * (1.0 / divisor)  # the final mul
+    grad = g * (1.0 / layers)  # the final mul
     # the layer sums, last first: emb and every layer output get grad
     grads = [grad.copy() if emb_grad is None else emb_grad + grad]
     grads += [grad.copy() for _ in range(layers)]
@@ -196,19 +188,18 @@ class TestPropagateAgainstTheChain:
         return graph, emb, factors, rng.standard_normal((nodes, dim))
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("literal_avg", [True, False])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     @pytest.mark.parametrize("earlier_grad", [False, True])
-    def test_one_representation(self, rng, layers, literal_avg, alpha, earlier_grad):
+    def test_one_representation(self, rng, layers, alpha, earlier_grad):
         graph, emb0, factors, upstream = self.case(rng, alpha)
         earlier = rng.standard_normal(emb0.shape) if earlier_grad else None
         emb = Tensor(emb0.copy(), requires_grad=True)
         emb.grad = None if earlier is None else earlier.copy()
-        out = collab.propagate(graph, emb, layers, factors, literal_avg)
+        out = collab.propagate(graph, emb, layers, factors)
         assert out.op == "propagate"
         ad.backward(weighted_sum(out, upstream))
         want = chain_reference(graph.matrix, emb0, factors.left.data, factors.right.data,
-                               alpha, layers, literal_avg, upstream, earlier)
+                               alpha, layers, upstream, earlier)
         assert out.data.tobytes() == want[0].tobytes()
         assert emb.grad.tobytes() == want[1].tobytes()
         for got, ref in zip((factors.left.grad, factors.right.grad), want[2:]):
@@ -236,10 +227,10 @@ class TestPropagateAgainstTheChain:
         assert [p.op for p in orig_rows._parents + ref_rows._parents] == ["propagate"] * 2
         ad.backward(ad.add(weighted_sum(orig_rows, upstream[1:]),
                            weighted_sum(ref_rows, other[1:])))
-        original = chain_reference(graph.matrix, emb0, None, None, 0.0, layers, True,
+        original = chain_reference(graph.matrix, emb0, None, None, 0.0, layers,
                                    upstream, earlier)
         refined = chain_reference(graph.matrix, emb0, factors.left.data, factors.right.data,
-                                  0.3, layers, True, other, original[1])
+                                  0.3, layers, other, original[1])
         assert orig_rows.data.tobytes() == original[0][1:].tobytes()
         assert ref_rows.data.tobytes() == refined[0][1:].tobytes()
         for got, want in zip((emb.grad, factors.left.grad, factors.right.grad), refined[1:]):
@@ -315,10 +306,10 @@ class TestGraphRepresentationRows:
     """``graph_representations`` returns the batch items' rows of both
     representations, as ``gather`` over the two ``propagate`` tables did."""
 
-    def case(self, rng, nodes=8, dim=3):
+    def case(self, rng, nodes=8, dim=3, strength=0.1):
         graph = random_graph(rng, nodes - 1)
         emb = Tensor(zero_pad_rows(rng, (nodes, dim)), requires_grad=True)
-        factors = collab.init_factors(rng, nodes, rank=2, strength=0.1)
+        factors = collab.init_factors(rng, nodes, rank=2, strength=strength)
         factors.left.data = rng.standard_normal((nodes, 2))
         factors.right.data = rng.standard_normal((nodes, 2))
         return graph, emb, factors
@@ -342,6 +333,31 @@ class TestGraphRepresentationRows:
             runs.append([a.tobytes() for a in (orig.data, refined.data, emb.grad,
                                                factors.left.grad, factors.right.grad)])
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("strength", [0.0, 0.1])
+    def test_dividing_by_one_more_layer_trains_the_same(self, rng, layers, strength):
+        # gce_loss reads the layer averages only through a cosine, which is
+        # scale-invariant: dividing both sums by L + 1 instead of L keeps the
+        # loss, and the 1/c of the cosine's Jacobian cancels the c of the scale
+        graph, emb, factors = self.case(rng, strength=strength)
+        ids = np.array([3, 1, 7, 3, 5])
+        runs = []
+        for scale in (1.0, layers / (layers + 1)):
+            for t in (emb, factors.left, factors.right):
+                t.grad = None
+            orig, refined = collab.graph_representations(graph, emb, factors, layers, ids)
+            loss = collab.gce_loss(ad.mul(orig, scale), ad.mul(refined, scale), tau=0.2)
+            ad.backward(loss)
+            runs.append([loss.data, emb.grad, factors.left.grad, factors.right.grad])
+        (loss_l, *grads_l), (loss_l1, *grads_l1) = runs
+        np.testing.assert_allclose(loss_l1, loss_l, rtol=1e-12)
+        for i, (got, want) in enumerate(zip(grads_l1, grads_l)):
+            if i > 0 and strength == 0.0:  # the original graph: no factor gradient
+                assert got is None and want is None
+                continue
+            assert np.abs(want).max() > 0.0
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_duplicate_ids_repeat_rows(self, rng):
         graph, emb, factors = self.case(rng)

@@ -27,7 +27,6 @@ alpha = 0.05
 rank = 32
 window = 2
 degree_mode = weighted
-literal_layer_avg = true
 batch_size = 256
 lr = 0.001
 beta1 = 0.9
@@ -142,3 +141,32 @@ def test_every_key_declares_a_rule_and_has_a_library_reader():
         if path.name != "config.py":
             read |= attribute_names(path)
     assert sorted(cfgmod.KEYS.keys() - read) == []
+
+
+def test_paths_holding_hash_equals_and_spaces_read_back_as_written(tmp_path):
+    cfg = TrainConfig(dataset="logs#v2/a = b.tsv", outdir="runs/a#1 # not a comment")
+    path = tmp_path / "config.resolved"
+    cfgmod.write_resolved(path, cfg)
+    assert cfgmod.resolve(str(path), {}) == cfg
+
+
+def test_only_a_line_starting_with_hash_is_a_comment(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# a comment\n   # an indented one\ndim = 8\n")
+    assert cfgmod.parse_config_file(path) == {"dim": 8}
+    # a comment after a value is part of it, so a typed value fails loudly
+    path.write_text("# a comment\ndim = 8  # the width\n")
+    with pytest.raises(cfgmod.ConfigError, match=r"run\.cfg:2: bad value for dim: "):
+        cfgmod.parse_config_file(path)
+
+
+def test_a_snapshot_holding_a_deleted_key_is_rejected_naming_its_line(tmp_path):
+    # the layer-average divisor was a key; a resolved config written before
+    # it was deleted names it on its line 12
+    lines = DEFAULT_RESOLVED.splitlines(keepends=True)
+    lines.insert(11, "literal_layer_avg = true\n")
+    path = tmp_path / "config.resolved"
+    path.write_text("".join(lines))
+    with pytest.raises(cfgmod.ConfigError,
+                       match=r"config\.resolved:12: unknown key 'literal_layer_avg'$"):
+        cfgmod.parse_config_file(path)

@@ -346,8 +346,8 @@ class TestSampleNegative:
 
     def negatives(self, train, num_items, rng, users=1, max_len=None):
         split = [dp.UserSplit(u, list(train), 0, 0) for u in range(users)]
-        batch = assemble_batch(split, num_items, max_len or len(train), rng, None,
-                               TrainConfig())
+        cfg = TrainConfig(max_len=max_len or len(train)).model_config(num_items, users)
+        batch = assemble_batch(split, cfg, rng, None)
         return batch.negatives[batch.step_mask > 0]
 
     def test_forced_choice(self, rng):
@@ -372,7 +372,8 @@ class TestSampleNegative:
 
     def test_no_eligible_item_is_error(self, rng):
         with pytest.raises(ValueError, match="user 42: no eligible negative item"):
-            assemble_batch([dp.UserSplit(42, [1, 2], 0, 0)], 2, 2, rng, None, TrainConfig())
+            assemble_batch([dp.UserSplit(42, [1, 2], 0, 0)],
+                           TrainConfig(max_len=2).model_config(2, 1), rng, None)
 
 
 def reference_augment(seq, kind, ratio, rng):
@@ -396,15 +397,14 @@ def reference_augment(seq, kind, ratio, rng):
     return ItemSequence(seq.user_id, out)
 
 
-def reference_batch(users, num_items, max_len, rng_negatives, rng_augment, cfg):
+def reference_batch(users, cfg, rng_negatives, rng_augment):
     """The per-row assembly the array version replaced, kept as its oracle:
     a pool of eligible negatives and one ``choice`` per row, per-row padding,
     and two ItemSequence views per row."""
-    n, b = max_len, len(users)
+    num_items, n, b = cfg.num_items, cfg.max_len, len(users)
     seqs, targets, negatives = (np.zeros((b, n), dtype=np.int64) for _ in range(3))
     step_mask = np.zeros((b, n), dtype=np.float64)
     views = [np.zeros((b, n), dtype=np.int64) for _ in range(2)] if rng_augment else [None] * 2
-    gce_items = np.zeros(b, dtype=np.int64)
     user_ids = np.zeros(b, dtype=np.int64)
     for row, user in enumerate(users):
         user_ids[row] = user.user_id
@@ -422,7 +422,6 @@ def reference_batch(users, num_items, max_len, rng_negatives, rng_augment, cfg):
         count = int(valid.sum())
         if count:
             negatives[row, valid] = rng_negatives.choice(pool, size=count, replace=True)
-        gce_items[row] = items[-1]
         if rng_augment is not None:
             seq = ItemSequence(user.user_id, items)
             for view in views:
@@ -434,18 +433,18 @@ def reference_batch(users, num_items, max_len, rng_negatives, rng_augment, cfg):
                              "reorder": cfg.reorder_ratio}[kind]
                     out = reference_augment(seq, kind, ratio, rng_augment)
                 view[row] = dp.pad_sequence(out.items, n)
-    return Batch(user_ids, seqs, targets, negatives, step_mask, gce_items, *views)
+    return Batch(user_ids, seqs, targets, negatives, step_mask, *views)
 
 
 class TestAssembleBatchReference:
     """``assemble_batch`` against the per-row loop it replaced: every field
     bitwise, and both generators left in the same state."""
 
-    def check(self, users, num_items, max_len, seed, augment, cfg):
+    def check(self, users, cfg, seed, augment):
         def run(build):
             rng_neg = np.random.default_rng([seed, 2])
             rng_aug = np.random.default_rng([seed, 3]) if augment else None
-            batch = build(users, num_items, max_len, rng_neg, rng_aug, cfg)
+            batch = build(users, cfg, rng_neg, rng_aug)
             return batch, rng_neg.random(), rng_aug.random() if augment else None
 
         got, want = run(assemble_batch), run(reference_batch)
@@ -462,7 +461,7 @@ class TestAssembleBatchReference:
     @pytest.mark.parametrize("num_items", [2, 3, 7, 50, 1000, 20000])
     def test_bitwise_equal_to_per_row_loop(self, num_items, augment):
         rng = np.random.default_rng(num_items)
-        cfgs = [TrainConfig(), TrainConfig(crop_ratio=0.3, mask_ratio=0.5, reorder_ratio=1.0)]
+        ratios = [{}, dict(crop_ratio=0.3, mask_ratio=0.5, reorder_ratio=1.0)]
         for case in range(8):
             max_len = int(rng.integers(2, 12))
             users = []
@@ -474,13 +473,14 @@ class TestAssembleBatchReference:
                 length = int(rng.integers(1, max_len + 8))
                 users.append(dp.UserSplit(3 * u + 1, [int(v) for v in rng.choice(ids, length)],
                                           0, 0))
-            self.check(users, num_items, max_len, case, augment, cfgs[case % 2])
+            cfg = TrainConfig(max_len=max_len, **ratios[case % 2])
+            self.check(users, cfg.model_config(num_items, len(users)), case, augment)
 
     @pytest.mark.parametrize("augment", [False, True], ids=["plain", "views"])
     def test_one_item_pool(self, augment):
         users = [dp.UserSplit(u, [1, 1, 1], 0, 0) for u in range(5)]
-        self.check(users, 2, 3, 0, augment, TrainConfig())
-        self.check(users, 2, 5, 1, augment, TrainConfig())
+        self.check(users, TrainConfig(max_len=3).model_config(2, 5), 0, augment)
+        self.check(users, TrainConfig(max_len=5).model_config(2, 5), 1, augment)
 
     def test_error_names_first_user_without_eligible_item(self):
         # user 3 holds both items, but its window of 2 holds only item 1
@@ -488,8 +488,8 @@ class TestAssembleBatchReference:
                  dp.UserSplit(9, [1, 2], 0, 0)]
         for build in (reference_batch, assemble_batch):
             with pytest.raises(ValueError, match="^user 7: no eligible negative item$"):
-                build(users, 2, 2, np.random.default_rng(0), np.random.default_rng(1),
-                      TrainConfig())
+                build(users, TrainConfig(max_len=2).model_config(2, 3),
+                      np.random.default_rng(0), np.random.default_rng(1))
 
 
 class TestAugment:

@@ -8,13 +8,15 @@ import pytest
 
 from graphseqrec import autodiff as ad
 from graphseqrec import collab, encoder
+from graphseqrec import model as model_module
 from graphseqrec import training as tr
 from graphseqrec.autodiff import DegenerateRow, Tensor
-from graphseqrec.data import ItemSequence, build_sequences, leave_one_out, synth_generate
-from graphseqrec.model import Model
+from graphseqrec.data import build_sequences, leave_one_out, synth_generate
+from graphseqrec.graph import extract_subgraph_batch
+from graphseqrec.model import PADDED_ROW_PARAMS, Model
 from graphseqrec.training import (TrainConfig, assemble_batch, evaluate_model,
                                   next_item_loss, seq_cl_loss, total_loss, train,
-                                  train_step, variant_config)
+                                  train_step)
 
 from conftest import check_grads, saved_bytes, total_sum, weighted_sum
 
@@ -144,27 +146,22 @@ class TestToggleIsolation:
     """At a fixed parameter state and batch, toggling one module changes only
     its own loss term."""
 
-    def compute_losses(self, model, dataset, cfg):
-        users = dataset.users[: cfg.batch_size]
-        batch = assemble_batch(users, dataset.num_items, cfg.max_len,
-                               np.random.default_rng(11),
-                               np.random.default_rng(12) if cfg.lambda2 else None,
-                               TrainConfig())
+    def compute_losses(self, model, dataset):
+        cfg = model.cfg
+        batch = assemble_batch(dataset.users[:cfg.batch_size], cfg, np.random.default_rng(11),
+                               np.random.default_rng(12) if cfg.lambda2 else None)
         model.zero_grads()
-        return train_step(model, batch, cfg, None, None)
+        return train_step(model, batch, None, None)
 
     def test_agcl_toggle_leaves_other_terms_bitwise(self):
         dataset = tiny_dataset()
         cfg_on = tiny_config()
         rng = np.random.default_rng(5)
         model = Model(cfg_on.model_config(dataset.num_items, dataset.num_users),
-                      tr.build_transition_graph(
-                          [ItemSequence(u.user_id, u.train) for u in dataset.users],
-                          cfg_on.window, dataset.num_items), rng)
-        on = self.compute_losses(model, dataset, cfg_on)
-        model_off = model  # same parameter state
-        model_off.cfg = replace(model_off.cfg, enable_agcl=False)
-        off = self.compute_losses(model_off, dataset, variant_config(cfg_on, "no_agcl"))
+                      tr.train_graph(dataset, cfg_on.window), rng)
+        on = self.compute_losses(model, dataset)
+        model.cfg = replace(model.cfg, enable_agcl=False)  # same parameter state
+        off = self.compute_losses(model, dataset)
         assert on["rec"] == off["rec"]
         assert on["seq"] == off["seq"]
         assert off["gce"] == 0.0 and on["gce"] > 0.0
@@ -175,13 +172,11 @@ class TestToggleIsolation:
         dataset = tiny_dataset()
         cfg = tiny_config()
         rng = np.random.default_rng(5)
-        graph = tr.build_transition_graph(
-            [ItemSequence(u.user_id, u.train) for u in dataset.users],
-            cfg.window, dataset.num_items)
-        model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph, rng)
-        on = self.compute_losses(model, dataset, cfg)
+        model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
+                      tr.train_graph(dataset, cfg.window), rng)
+        on = self.compute_losses(model, dataset)
         model.cfg = replace(model.cfg, enable_pge=False)
-        off = self.compute_losses(model, dataset, variant_config(cfg, "no_pge"))
+        off = self.compute_losses(model, dataset)
         assert on["gce"] == off["gce"]
         assert on["rec"] != off["rec"]  # the encoding really was active
 
@@ -189,16 +184,13 @@ class TestToggleIsolation:
         dataset = tiny_dataset()
         cfg = tiny_config(lambda1=0.0)  # rec + seq only
         rng = np.random.default_rng(5)
-        graph = tr.build_transition_graph(
-            [ItemSequence(u.user_id, u.train) for u in dataset.users],
-            cfg.window, dataset.num_items)
-        model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph, rng)
-        self.compute_losses(model, dataset, cfg)
+        model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
+                      tr.train_graph(dataset, cfg.window), rng)
+        self.compute_losses(model, dataset)
         assert model.params["pert_left"].grad is None
         assert model.params["pert_right"].grad is None
-        cfg_on = tiny_config(lambda1=0.1)
-        model.cfg = replace(model.cfg, enable_agcl=True)
-        self.compute_losses(model, dataset, cfg_on)
+        model.cfg = replace(model.cfg, lambda1=0.1)
+        self.compute_losses(model, dataset)
         assert np.abs(model.params["pert_left"].grad).max() > 0.0
 
 
@@ -223,10 +215,9 @@ class TestPerturbationSnapshot:
             return original(*args)
 
         monkeypatch.setattr(collab, "detached_perturbation", counted)
-        batch = assemble_batch(dataset.users[:cfg.batch_size], dataset.num_items,
-                               cfg.max_len, np.random.default_rng(11),
-                               np.random.default_rng(12), TrainConfig())
-        train_step(model, batch, cfg, None, None)
+        batch = assemble_batch(dataset.users[:cfg.batch_size], model.cfg,
+                               np.random.default_rng(11), np.random.default_rng(12))
+        train_step(model, batch, None, None)
         assert len(calls) == 1  # main sequence, both augmented views and the AGCL
         evaluate_model(model, dataset, "valid", batch_size=cfg.batch_size)
         assert len(calls) == 2  # five evaluation chunks
@@ -261,13 +252,12 @@ class TestTapeFreeEvaluation:
         cfg = tiny_config(batch_size=8, pge_graph="refined")
         model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
                       tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
-        batch = assemble_batch(dataset.users[:cfg.batch_size], dataset.num_items,
-                               cfg.max_len, np.random.default_rng(11),
-                               np.random.default_rng(12), TrainConfig())
+        batch = assemble_batch(dataset.users[:cfg.batch_size], model.cfg,
+                               np.random.default_rng(11), np.random.default_rng(12))
 
         def step_grads():
             model.zero_grads()
-            train_step(model, batch, cfg, None, None)
+            train_step(model, batch, None, None)
             return {name: t.grad.tobytes() for name, t in model.params.items()
                     if t.grad is not None}
 
@@ -309,9 +299,8 @@ class TestTrainStepTape:
         cfg = tiny_config(batch_size=8, heads=heads, encoder_layers=2)
         model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
                       tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
-        batch = assemble_batch(dataset.users[:cfg.batch_size], dataset.num_items,
-                               cfg.max_len, np.random.default_rng(11),
-                               np.random.default_rng(12), TrainConfig())
+        batch = assemble_batch(dataset.users[:cfg.batch_size], model.cfg,
+                               np.random.default_rng(11), np.random.default_rng(12))
         ops = Counter()
         original = ad.backward
 
@@ -327,7 +316,7 @@ class TestTrainStepTape:
 
         with monkeypatch.context() as patch:
             patch.setattr(ad, "backward", spy)
-            train_step(model, batch, cfg, None, None)
+            train_step(model, batch, None, None)
         return ops
 
     def test_one_attention_node_per_layer_and_encode(self, monkeypatch):
@@ -369,10 +358,9 @@ class TestTrainStepMemory:
                           dropout=0.2, lr=1e-3, max_epochs=12, patience=11, seed=0)
         model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
                       tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
-        batch = assemble_batch(dataset.users[:cfg.batch_size], dataset.num_items,
-                               cfg.max_len, np.random.default_rng(1),
-                               np.random.default_rng(2), cfg)
-        return lambda: train_step(model, batch, cfg, np.random.default_rng(3),
+        batch = assemble_batch(dataset.users[:cfg.batch_size], model.cfg,
+                               np.random.default_rng(1), np.random.default_rng(2))
+        return lambda: train_step(model, batch, np.random.default_rng(3),
                                   np.random.default_rng(4))
 
     def test_traced_peak_of_one_step_at_the_acceptance_config(self):
@@ -401,6 +389,86 @@ class TestTrainStepMemory:
         step()
         assert len(measured) == 1
         assert measured[0] <= 47 * 2**20, f"one train step saved {measured[0] / 2**20:.1f} MB"
+
+
+class TestTrainStepDirectionalDerivative:
+    """The gradient of one whole train step's loss, every term on, against a
+    central difference along one direction, at the shapes training runs.
+
+    f(theta) is the total loss ``train_step`` reports for a fixed batch, with
+    fresh dropout generators of seeds 3 and 4 at every call, so every
+    evaluation draws the same masks.  The parameters are first moved off
+    their initial values by 0.05 * N(0, 1) from ``default_rng(6)``, so the
+    per-user gate and the low-rank refinement contribute; the direction v is
+    one N(0, 1) draw from ``default_rng(7)`` over every parameter, zero on the
+    padding rows, scaled to unit norm.  A refined PGE reads its subgraphs
+    from a snapshot of the factors that backward treats as a constant, so f
+    holds that snapshot at its theta value too.
+
+    Step and tolerance: f is 6e2 to 6e3 here, so each float64 evaluation
+    carries about f * 1e-16 of round-off and the quotient about f * 1e-16 / h,
+    1e-7 to 1e-6 relative to these derivatives at h = 1e-6, which the 1e-5
+    tolerance covers several times over.  A larger h lets a ReLU kink fall
+    between the two points: at the first shape the relative error was 2.6e-3
+    and 1.8e-3 at h = 1e-3 and 1e-4, and 6e-7 at h = 1e-6."""
+
+    H, TOLERANCE = 1e-6, 1e-5
+
+    @staticmethod
+    def case(users, items, seq_len, seed, rows, first=0, **overrides):
+        log = synth_generate(users, items, noise=0.2, seed=seed, seq_len=seq_len)
+        dataset = leave_one_out(build_sequences(log, min_count=1))
+        cfg = replace(TrainConfig(dim=32, max_len=20, rank=8, encoder_layers=2, heads=2,
+                                  alpha=0.05, lambda1=0.1, lambda2=0.1, dropout=0.2,
+                                  pge_graph="refined"), **overrides)
+        model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
+                      tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
+        batch = assemble_batch(dataset.users[first:first + rows], model.cfg,
+                               np.random.default_rng(1), np.random.default_rng(2))
+        return model, batch
+
+    def check(self, monkeypatch, model, batch):
+        moved, direction = np.random.default_rng(6), np.random.default_rng(7)
+        theta, v = {}, {}
+        for name, t in model.params.items():
+            theta[name] = t.data + 0.05 * moved.standard_normal(t.shape)
+            v[name] = direction.standard_normal(t.shape)
+        for name in PADDED_ROW_PARAMS:
+            theta[name][0] = v[name][0] = 0.0
+        norm = np.sqrt(sum(float((d * d).sum()) for d in v.values()))
+
+        def f(step):
+            for name, t in model.params.items():
+                t.data = theta[name] + (step / norm) * v[name]
+            model.zero_grads()
+            return train_step(model, batch, np.random.default_rng(3),
+                              np.random.default_rng(4))["total"]
+
+        f(0.0)
+        analytic = sum(float((t.grad * v[name]).sum()) / norm
+                       for name, t in model.params.items() if t.grad is not None)
+        snapshot = model.subgraph_perturbation()
+        monkeypatch.setattr(model_module, "extract_subgraph_batch", lambda graph, seqs, p:
+                            extract_subgraph_batch(graph, seqs, None if p is None else snapshot))
+        numeric = (f(self.H) - f(-self.H)) / (2 * self.H)
+        assert abs(numeric - analytic) <= self.TOLERANCE * abs(analytic), (numeric, analytic)
+
+    def test_acceptance_ring_last_batch(self, monkeypatch):
+        # the planted ring of 500 users over 200 items; batches of 256 leave 244
+        model, batch = self.case(500, 200, 20, 101, rows=244, first=256)
+        assert batch.seqs.shape == (244, 20)
+        self.check(monkeypatch, model, batch)
+
+    def test_padded_batch_of_short_histories(self, monkeypatch):
+        model, batch = self.case(300, 100, 6, 3, rows=128, max_len=50)
+        assert (batch.seqs > 0).sum(axis=1).max() <= 4
+        self.check(monkeypatch, model, batch)
+
+    @pytest.mark.parametrize("gcn_layers", [1, 2])
+    def test_catalog_of_thousands_of_items(self, monkeypatch, gcn_layers):
+        model, batch = self.case(600, 3000, 10, 4, rows=128, gcn_layers=gcn_layers)
+        assert model.cfg.num_items > 2000
+        self.check(monkeypatch, model, batch)
 
 
 class TestTrainLoop:
