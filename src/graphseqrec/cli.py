@@ -33,6 +33,7 @@ class UsageError(Exception):
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    parser.allow_abbrev = False  # a flag matches whole, never as the prefix of a longer one
     parser.add_argument("--config", help="flat key = value configuration file")
     for key, field in cfgmod.KEYS.items():
         flag = "--" + key.replace("_", "-")
@@ -74,9 +75,6 @@ def _train_run(cfg: TrainConfig, dataset) -> TrainResult:
         fh.write("\n".join(result.timing) + "\n")
     # the model holds the restored best parameters at this point
     result.model.save(os.path.join(cfg.outdir, "checkpoint.best"))
-    if cfg.spectrum:
-        report = spectrum(result.model.params["item_emb"].data[1:])
-        write_spectrum_csv(report, os.path.join(cfg.outdir, "spectrum.csv"))
     return result
 
 
@@ -144,6 +142,9 @@ def _parse_grid(text: Optional[str], kind, flag: str, default) -> List:
         grid = []
     if not grid:
         raise UsageError(f"{flag}: bad grid specification: {text!r}")
+    for i, value in enumerate(grid):
+        if value in grid[:i]:  # its cell would train twice into one directory
+            raise UsageError(f"{flag}: repeated grid value {value}: {text!r}")
     return grid
 
 
@@ -158,7 +159,6 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
     dataset = _load_dataset(base)
     os.makedirs(base.outdir, exist_ok=True)
     rows = []
-    failures = 0
     for lam in lambda1_grid:
         for layers in layers_grid:
             cell_dir = os.path.join(base.outdir, f"cell-lambda1_{lam}-layers_{layers}")
@@ -167,7 +167,6 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
                     replace(base, lambda1=lam, encoder_layers=layers, outdir=cell_dir), dataset)
             except Exception as exc:  # keep scanning the rest of the grid
                 print(f"cell lambda1={lam} layers={layers} failed: {exc}", file=sys.stderr)
-                failures += 1
                 continue
             rows.append((lam, layers, result.state.best_val_ndcg20,
                          result.test_report.hr[20], result.test_report.ndcg[20]))
@@ -178,7 +177,7 @@ def cmd_gridsearch(args: argparse.Namespace) -> int:
         for lam, layers, val, hr20, ndcg20 in rows:
             fh.write(f"{lam}\t{layers}\t{val:.6f}\t{hr20:.6f}\t{ndcg20:.6f}\n")
     print(f"grid summary written to {summary}")
-    return 1 if failures and not rows else 0
+    return 0 if rows else 1  # a grid holds a cell, so no row means every cell failed
 
 
 def build_parser() -> argparse.ArgumentParser:

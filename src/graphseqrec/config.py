@@ -93,16 +93,14 @@ class TrainConfig:
     reorder_ratio: float = _key(0.6, "reorder augmentation span ratio", "in [0, 1]")
     exclude_history: bool = _key(True, "exclude seen items when ranking")
     # toggles
-    enable_agcl: bool = _key(True, "enable the adaptive collaborative learner")
     enable_pge: bool = _key(True, "enable the personalized graph encoding")
     pge_graph: str = _key("refined", "graph read by subgraph extraction: original or refined",
                           ("original", "refined"))
-    # reporting
-    spectrum: bool = _key(False, "write the embedding spectrum CSV after training")
 
     def __post_init__(self):
-        """Reject a value of the wrong type or against its key's rule, or a
-        width the heads do not split, naming the key, before any work."""
+        """Reject a value of the wrong type or against its key's rule, a path
+        its snapshot line cannot hold, or a width the heads do not split,
+        naming the key, before any work."""
         for f in fields(TrainConfig):
             key, value, rule = f.name, getattr(self, f.name), f.metadata["rule"]
             kind, classes = _TYPES[f.type]
@@ -115,6 +113,9 @@ class TrainConfig:
                 raise error(f"{key} must be {' or '.join(map(repr, rule))}, got {value!r}")
             if isinstance(rule, str) and not _RANGES[rule](value):
                 raise ValueError(f"{key} must be {rule}, got {value}")
+            # a path reads back from its 'key = value' line only as written
+            if f.type is str and (value.strip() != value or {"\n", "\r"} & set(value)):
+                raise ValueError(f"{key} must be one line without outer whitespace, got {value!r}")
         if self.patience >= self.max_epochs:
             raise ValueError(f"patience ({self.patience}) must be < max_epochs ({self.max_epochs})")
         if self.dim % self.heads != 0:
@@ -161,8 +162,6 @@ def resolve(file_path: Optional[str], overrides: Dict[str, object]) -> TrainConf
     """defaults < config file < explicit overrides."""
     values = parse_config_file(file_path) if file_path else {}
     for key, value in overrides.items():
-        if value is None:
-            continue
         if key not in KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
         if isinstance(value, str):

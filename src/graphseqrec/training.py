@@ -40,7 +40,7 @@ def variant_config(cfg: TrainConfig, variant: str) -> TrainConfig:
     if variant == "full":
         return cfg
     if variant == "no_agcl":
-        return replace(cfg, enable_agcl=False)
+        return replace(cfg, lambda1=0.0)
     if variant == "no_pge":
         return replace(cfg, enable_pge=False)
     raise ValueError(f"unknown variant {variant!r}")
@@ -205,21 +205,22 @@ def train_step(model: Model, batch: Batch,
                rng_dropout_views: Optional[np.random.Generator]) -> Dict[str, float]:
     """Forward the loss terms ``model.cfg`` enables, backprop, report their values."""
     cfg = model.cfg
-    lambda1 = cfg.lambda1 if cfg.enable_agcl else 0.0
     perturbation = model.subgraph_perturbation()
     hidden = model.hidden_states(batch.seqs, batch.user_ids, perturbation, rng_dropout)
     rec = next_item_loss(hidden, model.params["item_emb"], batch.targets,
                          batch.negatives, batch.step_mask)
     gce = None
-    if lambda1 != 0.0:
+    if cfg.lambda1 != 0.0:
         orig_rows, ref_rows = model.graph_representations(batch.seqs[:, -1], perturbation)
         gce = gce_loss(orig_rows, ref_rows, cfg.tau)
     seq = None
-    if cfg.lambda2 != 0.0 and batch.view1 is not None:
+    if cfg.lambda2 != 0.0:
+        if batch.view1 is None:
+            raise ValueError(f"lambda2 = {cfg.lambda2} needs views: assemble with rng_augment")
         z1 = model.user_reprs(batch.view1, batch.user_ids, perturbation, rng_dropout_views)
         z2 = model.user_reprs(batch.view2, batch.user_ids, perturbation, rng_dropout_views)
         seq = seq_cl_loss(z1, z2, cfg.tau)
-    loss = total_loss(rec, gce, seq, lambda1, cfg.lambda2)
+    loss = total_loss(rec, gce, seq, cfg.lambda1, cfg.lambda2)
     ad.backward(loss)
     return {
         "total": float(loss.data),

@@ -130,15 +130,18 @@ class TestTrain:
         assert (outdir / "metrics.log").read_bytes() == first
         assert os.listdir(tmp_path / "runs") == ["a#1 = b"]
 
-    def test_disabling_modules_equals_zero_weight_baseline(self, synth_log, tmp_path):
-        toggles = tmp_path / "toggles"
-        weights = tmp_path / "weights"
-        shared = FAST_FLAGS + ["--lambda2", "0"]
-        assert main(["train", "--dataset", synth_log, "--outdir", str(toggles),
-                     "--enable-agcl", "false", "--enable-pge", "false"] + shared) == 0
-        assert main(["train", "--dataset", synth_log, "--outdir", str(weights),
-                     "--lambda1", "0", "--enable-pge", "false"] + shared) == 0
-        assert (toggles / "metrics.log").read_bytes() == (weights / "metrics.log").read_bytes()
+    # an outer space would not read back from config.resolved, a line break
+    # would start another key there
+    @pytest.mark.parametrize("key,suffix", [("outdir", " "), ("dataset", "\nmin_count = 7")])
+    def test_a_path_the_snapshot_cannot_hold_is_rejected_before_any_artifact(
+            self, synth_log, tmp_path, capsys, key, suffix):
+        paths = {"dataset": synth_log, "outdir": str(tmp_path / "run")}
+        paths[key] += suffix
+        assert main(["train", "--dataset", paths["dataset"], "--outdir", paths["outdir"]]
+                    + FAST_FLAGS) == 1
+        assert capsys.readouterr().err == (
+            f"error: {key} must be one line without outer whitespace, got {paths[key]!r}\n")
+        assert os.listdir(tmp_path) == []
 
     def test_non_utf8_config_names_path_and_line(self, synth_log, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -373,15 +376,21 @@ class TestGridsearch:
         best_line = next(line for line in metrics if line.startswith("best_epoch="))
         assert best_line.endswith(val)
 
-    # a bad token, or a grid of no value
+    # a bad token, a grid of no value, or a value given twice, whose cell
+    # would train twice into one directory; each is found before the dataset
+    # is read
     @pytest.mark.parametrize("flag,value", [("--lambda1-grid", "abc"), ("--layers-grid", "1,1.5"),
-                                            ("--lambda1-grid", ","), ("--layers-grid", " ")])
-    def test_rejected_grid_is_a_usage_error_leaving_no_outdir(self, synth_log, tmp_path,
-                                                              capsys, flag, value):
+                                            ("--lambda1-grid", ","), ("--layers-grid", " "),
+                                            ("--lambda1-grid", "0.1,0.10"),
+                                            ("--layers-grid", "2,1,2")])
+    def test_rejected_grid_is_a_usage_error_leaving_no_outdir(self, tmp_path, capsys,
+                                                              flag, value):
         grid_dir = tmp_path / "grid"
-        assert main(["gridsearch", "--dataset", synth_log, "--outdir", str(grid_dir),
-                     flag, value] + FAST_FLAGS) == 2
-        assert capsys.readouterr().err == f"error: {flag}: bad grid specification: {value!r}\n"
+        assert main(["gridsearch", "--dataset", str(tmp_path / "missing.tsv"),
+                     "--outdir", str(grid_dir), flag, value] + FAST_FLAGS) == 2
+        repeated = {"0.1,0.10": "repeated grid value 0.1", "2,1,2": "repeated grid value 2"}
+        detail = repeated.get(value, "bad grid specification")
+        assert capsys.readouterr().err == f"error: {flag}: {detail}: {value!r}\n"
         assert not grid_dir.exists()
 
     def test_bad_grid_value_fails_only_its_cell(self, synth_log, tmp_path, capsys):
@@ -392,3 +401,14 @@ class TestGridsearch:
             "cell lambda1=0.1 layers=0 failed: encoder_layers must be >= 1, got 0\n")
         assert sorted(os.listdir(grid_dir)) == ["cell-lambda1_0.1-layers_1", "grid_summary.tsv"]
         assert len((grid_dir / "grid_summary.tsv").read_text().splitlines()) == 2
+
+
+# enable_agcl only repeated lambda1 = 0 and spectrum only repeated
+# eval --spectrum-csv; neither flag is read, not even as the prefix of a longer one
+@pytest.mark.parametrize("command", ["train", "eval", "gridsearch", "build-graph"])
+@pytest.mark.parametrize("flag", ["--enable-agcl", "--spectrum"])
+def test_a_deleted_flag_is_a_usage_error(capsys, command, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, flag, "true"])
+    assert exit_.value.code == 2
+    assert f"error: unrecognized arguments: {flag} true\n" in capsys.readouterr().err

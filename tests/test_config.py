@@ -42,10 +42,8 @@ crop_ratio = 0.6
 mask_ratio = 0.3
 reorder_ratio = 0.6
 exclude_history = true
-enable_agcl = true
 enable_pge = true
 pge_graph = refined
-spectrum = false
 """
 
 
@@ -117,9 +115,10 @@ def test_wrong_type_is_rejected_naming_the_key(key, value):
 
 
 def test_numpy_scalars_and_ints_for_floats_are_accepted():
-    cfg = TrainConfig(dim=np.int64(8), alpha=0, lr=np.float64(0.5), spectrum=np.bool_(True))
-    assert (cfg.dim, cfg.alpha, cfg.lr, cfg.spectrum) == (8, 0, 0.5, True)
-    assert "\nspectrum = true\n" in cfgmod.format_resolved(cfg)
+    cfg = TrainConfig(dim=np.int64(8), alpha=0, lr=np.float64(0.5),
+                      exclude_history=np.bool_(False))
+    assert (cfg.dim, cfg.alpha, cfg.lr, cfg.exclude_history) == (8, 0, 0.5, False)
+    assert "\nexclude_history = false\n" in cfgmod.format_resolved(cfg)
 
 
 def attribute_names(path: Path) -> set:
@@ -148,6 +147,14 @@ def test_paths_holding_hash_equals_and_spaces_read_back_as_written(tmp_path):
     path = tmp_path / "config.resolved"
     cfgmod.write_resolved(path, cfg)
     assert cfgmod.resolve(str(path), {}) == cfg
+    # a path its line cannot hold as written is rejected, naming its key: an
+    # outer space would be stripped, a line break would start another key
+    for key in ("dataset", "outdir"):
+        for value in ("runs/a ", " runs/a", "runs/a\t", "runs/a\nmin_count = 7", "runs/a\r",
+                      "a\rb"):
+            with pytest.raises(ValueError, match=rf"^{key} must be one line without outer "
+                                                 rf"whitespace, got {re.escape(repr(value))}$"):
+                TrainConfig(**{key: value})
 
 
 def test_only_a_line_starting_with_hash_is_a_comment(tmp_path):
@@ -160,13 +167,13 @@ def test_only_a_line_starting_with_hash_is_a_comment(tmp_path):
         cfgmod.parse_config_file(path)
 
 
-def test_a_snapshot_holding_a_deleted_key_is_rejected_naming_its_line(tmp_path):
-    # the layer-average divisor was a key; a resolved config written before
-    # it was deleted names it on its line 12
+# keys a resolved config written before their deletion still names: the
+# layer-average divisor, and two that repeated lambda1 = 0 and eval --spectrum-csv
+@pytest.mark.parametrize("key", ["literal_layer_avg", "enable_agcl", "spectrum"])
+def test_a_snapshot_holding_a_deleted_key_is_rejected_naming_its_line(tmp_path, key):
     lines = DEFAULT_RESOLVED.splitlines(keepends=True)
-    lines.insert(11, "literal_layer_avg = true\n")
+    lines.insert(11, f"{key} = true\n")
     path = tmp_path / "config.resolved"
     path.write_text("".join(lines))
-    with pytest.raises(cfgmod.ConfigError,
-                       match=r"config\.resolved:12: unknown key 'literal_layer_avg'$"):
+    with pytest.raises(cfgmod.ConfigError, match=rf"config\.resolved:12: unknown key '{key}'$"):
         cfgmod.parse_config_file(path)

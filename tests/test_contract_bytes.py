@@ -37,7 +37,7 @@ RUNS = {
     "ring-pge-original": ("ring", RING_EPOCHS + ["--pge-graph", "original"],
                           "211079fbc9f78dd3ff3cb2f87f6b5918579f81160fd3f081a44e489b70208ab5",
                           "8435901568e88e824a87724e271448a9f982d749e050141f9b1fce227a6f2656"),
-    "ring-noagcl": ("ring", RING_EPOCHS + ["--enable-agcl", "false", "--pge-graph", "original"],
+    "ring-noagcl": ("ring", RING_EPOCHS + ["--lambda1", "0", "--pge-graph", "original"],
                     "965045dad182265ce2fdb46c5b40ad221df8f257c55060f6f9242db36aec9128",
                     "0fd019dabc833a953d6a770adb355f4aa987293ce2a71393642b9f9f12a416a4"),
     "ring-3-layers": ("ring", RING_EPOCHS + ["--encoder-layers", "3", "--heads", "4"],

@@ -36,7 +36,7 @@ DIGESTS = {
 FLAGS = ["--dim", "16", "--heads", "2", "--encoder-layers", "2", "--max-len", "10",
          "--rank", "4", "--dropout", "0.2", "--batch-size", "32", "--max-epochs", "3",
          "--patience", "2", "--min-count", "1", "--lambda1", "0.1", "--lambda2", "0.1",
-         "--seed", "7", "--enable-agcl", "true", "--enable-pge", "true", "--lr", "0.005"]
+         "--seed", "7", "--enable-pge", "true", "--lr", "0.005"]
 
 
 def blas_name() -> str:

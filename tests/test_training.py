@@ -160,13 +160,26 @@ class TestToggleIsolation:
         model = Model(cfg_on.model_config(dataset.num_items, dataset.num_users),
                       tr.train_graph(dataset, cfg_on.window), rng)
         on = self.compute_losses(model, dataset)
-        model.cfg = replace(model.cfg, enable_agcl=False)  # same parameter state
+        model.cfg = replace(model.cfg, lambda1=0.0)  # same parameter state
         off = self.compute_losses(model, dataset)
         assert on["rec"] == off["rec"]
         assert on["seq"] == off["seq"]
         assert off["gce"] == 0.0 and on["gce"] > 0.0
         np.testing.assert_allclose(off["total"], off["rec"] + cfg_on.lambda2 * off["seq"],
                                    rtol=1e-15)
+
+    def test_a_sequence_term_without_views_is_an_error(self):
+        dataset = tiny_dataset()
+        cfg = tiny_config(lambda2=0.5)
+        model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
+                      tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
+        batch = assemble_batch(dataset.users[:cfg.batch_size], model.cfg,
+                               np.random.default_rng(11), None)
+        with pytest.raises(ValueError, match=r"^lambda2 = 0\.5 needs views: "
+                                             r"assemble with rng_augment$"):
+            train_step(model, batch, None, None)
+        model.cfg = replace(model.cfg, lambda2=0.0)
+        assert self.compute_losses(model, dataset)["seq"] == 0.0
 
     def test_pge_toggle_leaves_gce_bitwise(self):
         dataset = tiny_dataset()
@@ -200,10 +213,10 @@ class TestPerturbationSnapshot:
 
     @pytest.mark.parametrize("pge", [dict(pge_graph="refined"), dict(pge_graph="original"),
                                      dict(enable_pge=False)], ids=["refined", "original", "off"])
-    @pytest.mark.parametrize("agcl", [True, False], ids=["agcl", "no-agcl"])
-    def test_one_snapshot_per_train_step_and_per_evaluation(self, monkeypatch, pge, agcl):
+    @pytest.mark.parametrize("lambda1", [0.1, 0.0], ids=["agcl", "no-agcl"])
+    def test_one_snapshot_per_train_step_and_per_evaluation(self, monkeypatch, pge, lambda1):
         dataset = tiny_dataset()
-        cfg = tiny_config(batch_size=8, enable_agcl=agcl, **pge)
+        cfg = tiny_config(batch_size=8, lambda1=lambda1, **pge)
         graph = tr.train_graph(dataset, cfg.window)
         model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph,
                       np.random.default_rng(5))
