@@ -235,7 +235,8 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str,
 
 
 def _accumulate(t, g: np.ndarray, fresh: bool = False) -> None:
-    """Add ``g`` into ``t.grad``, ``t`` a node or a leaf.  ``fresh`` means the
+    """Add ``g`` into ``t.grad``, ``t`` a node or a leaf; a ``t`` that requires
+    no gradient is skipped, so closures need not check.  ``fresh`` means the
     calling closure just built ``g`` and keeps no other reference to it, so
     on first touch it can be adopted when it is C-contiguous float64;
     anything else is copied into an owned C-contiguous float64 array."""
@@ -352,13 +353,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x_kept = _kept(x)
 
     def back(g, x=_target(x), w=_target(w), b=_target(b), x_kept=x_kept, w_data=w.data):
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), fresh=True)
-        if x.requires_grad:
-            _accumulate(x, g @ w_data.T, fresh=True)
-        if w.requires_grad:
-            k, n = w.shape
-            _accumulate(w, _value(x_kept).reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
+        _accumulate(b, g.sum(axis=tuple(range(g.ndim - 1))), fresh=True)
+        _accumulate(x, g @ w_data.T, fresh=True)
+        k, n = w.shape
+        _accumulate(w, _value(x_kept).reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
 
     def rebuild(x_kept=x_kept, w_data=w.data, b_data=b.data):
         out = _value(x_kept) @ w_data
@@ -568,21 +566,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     def back(g, x=_target(x), gain=_target(gain), bias=_target(bias), gain_data=gain.data,
              xhat=xhat, inv=inv, width=width):
         scratch = g * xhat
-        if gain.requires_grad:
-            _accumulate(gain, scratch.reshape(-1, width).sum(axis=0), fresh=True)
-        if bias.requires_grad:
-            _accumulate(bias, g.reshape(-1, width).sum(axis=0), fresh=True)
-        if x.requires_grad:
-            # inv * ((gh - m1) - xhat * m2), one operation at a time
-            gh = g * gain_data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            np.multiply(gh, xhat, out=scratch)
-            m2 = scratch.mean(axis=-1, keepdims=True)
-            gh -= m1
-            np.multiply(xhat, m2, out=scratch)
-            gh -= scratch
-            gh *= inv
-            _accumulate(x, gh, fresh=True)
+        _accumulate(gain, scratch.reshape(-1, width).sum(axis=0), fresh=True)
+        _accumulate(bias, g.reshape(-1, width).sum(axis=0), fresh=True)
+        # inv * ((gh - m1) - xhat * m2), one operation at a time
+        gh = g * gain_data
+        m1 = gh.mean(axis=-1, keepdims=True)
+        np.multiply(gh, xhat, out=scratch)
+        m2 = scratch.mean(axis=-1, keepdims=True)
+        gh -= m1
+        np.multiply(xhat, m2, out=scratch)
+        gh -= scratch
+        gh *= inv
+        _accumulate(x, gh, fresh=True)
 
     def rebuild(xhat=xhat, gain_data=gain.data, bias_data=bias.data):
         out = np.multiply(xhat, gain_data)

@@ -32,6 +32,17 @@ class UsageError(Exception):
     pass
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser reports the arguments it does not know itself,
+    under its own usage, rather than hand them back to the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.allow_abbrev = False  # a flag matches whole, never as the prefix of a longer one
     parser.add_argument("--config", help="flat key = value configuration file")
@@ -185,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="graphseqrec",
         description="Graph-enhanced sequential recommendation: train, evaluate, "
                     "and inspect models on interaction logs.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     p_train = sub.add_parser("train", help="train a model and write run artifacts")
     _add_config_flags(p_train)

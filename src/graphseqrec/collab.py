@@ -43,7 +43,8 @@ def init_factors(rng: np.random.Generator, num_nodes: int, rank: int,
                  strength: float) -> PerturbationFactors:
     """Factors start i.i.d. normal with std 1/sqrt(rank * num_items) so the
     initial perturbation is small next to the base graph; row 0 (padding)
-    is held at zero."""
+    starts at zero and stays there, as the graph's empty row and column 0
+    pass it no gradient."""
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     std = 1.0 / np.sqrt(rank * max(num_nodes - 1, 1))

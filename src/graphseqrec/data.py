@@ -19,9 +19,8 @@ negatives are drawn in ``training.assemble_batch``.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -68,12 +67,6 @@ class SplitDataset:
         return len(self.users)
 
 
-# one field of a data line: an optional sign and ASCII digits, with optional
-# ASCII whitespace around them (line ends excluded, as they never occur inside
-# a line); on ASCII lines this is exactly what ``np.loadtxt`` parses as int64
-_FIELD = re.compile(r"[ \t\x0b\x0c\x1c-\x1f]*[+-]?[0-9]+[ \t\x0b\x0c\x1c-\x1f]*")
-
-
 def _read_events(path, delimiter: str) -> np.ndarray:
     """The log at ``path`` as an (n, 3) int64 array of (user, item, timestamp)
     rows in file order, parsed by one ``np.loadtxt`` call over its data lines."""
@@ -81,36 +74,43 @@ def _read_events(path, delimiter: str) -> np.ndarray:
     kept = [line for line in map(str.strip, lines) if line and line[0] != "#"]
     if not kept:
         return np.empty((0, 3), dtype=np.int64)
-    # loadtxt reads some non-ASCII letters as digits, so it only sees ASCII;
-    # comments=None, as its comment marker would also cut a line mid-way
-    events = None
-    if "".join(kept).isascii():
-        try:
-            events = np.loadtxt(kept, dtype=np.int64, delimiter=delimiter, comments=None,
-                                ndmin=2)
-        except ValueError:
-            pass
-    # a log whose lines all hold 2 (or 4) fields loads without an error
-    if events is None or events.shape[1] != 3:
+    events = _load(kept, delimiter)
+    if events is None:
         raise _first_fault(path, lines, delimiter)
     return events
 
 
+def _load(kept: Sequence[str], delimiter: str) -> Optional[np.ndarray]:
+    """The (n, 3) int64 array of the data lines ``kept``, or None when a line
+    is not three int64 fields: a run of lines loads exactly when each of its
+    lines does."""
+    # loadtxt reads some non-ASCII letters as digits, so it only sees ASCII;
+    # comments=None, as its comment marker would also cut a line mid-way
+    if not "".join(kept).isascii():
+        return None
+    try:
+        events = np.loadtxt(kept, dtype=np.int64, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # a log whose lines all hold 2 (or 4) fields loads without an error
+    return events if events.shape[1] == 3 else None
+
+
 def _first_fault(path, lines: Sequence[str], delimiter: str) -> ParseError:
-    """The error naming the first data line, in file order, that is not three
-    int64 fields.  It accepts exactly what ``_read_events`` does, so it is
-    only called once the fast parse has failed, and always finds a line."""
-    for lineno, line in enumerate(map(str.strip, lines), start=1):
-        if not line or line[0] == "#":
-            continue
-        fields = line.split(delimiter)
-        if len(fields) != 3:
-            return ParseError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
-        if not all(_FIELD.fullmatch(f) for f in fields):
-            return ParseError(f"{path}:{lineno}: non-integer field in {fields!r}")
-        if not all(-2 ** 63 <= int(f.strip()) < 2 ** 63 for f in fields):
-            return ParseError(f"{path}:{lineno}: field outside int64 in {fields!r}")
-    return ParseError(f"{path}: not a log of integer triples")
+    """The error naming the first data line, in file order, that ``_load``
+    rejects, found by halving the data lines; called once it has rejected
+    them all together."""
+    numbered = [(lineno, line) for lineno, line in enumerate(map(str.strip, lines), start=1)
+                if line and line[0] != "#"]
+    while len(numbered) > 1:
+        half = numbered[:len(numbered) // 2]
+        faulty = _load([line for _, line in half], delimiter) is None
+        numbered = half if faulty else numbered[len(half):]
+    lineno, line = numbered[0]
+    fields = line.split(delimiter)
+    if len(fields) != 3:
+        return ParseError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+    return ParseError(f"{path}:{lineno}: non-integer field in {fields!r}")
 
 
 def write_interactions(path, events: np.ndarray, delimiter: str = "\t") -> None:

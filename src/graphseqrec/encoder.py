@@ -36,8 +36,9 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
 def init_encoder_params(rng: np.random.Generator, cfg: ModelConfig) -> Dict[str, Tensor]:
     """Embeddings plus per-layer attention/FFN/layer-norm weights.
 
-    The padding row of the item table starts at zero and is kept there by
-    the training loop (its gradient is dropped before each step).
+    The padding row of the item table starts at zero and stays there: the
+    key mask, the step mask and the graph's empty row and column 0 keep
+    every gradient into it at exactly zero.
     """
     d = cfg.dim
     params: Dict[str, Tensor] = {}

@@ -18,10 +18,6 @@ from .config import ModelConfig
 from .graph import SubgraphPerturbation, TransitionGraph, extract_subgraph_batch
 
 
-# parameter rows that must stay zero (padding slots)
-PADDED_ROW_PARAMS = ("item_emb", "pert_left", "pert_right")
-
-
 class Model:
     def __init__(self, cfg: ModelConfig, graph: TransitionGraph,
                  rng: np.random.Generator):
@@ -94,13 +90,6 @@ class Model:
                                   encoder.last_real_position(seqs))
 
     # ------------------------------------------------------------- training
-    def drop_padding_grads(self) -> None:
-        """Zero the gradient of every padding row so those rows never move."""
-        for name in PADDED_ROW_PARAMS:
-            t = self.params[name]
-            if t.grad is not None:
-                t.grad[0] = 0.0
-
     def zero_grads(self) -> None:
         for t in self.params.values():
             t.grad = None

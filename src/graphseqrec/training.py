@@ -257,12 +257,10 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
             batch = assemble_batch(
                 users, model.cfg, _epoch_rng(cfg.seed, 2, epoch, b),
                 _epoch_rng(cfg.seed, 3, epoch, b) if cfg.lambda2 != 0.0 else None)
-            rng_drop = _epoch_rng(cfg.seed, 4, epoch, b) if cfg.dropout > 0 else None
-            rng_drop_views = _epoch_rng(cfg.seed, 5, epoch, b) if cfg.dropout > 0 else None
-            values = train_step(model, batch, rng_drop, rng_drop_views)
+            values = train_step(model, batch, _epoch_rng(cfg.seed, 4, epoch, b),
+                                _epoch_rng(cfg.seed, 5, epoch, b))
             if not np.isfinite(values["total"]):
                 raise RuntimeError(f"non-finite loss {values['total']} at epoch {epoch}, batch {b}")
-            model.drop_padding_grads()
             optimizer.step()
             # the gradients die with their step: kept into the next step or
             # the validation pass, they would pin blocks in the middle of the

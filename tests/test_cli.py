@@ -77,6 +77,16 @@ class TestSynth:
         assert not path.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "synth", "gridsearch", "build-graph"])
+def test_unknown_argument_prints_the_subcommands_usage(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--spectrum", "true"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: graphseqrec {command} ")
+    assert err.endswith("error: unrecognized arguments: --spectrum true\n")
+
+
 class TestTrain:
     def test_missing_dataset_is_usage_error(self, capsys, tmp_path):
         code = main(["train", "--outdir", str(tmp_path / "run")])

@@ -13,12 +13,15 @@ from graphseqrec import training as tr
 from graphseqrec.autodiff import DegenerateRow, Tensor
 from graphseqrec.data import build_sequences, leave_one_out, synth_generate
 from graphseqrec.graph import extract_subgraph_batch
-from graphseqrec.model import PADDED_ROW_PARAMS, Model
+from graphseqrec.model import Model
 from graphseqrec.training import (TrainConfig, assemble_batch, evaluate_model,
                                   next_item_loss, seq_cl_loss, total_loss, train,
                                   train_step)
 
 from conftest import check_grads, saved_bytes, total_sum, weighted_sum
+
+# the parameters whose row 0 belongs to the padding id
+PADDED_ROWS = ("item_emb", "pert_left", "pert_right")
 
 
 def tiny_dataset(users=40, items=25, seq_len=8, seed=0, noise=0.3):
@@ -446,7 +449,7 @@ class TestTrainStepDirectionalDerivative:
         for name, t in model.params.items():
             theta[name] = t.data + 0.05 * moved.standard_normal(t.shape)
             v[name] = direction.standard_normal(t.shape)
-        for name in PADDED_ROW_PARAMS:
+        for name in PADDED_ROWS:
             theta[name][0] = v[name][0] = 0.0
         norm = np.sqrt(sum(float((d * d).sum()) for d in v.values()))
 
@@ -482,6 +485,44 @@ class TestTrainStepDirectionalDerivative:
         model, batch = self.case(600, 3000, 10, 4, rows=128, gcn_layers=gcn_layers)
         assert model.cfg.num_items > 2000
         self.check(monkeypatch, model, batch)
+
+
+class TestPaddingRowsGetNoGradient:
+    """Row 0 of the item table and of both refinement factors belongs to the
+    padding id.  The key mask, the step mask and the graph's empty row and
+    column 0 keep every gradient into it at exactly zero, so nothing has to
+    zero it and Adam never moves it; a leak shows here."""
+
+    @staticmethod
+    def check_step(model, batch):
+        train_step(model, batch, np.random.default_rng(3), np.random.default_rng(4))
+        assert model.params["item_emb"].grad is not None
+        for name in PADDED_ROWS:
+            grad = model.params[name].grad
+            if grad is not None:
+                assert not grad[0].any(), (name, np.abs(grad[0]).max())
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"enable_pge": False}, {"pge_graph": "original"}, {"lambda1": 0.0},
+        {"gcn_layers": 3}], ids=["full", "no-pge", "original-pge", "lambda1-0", "gcn-3"])
+    def test_acceptance_ring_last_batch(self, overrides):
+        model, batch = TestTrainStepDirectionalDerivative.case(500, 200, 20, 101, rows=244,
+                                                               first=256, **overrides)
+        self.check_step(model, batch)
+
+    def test_masked_views_of_short_histories(self):
+        model, batch = TestTrainStepDirectionalDerivative.case(300, 100, 6, 3, rows=128,
+                                                               max_len=50, mask_ratio=0.6)
+        real = np.concatenate([batch.view1, batch.view2]) > 0
+        # a zero after a row's first real item is a masked item, not padding
+        assert (np.maximum.accumulate(real, axis=1) & ~real).any()
+        self.check_step(model, batch)
+
+    def test_rows_stay_zero_through_training(self):
+        result = train(tiny_config(max_epochs=3, dropout=0.2, mask_ratio=0.6), tiny_dataset())
+        for name in PADDED_ROWS:
+            row = result.model.params[name].data[0]
+            assert row.tobytes() == bytes(row.nbytes), (name, row)
 
 
 class TestTrainLoop:
