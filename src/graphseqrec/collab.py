@@ -141,6 +141,10 @@ def graph_representations(graph: TransitionGraph, emb: Tensor,
     if (ids <= 0).any():
         bad = int(np.flatnonzero(ids <= 0)[0])
         raise ValueError(f"graph_representations: padding/invalid id at batch position {bad}")
+    if (ids >= graph.num_nodes).any():
+        bad = int(np.flatnonzero(ids >= graph.num_nodes)[0])
+        raise ValueError(f"graph_representations: id {ids[bad]} at batch position {bad} is "
+                         f"outside a graph of {graph.num_nodes} nodes")
     first = graph.spmv(emb.data)
     original = propagate(graph, emb, layers, None, first)
     refined = propagate(graph, emb, layers, factors, first, perturbation)

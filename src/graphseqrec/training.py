@@ -10,6 +10,7 @@ others, and a fixed seed reproduces a run bit for bit.
 from __future__ import annotations
 
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -30,7 +31,10 @@ ENCODER_LAYER_GRID = (1, 2, 3)
 # Evaluation scores a catalog in blocks of at most this many bytes.  One
 # 256-user chunk over 17k items would be a 35 MB block, which glibc maps fresh
 # on top of the heap unless the train steps happened to leave 35 MB free
-# there, so a run's peak memory would depend on where the block lands.
+# there, so a run's peak memory would depend on where the block lands.  A
+# chunk that needs more than one block is scored on a worker thread beside
+# the next chunk's encode (``evaluate_model``); one that fits in one block is
+# scored inline, as its job is too short to pay for the hand-off.
 SCORE_BLOCK_BYTES = 4 << 20
 
 
@@ -146,7 +150,16 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
                    keep_ranks: bool = False) -> MetricsReport:
     """Full-ranking metrics for one split; deterministic (no dropout) and
     tape-free: the forward reads ``model.detached()``, whose parameters
-    require no gradient, so training may run beside it in another thread."""
+    require no gradient, so training may run beside it in another thread.
+
+    A chunk whose scores need more than one block (more than ~2048 items at
+    256 rows) is scored and ranked by one worker thread, opened and joined
+    within the call, while this thread encodes the next chunk: the products
+    and compares release the GIL, so the pass uses a second core.  A smaller
+    chunk is scored here, as handing a ~1 ms job to a thread costs more than
+    it saves.  Ranks come out in chunk order either way, bit for bit, and an
+    error raised on the worker reaches the caller as it was raised.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     rows = eval_input_sequences(dataset, split)
@@ -154,24 +167,41 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
     item_emb = model.params["item_emb"].data
     num_items = item_emb.shape[0] - 1
     perturbation = model.subgraph_perturbation()
-    ranks: List[np.ndarray] = []
     n = model.cfg.max_len
     # every chunk is scored into this one block, as many rows at a time as
-    # SCORE_BLOCK_BYTES holds
+    # SCORE_BLOCK_BYTES holds; one block serves the worker too, as at most
+    # one chunk is scored at a time
     block_rows = max(1, min(batch_size, SCORE_BLOCK_BYTES // (8 * num_items)))
     block = np.empty((min(block_rows, len(rows)), num_items))
-    for start in range(0, len(rows), batch_size):
-        chunk = rows[start:start + batch_size]
-        seqs = np.stack([pad_sequence(inp, n) for inp, _, _ in chunk])
-        user_ids = np.asarray(
-            [u.user_id for u in dataset.users[start:start + batch_size]], dtype=np.int64)
-        reprs = model.user_reprs(seqs, user_ids, perturbation).data
+
+    def score(chunk, reprs) -> np.ndarray:
+        ranks = []
         for lo in range(0, len(chunk), block_rows):
             part = chunk[lo:lo + block_rows]
             scores = np.matmul(reprs[lo:lo + block_rows], item_emb[1:].T,
                                out=block[:len(part)])
             ranks.append(rank_from_scores(scores, [history for _, _, history in part],
                                           [target for _, target, _ in part], exclude_history))
+        return np.concatenate(ranks)
+
+    ranks: List[np.ndarray] = []
+    with ThreadPoolExecutor(1) as worker:
+        scoring: Optional[Future] = None
+        for start in range(0, len(rows), batch_size):
+            chunk = rows[start:start + batch_size]
+            seqs = np.stack([pad_sequence(inp, n) for inp, _, _ in chunk])
+            user_ids = np.asarray(
+                [u.user_id for u in dataset.users[start:start + batch_size]], dtype=np.int64)
+            reprs = model.user_reprs(seqs, user_ids, perturbation).data
+            if scoring is not None:  # the block is free again
+                ranks.append(scoring.result())
+                scoring = None
+            if len(chunk) > block_rows:
+                scoring = worker.submit(score, chunk, reprs)
+            else:
+                ranks.append(score(chunk, reprs))
+        if scoring is not None:
+            ranks.append(scoring.result())
     return MetricsReport.from_ranks(np.concatenate(ranks), keep_ranks)
 
 
@@ -281,7 +311,7 @@ def train(cfg: TrainConfig, dataset: SplitDataset,
             best_snapshot = model.snapshot()
         else:
             state.epochs_since_best += 1
-            if state.epochs_since_best >= max(cfg.patience, 1):
+            if state.epochs_since_best >= cfg.patience:
                 break
     model.restore(best_snapshot)
     result.test_report = evaluate_model(model, dataset, "test",

@@ -369,6 +369,15 @@ class TestGraphRepresentationRows:
         with pytest.raises(ValueError, match="position 1"):
             collab.graph_representations(graph, emb, factors, 2, np.array([3, 0, 1]))
 
+    def test_id_beyond_the_graph_rejected_before_propagation(self, rng, monkeypatch):
+        graph, emb, factors = self.case(rng)
+        products = []
+        monkeypatch.setattr(TransitionGraph, "spmv", lambda self, x: products.append(x))
+        with pytest.raises(ValueError, match=r"^graph_representations: id 8 at batch "
+                                             r"position 2 is outside a graph of 8 nodes$"):
+            collab.graph_representations(graph, emb, factors, 2, np.array([3, 7, 8, 9]))
+        assert products == []
+
     def test_ids_must_be_one_list(self, rng):
         graph, emb, factors = self.case(rng)
         with pytest.raises(ad.ShapeMismatch, match=r"1D id list, got shape \[1, 2\]"):

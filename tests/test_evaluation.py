@@ -1,3 +1,5 @@
+import sys
+import threading
 from itertools import chain
 
 import numpy as np
@@ -260,22 +262,28 @@ class TestPopularityAgainstChunkedOracle:
 
 
 class TestEvaluateModelRanks:
-    @pytest.mark.parametrize("block_rows", [None, 2])
-    @pytest.mark.parametrize("enable_pge", [True, False])
-    def test_reused_block_matches_fresh_products(self, enable_pge, block_rows, monkeypatch):
+    def case(self, enable_pge=True):
         log = synth_generate(7, 15, noise=0.4, seed=2, seq_len=9)
         dataset = leave_one_out(build_sequences(log, min_count=1))
-        if block_rows is not None:  # a catalog too large for a whole chunk at a time
-            monkeypatch.setattr(tr, "SCORE_BLOCK_BYTES", block_rows * 8 * dataset.num_items)
-        scored = []
-        monkeypatch.setattr(tr, "rank_from_scores", lambda scores, *rest: (
-            scored.append(scores.nbytes), ev.rank_from_scores(scores, *rest))[1])
         cfg = TrainConfig(dim=8, max_len=8, batch_size=3, rank=2, encoder_layers=1,
                           heads=2, enable_pge=enable_pge)
         graph = build_transition_graph([ItemSequence(u.user_id, u.train) for u in dataset.users],
                                        cfg.window, dataset.num_items)
         model = Model(cfg.model_config(dataset.num_items, dataset.num_users), graph,
                       np.random.default_rng(3))
+        return dataset, cfg, model
+
+    @pytest.mark.parametrize("block_rows", [None, 2])
+    @pytest.mark.parametrize("enable_pge", [True, False])
+    def test_reused_block_matches_fresh_products(self, enable_pge, block_rows, monkeypatch):
+        dataset, cfg, model = self.case(enable_pge)
+        if block_rows is not None:  # a catalog too large for a whole chunk at a time
+            monkeypatch.setattr(tr, "SCORE_BLOCK_BYTES", block_rows * 8 * dataset.num_items)
+        scored = []
+        monkeypatch.setattr(tr, "rank_from_scores", lambda scores, *rest: (
+            scored.append((threading.current_thread(), len(scores), scores.nbytes)),
+            ev.rank_from_scores(scores, *rest))[1])
+        threads = threading.active_count()
         for split in ("valid", "test"):
             got = evaluate_model(model, dataset, split, batch_size=3, keep_ranks=True).ranks
             rows = ev.eval_input_sequences(dataset, split)
@@ -292,9 +300,65 @@ class TestEvaluateModelRanks:
                     reprs @ item_emb[1:].T, [h for _, _, h in chunk], [t for _, t, _ in chunk]))
             assert len(rows) == 7
             assert got == [int(r) for r in want]
-        # per split, chunks of 3, 3 and 1 rows, two rows at most per block
-        assert len(scored) == (10 if block_rows else 6)
-        assert max(scored) <= tr.SCORE_BLOCK_BYTES
+        assert threading.active_count() == threads
+        # per split, chunks of 3, 3 and 1 rows; a chunk of more rows than a
+        # block holds is ranked off the calling thread, two rows at a time
+        main = threading.current_thread()
+        if block_rows:
+            assert [(t is main, rows) for t, rows, _ in scored] == (
+                [(False, 2), (False, 1)] * 2 + [(True, 1)]) * 2
+        else:
+            assert [(t is main, rows) for t, rows, _ in scored] == [(True, 3), (True, 3),
+                                                                    (True, 1)] * 2
+        assert max(nbytes for _, _, nbytes in scored) <= tr.SCORE_BLOCK_BYTES
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        dataset, _, model = self.case()
+        monkeypatch.setattr(tr, "SCORE_BLOCK_BYTES", 2 * 8 * dataset.num_items)
+        raised = []
+
+        def poisoned(scores, histories, targets, *rest):
+            if threading.current_thread() is not main:
+                scores[1, targets[1] - 1] = np.nan  # the first block's second row
+            try:
+                return ev.rank_from_scores(scores, histories, targets, *rest)
+            except ValueError as exc:
+                raised.append(exc)
+                raise
+
+        main = threading.current_thread()
+        monkeypatch.setattr(tr, "rank_from_scores", poisoned)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=r"^row 1: target score nan is not finite$") as err:
+            evaluate_model(model, dataset, "valid", batch_size=3)
+        assert raised == [err.value]
+        assert threading.active_count() == threads
+
+    def test_concurrent_passes_rank_as_lone_passes(self, monkeypatch):
+        # each pass owns its block and its worker: three threads evaluating
+        # at once, switching every microsecond, rank as one pass alone
+        dataset, _, model = self.case()
+        monkeypatch.setattr(tr, "SCORE_BLOCK_BYTES", 2 * 8 * dataset.num_items)
+        want = evaluate_model(model, dataset, "test", batch_size=3, keep_ranks=True).ranks
+        got = []
+
+        def passes():
+            for _ in range(20):
+                got.append(evaluate_model(model, dataset, "test", batch_size=3,
+                                          keep_ranks=True).ranks)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=passes) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 60
 
     @pytest.mark.parametrize("batch_size", [0, -5])
     def test_batch_size_below_one_is_rejected_before_any_work(self, batch_size):

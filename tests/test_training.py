@@ -531,10 +531,13 @@ class TestTrainLoop:
         result = train(tiny_config(max_epochs=30, patience=0), dataset)
         history_epochs = [line for line in result.history if line.startswith("epoch=")]
         assert len(history_epochs) == result.state.epoch
-        if result.state.epoch < 30:
-            # stopped: every epoch up to the last improved, the last did not
-            assert result.state.epochs_since_best == 1
-            assert result.state.best_epoch == result.state.epoch - 1
+        # stopped: every epoch up to the last improved, the last did not
+        assert result.state.epoch < 30
+        assert result.state.epochs_since_best == 1
+        assert result.state.best_epoch == result.state.epoch - 1
+        # the counter is checked only after it grows, so 0 stops where 1 does
+        one = train(tiny_config(max_epochs=30, patience=1), dataset)
+        assert one.history == result.history and one.state == result.state
 
     def test_fixed_seed_reproduces_history(self):
         dataset = tiny_dataset()
