@@ -12,18 +12,21 @@ second ``backward`` through the same nodes raises :class:`GraphConsumed`.
 
 Gradient ownership and lifetime: a node does not keep its output.  Its
 closure captures exactly what its backward reads: ``layer_norm`` the
-normalized input ``xhat`` and the inverse deviations, ``relu`` and ``tanh``
-their own output, ``attention`` its softmax weights, ``linear`` its weight,
-and ``linear``, ``attention`` and ``sampled_bce`` the values of the parents
-they read (``linear`` its input, ``attention`` q, k and v, ``sampled_bce``
-all three inputs); ``add``, ``mul``, ``dropout``, ``select_positions`` and
-``per_sample_scale`` keep no parent's value, only shapes (and ``dropout``
-its keep mask, ``per_sample_scale`` its constant matrices).  A parent value
-that its op can rebuild bit for bit from arrays it keeps anyway is not
-saved: ``layer_norm`` rebuilds ``xhat * gain + bias`` from its ``xhat`` and
-``linear`` rebuilds ``x @ w + b``, reading ``x`` the same way, so the
-layer-norm outputs and attention's q, k and v live only through the
-forward.  Such a consumer keeps the parent's node instead of the array and
+normalized input ``xhat`` and the inverse deviations, ``relu`` the boolean
+mask of its positive outputs, ``tanh`` its own output, ``attention`` its
+softmax weights, ``linear`` its weight, and ``linear``, ``attention`` and
+``sampled_bce`` the values of the parents they read (``linear`` its input,
+``attention`` q, k and v, ``sampled_bce`` all three inputs); ``add``,
+``mul``, ``dropout``, ``select_positions`` and ``per_sample_scale`` keep no
+parent's value, only shapes (and ``dropout`` its keep mask,
+``per_sample_scale`` its constant matrices).  A parent value that its op
+can rebuild bit for bit from arrays it keeps anyway is not saved:
+``layer_norm`` rebuilds ``xhat * gain + bias`` from its ``xhat``,
+``linear`` rebuilds ``x @ w + b``, ``relu`` ``max(a, 0)`` and
+``attention`` each head's ``weights @ v`` from its weights, reading ``x``,
+``a`` and ``v`` the same way, so the layer-norm, ReLU and attention
+outputs and attention's q, k and v live only through the forward.  Such a
+consumer keeps the parent's node instead of the array and
 reads the value through :func:`_value`: the output while something else
 keeps it alive, else rebuilt once and cached on the node until ``backward``
 consumes that node.  Rebuilding reads the forward's parameter arrays, which
@@ -39,6 +42,16 @@ except that :func:`add` hands it to its second operand once the first has
 read it.  Ops reuse their own temporaries in place, in the same operation
 order as the plain expressions, but never write into an input, an output
 another node may read, or the incoming gradient.
+
+A thread may defer the gradient additions into some leaves
+(:func:`deferred`): it records each one, in order, and :func:`replay`
+adds them later, bit for bit as if they had been added then.  Every
+addition into a leaf goes through ``_accumulate`` or, for ``gather``'s rows,
+``_add_rows``, which record for a deferred leaf; a closure that reads a
+leaf's gradient to add into it in place (``collab.propagate``) raises
+:class:`DeferredRead` for a deferred one.  ``training.train_step`` runs its
+sequence-contrastive backward on a worker thread this way, beside the
+calling thread's own.
 
 One rule decides what is recorded: an op's output links to a node exactly
 when one of its inputs requires a gradient.  A forward over tensors that
@@ -56,7 +69,8 @@ heads of one attention layer, masked row softmax included, are one
 :func:`attention` node, whether its queries sit at every key position or
 at one readout row per sequence.  Each loss term is one node too:
 :func:`sampled_bce` for next-item prediction, :func:`cosine_info_nce` for
-both contrastive terms.  :func:`mul` scales by a number only.  :func:`add`
+both contrastive terms, and :func:`weighted_sum` runs a tape from a
+gradient known up front.  :func:`mul` scales by a number only.  :func:`add`
 takes two tensors of one shape, or one shaped as the other's trailing axes
 (a bias, ``pos_emb``, a 0-d tensor); anything else raises
 :class:`ShapeMismatch` naming both shapes.  Recorded values are ndarrays (a
@@ -67,8 +81,10 @@ finite-difference checks meaningful.
 from __future__ import annotations
 
 import ctypes
+import threading
 import weakref
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -113,6 +129,12 @@ class GraphConsumed(RuntimeError):
 
 class NotRecorded(RuntimeError):
     """``backward`` was called on an output that no recorded op produced."""
+
+
+class DeferredRead(RuntimeError):
+    """A backward closure read a leaf's gradient to add into it in place while
+    this thread defers that leaf's accumulations (:func:`deferred`): the
+    gradient it would read lacks them."""
 
 
 class Tensor:
@@ -167,9 +189,10 @@ class Node:
     tensors), its backward closure, its gradient while :func:`backward` runs
     and its output's shape.  The output itself is held
     weakly: ``data`` is the output while something else keeps it alive, an
-    empty array once it is gone.  A ``layer_norm`` or ``linear`` node also
-    holds the recipe that rebuilds its output (``_rebuild``) and, during
-    :func:`backward`, the rebuilt output (``_rebuilt``)."""
+    empty array once it is gone.  A ``layer_norm``, ``linear``, ``relu`` or
+    ``attention`` node also holds the recipe that rebuilds its output
+    (``_rebuild``) and, during :func:`backward`, the rebuilt output
+    (``_rebuilt``)."""
 
     __slots__ = ("op", "_parents", "_backward", "grad", "shape", "_out", "_rebuild", "_rebuilt")
     requires_grad = True
@@ -234,24 +257,95 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str,
     return out
 
 
+class _Scope(threading.local):
+    """Per thread: the leaves whose accumulations :func:`deferred` records,
+    by id, and the list it records them in; ``None`` outside the scope."""
+    deferred: Optional[tuple] = None
+
+
+_scope = _Scope()
+
+
+def _deferred_log(t) -> Optional[list]:
+    """The list this thread records ``t``'s accumulations in, if it defers them."""
+    scope = _scope.deferred
+    return scope[1] if scope is not None and id(t) in scope[0] else None
+
+
+@contextmanager
+def deferred(leaves) -> Iterator[list]:
+    """Within this thread, record every accumulation into one of ``leaves``
+    instead of adding it, in the order it would have been added; yields the
+    list that :func:`replay` adds them from later.  Other threads, and other
+    tensors, accumulate as usual.  A backward closure that would read such a
+    leaf's gradient to add into it raises :class:`DeferredRead`."""
+    log: list = []
+    previous = _scope.deferred
+    _scope.deferred = ({id(t) for t in leaves}, log)
+    try:
+        yield log
+    finally:
+        _scope.deferred = previous
+
+
+def replay(log: list) -> None:
+    """Add the accumulations a :func:`deferred` scope recorded, in their order:
+    each leaf's gradient ends bit for bit as if they had been added then."""
+    for t, rows, g in log:
+        if rows is None:
+            _accumulate(t, g, fresh=True)
+        else:
+            _add_rows(t, rows, g)
+
+
 def _accumulate(t, g: np.ndarray, fresh: bool = False) -> None:
     """Add ``g`` into ``t.grad``, ``t`` a node or a leaf; a ``t`` that requires
     no gradient is skipped, so closures need not check.  ``fresh`` means the
     calling closure just built ``g`` and keeps no other reference to it, so
     on first touch it can be adopted when it is C-contiguous float64;
-    anything else is copied into an owned C-contiguous float64 array."""
+    anything else is copied into an owned C-contiguous float64 array.  A
+    leaf this thread defers gets the addition recorded, a copy of ``g``
+    unless it is fresh."""
     if not t.requires_grad:
         return
     if g.shape != t.shape:
         raise ShapeMismatch(f"{t.op}: gradient of shape {list(g.shape)} for a tensor "
                             f"of shape {list(t.shape)}")
-    if t.grad is not None:
+    log = _deferred_log(t)
+    if log is not None:
+        log.append((t, None, g if fresh else np.array(g, dtype=np.float64, order="C")))
+    elif t.grad is not None:
         t.grad += g
     elif fresh and g.dtype == np.float64 and g.flags.c_contiguous:
         t.grad = g
     else:
         t.grad = np.empty(t.shape)
         t.grad[...] = g
+
+
+def _add_rows(table, rows: np.ndarray, block: np.ndarray) -> None:
+    """Add ``block`` into rows ``rows`` (distinct ids) of ``table``'s gradient,
+    which starts as zeros elsewhere; recorded instead when this thread
+    defers ``table``."""
+    log = _deferred_log(table)
+    if log is not None:
+        log.append((table, rows, block))
+    elif table.grad is None:
+        gt = np.empty(table.shape)
+        gt.fill(0.0)
+        gt[rows] = block
+        _accumulate(table, gt, fresh=True)
+    else:
+        table.grad[rows] += block
+
+
+def _grad_in_place(t, op: str) -> Optional[np.ndarray]:
+    """``t``'s gradient so far, for a closure of ``op`` to add into in place;
+    raises :class:`DeferredRead` when this thread defers ``t``."""
+    if _deferred_log(t) is not None:
+        raise DeferredRead(f"{op}: backward reads the gradient of a {t.op} whose "
+                           "accumulations this thread defers")
+    return t.grad
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -371,12 +465,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
+    """``max(a, 0)``; the node keeps the boolean mask of positive outputs and
+    rebuilds the output from ``a``'s value."""
     data = np.maximum(a.data, 0.0)
+    a_kept = _kept(a)
 
-    def back(g, a=_target(a), data=data):
-        _accumulate(a, g * (data > 0.0), fresh=True)
+    def back(g, a=_target(a), mask=data > 0.0):
+        _accumulate(a, g * mask, fresh=True)
 
-    return _node(data, (a,), back, "relu")
+    def rebuild(a_kept=a_kept):
+        return np.maximum(_value(a_kept), 0.0)
+
+    return _node(data, (a,), back, "relu", rebuild)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -410,13 +510,7 @@ def gather(table: Tensor, ids) -> Tensor:
         uniq, inverse = np.unique(ids.ravel(), return_inverse=True)
         block = np.zeros((uniq.size, table.shape[1]))
         np.add.at(block, inverse, g.reshape(-1, table.shape[1]))
-        if table.grad is None:
-            gt = np.empty(table.shape)
-            gt.fill(0.0)
-            gt[uniq] = block
-            _accumulate(table, gt, fresh=True)
-        else:
-            table.grad[uniq] += block
+        _add_rows(table, uniq, block)
 
     return _node(data, (table,), back, "gather")
 
@@ -481,8 +575,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, scale: float,
     rel = None if rel_pe is None else rel_pe.data.reshape(b, m, n)
     dh = d // heads
     blocks = [slice(i * dh, (i + 1) * dh) for i in range(heads)]
-    data = np.empty_like(q.data)
-    out = data.reshape(b, m, d)
     weights = []
     for cols in blocks:
         # the logits buffer becomes the softmax weights in place
@@ -494,8 +586,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, scale: float,
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
-        np.matmul(w, v.data[..., cols], out=out[..., cols])
         weights.append(w)
+    data = _attend(weights, v.data, blocks, q.shape)
 
     def back(g, q=_target(q), k=_target(k), v=_target(v),
              rel_pe=None if rel_pe is None else _target(rel_pe),
@@ -525,8 +617,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int, scale: float,
         _accumulate(k, gk, fresh=True)
         _accumulate(v, gv, fresh=True)
 
+    def rebuild(v_kept=_kept(v), weights=weights, blocks=blocks, shape=q.shape):
+        return _attend(weights, _value(v_kept), blocks, shape)
+
     parents = (q, k, v) if rel_pe is None else (q, k, v, rel_pe)
-    return _node(data, parents, back, "attention")
+    return _node(data, parents, back, "attention", rebuild)
+
+
+def _attend(weights: list, v_data: np.ndarray, blocks: list, shape: tuple) -> np.ndarray:
+    """Attention's output of ``shape``: head ``i`` writes ``weights[i] @ vh``
+    into its column block, the forward and the rebuild alike."""
+    data = np.empty(shape)
+    out = data.reshape(v_data.shape[0], -1, v_data.shape[-1])
+    for cols, w in zip(blocks, weights):
+        np.matmul(w, v_data[..., cols], out=out[..., cols])
+    return data
 
 
 def per_sample_scale(scalars: Tensor, mats: np.ndarray) -> Tensor:
@@ -622,6 +727,21 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator],
 # ---------------------------------------------------------------------------
 # loss terms, one node each
 # ---------------------------------------------------------------------------
+
+def weighted_sum(a: Tensor, w) -> Tensor:
+    """``sum(a * w)`` for a constant array ``w`` of ``a``'s shape: the gradient
+    that reaches ``a`` is ``w``, so :func:`backward` on it runs ``a``'s tape
+    from a gradient known before that tape was recorded."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != a.shape:
+        raise ShapeMismatch(f"weighted_sum: weights {list(w.shape)} for a tensor of "
+                            f"shape {list(a.shape)}")
+
+    def back(g, a=_target(a), w=w):
+        _accumulate(a, g * w, fresh=True)
+
+    return _node(np.asarray((a.data * w).sum()), (a,), back, "weighted_sum")
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)

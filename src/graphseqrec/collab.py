@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _accumulate, _node, _target
+from .autodiff import Tensor, _accumulate, _grad_in_place, _node, _target
 from .graph import SubgraphPerturbation, TransitionGraph
 
 
@@ -72,7 +72,8 @@ def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
     operations of the layer-by-layer chain of products and sums in that
     chain's order, so values and gradients keep their bits.  The node keeps
     the layer inputs, ``A @ L``, ``A @ R`` and the (rank x d) ``(A @ R)^T E``,
-    not its output.
+    not its output.  Its backward adds into ``emb``'s gradient in place, so
+    it raises ``autodiff.DeferredRead`` where ``emb``'s additions are deferred.
     """
     if layers < 1:
         raise ValueError(f"layers must be >= 1, got {layers}")
@@ -106,7 +107,7 @@ def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
         for k in range(layers - 1, -1, -1):
             # the gradient of layer k's input, emb's own at k = 0: the layer
             # sum's share, then the graph product's, then the low-rank product's
-            below = scaled.copy() if k else emb.grad
+            below = scaled.copy() if k else _grad_in_place(emb, "propagate")
             if below is not None:
                 below += matrix.T @ grad
             if refine:

@@ -150,13 +150,20 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
                 rel_pe = ad.select_positions(rel_pe, readout)
             rows = (n, readout)
         q = ad.linear(a, params[p + "attn_query_w"], params[p + "attn_query_b"])
+        # each activation is dropped once consumed: the tape keeps what
+        # backward reads, so the forward holds about one layer's arrays
+        del a
         merged = ad.attention(q, k, v, mask, cfg.heads, scale, rel_pe)
+        del q, k, v
         attended = ad.linear(merged, params[p + "attn_out_w"], params[p + "attn_out_b"])
+        del merged
         h = ad.add(h, ad.dropout(attended, cfg.dropout, rng, rows))
+        del attended
         f = ad.layer_norm(h, params[p + "ln2_g"], params[p + "ln2_b"])
         f = ad.relu(ad.linear(f, params[p + "ffn_w1"], params[p + "ffn_b1"]))
         f = ad.linear(f, params[p + "ffn_w2"], params[p + "ffn_b2"])
         h = ad.add(h, ad.dropout(f, cfg.dropout, rng, rows))
+        del f
     return ad.layer_norm(h, params["ln_final_g"], params["ln_final_b"])
 
 

@@ -9,6 +9,7 @@ others, and a fixed seed reproduces a run bit for bit.
 
 from __future__ import annotations
 
+import copy
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -230,34 +231,83 @@ def _epoch_rng(seed: int, purpose: int, epoch: int, batch: int = 0) -> np.random
     return np.random.default_rng([seed, purpose, epoch, batch])
 
 
+class ViewMismatch(RuntimeError):
+    """A contrastive view's second encode differs from its first."""
+
+
 def train_step(model: Model, batch: Batch,
                rng_dropout: Optional[np.random.Generator],
                rng_dropout_views: Optional[np.random.Generator]) -> Dict[str, float]:
-    """Forward the loss terms ``model.cfg`` enables, backprop, report their values."""
+    """Forward the loss terms ``model.cfg`` enables, backprop, report their values.
+
+    With ``lambda2 != 0`` the sequence-contrastive term runs on one worker
+    thread, opened and joined within the call: both views' encodes, the
+    loss, its ``lambda2`` scaling and their backward (``_sequence_branch``).
+    This thread meanwhile runs the next-item and graph terms and their
+    backward; each branch starts from a gradient known up front, so neither
+    waits for the other, and the products release the GIL, so a step uses a
+    second core.  The worker's additions into the parameters' gradients are
+    recorded (``autodiff.deferred``) and added here once this thread's
+    backward is done, in the order one walk of the whole loss adds them:
+    next-item, graph, views.  Gradients and values are those of that walk,
+    bit for bit.  An error on the worker reaches the caller as it was
+    raised; after an error the gradients are partial until ``zero_grads``.
+    """
     cfg = model.cfg
+    if cfg.lambda2 != 0.0 and batch.view1 is None:
+        raise ValueError(f"lambda2 = {cfg.lambda2} needs views: assemble with rng_augment")
     perturbation = model.subgraph_perturbation()
-    hidden = model.hidden_states(batch.seqs, batch.user_ids, perturbation, rng_dropout)
-    rec = next_item_loss(hidden, model.params["item_emb"], batch.targets,
-                         batch.negatives, batch.step_mask)
-    gce = None
-    if cfg.lambda1 != 0.0:
-        orig_rows, ref_rows = model.graph_representations(batch.seqs[:, -1], perturbation)
-        gce = gce_loss(orig_rows, ref_rows, cfg.tau)
-    seq = None
-    if cfg.lambda2 != 0.0:
-        if batch.view1 is None:
-            raise ValueError(f"lambda2 = {cfg.lambda2} needs views: assemble with rng_augment")
-        z1 = model.user_reprs(batch.view1, batch.user_ids, perturbation, rng_dropout_views)
-        z2 = model.user_reprs(batch.view2, batch.user_ids, perturbation, rng_dropout_views)
+    views: Optional[Future] = None
+    with ThreadPoolExecutor(1) as worker:  # its thread starts on submit only
+        if cfg.lambda2 != 0.0:
+            views = worker.submit(_sequence_branch, model, batch, perturbation,
+                                  rng_dropout_views)
+        rec = next_item_loss(
+            model.hidden_states(batch.seqs, batch.user_ids, perturbation, rng_dropout),
+            model.params["item_emb"], batch.targets, batch.negatives, batch.step_mask)
+        gce = None
+        if cfg.lambda1 != 0.0:
+            gce = gce_loss(*model.graph_representations(batch.seqs[:, -1], perturbation),
+                           cfg.tau)
+        loss = total_loss(rec, gce, None, cfg.lambda1)
+        ad.backward(loss)
+    values = {"total": float(loss.data), "rec": float(rec.data),
+              "gce": float(gce.data) if gce is not None else 0.0, "seq": 0.0}
+    if views is not None:
+        seq, scaled, log = views.result()
+        ad.replay(log)
+        # the same sum that (rec + lambda1 * gce) + lambda2 * seq adds
+        values["total"], values["seq"] = float(loss.data + scaled), float(seq)
+    return values
+
+
+def _sequence_branch(model: Model, batch: Batch, perturbation,
+                     rng: Optional[np.random.Generator]) -> tuple:
+    """``train_step``'s sequence-contrastive branch: the values of the term
+    and of its ``lambda2`` scaling, and the parameters' gradient additions
+    that its backward recorded.
+
+    The branch holds one view's tape at a time.  View 2 is first encoded
+    tape-free (``model.detached()``) for its value; once the loss's backward
+    has given its gradient, it is encoded again from a copy of the dropout
+    generator taken before the first pass, and that tape is run from the
+    gradient.  The two encodes must agree bit for bit (``ViewMismatch``)."""
+    cfg = model.cfg
+    with ad.deferred(model.params.values()) as log:
+        z1 = model.user_reprs(batch.view1, batch.user_ids, perturbation, rng)
+        replay_rng = copy.deepcopy(rng)
+        z2 = Tensor(model.detached().user_reprs(batch.view2, batch.user_ids, perturbation,
+                                                rng).data, requires_grad=True)
         seq = seq_cl_loss(z1, z2, cfg.tau)
-    loss = total_loss(rec, gce, seq, cfg.lambda1, cfg.lambda2)
-    ad.backward(loss)
-    return {
-        "total": float(loss.data),
-        "rec": float(rec.data),
-        "gce": float(gce.data) if gce is not None else 0.0,
-        "seq": float(seq.data) if seq is not None else 0.0,
-    }
+        scaled = ad.mul(seq, cfg.lambda2)
+        ad.backward(scaled)
+        again = model.user_reprs(batch.view2, batch.user_ids, perturbation, replay_rng)
+        differ = (again.data.view(np.int64) != z2.data.view(np.int64)).any(axis=1)
+        if differ.any():
+            raise ViewMismatch("view 2's second encode differs from its first at batch "
+                               f"position {int(np.argmax(differ))}")
+        ad.backward(ad.weighted_sum(again, z2.grad))
+    return seq.data, scaled.data, log
 
 
 def train(cfg: TrainConfig, dataset: SplitDataset,

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -35,35 +37,28 @@ def total_sum(a):
     return ad._node(np.asarray(a.data.sum()), (a,), back, "sum")
 
 
-def weighted_sum(a, w):
-    """sum(a * w) for a fixed array ``w`` as a 0-d tensor: the gradient that
-    reaches ``a`` is ``w``."""
-    w = np.asarray(w, dtype=np.float64)
-
-    def back(g, a=ad._target(a), w=w):
-        ad._accumulate(a, g * w, fresh=True)
-
-    return ad._node(np.asarray((a.data * w).sum()), (a,), back, "weighted_sum")
+weighted_sum = ad.weighted_sum  # sum(a * w): the gradient that reaches a is w
 
 
 def closure_arrays(closure) -> list:
     """The arrays a backward closure or rebuild recipe captured, as default
-    arguments or free variables, lists of arrays included; none for a
-    missing (``None``) one."""
-    if closure is None:
-        return []
-    found, todo = [], list(closure.__defaults__ or ())
-    for cell in closure.__closure__ or ():
-        try:
-            todo.append(cell.cell_contents)
-        except ValueError:  # a free variable the op never assigned
-            pass
+    arguments or free variables, lists of arrays and the captures of the
+    functions it captured included; none for a missing (``None``) one."""
+    found, todo, seen = [], [closure], set()
     while todo:
         item = todo.pop()
         if isinstance(item, np.ndarray):
             found.append(item)
         elif isinstance(item, (list, tuple)):
             todo.extend(item)
+        elif isinstance(item, types.FunctionType) and id(item) not in seen:
+            seen.add(id(item))
+            todo.extend(item.__defaults__ or ())
+            for cell in item.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # a free variable the op never assigned
+                    pass
     return found
 
 

@@ -3,6 +3,7 @@ import collections
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -266,9 +267,11 @@ class TestLifetime:
     def test_a_saved_array_lives_until_its_closure_has_run(self, rng, saver):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         h = ad.mul(x, 2.0)
-        if saver == "relu":  # relu's backward reads its own output
+        if saver == "relu":  # relu's backward reads its mask of positive outputs
             out = ad.relu(h)
-            ref = weakref.ref(out.data)
+            [mask] = [arr for arr in closure_arrays(out.node._backward) if arr.dtype == bool]
+            ref = weakref.ref(mask)
+            del mask
         else:  # linear's backward reads its input
             out = ad.linear(h, Tensor(rng.standard_normal((4, 2))), Tensor(np.zeros(2)))
             ref = weakref.ref(h.data)
@@ -356,6 +359,19 @@ def test_a_freed_block_stays_in_the_heap_for_the_next_step():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True", "True"]
 
+def test_closure_arrays_sees_what_a_captured_function_captured():
+    inner_array, default_array = np.ones(3), np.zeros(2)
+
+    def inner():
+        return inner_array
+
+    def closure(g, default=default_array):
+        return inner()
+
+    assert {id(a) for a in closure_arrays(closure)} == {id(inner_array), id(default_array)}
+    assert closure_arrays(None) == []
+
+
 class TestNotRecorded:
     """An op records a node exactly when one of its inputs requires a
     gradient; a forward over detached tensors builds no tape."""
@@ -385,6 +401,74 @@ class TestNotRecorded:
         monkeypatch.setattr(ad, "Node", lambda *args: nodes.append(args))
         assert forward(Tensor(x.data), Tensor(w.data)) == recorded
         assert nodes == []
+
+
+class TestDeferred:
+    """Within ``deferred(leaves)`` a thread records its additions into those
+    leaves' gradients; ``replay`` adds them later, bit for bit as if they had
+    been added then."""
+
+    @staticmethod
+    def losses(rng):
+        table, w, x = leaves(rng.standard_normal((6, 4)), rng.standard_normal((4, 4)),
+                             rng.standard_normal((3, 4)))
+        free = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        t = ad.tanh(ad.linear(ad.gather(table, [[1, 2], [2, 5], [1, 1]]), w, Tensor(np.zeros(4))))
+        rows = ad.select_positions(t, [0, 1, 1])
+        # add hands x a view of its incoming gradient, which rows adopts and
+        # mul's closure adds into afterwards
+        first = ad.add(total_sum(ad.add(x, rows)),
+                       weighted_sum(ad.mul(rows, 2.0), rng.standard_normal((3, 4))))
+        second = ad.add(weighted_sum(ad.gather(table, [4, 1, 4]), rng.standard_normal((3, 4))),
+                        total_sum(ad.tanh(ad.add(ad.linear(x, w, Tensor(np.zeros(4))), free))))
+        return (table, w, x), free, first, second
+
+    def test_replayed_additions_match_direct_ones_bitwise(self):
+        params, free, first, second = self.losses(np.random.default_rng(3))
+        ad.backward(first)
+        ad.backward(second)
+        direct = [t.grad.tobytes() for t in (*params, free)]
+        params, free, first, second = self.losses(np.random.default_rng(3))
+        ad.backward(first)
+        after_first = [t.grad.copy() for t in params]
+        with ad.deferred(params) as log:
+            ad.backward(second)
+        # the deferred leaves are untouched; any other tensor accumulates as usual
+        assert [t.grad.tobytes() for t in params] == [g.tobytes() for g in after_first]
+        assert free.grad.tobytes() == direct[3]
+        assert {id(t) for t, _, _ in log} == {id(t) for t in params}
+        ad.replay(log)
+        assert [t.grad.tobytes() for t in params] == direct[:3]
+
+    def test_a_first_addition_replays_onto_no_gradient(self):
+        params, _, first, _ = self.losses(np.random.default_rng(3))
+        ad.backward(first)
+        direct = [t.grad.tobytes() for t in params]
+        params, _, first, _ = self.losses(np.random.default_rng(3))
+        with ad.deferred(params) as log:
+            ad.backward(first)
+        assert all(t.grad is None for t in params)
+        ad.replay(log)
+        assert [t.grad.tobytes() for t in params] == direct
+
+    def test_the_scope_belongs_to_its_thread(self):
+        params, _, first, _ = self.losses(np.random.default_rng(3))
+        done = []
+        with ad.deferred(params) as log:
+            worker = threading.Thread(target=lambda: (ad.backward(first), done.append(True)))
+            worker.start()
+            worker.join()
+        assert done == [True] and log == []
+        assert all(t.grad is not None for t in params)
+
+    def test_a_scope_restores_the_one_it_was_opened_in(self):
+        params, _, first, second = self.losses(np.random.default_rng(3))
+        with ad.deferred(params[:1]) as outer:
+            with ad.deferred(params[1:]):
+                pass
+            ad.backward(first)
+        assert {id(t) for t, _, _ in outer} == {id(params[0])}
+        assert params[0].grad is None and params[1].grad is not None
 
 
 class TestElementwiseGradients:
@@ -1164,7 +1248,16 @@ def saving_sampled_bce(hidden, positive, negative, step_mask):
                     "sampled_bce")
 
 
-SAVING_OPS = {"linear": saving_linear, "layer_norm": saving_layer_norm,
+def saving_relu(a):
+    data = np.maximum(a.data, 0.0)
+
+    def back(g, a=ad._target(a), data=data):
+        ad._accumulate(a, g * (data > 0.0), fresh=True)
+
+    return ad._node(data, (a,), back, "relu")
+
+
+SAVING_OPS = {"linear": saving_linear, "layer_norm": saving_layer_norm, "relu": saving_relu,
               "attention": saving_attention, "sampled_bce": saving_sampled_bce}
 
 
@@ -1207,7 +1300,8 @@ def tape_nodes(loss) -> list:
 
 
 class TestRebuiltActivations:
-    """Layer-norm outputs and attention's q/k/v are rebuilt at backward."""
+    """Layer-norm, ReLU and attention outputs and attention's q/k/v are
+    rebuilt at backward."""
 
     @pytest.mark.parametrize("views", [False, True])
     def test_gradients_match_the_saving_ops_bitwise(self, monkeypatch, views):
@@ -1236,10 +1330,12 @@ class TestRebuiltActivations:
             monkeypatch.setattr(ad, name, spied)
 
         spy("layer_norm", lambda out, args: [out])
-        spy("attention", lambda out, args: args[:3])  # q, k and v
+        spy("relu", lambda out, args: [out])
+        spy("attention", lambda out, args: [*args[:3], out])  # q, k, v and the output
         _, loss = encoder_step(views=True)
-        # per encode: 2 layers of (2 layer norms, q, k, v) and the final norm
-        assert len(refs) == 3 * (2 * 5 + 1)
+        # per encode: 2 layers of (2 layer norms, ReLU, q, k, v, attention)
+        # and the final norm
+        assert len(refs) == 3 * (2 * 7 + 1)
         assert [ref for ref in refs if ref() is not None] == []
         ad.backward(loss)
 
@@ -1256,13 +1352,16 @@ class TestRebuiltActivations:
                 node._rebuild = counted
         ad.backward(loss)
         counts = collections.Counter((node.op, rebuilds[id(node)]) for node in nodes
-                                     if node.op in ("layer_norm", "linear"))
+                                     if node.op in ("layer_norm", "linear", "relu", "attention"))
         # every layer norm once, though its three projections read it, but
         # the views' final norms, which feed the seq-CL loss's own unit rows;
-        # q, k and v once each; the output, feed-forward and gate projections
-        # never
+        # q, k, v and the first feed-forward projection once each, the last
+        # for the ReLU's rebuild; every ReLU and attention output once, for
+        # the projection after it; the output, second feed-forward and gate
+        # projections never
         assert counts == {("layer_norm", 1): 13, ("layer_norm", 0): 2,
-                          ("linear", 1): 18, ("linear", 0): 20}
+                          ("linear", 1): 24, ("linear", 0): 14,
+                          ("relu", 1): 6, ("attention", 1): 6}
         assert all(node._rebuild is None and node._rebuilt is None for node in nodes)
 
 

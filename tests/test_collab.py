@@ -71,6 +71,18 @@ class TestPropagateOriginal:
         with pytest.raises(ValueError):
             collab.propagate(self_loop_graph(3), Tensor(np.zeros((4, 2))), layers=0)
 
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_backward_under_a_deferred_scope_is_an_error(self, rng, refined):
+        # propagate's backward adds into emb's gradient in place: deferred,
+        # it would read a gradient that lacks the additions made so far
+        graph = random_graph(rng, 10)
+        emb = Tensor(zero_pad_rows(rng, (11, 4)), requires_grad=True)
+        factors = collab.init_factors(rng, 11, 2, 0.5) if refined else None
+        loss = weighted_sum(collab.propagate(graph, emb, 2, factors), rng.standard_normal((11, 4)))
+        with ad.deferred([emb]), pytest.raises(ad.DeferredRead, match="^propagate: "):
+            ad.backward(loss)
+        assert emb.grad is None
+
 
 class TestPropagateRefined:
     def test_zero_strength_is_bitwise_original(self, rng):

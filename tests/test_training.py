@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -317,23 +318,24 @@ class TestTrainStepTape:
                       tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
         batch = assemble_batch(dataset.users[:cfg.batch_size], model.cfg,
                                np.random.default_rng(11), np.random.default_rng(12))
-        ops = Counter()
+        walks = []  # one Counter per backward, whichever thread runs it
         original = ad.backward
 
         def spy(loss):
-            seen, stack = set(), [loss]
+            ops, seen, stack = Counter(), set(), [loss]
             while stack:
                 node = stack.pop()
                 if id(node) not in seen:
                     seen.add(id(node))
                     ops[node.op] += 1
                     stack.extend(node._parents)
+            walks.append(ops)
             original(loss)
 
         with monkeypatch.context() as patch:
             patch.setattr(ad, "backward", spy)
             train_step(model, batch, None, None)
-        return ops
+        return sum(walks, Counter())
 
     def test_one_attention_node_per_layer_and_encode(self, monkeypatch):
         one_head = self.tape_ops(1, monkeypatch)
@@ -380,11 +382,13 @@ class TestTrainStepMemory:
                                   np.random.default_rng(4))
 
     def test_traced_peak_of_one_step_at_the_acceptance_config(self):
-        # tracemalloc counts the bytes of the arrays one step allocates: 51.1
-        # MB at its peak when layer-norm outputs and q/k/v are rebuilt at
-        # backward, 78.4 MB when the closures saved them and 130.7 MB when
-        # every op output stayed on the tape until backward; bounded at the
-        # middle figure plus 15%
+        # tracemalloc counts the bytes of the arrays one step allocates, in
+        # both of its threads: 40.5-40.8 MB at its peak when ReLU and
+        # attention outputs are rebuilt too and the sequence term runs on the
+        # worker, 51.1 MB when one thread ran every term and layer-norm
+        # outputs and q/k/v were the rebuilt ones, 78.4 MB when the closures
+        # saved them and 130.7 MB when every op output stayed on the tape
+        # until backward; bounded at the third figure plus 15%
         step = self.step()
         tracemalloc.start()
         try:
@@ -396,15 +400,18 @@ class TestTrainStepMemory:
         assert peak <= 90 * 2**20, f"one train step peaked at {peak / 2**20:.1f} MB"
 
     def test_saved_arrays_of_one_step_at_the_acceptance_config(self, monkeypatch):
-        # the closures keep 40.4 MB of arrays at backward when layer-norm
-        # outputs and q/k/v are rebuilt there, 74.4 MB when they were saved;
-        # bounded at the first plus 15%
+        # a step walks three tapes: the next-item and graph terms', then, on
+        # the worker, view 1's with the seq-CL loss and view 2's.  Their
+        # closures keep 31.0 MB of arrays at backward, summed, 15.0 + 8.4 +
+        # 7.4 MB, when ReLU and attention outputs are rebuilt too; 40.4 MB
+        # when one tape kept them, and 74.4 MB when layer-norm outputs and
+        # q/k/v were saved as well; bounded at the first plus 15%
         step, measured, run = self.step(), [], ad.backward
         monkeypatch.setattr(ad, "backward", lambda loss: (measured.append(saved_bytes(loss)),
                                                           run(loss)))
         step()
-        assert len(measured) == 1
-        assert measured[0] <= 47 * 2**20, f"one train step saved {measured[0] / 2**20:.1f} MB"
+        assert len(measured) == 3
+        assert sum(measured) <= 36 * 2**20, f"one train step saved {sum(measured) / 2**20:.1f} MB"
 
 
 class TestTrainStepDirectionalDerivative:
@@ -523,6 +530,187 @@ class TestPaddingRowsGetNoGradient:
         for name in PADDED_ROWS:
             row = result.model.params[name].data[0]
             assert row.tobytes() == bytes(row.nbytes), (name, row)
+
+
+def serial_train_step(model, batch, rng_dropout, rng_dropout_views):
+    """The oracle: every loss term on one tape and one backward on the
+    calling thread, as ``train_step`` ran before its sequence term moved to a
+    worker.  ``train_step`` must match it bit for bit."""
+    cfg = model.cfg
+    perturbation = model.subgraph_perturbation()
+    hidden = model.hidden_states(batch.seqs, batch.user_ids, perturbation, rng_dropout)
+    rec = next_item_loss(hidden, model.params["item_emb"], batch.targets,
+                         batch.negatives, batch.step_mask)
+    gce = None
+    if cfg.lambda1 != 0.0:
+        orig_rows, ref_rows = model.graph_representations(batch.seqs[:, -1], perturbation)
+        gce = collab.gce_loss(orig_rows, ref_rows, cfg.tau)
+    seq = None
+    if cfg.lambda2 != 0.0:
+        if batch.view1 is None:
+            raise ValueError(f"lambda2 = {cfg.lambda2} needs views: assemble with rng_augment")
+        z1 = model.user_reprs(batch.view1, batch.user_ids, perturbation, rng_dropout_views)
+        z2 = model.user_reprs(batch.view2, batch.user_ids, perturbation, rng_dropout_views)
+        seq = seq_cl_loss(z1, z2, cfg.tau)
+    loss = total_loss(rec, gce, seq, cfg.lambda1, cfg.lambda2)
+    ad.backward(loss)
+    return {
+        "total": float(loss.data),
+        "rec": float(rec.data),
+        "gce": float(gce.data) if gce is not None else 0.0,
+        "seq": float(seq.data) if seq is not None else 0.0,
+    }
+
+
+def step_bytes(step, model, batch):
+    """One step's reported values and parameter gradients, as bytes."""
+    model.zero_grads()
+    values = step(model, batch, np.random.default_rng(3), np.random.default_rng(4))
+    grads = {name: t.grad.tobytes() for name, t in model.params.items() if t.grad is not None}
+    model.zero_grads()
+    return {key: np.float64(value).tobytes() for key, value in values.items()}, grads
+
+
+class TestSplitStep:
+    """``train_step`` runs the sequence-contrastive term on a worker thread
+    and adds its gradients after its own backward; values and gradients are
+    the single walk's, bit for bit, and every thread it starts is joined."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_outlives_a_case(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @staticmethod
+    def check(model, batch):
+        values, grads = step_bytes(train_step, model, batch)
+        oracle_values, oracle_grads = step_bytes(serial_train_step, model, batch)
+        assert values == oracle_values
+        assert grads.keys() == oracle_grads.keys()
+        for name in grads:
+            assert grads[name] == oracle_grads[name], name
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"lambda1": 0.0}, {"enable_pge": False}, {"pge_graph": "original"},
+        {"gcn_layers": 3}], ids=["full", "lambda1-0", "no-pge", "original-pge", "gcn-3"])
+    def test_acceptance_ring_last_batch(self, overrides):
+        model, batch = TestTrainStepDirectionalDerivative.case(500, 200, 20, 101, rows=244,
+                                                               first=256, **overrides)
+        assert batch.seqs.shape == (244, 20)
+        self.check(model, batch)
+
+    def test_masked_views_of_short_histories(self):
+        model, batch = TestTrainStepDirectionalDerivative.case(300, 100, 6, 3, rows=128,
+                                                               max_len=50, mask_ratio=0.6)
+        self.check(model, batch)
+
+    def test_no_thread_without_a_sequence_term(self, monkeypatch):
+        model, batch = TestTrainStepDirectionalDerivative.case(500, 200, 20, 101, rows=244,
+                                                               first=256, lambda2=0.0)
+        threads, run = [], ad.backward
+        monkeypatch.setattr(ad, "backward", lambda loss: (
+            threads.append((threading.current_thread(), threading.active_count())), run(loss)))
+        before = threading.active_count()
+        self.check(model, batch)
+        assert threads == [(threading.main_thread(), before)] * 2
+
+    def test_view_two_is_encoded_again_bit_for_bit(self, monkeypatch):
+        model, batch = TestTrainStepDirectionalDerivative.case(500, 200, 20, 101, rows=244,
+                                                               first=256)
+        encodes, user_reprs = [], Model.user_reprs
+
+        def spied(self, seqs, *args):
+            out = user_reprs(self, seqs, *args)
+            if seqs is batch.view2:
+                encodes.append((out.node is not None, out.data.tobytes()))
+            return out
+
+        monkeypatch.setattr(Model, "user_reprs", spied)
+        train_step(model, batch, np.random.default_rng(3), np.random.default_rng(4))
+        # the first encode records no tape; the second does, for backward
+        assert [taped for taped, _ in encodes] == [False, True]
+        assert encodes[0][1] == encodes[1][1]
+
+    def test_a_second_encode_that_differs_is_an_error(self, monkeypatch):
+        model, batch = TestTrainStepDirectionalDerivative.case(500, 200, 20, 101, rows=244,
+                                                               first=256)
+        user_reprs = Model.user_reprs
+
+        def drifting(self, seqs, *args):
+            out = user_reprs(self, seqs, *args)
+            if seqs is batch.view2 and out.node is not None:
+                out.data[7, 3] = np.nextafter(out.data[7, 3], np.inf)
+            return out
+
+        monkeypatch.setattr(Model, "user_reprs", drifting)
+        with pytest.raises(tr.ViewMismatch, match=r"^view 2's second encode differs from "
+                                                  r"its first at batch position 7$"):
+            train_step(model, batch, np.random.default_rng(3), np.random.default_rng(4))
+
+    def test_an_error_on_the_worker_reaches_the_caller_as_raised(self, monkeypatch):
+        model, batch = TestTrainStepDirectionalDerivative.case(500, 200, 20, 101, rows=244,
+                                                               first=256)
+        # a zero final norm gain makes every view row zero; the next-item
+        # and graph terms do not normalize those rows
+        model.params["ln_final_g"].data = np.zeros_like(model.params["ln_final_g"].data)
+        raised, info_nce = [], ad.cosine_info_nce
+
+        def spied(*args, **kwargs):
+            try:
+                return info_nce(*args, **kwargs)
+            except DegenerateRow as exc:
+                raised.append((threading.current_thread(), exc))
+                raise
+
+        monkeypatch.setattr(ad, "cosine_info_nce", spied)
+        with pytest.raises(DegenerateRow, match="zero-norm anchor row") as info:
+            train_step(model, batch, np.random.default_rng(3), np.random.default_rng(4))
+        [(thread, exc)] = raised
+        assert thread is not threading.main_thread() and info.value is exc
+
+    def test_an_error_on_the_calling_thread_joins_the_worker(self, monkeypatch):
+        model, batch = TestTrainStepDirectionalDerivative.case(500, 200, 20, 101, rows=244,
+                                                               first=256)
+        before, seen = threading.active_count(), []
+
+        def failing(*args):
+            seen.append(threading.active_count())
+            raise RuntimeError("next-item loss failed")
+
+        monkeypatch.setattr(tr, "next_item_loss", failing)
+        with pytest.raises(RuntimeError, match="^next-item loss failed$"):
+            train_step(model, batch, np.random.default_rng(3), np.random.default_rng(4))
+        assert seen == [before + 1] and threading.active_count() == before
+
+    def test_trainings_in_three_threads_each_match_a_lone_one(self):
+        # each training's steps defer and replay in their own threads; with
+        # more threads than cores and a short switch interval, a scope that
+        # leaked across threads would add a gradient out of order
+        dataset = tiny_dataset(users=60)
+        cfg = tiny_config(max_epochs=2, patience=1, dropout=0.2, mask_ratio=0.6)
+        alone = train(cfg, dataset)
+        start, results = threading.Barrier(3), [None] * 3
+
+        def run(i):
+            start.wait(60)
+            results[i] = train(cfg, dataset)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for result in results:
+            assert result is not None and result.history == alone.history
+            for name, t in result.model.params.items():
+                assert t.data.tobytes() == alone.model.params[name].data.tobytes(), name
 
 
 class TestTrainLoop:
