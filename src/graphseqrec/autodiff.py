@@ -46,10 +46,9 @@ another node may read, or the incoming gradient.
 A thread may defer the gradient additions into some leaves
 (:func:`deferred`): it records each one, in order, and :func:`replay`
 adds them later, bit for bit as if they had been added then.  Every
-addition into a leaf goes through ``_accumulate`` or, for ``gather``'s rows,
-``_add_rows``, which record for a deferred leaf; a closure that reads a
-leaf's gradient to add into it in place (``collab.propagate``) raises
-:class:`DeferredRead` for a deferred one.  ``training.train_step`` runs its
+addition into a gradient, ``gather``'s row blocks included, goes through
+``_accumulate``, which records it for a deferred leaf, so every op's
+backward can be deferred.  ``training.train_step`` runs its
 sequence-contrastive backward on a worker thread this way, beside the
 calling thread's own.
 
@@ -129,12 +128,6 @@ class GraphConsumed(RuntimeError):
 
 class NotRecorded(RuntimeError):
     """``backward`` was called on an output that no recorded op produced."""
-
-
-class DeferredRead(RuntimeError):
-    """A backward closure read a leaf's gradient to add into it in place while
-    this thread defers that leaf's accumulations (:func:`deferred`): the
-    gradient it would read lacks them."""
 
 
 class Tensor:
@@ -277,8 +270,7 @@ def deferred(leaves) -> Iterator[list]:
     """Within this thread, record every accumulation into one of ``leaves``
     instead of adding it, in the order it would have been added; yields the
     list that :func:`replay` adds them from later.  Other threads, and other
-    tensors, accumulate as usual.  A backward closure that would read such a
-    leaf's gradient to add into it raises :class:`DeferredRead`."""
+    tensors, accumulate as usual."""
     log: list = []
     previous = _scope.deferred
     _scope.deferred = ({id(t) for t in leaves}, log)
@@ -291,29 +283,37 @@ def deferred(leaves) -> Iterator[list]:
 def replay(log: list) -> None:
     """Add the accumulations a :func:`deferred` scope recorded, in their order:
     each leaf's gradient ends bit for bit as if they had been added then."""
-    for t, rows, g in log:
-        if rows is None:
-            _accumulate(t, g, fresh=True)
-        else:
-            _add_rows(t, rows, g)
+    for t, g, rows in log:
+        _accumulate(t, g, fresh=True, rows=rows)
 
 
-def _accumulate(t, g: np.ndarray, fresh: bool = False) -> None:
+def _accumulate(t, g: np.ndarray, fresh: bool = False,
+                rows: Optional[np.ndarray] = None) -> None:
     """Add ``g`` into ``t.grad``, ``t`` a node or a leaf; a ``t`` that requires
-    no gradient is skipped, so closures need not check.  ``fresh`` means the
-    calling closure just built ``g`` and keeps no other reference to it, so
-    on first touch it can be adopted when it is C-contiguous float64;
-    anything else is copied into an owned C-contiguous float64 array.  A
-    leaf this thread defers gets the addition recorded, a copy of ``g``
-    unless it is fresh."""
+    no gradient is skipped, so closures need not check.  With ``rows``
+    (distinct ids) ``g`` is the block of those rows, and a first gradient is
+    zeros elsewhere.  ``fresh`` means the calling closure just built ``g``
+    and keeps no other reference to it, so on first touch it can be adopted
+    when it is C-contiguous float64; anything else is copied into an owned
+    C-contiguous float64 array.  A leaf this thread defers gets the addition
+    recorded, a copy of ``g`` unless it is fresh.  This is the only code
+    that adds into a gradient."""
     if not t.requires_grad:
         return
-    if g.shape != t.shape:
-        raise ShapeMismatch(f"{t.op}: gradient of shape {list(g.shape)} for a tensor "
+    shape = t.shape if rows is None else (len(rows),) + t.shape[1:]
+    if g.shape != shape:
+        what = "a tensor" if rows is None else f"{len(rows)} rows of a tensor"
+        raise ShapeMismatch(f"{t.op}: gradient of shape {list(g.shape)} for {what} "
                             f"of shape {list(t.shape)}")
     log = _deferred_log(t)
     if log is not None:
-        log.append((t, None, g if fresh else np.array(g, dtype=np.float64, order="C")))
+        log.append((t, g if fresh else np.array(g, dtype=np.float64, order="C"), rows))
+    elif rows is not None and t.grad is not None:
+        t.grad[rows] += g
+    elif rows is not None:
+        t.grad = np.empty(t.shape)
+        t.grad.fill(0.0)
+        t.grad[rows] = g
     elif t.grad is not None:
         t.grad += g
     elif fresh and g.dtype == np.float64 and g.flags.c_contiguous:
@@ -321,31 +321,6 @@ def _accumulate(t, g: np.ndarray, fresh: bool = False) -> None:
     else:
         t.grad = np.empty(t.shape)
         t.grad[...] = g
-
-
-def _add_rows(table, rows: np.ndarray, block: np.ndarray) -> None:
-    """Add ``block`` into rows ``rows`` (distinct ids) of ``table``'s gradient,
-    which starts as zeros elsewhere; recorded instead when this thread
-    defers ``table``."""
-    log = _deferred_log(table)
-    if log is not None:
-        log.append((table, rows, block))
-    elif table.grad is None:
-        gt = np.empty(table.shape)
-        gt.fill(0.0)
-        gt[rows] = block
-        _accumulate(table, gt, fresh=True)
-    else:
-        table.grad[rows] += block
-
-
-def _grad_in_place(t, op: str) -> Optional[np.ndarray]:
-    """``t``'s gradient so far, for a closure of ``op`` to add into in place;
-    raises :class:`DeferredRead` when this thread defers ``t``."""
-    if _deferred_log(t) is not None:
-        raise DeferredRead(f"{op}: backward reads the gradient of a {t.op} whose "
-                           "accumulations this thread defers")
-    return t.grad
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -510,7 +485,7 @@ def gather(table: Tensor, ids) -> Tensor:
         uniq, inverse = np.unique(ids.ravel(), return_inverse=True)
         block = np.zeros((uniq.size, table.shape[1]))
         np.add.at(block, inverse, g.reshape(-1, table.shape[1]))
-        _add_rows(table, uniq, block)
+        _accumulate(table, block, fresh=True, rows=uniq)
 
     return _node(data, (table,), back, "gather")
 

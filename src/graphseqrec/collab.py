@@ -20,14 +20,14 @@ representations, and the two (V+1) x d tables are freed when it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import iadd
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _accumulate, _grad_in_place, _node, _target
+from .autodiff import Tensor, _accumulate, _node, _target
 from .graph import SubgraphPerturbation, TransitionGraph
 
 
@@ -72,8 +72,7 @@ def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
     operations of the layer-by-layer chain of products and sums in that
     chain's order, so values and gradients keep their bits.  The node keeps
     the layer inputs, ``A @ L``, ``A @ R`` and the (rank x d) ``(A @ R)^T E``,
-    not its output.  Its backward adds into ``emb``'s gradient in place, so
-    it raises ``autodiff.DeferredRead`` where ``emb``'s additions are deferred.
+    not its output.
     """
     if layers < 1:
         raise ValueError(f"layers must be >= 1, got {layers}")
@@ -107,16 +106,15 @@ def propagate(graph: TransitionGraph, emb: Tensor, layers: int,
         for k in range(layers - 1, -1, -1):
             # the gradient of layer k's input, emb's own at k = 0: the layer
             # sum's share, then the graph product's, then the low-rank product's
-            below = scaled.copy() if k else _grad_in_place(emb, "propagate")
-            if below is not None:
-                below += matrix.T @ grad
+            below = scaled.copy() if k else None
+            add = below.__iadd__ if k else partial(_accumulate, emb, fresh=True)
+            add(matrix.T @ grad)
             if refine:
                 p = grad * alpha
                 left_terms.append(p @ mixed[k].T)
                 g_mixed = left.T @ p
                 right_terms.append(g_mixed @ inputs[k].T)
-                if below is not None:
-                    below += right @ g_mixed
+                add(right @ g_mixed)
             grad = below
         if refine:
             _accumulate(factor_nodes[0], matrix.T @ reduce(iadd, left_terms), fresh=True)

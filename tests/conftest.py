@@ -68,23 +68,28 @@ def _base(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def tape_nodes(loss) -> list:
+    """The tape nodes (not leaf tensors) reachable from ``loss``, each once."""
+    nodes, seen, stack = [], set(), [ad._target(loss)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ad.Node) and id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
 def saved_bytes(loss) -> int:
     """Bytes the tape under ``loss`` keeps for backward: the distinct arrays
     (a view counts as its base) that its nodes' closures and rebuild recipes
     captured, leaf tensors' arrays (the parameters) excepted.  Outputs that
     only a node's weak reference holds are not counted."""
-    kept, leaves, seen, stack = {}, set(), set(), [ad._target(loss)]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.op == "leaf":
-            leaves.add(id(_base(node.data)))
-            continue
+    kept, leaves = {}, set()
+    for node in tape_nodes(loss):
+        leaves.update(id(_base(p.data)) for p in node._parents if not isinstance(p, ad.Node))
         for arr in closure_arrays(node._backward) + closure_arrays(node._rebuild):
             kept[id(_base(arr))] = _base(arr)
-        stack.extend(node._parents)
     return sum(arr.nbytes for key, arr in kept.items() if key not in leaves)
 
 

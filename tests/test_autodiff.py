@@ -19,7 +19,7 @@ from graphseqrec.config import ModelConfig
 from graphseqrec.encoder import attention_mask
 from graphseqrec.training import next_item_loss, seq_cl_loss
 
-from conftest import check_grads, closure_arrays, total_sum, weighted_sum
+from conftest import check_grads, closure_arrays, tape_nodes, total_sum, weighted_sum
 
 
 def row_softmax(x, mask=None):
@@ -127,8 +127,8 @@ class TestBackward:
         a, b = leaves(rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
         out = ad.add(a, b)
         seen = []
-        closure = out._backward
-        out._backward = lambda g: (seen.append(g), closure(g))
+        closure = out.node._backward
+        out.node._backward = lambda g: (seen.append(g), closure(g))
         upstream = rng.standard_normal((2, 3))
         ad.backward(weighted_sum(out, upstream))
         assert a.grad.tobytes() == b.grad.tobytes() == upstream.tobytes()
@@ -307,17 +307,12 @@ class TestLifetime:
         del a, q, rel_pe, h, f, rows, readout
         # the leaves' arrays and the loss value stay with their tensors
         kept = {id(t.data) for t in (x, w, v, gain, zeros, half, scalars, loss)}
-        refs, seen, stack = [], set(), [loss.node]
-        while stack:
-            node = stack.pop()
-            if node.op == "leaf" or id(node) in seen:
-                continue
-            seen.add(id(node))
-            refs += [weakref.ref(arr) for arr in (node.data, *closure_arrays(node._backward),
-                                                  *closure_arrays(node._rebuild))
-                     if arr.size and id(arr) not in kept]
-            stack.extend(node._parents)
-        assert len(seen) == 16 and len(refs) > 16
+        nodes = tape_nodes(loss)
+        refs = [weakref.ref(arr) for node in nodes
+                for arr in (node.data, *closure_arrays(node._backward),
+                            *closure_arrays(node._rebuild))
+                if arr.size and id(arr) not in kept]
+        assert len(nodes) == 16 and len(refs) > 16
         assert any(ref() is not None for ref in refs)
         ad.backward(loss)
         assert [ref for ref in refs if ref() is not None] == []
@@ -460,6 +455,17 @@ class TestDeferred:
             worker.join()
         assert done == [True] and log == []
         assert all(t.grad is not None for t in params)
+
+    @pytest.mark.parametrize("defer", [False, True])
+    def test_a_row_block_of_another_shape_is_rejected(self, defer):
+        # a deferred leaf's block is checked when it is recorded
+        table = Tensor(np.zeros((6, 4)), requires_grad=True)
+        target = table if defer else ad.mul(table, 2.0).node
+        with ad.deferred([table] if defer else []) as log:
+            with pytest.raises(ShapeMismatch, match=rf"^{target.op}: gradient of shape \[1, 4\] "
+                                                    r"for 3 rows of a tensor of shape \[6, 4\]$"):
+                ad._accumulate(target, np.ones((1, 4)), fresh=True, rows=np.array([1, 3, 4]))
+        assert log == [] and target.grad is None
 
     def test_a_scope_restores_the_one_it_was_opened_in(self):
         params, _, first, second = self.losses(np.random.default_rng(3))
@@ -1285,18 +1291,6 @@ def encoder_step(views: bool):
                         readout[::-1].copy())
         loss = ad.add(loss, seq_cl_loss(z1, z2, 0.5))
     return params, loss
-
-
-def tape_nodes(loss) -> list:
-    nodes, seen, stack = [], set(), [ad._target(loss)]
-    while stack:
-        node = stack.pop()
-        if node.op == "leaf" or id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        stack.extend(node._parents)
-    return nodes
 
 
 class TestRebuiltActivations:

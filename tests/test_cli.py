@@ -1,6 +1,7 @@
 import hashlib
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -125,7 +126,7 @@ class TestTrain:
         rerun = tmp_path / "rerun"
         assert main(["train", "--config", os.path.join(trained, "config.resolved"),
                      "--outdir", str(rerun)]) == 0
-        first = open(os.path.join(trained, "metrics.log"), "rb").read()
+        first = Path(trained, "metrics.log").read_bytes()
         assert first == (rerun / "metrics.log").read_bytes()
 
     def test_rerun_from_a_snapshot_whose_paths_hold_hash(self, synth_log, tmp_path):
@@ -242,7 +243,7 @@ class TestTrain:
 
 class TestEval:
     def test_eval_reproduces_training_test_metrics(self, trained, synth_log, capsys):
-        metrics = open(os.path.join(trained, "metrics.log")).read().splitlines()
+        metrics = Path(trained, "metrics.log").read_text().splitlines()
         test_line = next(line for line in metrics if line.startswith("test "))
         code = main(["eval", "--config", os.path.join(trained, "config.resolved"),
                      "--checkpoint", os.path.join(trained, "checkpoint.best"),
@@ -252,7 +253,7 @@ class TestEval:
         assert test_line.removeprefix("test ") in out
 
     def test_eval_on_validation_reproduces_best_recorded(self, trained, synth_log, capsys):
-        metrics = open(os.path.join(trained, "metrics.log")).read().splitlines()
+        metrics = Path(trained, "metrics.log").read_text().splitlines()
         best_line = next(line for line in metrics if line.startswith("best_epoch="))
         best_value = best_line.split("best_val_ndcg@20=")[1]
         code = main(["eval", "--config", os.path.join(trained, "config.resolved"),

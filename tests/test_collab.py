@@ -9,7 +9,7 @@ from graphseqrec.autodiff import DegenerateRow, Tensor
 from graphseqrec.data import ItemSequence
 from graphseqrec.graph import TransitionGraph, build_transition_graph
 
-from conftest import check_grads, weighted_sum
+from conftest import check_grads, tape_nodes, weighted_sum
 
 
 def self_loop_graph(num_items):
@@ -72,16 +72,29 @@ class TestPropagateOriginal:
             collab.propagate(self_loop_graph(3), Tensor(np.zeros((4, 2))), layers=0)
 
     @pytest.mark.parametrize("refined", [False, True])
-    def test_backward_under_a_deferred_scope_is_an_error(self, rng, refined):
-        # propagate's backward adds into emb's gradient in place: deferred,
-        # it would read a gradient that lacks the additions made so far
-        graph = random_graph(rng, 10)
-        emb = Tensor(zero_pad_rows(rng, (11, 4)), requires_grad=True)
-        factors = collab.init_factors(rng, 11, 2, 0.5) if refined else None
-        loss = weighted_sum(collab.propagate(graph, emb, 2, factors), rng.standard_normal((11, 4)))
-        with ad.deferred([emb]), pytest.raises(ad.DeferredRead, match="^propagate: "):
-            ad.backward(loss)
-        assert emb.grad is None
+    def test_backward_under_a_deferred_scope_replays_bit_for_bit(self, refined):
+        # emb already holds a gradient, and reaches the loss through a gather
+        # too, so the replay adds propagate's terms between other additions
+        def emb_grad(defer):
+            rng = np.random.default_rng(8)
+            graph = random_graph(rng, 10)
+            emb = Tensor(zero_pad_rows(rng, (11, 4)), requires_grad=True)
+            emb.grad = rng.standard_normal((11, 4))
+            factors = collab.init_factors(rng, 11, 2, 0.5) if refined else None
+            loss = ad.add(weighted_sum(ad.gather(emb, [3, 1, 3]), rng.standard_normal((3, 4))),
+                          weighted_sum(collab.propagate(graph, emb, 2, factors),
+                                       rng.standard_normal((11, 4))))
+            if defer:
+                before = emb.grad.tobytes()
+                with ad.deferred([emb]) as log:
+                    ad.backward(loss)
+                assert emb.grad.tobytes() == before and len(log) == (4 if refined else 3)
+                ad.replay(log)
+            else:
+                ad.backward(loss)
+            return emb.grad.tobytes()
+
+        assert emb_grad(defer=True) == emb_grad(defer=False)
 
 
 class TestPropagateRefined:
@@ -236,7 +249,7 @@ class TestPropagateAgainstTheChain:
         orig_rows, ref_rows = collab.graph_representations(graph, emb, factors, layers, ids,
                                                            perturbation=perturbation)
         assert orig_rows.op == ref_rows.op == "gather"
-        assert [p.op for p in orig_rows._parents + ref_rows._parents] == ["propagate"] * 2
+        assert [p.op for p in orig_rows.node._parents + ref_rows.node._parents] == ["propagate"] * 2
         ad.backward(ad.add(weighted_sum(orig_rows, upstream[1:]),
                            weighted_sum(ref_rows, other[1:])))
         original = chain_reference(graph.matrix, emb0, None, None, 0.0, layers,
@@ -255,14 +268,8 @@ class TestPropagateAgainstTheChain:
         orig_rows, ref_rows = collab.graph_representations(graph, emb, factors, 3, ids)
         loss = ad.add(weighted_sum(orig_rows, upstream[ids]),
                       weighted_sum(ref_rows, upstream[ids]))
-        nodes, stack = set(), [loss]
-        while stack:
-            node = stack.pop()
-            if node.op != "leaf" and id(node) not in nodes:
-                nodes.add(id(node))
-                stack.extend(node._parents)
         # add, two weighted sums, two gathers, two propagations
-        assert len(nodes) == 7
+        assert len(tape_nodes(loss)) == 7
 
 
 class TestGceLoss:

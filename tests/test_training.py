@@ -19,7 +19,7 @@ from graphseqrec.training import (TrainConfig, assemble_batch, evaluate_model,
                                   next_item_loss, seq_cl_loss, total_loss, train,
                                   train_step)
 
-from conftest import check_grads, saved_bytes, total_sum, weighted_sum
+from conftest import check_grads, saved_bytes, tape_nodes, total_sum, weighted_sum
 
 # the parameters whose row 0 belongs to the padding id
 PADDED_ROWS = ("item_emb", "pert_left", "pert_right")
@@ -322,14 +322,7 @@ class TestTrainStepTape:
         original = ad.backward
 
         def spy(loss):
-            ops, seen, stack = Counter(), set(), [loss]
-            while stack:
-                node = stack.pop()
-                if id(node) not in seen:
-                    seen.add(id(node))
-                    ops[node.op] += 1
-                    stack.extend(node._parents)
-            walks.append(ops)
+            walks.append(Counter(node.op for node in tape_nodes(loss)))
             original(loss)
 
         with monkeypatch.context() as patch:
@@ -532,10 +525,9 @@ class TestPaddingRowsGetNoGradient:
             assert row.tobytes() == bytes(row.nbytes), (name, row)
 
 
-def serial_train_step(model, batch, rng_dropout, rng_dropout_views):
-    """The oracle: every loss term on one tape and one backward on the
-    calling thread, as ``train_step`` ran before its sequence term moved to a
-    worker.  ``train_step`` must match it bit for bit."""
+def serial_loss(model, batch, rng_dropout, rng_dropout_views):
+    """Every loss term ``model.cfg`` enables on one tape: the total loss and
+    the terms ``rec``, ``gce`` and ``seq`` (``None`` when off)."""
     cfg = model.cfg
     perturbation = model.subgraph_perturbation()
     hidden = model.hidden_states(batch.seqs, batch.user_ids, perturbation, rng_dropout)
@@ -552,7 +544,14 @@ def serial_train_step(model, batch, rng_dropout, rng_dropout_views):
         z1 = model.user_reprs(batch.view1, batch.user_ids, perturbation, rng_dropout_views)
         z2 = model.user_reprs(batch.view2, batch.user_ids, perturbation, rng_dropout_views)
         seq = seq_cl_loss(z1, z2, cfg.tau)
-    loss = total_loss(rec, gce, seq, cfg.lambda1, cfg.lambda2)
+    return total_loss(rec, gce, seq, cfg.lambda1, cfg.lambda2), rec, gce, seq
+
+
+def serial_train_step(model, batch, rng_dropout, rng_dropout_views):
+    """The oracle: one backward of :func:`serial_loss` on the calling thread,
+    as ``train_step`` ran before its sequence term moved to a worker.
+    ``train_step`` must match it bit for bit."""
+    loss, rec, gce, seq = serial_loss(model, batch, rng_dropout, rng_dropout_views)
     ad.backward(loss)
     return {
         "total": float(loss.data),
@@ -682,6 +681,33 @@ class TestSplitStep:
         with pytest.raises(RuntimeError, match="^next-item loss failed$"):
             train_step(model, batch, np.random.default_rng(3), np.random.default_rng(4))
         assert seen == [before + 1] and threading.active_count() == before
+
+    def test_a_deferred_backward_of_the_whole_loss_replays_bit_for_bit(self):
+        # every op's backward, the graph propagation's included, records its
+        # additions into deferred leaves
+        dataset = tiny_dataset()
+        cfg = tiny_config(batch_size=16, dropout=0.2)
+        assert cfg.enable_pge and cfg.lambda1 and cfg.lambda2
+
+        def grads(defer):
+            model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
+                          tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
+            batch = assemble_batch(dataset.users[:cfg.batch_size], model.cfg,
+                                   np.random.default_rng(1), np.random.default_rng(2))
+            loss = serial_loss(model, batch, np.random.default_rng(3),
+                               np.random.default_rng(4))[0]
+            if defer:
+                with ad.deferred(model.params.values()) as log:
+                    ad.backward(loss)
+                assert all(t.grad is None for t in model.params.values())
+                ad.replay(log)
+            else:
+                ad.backward(loss)
+            return {name: t.grad.tobytes() for name, t in model.params.items()}
+
+        direct = grads(defer=False)
+        assert "item_emb" in direct and "pert_left" in direct
+        assert grads(defer=True) == direct
 
     def test_trainings_in_three_threads_each_match_a_lone_one(self):
         # each training's steps defer and replay in their own threads; with
