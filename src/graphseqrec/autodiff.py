@@ -137,7 +137,8 @@ class Tensor:
     their own gradient.  The ops in this module return tensors named after
     the op; a recorded one links to its tape :class:`Node` (``node``), which
     takes its gradient during :func:`backward`.  ``_parents`` and
-    ``_backward`` answer for that node.
+    ``_backward`` answer for that node; the library walks nodes only, and
+    their one reader is ``perfbench/spans.py``'s tracer.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "node")
@@ -341,15 +342,15 @@ def backward(loss: Tensor) -> None:
     recipe and rebuilt output, and the arrays that closure saved can be freed
     while the walk goes on.  Gradients are kept on leaves only.  A node
     consumed by an earlier call raises :class:`GraphConsumed` before any
-    gradient is touched; a ``loss`` that requires no gradient (no input of
-    its ops required one) raises :class:`NotRecorded`.
+    gradient is touched; a ``loss`` that no recorded op produced (a leaf,
+    or an output none of whose op's inputs required a gradient) raises
+    :class:`NotRecorded`.
     """
     if loss.shape != ():
         raise ShapeMismatch(f"backward expects a scalar loss, got shape {list(loss.shape)}")
-    if not loss.requires_grad:
-        raise NotRecorded(f"backward: output '{loss.op}' requires no gradient; "
-                          "no recorded op produced it")
-    root = _target(loss)
+    root = loss.node
+    if root is None:
+        raise NotRecorded(f"backward: '{loss.op}' has no tape; no recorded op produced it")
     topo: list = []
     seen: set[int] = set()
     stack: list[tuple] = [(root, False)]
@@ -360,18 +361,16 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
-        if node.requires_grad and node.op != "leaf" and node._backward is None:
+        if node._backward is None:
             raise GraphConsumed(f"backward: node '{node.op}' was consumed by an earlier backward")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if isinstance(p, Node) and id(p) not in seen:
                 stack.append((p, False))
     root.grad = np.ones((), dtype=np.float64)
     while topo:
         node = topo.pop()
-        if node._backward is None:
-            continue
         if node.grad is not None:
             node._backward(node.grad)
         node.grad = None

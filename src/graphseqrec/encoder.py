@@ -12,10 +12,11 @@ Each layer is layer norm, the query/key/value projections (one
 block, with dropout and a residual add around both halves.
 
 A user representation is the final hidden state at the last real item, so
-the encodes that produce one (evaluation and the two contrastive views) pass
-those readout positions: the last layer then computes keys and values at
-every position but everything else at the readout rows only.  Training's
-next-item loss reads every position and runs the full last layer.
+the encodes that produce one (evaluation and the two contrastive views) ask
+for a readout: ``encode`` finds each row's last real position itself, and
+its last layer computes keys and values at every position but everything
+else at those rows only.  Training's next-item loss reads every position
+and runs the full last layer.
 """
 
 from __future__ import annotations
@@ -102,15 +103,15 @@ def attention_mask(seqs: np.ndarray) -> np.ndarray:
 def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
            rel_pe: Optional[Tensor] = None,
            rng: Optional[np.random.Generator] = None,
-           readout: Optional[np.ndarray] = None) -> Tensor:
+           readout: bool = False) -> Tensor:
     """Hidden states (B, N, d) for a batch of padded id sequences.
 
     ``rel_pe`` is an optional (B, N, N) tensor added to every layer's and
     head's attention logits before masking.  Passing an rng enables
     dropout; evaluation omits it.
 
-    ``readout`` is an optional (B,) array of positions, one per sequence.
-    With it the call returns only those rows, (B, d): the last layer still
+    With ``readout`` the call returns one row per sequence, (B, d): the
+    state at its last real (non-padding) position.  The last layer still
     takes keys and values at every position, but runs its queries,
     attention, output projection and feed-forward block on the readout rows
     alone: the (B, d) queries go into ``autodiff.attention`` as they are,
@@ -120,16 +121,11 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
     seqs = np.asarray(seqs, dtype=np.int64)
     if seqs.ndim != 2 or seqs.shape[1] != cfg.max_len:
         raise ad.ShapeMismatch(f"encode: sequences must be [B, {cfg.max_len}], got {list(seqs.shape)}")
-    if not (seqs > 0).any(axis=1).all():
-        bad = int(np.flatnonzero(~(seqs > 0).any(axis=1))[0])
+    real = seqs > 0
+    if not real.any(axis=1).all():
+        bad = int(np.flatnonzero(~real.any(axis=1))[0])
         raise ValueError(f"encode: all-padding sequence at batch position {bad}")
     b, n = seqs.shape
-    if readout is not None:
-        readout = np.asarray(readout, dtype=np.int64)
-        if readout.shape != (b,):
-            raise ad.ShapeMismatch(f"encode: readout must be [{b}], got {list(readout.shape)}")
-        if ((readout < 0) | (readout >= n)).any():
-            raise ValueError(f"encode: readout position outside [0, {n})")
     scale = 1.0 / np.sqrt(cfg.dim // cfg.heads)
     mask = attention_mask(seqs)
     rows = None
@@ -141,14 +137,16 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
         a = ad.layer_norm(h, params[p + "ln1_g"], params[p + "ln1_b"])
         k = ad.linear(a, params[p + "attn_key_w"], params[p + "attn_key_b"])
         v = ad.linear(a, params[p + "attn_value_w"], params[p + "attn_value_b"])
-        if readout is not None and layer == cfg.encoder_layers - 1:
-            # one query row per sequence from here on, kept (B, d) so every
-            # projection stays one flat matrix product
-            h, a = ad.select_positions(h, readout), ad.select_positions(a, readout)
-            mask = mask[np.arange(b), readout]
+        if readout and layer == cfg.encoder_layers - 1:
+            # one query row per sequence from here on, its last real
+            # position, kept (B, d) so every projection stays one flat
+            # matrix product
+            last = n - 1 - np.argmax(real[:, ::-1], axis=1)
+            h, a = ad.select_positions(h, last), ad.select_positions(a, last)
+            mask = mask[np.arange(b), last]
             if rel_pe is not None:
-                rel_pe = ad.select_positions(rel_pe, readout)
-            rows = (n, readout)
+                rel_pe = ad.select_positions(rel_pe, last)
+            rows = (n, last)
         q = ad.linear(a, params[p + "attn_query_w"], params[p + "attn_query_b"])
         # each activation is dropped once consumed: the tape keeps what
         # backward reads, so the forward holds about one layer's arrays
@@ -165,15 +163,3 @@ def encode(params: Dict[str, Tensor], cfg: ModelConfig, seqs: np.ndarray,
         h = ad.add(h, ad.dropout(f, cfg.dropout, rng, rows))
         del f
     return ad.layer_norm(h, params["ln_final_g"], params["ln_final_b"])
-
-
-def last_real_position(seqs: np.ndarray) -> np.ndarray:
-    """Index of the final non-padding position per sequence."""
-    seqs = np.asarray(seqs)
-    real = seqs > 0
-    if not real.any(axis=1).all():
-        bad = int(np.flatnonzero(~real.any(axis=1))[0])
-        raise ValueError(f"sequence at batch position {bad} is all padding")
-    n = seqs.shape[1]
-    return n - 1 - np.argmax(real[:, ::-1], axis=1)
-

@@ -65,9 +65,10 @@ class Model:
     def hidden_states(self, seqs: np.ndarray, user_ids: np.ndarray,
                       perturbation: Optional[SubgraphPerturbation],
                       rng: Optional[np.random.Generator] = None,
-                      readout: Optional[np.ndarray] = None) -> Tensor:
-        """Per-position states used for scoring, or only the rows at
-        ``readout`` (see ``encoder.encode``); the per-user graph encoding
+                      readout: bool = False) -> Tensor:
+        """Per-position states used for scoring, or with ``readout`` only
+        each sequence's state at its last real item (see
+        ``encoder.encode``); the per-user graph encoding
         enters the attention logits when it is enabled.  With ``pge_graph =
         refined`` its subgraphs read ``perturbation``, this pass's detached
         snapshot, so the factors learn through the collaborative loss alone."""
@@ -86,8 +87,7 @@ class Model:
                    rng: Optional[np.random.Generator] = None) -> Tensor:
         """Preference representations (B, d): the hidden state at each
         sequence's last real item, with the last layer run at that row only."""
-        return self.hidden_states(seqs, user_ids, perturbation, rng,
-                                  encoder.last_real_position(seqs))
+        return self.hidden_states(seqs, user_ids, perturbation, rng, readout=True)
 
     # ------------------------------------------------------------- training
     def zero_grads(self) -> None:

@@ -98,10 +98,12 @@ class TestEncode:
             assert (delta[:position] < 1e-12).all()
             assert delta[position] > 1e-9
 
-    def test_all_padding_sequence_rejected(self, rng):
+    @pytest.mark.parametrize("readout", [False, True])
+    def test_all_padding_sequence_rejected(self, rng, readout):
         cfg, params = make_params(rng)
-        with pytest.raises(ValueError, match="position 1"):
-            enc.encode(params, cfg, np.array([[0, 1, 2, 3, 4], [0, 0, 0, 0, 0]]))
+        with pytest.raises(ValueError, match="^encode: all-padding sequence at batch position 1$"):
+            enc.encode(params, cfg, np.array([[0, 1, 2, 3, 4], [0, 0, 0, 0, 0]]),
+                       readout=readout)
 
     def test_output_finite_for_random_inputs(self, rng):
         cfg, params = make_params(rng, num_items=30, dim=8, max_len=12)
@@ -154,30 +156,47 @@ class TestPgeEncoding:
                            "pge_w2": params["pge_w2"]})
 
 
+def last_real_by_scan(seqs) -> list:
+    """The oracle for the readout rule: each row's last non-padding index."""
+    return [max(i for i, v in enumerate(row) if v > 0) for row in seqs]
+
+
 class TestUserRepr:
+    """``encode(..., readout=True)`` gives each row's state at its last real
+    item: the full encode's row at the position a scan finds."""
+
+    @staticmethod
+    def check(params, cfg, seqs):
+        full = enc.encode(params, cfg, seqs).data
+        rows = enc.encode(params, cfg, seqs, readout=True).data
+        assert rows.shape == (len(seqs), cfg.dim)
+        pos = last_real_by_scan(seqs)
+        np.testing.assert_allclose(rows, full[np.arange(len(seqs)), pos], rtol=0.0, atol=4e-15)
+
     def test_full_sequence_takes_last_row(self, rng):
         cfg, params = make_params(rng)
         seqs = np.array([[1, 2, 3, 4, 5]])
         hidden = enc.encode(params, cfg, seqs)
-        got = enc.encode(params, cfg, seqs, readout=enc.last_real_position(seqs))
+        got = enc.encode(params, cfg, seqs, readout=True)
         assert got.shape == (1, 4)
         np.testing.assert_array_equal(got.data[0], hidden.data[0, 4])
 
-    def test_left_padded_single_item(self):
-        assert enc.last_real_position(np.array([[0, 0, 0, 9, 0]]))[0] == 3
+    def test_left_padded_single_item(self, rng):
+        cfg, params = make_params(rng)
+        seqs = np.array([[0, 0, 0, 9, 0]])
+        assert last_real_by_scan(seqs) == [3]
+        self.check(params, cfg, seqs)
 
     def test_scan_oracle_on_random_masks(self, rng):
-        for _ in range(50):
-            seq = (rng.random(8) < 0.5) * rng.integers(1, 9, 8)
-            if not (seq > 0).any():
-                seq[0] = 1
-            got = enc.last_real_position(seq[None].astype(np.int64))[0]
-            want = max(i for i, v in enumerate(seq) if v > 0)
-            assert got == want
-
-    def test_all_padding_is_error(self):
-        with pytest.raises(ValueError):
-            enc.last_real_position(np.zeros((1, 4), dtype=np.int64))
+        cfg, params = make_params(rng, num_items=9, dim=8, max_len=8)
+        seqs = (rng.random((50, 8)) < 0.5) * rng.integers(1, 10, (50, 8))
+        seqs[~(seqs > 0).any(axis=1), 0] = 1
+        seqs[0, -3:] = 0  # the last items masked to 0
+        seqs[0, 0] = 4
+        seqs[1] = [0, 0, 0, 0, 0, 0, 0, 6]  # a one-item row
+        pos = last_real_by_scan(seqs)
+        assert pos[0] < 5 and pos[1] == 7 and len(set(pos)) > 3
+        self.check(params, cfg, seqs)
 
 
 def readout_case(rng, layers, heads, dropout=0.2):
@@ -198,17 +217,17 @@ def readout_case(rng, layers, heads, dropout=0.2):
 
 
 class TestReadout:
-    """``encode(..., readout=...)`` runs the last layer at one row per
+    """``encode(..., readout=True)`` runs the last layer at one row per
     sequence; it must give the matching rows of the full encode."""
 
     @pytest.mark.parametrize("layers, heads", [(2, 2), (3, 4)])
     @pytest.mark.parametrize("with_dropout", [False, True])
     def test_matches_rows_of_full_encode(self, rng, layers, heads, with_dropout):
         cfg, params, seqs, users, subgraphs = readout_case(rng, layers, heads)
-        pos = enc.last_real_position(seqs)
-        assert (pos < 9).sum() == 4
+        pos = last_real_by_scan(seqs)
+        assert sum(p < 9 for p in pos) == 4
         runs = []
-        for readout in (None, pos):
+        for readout in (False, True):
             gen = np.random.default_rng(11) if with_dropout else None
             rel = enc.pge_encoding(params, users, subgraphs)
             runs.append((enc.encode(params, cfg, seqs, rel, gen, readout).data, gen))
@@ -218,13 +237,6 @@ class TestReadout:
         if with_dropout:
             # the readout draws as much as the full encode: the stream is preserved
             assert gen_rows.bit_generator.state == gen_full.bit_generator.state
-
-    def test_any_positions_not_only_the_last(self, rng):
-        cfg, params, seqs, users, subgraphs = readout_case(rng, 2, 2, dropout=0.0)
-        pos = np.arange(12) % 10  # padding rows included
-        full = enc.encode(params, cfg, seqs).data
-        rows = enc.encode(params, cfg, seqs, readout=pos).data
-        np.testing.assert_allclose(rows, full[np.arange(12), pos], rtol=0.0, atol=4e-15)
 
     def test_gradients_with_pge_and_dropout(self, rng):
         cfg, params = make_params(rng, dim=4, heads=2, layers=2, max_len=4)
@@ -237,8 +249,7 @@ class TestReadout:
 
         def loss():
             rel = enc.pge_encoding(params, users, subgraphs)
-            out = enc.encode(params, cfg, seqs, rel, np.random.default_rng(3),
-                             enc.last_real_position(seqs))
+            out = enc.encode(params, cfg, seqs, rel, np.random.default_rng(3), readout=True)
             return weighted_sum(out, w)
 
         check_grads(loss, {name: params[name] for name in
@@ -246,10 +257,3 @@ class TestReadout:
                             "layer1.attn_value_w", "layer1.ffn_w1", "layer1.ln1_g",
                             "ln_final_g", "user_emb", "pge_w2")})
 
-    def test_bad_readout_is_rejected(self, rng):
-        cfg, params = make_params(rng)
-        seqs = np.array([[1, 2, 3, 4, 5], [0, 0, 1, 2, 3]])
-        with pytest.raises(ad.ShapeMismatch, match=r"readout must be \[2\], got \[1\]"):
-            enc.encode(params, cfg, seqs, readout=np.array([4]))
-        with pytest.raises(ValueError, match=r"outside \[0, 5\)"):
-            enc.encode(params, cfg, seqs, readout=np.array([4, 5]))

@@ -518,8 +518,10 @@ class TestPaddingRowsGetNoGradient:
         assert (np.maximum.accumulate(real, axis=1) & ~real).any()
         self.check_step(model, batch)
 
-    def test_rows_stay_zero_through_training(self):
-        result = train(tiny_config(max_epochs=3, dropout=0.2, mask_ratio=0.6), tiny_dataset())
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_rows_stay_zero_through_training(self, dropout):
+        result = train(tiny_config(max_epochs=3, dropout=dropout, mask_ratio=0.6),
+                       tiny_dataset())
         for name in PADDED_ROWS:
             row = result.model.params[name].data[0]
             assert row.tobytes() == bytes(row.nbytes), (name, row)
@@ -568,6 +570,19 @@ def step_bytes(step, model, batch):
     grads = {name: t.grad.tobytes() for name, t in model.params.items() if t.grad is not None}
     model.zero_grads()
     return {key: np.float64(value).tobytes() for key, value in values.items()}, grads
+
+
+def every_term_case():
+    """A fresh model and its first batch of 16 on the tiny dataset, with
+    PGE, dropout 0.2 and both contrastive terms on."""
+    dataset = tiny_dataset()
+    cfg = tiny_config(batch_size=16, dropout=0.2)
+    assert cfg.enable_pge and cfg.lambda1 and cfg.lambda2
+    model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
+                  tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
+    batch = assemble_batch(dataset.users[:cfg.batch_size], model.cfg,
+                           np.random.default_rng(1), np.random.default_rng(2))
+    return model, batch
 
 
 class TestSplitStep:
@@ -685,15 +700,8 @@ class TestSplitStep:
     def test_a_deferred_backward_of_the_whole_loss_replays_bit_for_bit(self):
         # every op's backward, the graph propagation's included, records its
         # additions into deferred leaves
-        dataset = tiny_dataset()
-        cfg = tiny_config(batch_size=16, dropout=0.2)
-        assert cfg.enable_pge and cfg.lambda1 and cfg.lambda2
-
         def grads(defer):
-            model = Model(cfg.model_config(dataset.num_items, dataset.num_users),
-                          tr.train_graph(dataset, cfg.window), np.random.default_rng(5))
-            batch = assemble_batch(dataset.users[:cfg.batch_size], model.cfg,
-                                   np.random.default_rng(1), np.random.default_rng(2))
+            model, batch = every_term_case()
             loss = serial_loss(model, batch, np.random.default_rng(3),
                                np.random.default_rng(4))[0]
             if defer:
@@ -708,6 +716,19 @@ class TestSplitStep:
         direct = grads(defer=False)
         assert "item_emb" in direct and "pert_left" in direct
         assert grads(defer=True) == direct
+
+    def test_backward_reads_no_tensor_shim(self, monkeypatch):
+        # ``backward`` walks tape nodes only: without ``Tensor._parents`` and
+        # ``_backward``, both threads' walks give the same gradients
+        def grads():
+            model, batch = every_term_case()
+            train_step(model, batch, np.random.default_rng(3), np.random.default_rng(4))
+            return {name: t.grad.tobytes() for name, t in model.params.items()}
+
+        with_shims = grads()  # every parameter has a gradient
+        monkeypatch.delattr(Tensor, "_parents")
+        monkeypatch.delattr(Tensor, "_backward")
+        assert grads() == with_shims
 
     def test_trainings_in_three_threads_each_match_a_lone_one(self):
         # each training's steps defer and replay in their own threads; with
@@ -805,12 +826,6 @@ class TestTrainLoop:
         # every step and every validation pass starts with no gradient held
         assert len(held) == 2 * 2 + 2 + 1 and held == [[]] * len(held)
         assert all(t.grad is None for t in result.model.params.values())
-
-    def test_padding_rows_stay_zero(self):
-        dataset = tiny_dataset()
-        result = train(tiny_config(max_epochs=2, patience=1), dataset)
-        assert (result.model.params["item_emb"].data[0] == 0.0).all()
-        assert (result.model.params["pert_left"].data[0] == 0.0).all()
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="patience"):
