@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .collab import gce_loss
 from .config import ModelConfig, TrainConfig
-from .data import SplitDataset, augment_pair, pad_sequence
+from .data import EmptyDataset, SplitDataset, augment_pair, pad_sequence
 from .evaluation import MetricsReport, eval_input_sequences, rank_from_scores
 from .graph import TransitionGraph, train_graph
 from .model import Model
@@ -29,13 +29,11 @@ from .optim import Adam
 
 LAMBDA1_GRID = (0.05, 0.1, 0.2, 0.4)
 ENCODER_LAYER_GRID = (1, 2, 3)
-# Evaluation scores a catalog in blocks of at most this many bytes.  One
-# 256-user chunk over 17k items would be a 35 MB block, which glibc maps fresh
-# on top of the heap unless the train steps happened to leave 35 MB free
-# there, so a run's peak memory would depend on where the block lands.  A
-# chunk that needs more than one block is scored on a worker thread beside
-# the next chunk's encode (``evaluate_model``); one that fits in one block is
-# scored inline, as its job is too short to pay for the hand-off.
+# Evaluation scores a catalog in blocks of at most this many bytes, one block
+# per thread (``evaluate_model``), whatever the catalog's size.  One 256-user
+# chunk over 17k items would be a 35 MB block, which glibc maps fresh on top
+# of the heap unless the train steps happened to leave 35 MB free there, so a
+# run's peak memory would depend on where the block lands.
 SCORE_BLOCK_BYTES = 4 << 20
 
 
@@ -153,29 +151,36 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
     tape-free: the forward reads ``model.detached()``, whose parameters
     require no gradient, so training may run beside it in another thread.
 
-    A chunk whose scores need more than one block (more than ~2048 items at
-    256 rows) is scored and ranked by one worker thread, opened and joined
-    within the call, while this thread encodes the next chunk: the products
-    and compares release the GIL, so the pass uses a second core.  A smaller
-    chunk is scored here, as handing a ~1 ms job to a thread costs more than
-    it saves.  Ranks come out in chunk order either way, bit for bit, and an
-    error raised on the worker reaches the caller as it was raised.
+    Chunks of ``batch_size`` users alternate between this thread (even
+    chunks) and one worker thread, opened and joined within the call (odd
+    chunks), whatever the catalog's size: each thread encodes, scores and
+    ranks its chunk into its own score block, and the products and compares
+    release the GIL, so the pass uses a second core.  A one-chunk pass
+    starts no thread.  Ranks are joined in chunk order, bit for bit those of
+    one thread.  An error raised on the worker reaches the caller as it was
+    raised; when both threads' chunks fail, this thread's error is raised.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not dataset.users:
+        raise EmptyDataset(f"evaluate_model: split {split!r} has no users")
     rows = eval_input_sequences(dataset, split)
     model = model.detached()
     item_emb = model.params["item_emb"].data
     num_items = item_emb.shape[0] - 1
     perturbation = model.subgraph_perturbation()
     n = model.cfg.max_len
-    # every chunk is scored into this one block, as many rows at a time as
-    # SCORE_BLOCK_BYTES holds; one block serves the worker too, as at most
-    # one chunk is scored at a time
+    # each thread scores its chunks into its own block, as many rows at a
+    # time as SCORE_BLOCK_BYTES holds
     block_rows = max(1, min(batch_size, SCORE_BLOCK_BYTES // (8 * num_items)))
-    block = np.empty((min(block_rows, len(rows)), num_items))
+    blocks = [np.empty((min(block_rows, len(rows)), num_items)) for _ in range(2)]
 
-    def score(chunk, reprs) -> np.ndarray:
+    def rank_chunk(start: int, block: np.ndarray) -> np.ndarray:
+        chunk = rows[start:start + batch_size]
+        seqs = np.stack([pad_sequence(inp, n) for inp, _, _ in chunk])
+        user_ids = np.asarray(
+            [u.user_id for u in dataset.users[start:start + batch_size]], dtype=np.int64)
+        reprs = model.user_reprs(seqs, user_ids, perturbation).data
         ranks = []
         for lo in range(0, len(chunk), block_rows):
             part = chunk[lo:lo + block_rows]
@@ -186,23 +191,13 @@ def evaluate_model(model: Model, dataset: SplitDataset, split: str,
         return np.concatenate(ranks)
 
     ranks: List[np.ndarray] = []
-    with ThreadPoolExecutor(1) as worker:
-        scoring: Optional[Future] = None
-        for start in range(0, len(rows), batch_size):
-            chunk = rows[start:start + batch_size]
-            seqs = np.stack([pad_sequence(inp, n) for inp, _, _ in chunk])
-            user_ids = np.asarray(
-                [u.user_id for u in dataset.users[start:start + batch_size]], dtype=np.int64)
-            reprs = model.user_reprs(seqs, user_ids, perturbation).data
-            if scoring is not None:  # the block is free again
-                ranks.append(scoring.result())
-                scoring = None
-            if len(chunk) > block_rows:
-                scoring = worker.submit(score, chunk, reprs)
-            else:
-                ranks.append(score(chunk, reprs))
-        if scoring is not None:
-            ranks.append(scoring.result())
+    with ThreadPoolExecutor(1) as worker:  # its thread starts on submit only
+        for start in range(0, len(rows), 2 * batch_size):
+            odd = start + batch_size
+            other = worker.submit(rank_chunk, odd, blocks[1]) if odd < len(rows) else None
+            ranks.append(rank_chunk(start, blocks[0]))
+            if other is not None:
+                ranks.append(other.result())
     return MetricsReport.from_ranks(np.concatenate(ranks), keep_ranks)
 
 

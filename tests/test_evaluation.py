@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from itertools import chain
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from graphseqrec import evaluation as ev
 from graphseqrec import training as tr
-from graphseqrec.data import (ItemSequence, SplitDataset, UserSplit, build_sequences,
-                              leave_one_out, pad_sequence, synth_generate)
+from graphseqrec.data import (EmptyDataset, ItemSequence, SplitDataset, UserSplit,
+                              build_sequences, leave_one_out, pad_sequence, synth_generate)
 from graphseqrec.graph import build_transition_graph
 from graphseqrec.model import Model
 from graphseqrec.training import TrainConfig, evaluate_model
@@ -273,44 +274,119 @@ class TestEvaluateModelRanks:
                       np.random.default_rng(3))
         return dataset, cfg, model
 
+    def reference_ranks(self, dataset, cfg, model, split, batch_size):
+        """One thread, a fresh product per chunk and the masked ranker."""
+        rows = ev.eval_input_sequences(dataset, split)
+        detached = model.detached()
+        item_emb = detached.params["item_emb"].data
+        perturbation = detached.subgraph_perturbation()
+        want = []
+        for start in range(0, len(rows), batch_size):
+            chunk = rows[start:start + batch_size]
+            seqs = np.stack([pad_sequence(inp, cfg.max_len) for inp, _, _ in chunk])
+            user_ids = [u.user_id for u in dataset.users[start:start + batch_size]]
+            reprs = detached.user_reprs(seqs, user_ids, perturbation).data
+            want.extend(masked_rank_from_scores(
+                reprs @ item_emb[1:].T, [h for _, _, h in chunk], [t for _, t, _ in chunk]))
+        return [int(r) for r in want]
+
     @pytest.mark.parametrize("block_rows", [None, 2])
     @pytest.mark.parametrize("enable_pge", [True, False])
     def test_reused_block_matches_fresh_products(self, enable_pge, block_rows, monkeypatch):
         dataset, cfg, model = self.case(enable_pge)
         if block_rows is not None:  # a catalog too large for a whole chunk at a time
             monkeypatch.setattr(tr, "SCORE_BLOCK_BYTES", block_rows * 8 * dataset.num_items)
+        main = threading.current_thread()
         scored = []
-        monkeypatch.setattr(tr, "rank_from_scores", lambda scores, *rest: (
-            scored.append((threading.current_thread(), len(scores), scores.nbytes)),
-            ev.rank_from_scores(scores, *rest))[1])
+        monkeypatch.setattr(tr, "rank_from_scores", lambda scores, histories, targets, *rest: (
+            scored.append((threading.current_thread() is main, list(targets), scores.nbytes)),
+            ev.rank_from_scores(scores, histories, targets, *rest))[1])
         threads = threading.active_count()
         for split in ("valid", "test"):
+            scored.clear()
             got = evaluate_model(model, dataset, split, batch_size=3, keep_ranks=True).ranks
-            rows = ev.eval_input_sequences(dataset, split)
-            detached = model.detached()
-            item_emb = detached.params["item_emb"].data
-            perturbation = detached.subgraph_perturbation()
-            want = []
-            for start in range(0, len(rows), 3):  # the last chunk holds one row
-                chunk = rows[start:start + 3]
-                seqs = np.stack([pad_sequence(inp, cfg.max_len) for inp, _, _ in chunk])
-                user_ids = [u.user_id for u in dataset.users[start:start + 3]]
-                reprs = detached.user_reprs(seqs, user_ids, perturbation).data
-                want.extend(masked_rank_from_scores(
-                    reprs @ item_emb[1:].T, [h for _, _, h in chunk], [t for _, t, _ in chunk]))
-            assert len(rows) == 7
-            assert got == [int(r) for r in want]
+            assert got == self.reference_ranks(dataset, cfg, model, split, 3)
+            # chunks of 3, 3 and 1 rows: chunks 0 and 2 are ranked on the
+            # calling thread, chunk 1 on the worker, each as many rows at a
+            # time as a block holds; the two threads' calls interleave
+            targets = [t for _, t, _ in ev.eval_input_sequences(dataset, split)]
+            assert len(targets) == 7 and targets[:3] != targets[3:6]
+            step = block_rows or 3
+            parts = ([], [])  # (on the calling thread, on the worker)
+            for chunk, start in enumerate(range(0, 7, 3)):
+                for lo in range(start, min(start + 3, 7), step):
+                    parts[chunk % 2].append(targets[lo:min(lo + step, start + 3)])
+            assert [t for is_main, t, _ in scored if is_main] == parts[0]
+            assert [t for is_main, t, _ in scored if not is_main] == parts[1]
+            assert max(nbytes for _, _, nbytes in scored) <= tr.SCORE_BLOCK_BYTES
         assert threading.active_count() == threads
-        # per split, chunks of 3, 3 and 1 rows; a chunk of more rows than a
-        # block holds is ranked off the calling thread, two rows at a time
+
+    @pytest.mark.parametrize("batch_size", range(1, 9))
+    @pytest.mark.parametrize("enable_pge", [True, False])
+    def test_every_chunk_count_ranks_as_the_reference_loop(self, enable_pge, batch_size):
+        # 1 to 7 chunks of the 7 users: odd and even counts, a short last chunk
+        dataset, cfg, model = self.case(enable_pge)
+        for split in ("valid", "test"):
+            got = evaluate_model(model, dataset, split, batch_size, keep_ranks=True).ranks
+            assert got == self.reference_ranks(dataset, cfg, model, split, batch_size)
+
+    def test_one_chunk_pass_starts_no_thread(self, monkeypatch):
+        dataset, _, model = self.case()
+        seen = []
+        monkeypatch.setattr(tr, "rank_from_scores", lambda *args: (
+            seen.append((threading.current_thread(), threading.active_count())),
+            ev.rank_from_scores(*args))[1])
+        threads = threading.active_count()
+        evaluate_model(model, dataset, "valid", batch_size=7)
+        assert seen == [(threading.current_thread(), threads)]
+
+    def poison(self, monkeypatch, row_by_thread, delay=0.0):
+        """Patch ``rank_from_scores`` to score NaN at the target of row
+        ``row_by_thread[on the calling thread]`` (None: no row); the worker
+        first sleeps ``delay`` s.  Returns the lists ``raised`` (on the calling
+        thread, error) and ``ranked`` (on the calling thread), appended per
+        block."""
         main = threading.current_thread()
-        if block_rows:
-            assert [(t is main, rows) for t, rows, _ in scored] == (
-                [(False, 2), (False, 1)] * 2 + [(True, 1)]) * 2
-        else:
-            assert [(t is main, rows) for t, rows, _ in scored] == [(True, 3), (True, 3),
-                                                                    (True, 1)] * 2
-        assert max(nbytes for _, _, nbytes in scored) <= tr.SCORE_BLOCK_BYTES
+        raised, ranked = [], []
+
+        def poisoned(scores, histories, targets, *rest):
+            is_main = threading.current_thread() is main
+            if not is_main:
+                time.sleep(delay)
+            row = row_by_thread[is_main]
+            if row is not None:
+                scores[row, targets[row] - 1] = np.nan
+            try:
+                ranks = ev.rank_from_scores(scores, histories, targets, *rest)
+            except ValueError as exc:
+                raised.append((is_main, exc))
+                raise
+            ranked.append(is_main)
+            return ranks
+
+        monkeypatch.setattr(tr, "rank_from_scores", poisoned)
+        return raised, ranked
+
+    def test_callers_error_wins_when_both_chunks_fail(self, monkeypatch):
+        dataset, _, model = self.case()
+        raised, _ = self.poison(monkeypatch, {True: 0, False: 1})
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=r"^row 0: target score nan is not finite$") as err:
+            evaluate_model(model, dataset, "valid", batch_size=3)
+        errors = dict(raised)  # both chunks failed; the worker's error is dropped
+        assert len(raised) == 2 and errors[True] is err.value
+        assert str(errors[False]) == "row 1: target score nan is not finite"
+        assert threading.active_count() == threads
+
+    def test_callers_error_waits_for_the_worker(self, monkeypatch):
+        dataset, _, model = self.case()
+        raised, ranked = self.poison(monkeypatch, {True: 0, False: None}, delay=0.2)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=r"^row 0: target score nan is not finite$") as err:
+            evaluate_model(model, dataset, "valid", batch_size=3)
+        # the worker ranked chunk 1 before the caller's error left the call
+        assert raised == [(True, err.value)] and ranked == [False]
+        assert threading.active_count() == threads
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         dataset, _, model = self.case()
@@ -334,11 +410,13 @@ class TestEvaluateModelRanks:
         assert raised == [err.value]
         assert threading.active_count() == threads
 
-    def test_concurrent_passes_rank_as_lone_passes(self, monkeypatch):
-        # each pass owns its block and its worker: three threads evaluating
+    @pytest.mark.parametrize("block_rows", [None, 2])
+    def test_concurrent_passes_rank_as_lone_passes(self, block_rows, monkeypatch):
+        # each pass owns its blocks and its worker: three threads evaluating
         # at once, switching every microsecond, rank as one pass alone
         dataset, _, model = self.case()
-        monkeypatch.setattr(tr, "SCORE_BLOCK_BYTES", 2 * 8 * dataset.num_items)
+        if block_rows is not None:
+            monkeypatch.setattr(tr, "SCORE_BLOCK_BYTES", block_rows * 8 * dataset.num_items)
         want = evaluate_model(model, dataset, "test", batch_size=3, keep_ranks=True).ranks
         got = []
 
@@ -365,6 +443,13 @@ class TestEvaluateModelRanks:
         # neither the model nor the dataset is touched
         with pytest.raises(ValueError, match=rf"^batch_size must be >= 1, got {batch_size}$"):
             evaluate_model(None, None, "valid", batch_size)
+
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_split_with_no_users_is_rejected_before_any_work(self, split):
+        # the model is not touched
+        with pytest.raises(EmptyDataset,
+                           match=rf"^evaluate_model: split '{split}' has no users$"):
+            evaluate_model(None, SplitDataset([], 5), split)
 
 
 class TestHrNdcg:
