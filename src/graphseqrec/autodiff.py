@@ -43,14 +43,13 @@ read it.  Ops reuse their own temporaries in place, in the same operation
 order as the plain expressions, but never write into an input, an output
 another node may read, or the incoming gradient.
 
-A thread may defer the gradient additions into some leaves
-(:func:`deferred`): it records each one, in order, and :func:`replay`
-adds them later, bit for bit as if they had been added then.  Every
-addition into a gradient, ``gather``'s row blocks included, goes through
-``_accumulate``, which records it for a deferred leaf, so every op's
-backward can be deferred.  ``training.train_step`` runs its
-sequence-contrastive backward on a worker thread this way, beside the
-calling thread's own.
+A forward that reads a :class:`Deferred` stand-in of a leaf records each
+addition into that leaf's gradient, in order, and :func:`replay` adds them
+later, bit for bit as if they had been added then.  Every addition into a
+gradient, ``gather``'s row blocks included, goes through ``_accumulate``,
+so every op's backward can be deferred, on any thread.
+``training.train_step`` runs its sequence-contrastive branch on a worker
+thread over ``Model.deferred(log)``, beside the calling thread's backward.
 
 One rule decides what is recorded: an op's output links to a node exactly
 when one of its inputs requires a gradient.  A forward over tensors that
@@ -80,10 +79,8 @@ finite-difference checks meaningful.
 from __future__ import annotations
 
 import ctypes
-import threading
 import weakref
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -251,39 +248,23 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str,
     return out
 
 
-class _Scope(threading.local):
-    """Per thread: the leaves whose accumulations :func:`deferred` records,
-    by id, and the list it records them in; ``None`` outside the scope."""
-    deferred: Optional[tuple] = None
+class Deferred(Tensor):
+    """A stand-in leaf for ``param`` that shares its array, with no copy:
+    a backward through it records each addition into its gradient, in
+    order, as ``(param, g, rows)`` in ``log`` instead of adding it, and
+    :func:`replay` adds them into ``param`` later."""
 
+    __slots__ = ("param", "log")
 
-_scope = _Scope()
-
-
-def _deferred_log(t) -> Optional[list]:
-    """The list this thread records ``t``'s accumulations in, if it defers them."""
-    scope = _scope.deferred
-    return scope[1] if scope is not None and id(t) in scope[0] else None
-
-
-@contextmanager
-def deferred(leaves) -> Iterator[list]:
-    """Within this thread, record every accumulation into one of ``leaves``
-    instead of adding it, in the order it would have been added; yields the
-    list that :func:`replay` adds them from later.  Other threads, and other
-    tensors, accumulate as usual."""
-    log: list = []
-    previous = _scope.deferred
-    _scope.deferred = ({id(t) for t in leaves}, log)
-    try:
-        yield log
-    finally:
-        _scope.deferred = previous
+    def __init__(self, param: Tensor, log: list):
+        super().__init__(param.data, param.requires_grad)
+        self.param, self.log = param, log
 
 
 def replay(log: list) -> None:
-    """Add the accumulations a :func:`deferred` scope recorded, in their order:
-    each leaf's gradient ends bit for bit as if they had been added then."""
+    """Add the accumulations that :class:`Deferred` stand-ins recorded, in
+    their order: each parameter's gradient ends bit for bit as if they had
+    been added then."""
     for t, g, rows in log:
         _accumulate(t, g, fresh=True, rows=rows)
 
@@ -296,9 +277,9 @@ def _accumulate(t, g: np.ndarray, fresh: bool = False,
     zeros elsewhere.  ``fresh`` means the calling closure just built ``g``
     and keeps no other reference to it, so on first touch it can be adopted
     when it is C-contiguous float64; anything else is copied into an owned
-    C-contiguous float64 array.  A leaf this thread defers gets the addition
-    recorded, a copy of ``g`` unless it is fresh.  This is the only code
-    that adds into a gradient."""
+    C-contiguous float64 array.  A :class:`Deferred` stand-in gets the
+    addition recorded, a copy of ``g`` unless it is fresh.  This is the only
+    code that adds into a gradient."""
     if not t.requires_grad:
         return
     shape = t.shape if rows is None else (len(rows),) + t.shape[1:]
@@ -306,9 +287,8 @@ def _accumulate(t, g: np.ndarray, fresh: bool = False,
         what = "a tensor" if rows is None else f"{len(rows)} rows of a tensor"
         raise ShapeMismatch(f"{t.op}: gradient of shape {list(g.shape)} for {what} "
                             f"of shape {list(t.shape)}")
-    log = _deferred_log(t)
-    if log is not None:
-        log.append((t, g if fresh else np.array(g, dtype=np.float64, order="C"), rows))
+    if type(t) is Deferred:
+        t.log.append((t.param, g if fresh else np.array(g, dtype=np.float64, order="C"), rows))
     elif rows is not None and t.grad is not None:
         t.grad[rows] += g
     elif rows is not None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 from contextlib import contextmanager
 from typing import Dict, IO, Iterator, List, Type
 
@@ -39,8 +40,9 @@ class CheckpointError(ValueError):
 def atomic_open(path, mode: str = "w") -> Iterator[IO]:
     """Write ``path`` through a sibling temporary file (utf-8 in text mode)
     that replaces it only when the block completes; if the block raises, the
-    temporary file is removed and ``path`` is left as it was."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    temporary file is removed and ``path`` is left as it was.  Each thread
+    writes a temporary file of its own."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh

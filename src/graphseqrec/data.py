@@ -135,6 +135,8 @@ def build_sequences(events: np.ndarray, min_count: int) -> List[ItemSequence]:
     ascending original-id order.  Within a user, events sort by timestamp
     with input order breaking ties (stable).
     """
+    if np.ndim(events) != 2 or np.shape(events)[1] != 3:
+        raise ValueError(f"build_sequences: events of shape {list(np.shape(events))}, not (n, 3)")
     # dense indices first: ids may be negative or sparse
     user_ids, users = np.unique(events[:, 0], return_inverse=True)
     item_ids, items = np.unique(events[:, 1], return_inverse=True)

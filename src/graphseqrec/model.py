@@ -45,6 +45,14 @@ class Model:
         view.params = {name: Tensor(t.data) for name, t in self.params.items()}
         return view
 
+    def deferred(self, log: list) -> "Model":
+        """This model over ``autodiff.Deferred`` stand-ins of its parameters,
+        no array copied: a backward through it records its gradient additions
+        in ``log`` for ``autodiff.replay``."""
+        view = copy.copy(self)
+        view.params = {name: ad.Deferred(t, log) for name, t in self.params.items()}
+        return view
+
     # ----------------------------------------------------------------- graph
     def graph_representations(self, item_ids,
                               perturbation: Optional[SubgraphPerturbation] = None

@@ -110,6 +110,8 @@ def assemble_batch(users: Sequence, cfg: ModelConfig,
     step order.  With ``rng_augment``, each window also gets two views
     (``augment_pair``), drawn row by row.
     """
+    if not users:
+        raise EmptyDataset("assemble_batch: no users")
     num_items, max_len = cfg.num_items, cfg.max_len
     windows = [user.train[-max_len:] for user in users]
     seqs = np.stack([pad_sequence(w, max_len) for w in windows])
@@ -241,12 +243,13 @@ def train_step(model: Model, batch: Batch,
     This thread meanwhile runs the next-item and graph terms and their
     backward; each branch starts from a gradient known up front, so neither
     waits for the other, and the products release the GIL, so a step uses a
-    second core.  The worker's additions into the parameters' gradients are
-    recorded (``autodiff.deferred``) and added here once this thread's
-    backward is done, in the order one walk of the whole loss adds them:
-    next-item, graph, views.  Gradients and values are those of that walk,
-    bit for bit.  An error on the worker reaches the caller as it was
-    raised; after an error the gradients are partial until ``zero_grads``.
+    second core.  The worker reads ``model.deferred(log)``: its additions
+    into the parameters' gradients are added here (``autodiff.replay``) once
+    this thread's backward is done, in the order one walk of the whole loss
+    adds them: next-item, graph, views.  Gradients and values are those of
+    that walk, bit for bit.  An error on the worker reaches the caller as it
+    was raised; after an error the gradients are partial until
+    ``zero_grads``.
     """
     cfg = model.cfg
     if cfg.lambda2 != 0.0 and batch.view1 is None:
@@ -282,26 +285,28 @@ def _sequence_branch(model: Model, batch: Batch, perturbation,
     and of its ``lambda2`` scaling, and the parameters' gradient additions
     that its backward recorded.
 
-    The branch holds one view's tape at a time.  View 2 is first encoded
-    tape-free (``model.detached()``) for its value; once the loss's backward
-    has given its gradient, it is encoded again from a copy of the dropout
-    generator taken before the first pass, and that tape is run from the
-    gradient.  The two encodes must agree bit for bit (``ViewMismatch``)."""
+    The branch holds one view's tape at a time, and its taped encodes read
+    ``model.deferred(log)``.  View 2 is first encoded tape-free
+    (``model.detached()``) for its value; once the loss's backward has given
+    its gradient, it is encoded again from a copy of the dropout generator
+    taken before the first pass, and that tape is run from the gradient.  The
+    two encodes must agree bit for bit (``ViewMismatch``)."""
     cfg = model.cfg
-    with ad.deferred(model.params.values()) as log:
-        z1 = model.user_reprs(batch.view1, batch.user_ids, perturbation, rng)
-        replay_rng = copy.deepcopy(rng)
-        z2 = Tensor(model.detached().user_reprs(batch.view2, batch.user_ids, perturbation,
-                                                rng).data, requires_grad=True)
-        seq = seq_cl_loss(z1, z2, cfg.tau)
-        scaled = ad.mul(seq, cfg.lambda2)
-        ad.backward(scaled)
-        again = model.user_reprs(batch.view2, batch.user_ids, perturbation, replay_rng)
-        differ = (again.data.view(np.int64) != z2.data.view(np.int64)).any(axis=1)
-        if differ.any():
-            raise ViewMismatch("view 2's second encode differs from its first at batch "
-                               f"position {int(np.argmax(differ))}")
-        ad.backward(ad.weighted_sum(again, z2.grad))
+    log: list = []
+    deferred = model.deferred(log)
+    z1 = deferred.user_reprs(batch.view1, batch.user_ids, perturbation, rng)
+    replay_rng = copy.deepcopy(rng)
+    z2 = Tensor(model.detached().user_reprs(batch.view2, batch.user_ids, perturbation,
+                                            rng).data, requires_grad=True)
+    seq = seq_cl_loss(z1, z2, cfg.tau)
+    scaled = ad.mul(seq, cfg.lambda2)
+    ad.backward(scaled)
+    again = deferred.user_reprs(batch.view2, batch.user_ids, perturbation, replay_rng)
+    differ = (again.data.view(np.int64) != z2.data.view(np.int64)).any(axis=1)
+    if differ.any():
+        raise ViewMismatch("view 2's second encode differs from its first at batch "
+                           f"position {int(np.argmax(differ))}")
+    ad.backward(ad.weighted_sum(again, z2.grad))
     return seq.data, scaled.data, log
 
 

@@ -3,9 +3,9 @@ import collections
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -405,35 +405,43 @@ class TestNotRecorded:
 
 
 class TestDeferred:
-    """Within ``deferred(leaves)`` a thread records its additions into those
-    leaves' gradients; ``replay`` adds them later, bit for bit as if they had
-    been added then."""
+    """A backward through ``Deferred`` stand-ins records its additions into
+    their leaves' gradients; ``replay`` adds them later, bit for bit as if
+    they had been added then."""
 
     @staticmethod
-    def losses(rng):
-        table, w, x = leaves(rng.standard_normal((6, 4)), rng.standard_normal((4, 4)),
-                             rng.standard_normal((3, 4)))
+    def losses(rng, first_log=None, second_log=None):
+        """Two losses over the leaves table, w and x and a free leaf; each
+        reads stand-ins of the three that record in its log, if given one."""
+        params = leaves(rng.standard_normal((6, 4)), rng.standard_normal((4, 4)),
+                        rng.standard_normal((3, 4)))
         free = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+
+        def read(log):
+            return params if log is None else [ad.Deferred(p, log) for p in params]
+
+        table, w, x = read(first_log)
         t = ad.tanh(ad.linear(ad.gather(table, [[1, 2], [2, 5], [1, 1]]), w, Tensor(np.zeros(4))))
         rows = ad.select_positions(t, [0, 1, 1])
         # add hands x a view of its incoming gradient, which rows adopts and
         # mul's closure adds into afterwards
         first = ad.add(total_sum(ad.add(x, rows)),
                        weighted_sum(ad.mul(rows, 2.0), rng.standard_normal((3, 4))))
+        table, w, x = read(second_log)
         second = ad.add(weighted_sum(ad.gather(table, [4, 1, 4]), rng.standard_normal((3, 4))),
                         total_sum(ad.tanh(ad.add(ad.linear(x, w, Tensor(np.zeros(4))), free))))
-        return (table, w, x), free, first, second
+        return params, free, first, second
 
     def test_replayed_additions_match_direct_ones_bitwise(self):
         params, free, first, second = self.losses(np.random.default_rng(3))
         ad.backward(first)
         ad.backward(second)
         direct = [t.grad.tobytes() for t in (*params, free)]
-        params, free, first, second = self.losses(np.random.default_rng(3))
+        log = []
+        params, free, first, second = self.losses(np.random.default_rng(3), second_log=log)
         ad.backward(first)
         after_first = [t.grad.copy() for t in params]
-        with ad.deferred(params) as log:
-            ad.backward(second)
+        ad.backward(second)
         # the deferred leaves are untouched; any other tensor accumulates as usual
         assert [t.grad.tobytes() for t in params] == [g.tobytes() for g in after_first]
         assert free.grad.tobytes() == direct[3]
@@ -445,42 +453,39 @@ class TestDeferred:
         params, _, first, _ = self.losses(np.random.default_rng(3))
         ad.backward(first)
         direct = [t.grad.tobytes() for t in params]
-        params, _, first, _ = self.losses(np.random.default_rng(3))
-        with ad.deferred(params) as log:
-            ad.backward(first)
+        log = []
+        params, _, first, _ = self.losses(np.random.default_rng(3), first_log=log)
+        ad.backward(first)
         assert all(t.grad is None for t in params)
         ad.replay(log)
         assert [t.grad.tobytes() for t in params] == direct
 
-    def test_the_scope_belongs_to_its_thread(self):
-        params, _, first, _ = self.losses(np.random.default_rng(3))
-        done = []
-        with ad.deferred(params) as log:
-            worker = threading.Thread(target=lambda: (ad.backward(first), done.append(True)))
-            worker.start()
-            worker.join()
-        assert done == [True] and log == []
-        assert all(t.grad is not None for t in params)
+    def test_another_thread_records_the_same_log(self):
+        def record(run):
+            log = []
+            params, _, first, second = self.losses(np.random.default_rng(3), log, log)
+            run(lambda: (ad.backward(first), ad.backward(second)))
+            assert all(t.grad is None for t in params)
+            return [(next(i for i, p in enumerate(params) if p is t), g.shape, g.tobytes(),
+                     None if rows is None else rows.tobytes()) for t, g, rows in log]
+
+        def on_a_worker(fn):
+            with ThreadPoolExecutor(1) as worker:
+                worker.submit(fn).result()
+
+        here = record(lambda fn: fn())
+        assert len(here) > len({i for i, _, _, _ in here}) == 3
+        assert record(on_a_worker) == here
 
     @pytest.mark.parametrize("defer", [False, True])
     def test_a_row_block_of_another_shape_is_rejected(self, defer):
-        # a deferred leaf's block is checked when it is recorded
-        table = Tensor(np.zeros((6, 4)), requires_grad=True)
-        target = table if defer else ad.mul(table, 2.0).node
-        with ad.deferred([table] if defer else []) as log:
-            with pytest.raises(ShapeMismatch, match=rf"^{target.op}: gradient of shape \[1, 4\] "
-                                                    r"for 3 rows of a tensor of shape \[6, 4\]$"):
-                ad._accumulate(target, np.ones((1, 4)), fresh=True, rows=np.array([1, 3, 4]))
-        assert log == [] and target.grad is None
-
-    def test_a_scope_restores_the_one_it_was_opened_in(self):
-        params, _, first, second = self.losses(np.random.default_rng(3))
-        with ad.deferred(params[:1]) as outer:
-            with ad.deferred(params[1:]):
-                pass
-            ad.backward(first)
-        assert {id(t) for t, _, _ in outer} == {id(params[0])}
-        assert params[0].grad is None and params[1].grad is not None
+        # a stand-in's block is checked when it is recorded
+        log, table = [], Tensor(np.zeros((6, 4)), requires_grad=True)
+        target = ad.Deferred(table, log) if defer else ad.mul(table, 2.0).node
+        with pytest.raises(ShapeMismatch, match=rf"^{target.op}: gradient of shape \[1, 4\] "
+                                                r"for 3 rows of a tensor of shape \[6, 4\]$"):
+            ad._accumulate(target, np.ones((1, 4)), fresh=True, rows=np.array([1, 3, 4]))
+        assert log == [] and target.grad is None and table.grad is None
 
 
 class TestElementwiseGradients:

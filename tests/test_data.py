@@ -103,6 +103,17 @@ class TestIngest:
         # item ids remap to 1..3 in ascending original order: 10->1, 11->2, 12->3
         assert seqs[0].items == [3, 1, 2]
 
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 2), (3,)])
+    def test_a_log_not_of_three_columns_is_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"build_sequences: events of shape {list(shape)}, not (n, 3)")) as info:
+            dp.build_sequences(np.ones(shape, dtype=np.int64), min_count=1)
+        assert info.type is ValueError
+
+    def test_an_empty_log_is_an_empty_dataset(self):
+        with pytest.raises(EmptyDataset, match="core filter"):
+            dp.build_sequences(np.zeros((0, 3), dtype=np.int64), min_count=1)
+
     def test_comma_delimiter(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text("0,1,0\n0,2,1\n")
@@ -490,6 +501,13 @@ class TestAssembleBatchReference:
             with pytest.raises(ValueError, match="^user 7: no eligible negative item$"):
                 build(users, TrainConfig(max_len=2).model_config(2, 3),
                       np.random.default_rng(0), np.random.default_rng(1))
+
+    def test_no_users_raise_before_any_draw(self):
+        rng_neg, rng_aug = np.random.default_rng(0), np.random.default_rng(1)
+        with pytest.raises(EmptyDataset, match="^assemble_batch: no users$"):
+            assemble_batch([], TrainConfig().model_config(5, 1), rng_neg, rng_aug)
+        assert rng_neg.random() == np.random.default_rng(0).random()
+        assert rng_aug.random() == np.random.default_rng(1).random()
 
 
 class TestAugment:

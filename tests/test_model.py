@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from graphseqrec import autodiff as ad
 from graphseqrec.autodiff import ShapeMismatch
 from graphseqrec.checkpoint import CheckpointError
 from graphseqrec.data import build_sequences, synth_generate
 from graphseqrec.graph import build_transition_graph
 from graphseqrec.model import Model, ModelConfig
+
+from conftest import weighted_sum
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +95,27 @@ class TestDetached:
             t.data *= 2.0
         again = detached.user_reprs(padded, users, detached.subgraph_perturbation())
         assert again.data.tobytes() != read.data.tobytes()
+
+
+class TestDeferredModel:
+    def test_shares_every_array_and_records_its_additions(self, setup):
+        seqs, graph = setup
+        padded, users = batch_from(seqs)
+        model = Model(config(pge_graph="refined"), graph, np.random.default_rng(3))
+        log = []
+        deferred = model.deferred(log)
+        assert deferred.cfg is model.cfg and deferred.graph is model.graph
+        assert deferred.params.keys() == model.params.keys()
+        for name, t in deferred.params.items():  # a step copies no table
+            assert t.data is model.params[name].data
+        perturbation = model.subgraph_perturbation()
+        read = deferred.user_reprs(padded, users, perturbation)
+        assert read.data.tobytes() == model.user_reprs(padded, users, perturbation).data.tobytes()
+        ad.backward(weighted_sum(read, np.random.default_rng(4).standard_normal(read.shape)))
+        assert all(t.grad is None for t in model.params.values())
+        assert {id(t) for t, _, _ in log} <= {id(t) for t in model.params.values()}
+        ad.replay(log)
+        assert model.params["item_emb"].grad is not None
 
 
 class TestPersistence:

@@ -1,5 +1,7 @@
 import struct
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -192,6 +194,26 @@ class TestCheckpointArchive:
         save_archive(p1, arrays)
         save_archive(p2, dict(reversed(list(arrays.items()))))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_two_threads_saving_one_path_leave_one_whole_archive(self, tmp_path, rng):
+        path = tmp_path / "ckpt.bin"
+        archives = [{"a": rng.standard_normal((256, 256))},
+                    {"a": rng.standard_normal((256, 256)), "b": rng.standard_normal(3)}]
+        for _ in range(40):
+            start = threading.Barrier(2)
+
+            def save(arrays):
+                start.wait(10)
+                save_archive(path, arrays)
+
+            with ThreadPoolExecutor(2) as pool:
+                for saved in [pool.submit(save, arrays) for arrays in archives]:
+                    saved.result()
+            loaded = load_archive(path)
+            assert any(loaded.keys() == arrays.keys()
+                       and all(loaded[k].tobytes() == arrays[k].tobytes() for k in arrays)
+                       for arrays in archives)
+            assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 
     def test_zero_d_array_keeps_its_shape(self, tmp_path):
         path = tmp_path / "scalar.bin"

@@ -699,18 +699,16 @@ class TestSplitStep:
 
     def test_a_deferred_backward_of_the_whole_loss_replays_bit_for_bit(self):
         # every op's backward, the graph propagation's included, records its
-        # additions into deferred leaves
+        # additions into the stand-ins of model.deferred
         def grads(defer):
             model, batch = every_term_case()
-            loss = serial_loss(model, batch, np.random.default_rng(3),
-                               np.random.default_rng(4))[0]
+            log = []
+            loss = serial_loss(model.deferred(log) if defer else model, batch,
+                               np.random.default_rng(3), np.random.default_rng(4))[0]
+            ad.backward(loss)
             if defer:
-                with ad.deferred(model.params.values()) as log:
-                    ad.backward(loss)
                 assert all(t.grad is None for t in model.params.values())
                 ad.replay(log)
-            else:
-                ad.backward(loss)
             return {name: t.grad.tobytes() for name, t in model.params.items()}
 
         direct = grads(defer=False)
